@@ -12,6 +12,7 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
+from .liealg import current_generators
 from .linalg import Echelon, nullspace
 from .rationals import QQ, ZERO, qstr, parse_qstr
 from . import fock
@@ -119,10 +120,6 @@ def diff_mul(p: dict, q: dict) -> dict:
 
 def mono_weight(mono) -> int:
     return sum(v.weight for v in mono)
-
-
-def mono_degree(mono) -> int:
-    return len(mono)
 
 
 def diff_bidegree(p: dict):
@@ -319,15 +316,23 @@ def _block_key(mono):
 
 
 def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int, cap: int = 20000):
-    """Exact basis of the joint kernel of {xi t^r : xi basis, 0 <= r <= weight}
-    on the (weight, degree <= maxdeg) component.
+    """Exact basis of the joint kernel of g[t] on the (weight, degree <=
+    maxdeg) component.
+
+    Only t^r with r <= weight can act nonzero on the component, so g[t]
+    acts through g[t]/t^(weight+1).  The equations are written for the
+    generating set `current_generators(A, weight)` of that algebra: if X
+    and Y kill v then so does [X, Y], so the generators have the same
+    joint kernel as every xi t^r, and the canonical nullspace basis is the
+    same.
 
     The action never moves a factor across families or copies, so the
     component splits into blocks by per-(family, copy) factor counts; each
     block is solved by exact sparse elimination.  Output order: degree
     ascending, then block key, then canonical nullspace order.
     """
-    actions = [space.action_for(A, i) for i in range(A.dim)]
+    gens = current_generators(A, weight)
+    actions = {i: space.action_for(A, i) for i in {i for i, _ in gens}}
     basis_out = []
     for d in range(0, maxdeg + 1):
         monos = enumerate_component(space, weight, d)
@@ -339,14 +344,13 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int, cap: int = 200
         for key in sorted(blocks):
             cols = sorted(blocks[key])
             equations = []
-            for mats in actions:
-                for r in range(0, weight + 1):
-                    rows: dict = {}
-                    for ci, mono in enumerate(cols):
-                        img = lie_jet_action(mats, r, {mono: QQ(1)})
-                        for tmono, c in img.items():
-                            rows.setdefault(tmono, {})[ci] = c
-                    equations.extend(rows[t] for t in sorted(rows))
+            for i, r in gens:
+                rows: dict = {}
+                for ci, mono in enumerate(cols):
+                    img = lie_jet_action(actions[i], r, {mono: QQ(1)})
+                    for tmono, c in img.items():
+                        rows.setdefault(tmono, {})[ci] = c
+                equations.extend(rows[t] for t in sorted(rows))
             for vec in nullspace(equations, list(range(len(cols)))):
                 basis_out.append({cols[i]: c for i, c in vec.items()})
     return basis_out
@@ -399,7 +403,7 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000):
             raise ResourceCapError(cap, count)
         if poly:
             ech.add(dict(poly))
-    return [dict(r) for r in ech.reduced_rows()]
+    return ech.reduced_rows()
 
 
 # -- normal ordering and quantum correction ---------------------------------
@@ -540,7 +544,9 @@ def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QC
         if guard > d_total + 2:
             raise AssertionError("descent failed to terminate")
         _, _, dq = fock.gradings(q)
-        assert dq < prev_deg, "descent must strictly lower the degree"
+        if dq >= prev_deg:
+            raise RuntimeError(
+                f"descent did not lower the degree: {dq} after {prev_deg}")
         prev_deg = dq
         s = fock.symbol(q, dq)
         ech = Echelon(track=True)
@@ -575,8 +581,8 @@ def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QC
         total = diff_sub(total, r)
         q = q.sub(normal_order_abstract(r))
 
-    # re-expansion check: the accumulated expression is identically zero
-    assert normal_order_abstract(total).is_zero()
+    if not normal_order_abstract(total).is_zero():
+        raise RuntimeError("re-expansion of the corrected relation is not zero")
     return QCResult("ok", total, tuple(corrections), None, None)
 
 

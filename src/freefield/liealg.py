@@ -7,7 +7,7 @@ bracket tables stay consistent with the rep by construction.
 
 from __future__ import annotations
 
-from .linalg import Echelon
+from .linalg import Echelon, axpy
 from .rationals import QQ, ZERO
 
 Matrix = tuple
@@ -66,14 +66,6 @@ def mat_supertrace(M: Matrix, parity):
 def mat_eq(X: Matrix, Y: Matrix) -> bool:
     return all(
         X[r][c] == Y[r][c] for r in range(len(X)) for c in range(len(X[0]))
-    )
-
-
-def mat_apply(M: Matrix, vec):
-    """M acting on a coordinate vector (tuple)."""
-    return tuple(
-        sum((M[r][c] * vec[c] for c in range(len(vec))), ZERO)
-        for r in range(len(M))
     )
 
 
@@ -145,10 +137,6 @@ class LieAlgebraSpec:
     def dual_matrix(self, x) -> Matrix:
         return mat_scale(mat_transpose(self.matrix_for(x)), QQ(-1))
 
-    @property
-    def dual_rep(self):
-        return tuple(mat_scale(mat_transpose(M), QQ(-1)) for M in self.rep)
-
     # -- structure constants ----------------------------------------------
 
     def _basis_echelon(self) -> Echelon:
@@ -204,6 +192,54 @@ def bracket(A: LieAlgebraSpec, x, y) -> dict:
                 else:
                     out.pop(k, None)
     return out
+
+
+def current_generators(A: LieAlgebraSpec, weight: int) -> list:
+    """(basis index, r) pairs whose elements x_index t^r generate the
+    truncated current algebra g[t]/t^(weight+1) as a Lie algebra.
+
+    Pairs are taken greedily in (r, index) order, each one only when it
+    lies outside the subalgebra generated by those kept so far; that
+    subalgebra is spanned exactly over the coordinates (index, r).  A
+    central element that is not a bracket, such as the identity of gl_n,
+    is therefore kept at every r.  With an odd basis element every pair is
+    returned, since callers act by each x t^r as an even operator and the
+    closure under super-brackets would not bound their joint kernel.
+    """
+    pairs = [(i, r) for r in range(weight + 1) for i in range(A.dim)]
+    if any(A.parity):
+        return pairs
+
+    def bracket_current(u: dict, v: dict) -> dict:
+        out: dict = {}
+        for (i, a), cu in u.items():
+            for (j, b), cv in v.items():
+                if a + b <= weight:
+                    br = A.structure(i, j)
+                    axpy(out, {(k, a + b): c for k, c in br.items()}, cu * cv)
+        return out
+
+    span = Echelon()
+    spanning: list = []
+    kept = []
+    for i, r in pairs:
+        if span.rank == len(pairs):
+            break
+        x = {(i, r): QQ(1)}
+        if not span.add(x):
+            continue
+        kept.append((i, r))
+        # close the span under brackets: every new spanning element is
+        # bracketed with every one already there, itself included
+        pending = [x]
+        while pending:
+            x = pending.pop()
+            spanning.append(x)
+            for y in spanning:
+                z = bracket_current(x, y)
+                if z and span.add(z):
+                    pending.append(z)
+    return kept
 
 
 def trace_form(A: LieAlgebraSpec, x, y):

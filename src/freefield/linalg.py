@@ -11,16 +11,14 @@ from __future__ import annotations
 from .rationals import QQ, ZERO
 
 
-def vec_add(u: dict, v: dict, scale=1) -> dict:
-    """u + scale*v, dropping zeros."""
-    out = dict(u)
+def axpy(u: dict, v: dict, scale) -> None:
+    """u += scale*v in place, dropping zeros."""
     for k, c in v.items():
-        s = out.get(k, ZERO) + scale * c
+        s = u.get(k, ZERO) + scale * c
         if s:
-            out[k] = s
+            u[k] = s
         else:
-            out.pop(k, None)
-    return out
+            del u[k]
 
 
 def vec_scale(u: dict, scale) -> dict:
@@ -51,14 +49,20 @@ class Echelon:
         return len(self.pivots)
 
     def _reduce(self, vec: dict, combo: dict):
+        """Eliminate the pivot columns of vec in one pass.
+
+        Every stored row is zero on every other pivot column, so removing
+        one pivot column never brings back another: only the pivots vec
+        already holds need a subtraction.  Returns the reduced copy of vec
+        and combo, which is updated in place.
+        """
         vec = dict(vec)
-        combo = dict(combo)
-        for p in self.pivots:
-            c = vec.get(p)
-            if c:
-                vec = vec_add(vec, self.rows[p], -c)
-                if self._track:
-                    combo = vec_add(combo, self.combos[p], -c)
+        rows = self.rows
+        for p in [k for k in vec if k in rows]:
+            c = vec[p]
+            axpy(vec, rows[p], -c)
+            if self._track:
+                axpy(combo, self.combos[p], -c)
         return vec, combo
 
     def add(self, vec: dict, tag=None) -> bool:
@@ -75,9 +79,9 @@ class Echelon:
         for q in self.pivots:
             c = self.rows[q].get(p)
             if c:
-                self.rows[q] = vec_add(self.rows[q], vec, -c)
+                axpy(self.rows[q], vec, -c)
                 if self._track:
-                    self.combos[q] = vec_add(self.combos[q], combo, -c)
+                    axpy(self.combos[q], combo, -c)
         self.pivots.append(p)
         self.rows[p] = vec
         self.combos[p] = combo
@@ -95,20 +99,15 @@ class Echelon:
         """
         if not self._track:
             raise ValueError("express() needs track=True")
-        work = dict(vec)
-        combo: dict = {}
-        for p in self.pivots:
-            c = work.get(p)
-            if c:
-                work = vec_add(work, self.rows[p], -c)
-                combo = vec_add(combo, self.combos[p], c)
+        work, combo = self._reduce(vec, {})
         if work:
             return None
-        return combo
+        return {tag: -c for tag, c in combo.items()}
 
     def reduced_rows(self) -> list:
         """Rows sorted by pivot rank: the canonical basis of the span."""
-        return [self.rows[p] for p in sorted(self.pivots, key=self._col_rank)]
+        return [dict(self.rows[p])
+                for p in sorted(self.pivots, key=self._col_rank)]
 
 
 def rank_of(vectors, col_rank=None) -> int:
@@ -152,7 +151,8 @@ def solve_affine(equations, rhs, columns):
     """
     order = {c: i for i, c in enumerate(columns)}
     RHS = ("_rhs",)
-    assert RHS not in order
+    if RHS in order:
+        raise ValueError(f"column key {RHS!r} is reserved for the right-hand side")
 
     def crank(c):
         # rhs column must never be chosen as a pivot before real columns

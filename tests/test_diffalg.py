@@ -2,15 +2,16 @@ import pytest
 
 from freefield.constructions import build_system, det_family, theta
 from freefield.diffalg import (
-    FamilyDecl, ResourceCapError, VarSpace, _abstract_var, action_matrices,
-    apply_D, diff_add, diff_bidegree, diff_const, diff_eq, diff_from_text,
+    FamilyDecl, ResourceCapError, VarSpace, _abstract_var, _block_key,
+    action_matrices, apply_D, diff_add, diff_bidegree, diff_const, diff_eq, diff_from_text,
     diff_mul, diff_sub, diff_to_text, diff_zero, enumerate_component,
     generated_span, invariant_basis, jet_var, lie_jet_action,
     monomial_from_factors, normal_order, quantum_correct, symbol_var,
     varspace_for_system,
 )
 from freefield.fock import gradings, monomial_state, nth_product, symbol
-from freefield.liealg import make_algebra
+from freefield.liealg import current_generators, make_algebra, mat_trace
+from freefield.linalg import nullspace
 from freefield.rationals import QQ
 
 
@@ -60,6 +61,63 @@ def test_invariant_basis_plain_sl2_minors():
     A = make_algebra("sl", 2)
     inv0 = invariant_basis(space, A, 0, 2)
     assert len([p for p in inv0 if diff_bidegree(p)[1] == 2]) == 6
+
+
+def _full_system_invariants(space, A, weight, maxdeg):
+    """Reference for invariant_basis: equations for every basis xi and
+    every 0 <= r <= weight, eliminated by the same nullspace call."""
+    actions = [space.action_for(A, i) for i in range(A.dim)]
+    out = []
+    for d in range(maxdeg + 1):
+        blocks: dict = {}
+        for m in enumerate_component(space, weight, d):
+            blocks.setdefault(_block_key(m), []).append(m)
+        for key in sorted(blocks):
+            cols = sorted(blocks[key])
+            equations = []
+            for mats in actions:
+                for r in range(weight + 1):
+                    rows: dict = {}
+                    for ci, mono in enumerate(cols):
+                        img = lie_jet_action(mats, r, {mono: QQ(1)})
+                        for tmono, c in img.items():
+                            rows.setdefault(tmono, {})[ci] = c
+                    equations.extend(rows[t] for t in sorted(rows))
+            for vec in nullspace(equations, list(range(len(cols)))):
+                out.append({cols[i]: c for i, c in vec.items()})
+    return out
+
+
+@pytest.mark.parametrize("kind, n, maxdeg", [
+    ("sl", 2, 3), ("so", 3, 3), ("sl", 3, 2), ("gl", 2, 3),
+    ("so", 4, 2), ("sp", 4, 2),
+    # gl1 is all centre; from degree 4 on, dropping the centre at some
+    # r >= 2 enlarges the kernel
+    ("gl", 1, 4),
+])
+def test_invariant_basis_matches_full_system(kind, n, maxdeg):
+    A = make_algebra(kind, n)
+    # even and odd families, rep and dual roles, both conformal offsets
+    space = VarSpace([FamilyDecl("x", 2, n, 0, 0, "rep"),
+                      FamilyDecl("y", 1, n, 0, 1, "dual"),
+                      FamilyDecl("c", 1, n, 1, 0, "dual")])
+    for weight in range(4):
+        expected = _full_system_invariants(space, A, weight, maxdeg)
+        assert expected, (kind, n, weight)
+        assert invariant_basis(space, A, weight, maxdeg) == expected, (
+            kind, n, weight)
+
+
+def test_current_generators_sl2_and_gl2_centre():
+    sl2 = make_algebra("sl", 2)
+    assert current_generators(sl2, 4) == [(0, 0), (1, 0), (0, 1)]
+    gl2 = make_algebra("gl", 2)
+    weight = 3
+    gens = current_generators(gl2, weight)
+    # the identity t^r is no bracket, so every r needs a generator that
+    # carries it: one whose matrix has nonzero trace
+    for r in range(weight + 1):
+        assert any(mat_trace(gl2.rep[i]) for i, s in gens if s == r), r
 
 
 def test_generated_span_counts_bihomogeneous():

@@ -1,5 +1,13 @@
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+
+from freefield import linalg
 from freefield.linalg import Echelon, nullspace, rank_of, solve_affine
-from freefield.rationals import QQ
+from freefield.rationals import QQ, ZERO
 
 
 def test_echelon_detects_dependence():
@@ -41,3 +49,102 @@ def test_solve_affine_feasible_and_not():
     eqs = [{"x": QQ(1), "y": QQ(1)}, {"x": QQ(1), "y": QQ(1)}]
     sol, rank = solve_affine(eqs, [QQ(0), QQ(1)], ["x", "y"])
     assert sol is None and rank == 1
+
+
+def _reduce_every_pivot(self, vec, combo):
+    """Reference reduction: walk every stored pivot, copying on each step."""
+    def add(u, v, scale):
+        out = dict(u)
+        for k, c in v.items():
+            s = out.get(k, ZERO) + scale * c
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return out
+
+    vec, combo = dict(vec), dict(combo)
+    for p in self.pivots:
+        c = vec.get(p)
+        if c:
+            vec = add(vec, self.rows[p], -c)
+            if self._track:
+                combo = add(combo, self.combos[p], -c)
+    return vec, combo
+
+
+def _random_system(rng, n_rows, n_cols):
+    """Sparse integer rows; about a third are combinations of earlier rows."""
+    rows = []
+    for _ in range(n_rows):
+        if rows and rng.random() < 0.35:
+            row: dict = {}
+            for other in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
+                scale = rng.choice([-2, -1, 1, 3])
+                for k, c in other.items():
+                    row[k] = row.get(k, ZERO) + scale * c
+            row = {k: c for k, c in row.items() if c}
+        else:
+            cols = rng.sample(range(n_cols), rng.randint(1, 4))
+            row = {k: QQ(rng.choice([-3, -2, -1, 1, 2, 5])) for k in cols}
+        rows.append(row)
+    return rows
+
+
+def _echelon_outputs(rows, probes, n_cols, track):
+    ech = Echelon(track=track)
+    gained = [ech.add(row, tag=i) for i, row in enumerate(rows)]
+    out = {
+        "gained": gained,
+        "residual": [ech.residual(v) for v in probes],
+        "reduced_rows": ech.reduced_rows(),
+        "nullspace": nullspace(rows, list(range(n_cols))),
+        "solve_affine": [
+            solve_affine(rows, rhs, list(range(n_cols)))
+            for rhs in ([QQ(i % 3) for i in range(len(rows))],
+                        [v.get(0, ZERO) for v in rows])
+        ],
+    }
+    if track:
+        out["express"] = [ech.express(v) for v in probes]
+        for v, combo in zip(probes, out["express"]):
+            if combo is not None:
+                total: dict = {}
+                for tag, c in combo.items():
+                    for k, x in rows[tag].items():
+                        total[k] = total.get(k, ZERO) + c * x
+                assert {k: x for k, x in total.items() if x} == v
+    return out
+
+
+@pytest.mark.parametrize("track", [True, False])
+@pytest.mark.parametrize("seed", range(6))
+def test_echelon_matches_reference_reduction(monkeypatch, seed, track):
+    rng = random.Random(seed)
+    n_cols = rng.randint(4, 12)
+    rows = _random_system(rng, rng.randint(3, 18), n_cols)
+    # probes inside the span and, mostly, outside it
+    probes = _random_system(rng, 6, n_cols) + [
+        {k: 2 * c for k, c in row.items()} for row in rows[:2]]
+    got = _echelon_outputs(rows, probes, n_cols, track)
+    monkeypatch.setattr(linalg.Echelon, "_reduce", _reduce_every_pivot)
+    assert got == _echelon_outputs(rows, probes, n_cols, track)
+
+
+def test_solve_affine_rejects_rhs_key_under_optimize():
+    # the guard must be an exception, not an assert that -O strips
+    code = (
+        "from freefield.linalg import solve_affine\n"
+        "from freefield.rationals import QQ\n"
+        "try:\n"
+        "    solve_affine([{('_rhs',): QQ(1)}], [QQ(1)], [('_rhs',)])\n"
+        "except ValueError:\n"
+        "    print('rejected')\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected"
