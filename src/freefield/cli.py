@@ -18,9 +18,6 @@ def main(argv=None) -> int:
     ver.add_argument("--report", help="write the report JSON to this path")
     ver.add_argument("--max-weight", type=int, help="override bounds.max_weight")
     ver.add_argument("--max-degree", type=int, help="override bounds.max_degree")
-    ver.add_argument("--threads", type=int, default=1,
-                     help="accepted for compatibility; tasks are pure and "
-                          "run in task order, so results never depend on it")
     ver.add_argument("--seed", type=int, help="override bounds.seed")
     ver.add_argument("--timings", action="store_true",
                      help="include per-task wall times (breaks byte-for-byte "

@@ -12,7 +12,7 @@ singular vectors.
 from itertools import permutations
 
 from .rationals import QQ, ZERO, ONE
-from .linalg import nullspace, solve_affine
+from .linalg import nullspace, perm_sign, solve_affine
 from .liealg import (LieAlgebraSpec, make_algebra, sp_any, mat_inverse,
                      normalized_gram, trace_gram, dual_coxeter)
 from .fock import (SystemSpec, State, vacuum, zero, generator_state,
@@ -260,15 +260,6 @@ def conformal_and_charge(sys: SystemSpec):
     return L_S, L_E, e
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 def _det_state(sys, entries) -> State:
     """Determinant of a square matrix of generators; entries[r][c] is a
     (family, copy, coord) triple.  Expansion order does not matter since
@@ -277,7 +268,7 @@ def _det_state(sys, entries) -> State:
     total = zero(sys)
     for perm in permutations(range(n)):
         factors = [generator_state(sys, *entries[perm[c]][c]) for c in range(n)]
-        total = total.add(wick(factors).scale(QQ(_perm_sign(perm))))
+        total = total.add(wick(factors).scale(QQ(perm_sign(perm))))
     return total
 
 
@@ -472,7 +463,6 @@ def bc_labels(sys: SystemSpec, which: str):
 # constants (checked by the test suite on every build).  The bosonic block
 # must carry -1; the odd blocks need opposite signs, and the remaining
 # overall odd sign is the parity automorphism, fixed here as bg = +1.
-_MIXED_EVEN_SWAP = False
 _MIXED_EVEN_SIGN = QQ(-1)
 _MIXED_BG_SIGN = QQ(1)
 _MIXED_BC_SIGN = QQ(-1)
@@ -497,10 +487,7 @@ def mixed_psi_family(sys: SystemSpec) -> CurrentFamily:
             if Ai <= r and Bi <= r:
                 t = _pair_state(sys, "b", Ai, a, "c", Bi, a)
             elif Ai > r and Bi > r:
-                i, j = Ai - r, Bi - r
-                if _MIXED_EVEN_SWAP:
-                    i, j = j, i
-                t = _pair_state(sys, "beta", i, a, "gamma", j, a).scale(_MIXED_EVEN_SIGN)
+                t = _pair_state(sys, "beta", Ai - r, a, "gamma", Bi - r, a).scale(_MIXED_EVEN_SIGN)
             elif Ai <= r:
                 t = _pair_state(sys, "b", Ai, a, "gamma", Bi - r, a).scale(_MIXED_BG_SIGN)
             else:

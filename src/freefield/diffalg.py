@@ -13,8 +13,8 @@ from math import factorial
 from typing import NamedTuple
 
 from .liealg import current_generators
-from .linalg import Echelon, nullspace
-from .rationals import QQ, ZERO, qstr, parse_qstr
+from .linalg import Echelon, axpy, nullspace
+from .rationals import QQ, qstr, parse_qstr
 from . import fock
 
 
@@ -87,34 +87,22 @@ def monomial_from_factors(factors, coeff=1) -> dict:
     return {tuple(mono): c}
 
 
-def diff_add(p: dict, q: dict) -> dict:
+def diff_add(p: dict, q: dict, scale=1) -> dict:
+    """p + scale*q as a new polynomial."""
     out = dict(p)
-    for m, c in q.items():
-        s = out.get(m, ZERO) + c
-        if s:
-            out[m] = s
-        else:
-            del out[m]
+    axpy(out, q, scale)
     return out
 
 
-def diff_scale(p: dict, c) -> dict:
-    c = QQ(c)
-    if not c:
-        return {}
-    return {m: c * v for m, v in p.items()}
-
-
 def diff_sub(p: dict, q: dict) -> dict:
-    return diff_add(p, diff_scale(q, -1))
+    return diff_add(p, q, -1)
 
 
 def diff_mul(p: dict, q: dict) -> dict:
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            term = monomial_from_factors(list(m1) + list(m2), c1 * c2)
-            out = diff_add(out, term)
+            axpy(out, monomial_from_factors(list(m1) + list(m2), c1 * c2))
     return out
 
 
@@ -145,7 +133,7 @@ def apply_D(p: dict) -> dict:
         for k, v in enumerate(mono):
             factors = list(mono)
             factors[k] = v.bump()
-            out = diff_add(out, monomial_from_factors(factors, c))
+            axpy(out, monomial_from_factors(factors, c))
     return out
 
 
@@ -196,9 +184,7 @@ def lie_jet_action(mats: dict, r: int, p: dict) -> dict:
                     continue
                 factors = list(mono)
                 factors[k] = v._replace(coord=row + 1, order=v.order - r)
-                out = diff_add(
-                    out, monomial_from_factors(factors, c * lam * entry)
-                )
+                axpy(out, monomial_from_factors(factors, c * lam * entry))
     return out
 
 
@@ -409,24 +395,33 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000):
 # -- normal ordering and quantum correction ---------------------------------
 
 
-def normal_order(p: dict, sys: fock.SystemSpec) -> fock.State:
-    """Replace each symbol monomial by the right-nested Wick product of
-    d^k-generators in the monomial's canonical order."""
-    out = fock.zero(sys)
+def wick_expand(p: dict, base, sys: fock.SystemSpec) -> fock.State:
+    """Replace each monomial of p by the right-nested Wick product of its
+    factors in canonical order, the factor v becoming d^(v.order) applied
+    to the state base(v); the empty monomial becomes the vacuum."""
+    out: dict = {}
     for mono, c in p.items():
-        if not mono:
-            out = out.add(fock.vacuum(sys).scale(c))
-            continue
         factors = []
         for v in mono:
-            if v.family not in _SYMBOL_OFFSET or v.offset != _SYMBOL_OFFSET[v.family]:
-                raise ValueError(f"non-symbol variable {v.token()}")
-            st = fock.generator_state(sys, v.family, v.copy, v.coord)
+            st = base(v)
             for _ in range(v.order):
                 st = fock.derivative(st)
             factors.append(st)
-        out = out.add(fock.wick(factors).scale(c))
-    return out
+        term = fock.wick(factors) if factors else fock.vacuum(sys)
+        axpy(out, term.terms, c)
+    return fock.State(sys, out)
+
+
+def normal_order(p: dict, sys: fock.SystemSpec) -> fock.State:
+    """Wick-expand a polynomial in symbol variables: v becomes d^k of its
+    generator."""
+
+    def base(v):
+        if v.family not in _SYMBOL_OFFSET or v.offset != _SYMBOL_OFFSET[v.family]:
+            raise ValueError(f"non-symbol variable {v.token()}")
+        return fock.generator_state(sys, v.family, v.copy, v.coord)
+
+    return wick_expand(p, base, sys)
 
 
 class QCResult(NamedTuple):
@@ -460,7 +455,7 @@ def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QC
         by_name[name] = (sym, st, w, d, par)
 
     def substitute(poly: dict) -> dict:
-        out = diff_zero()
+        out: dict = {}
         for mono, c in poly.items():
             term = diff_const(c)
             for v in mono:
@@ -469,7 +464,7 @@ def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QC
                 for _ in range(v.order):
                     img = apply_D(img)
                 term = diff_mul(term, img)
-            out = diff_add(out, term)
+            axpy(out, term)
         return out
 
     def engine_bidegree(poly: dict):
@@ -481,20 +476,8 @@ def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QC
             raise ValueError("relation must be bihomogeneous over the generators")
         return ws.pop(), ds.pop()
 
-    def normal_order_abstract(poly: dict) -> fock.State:
-        out = fock.zero(sys)
-        for mono, c in poly.items():
-            if not mono:
-                out = out.add(fock.vacuum(sys).scale(c))
-                continue
-            factors = []
-            for v in mono:
-                st = by_name[v.family][1]
-                for _ in range(v.order):
-                    st = fock.derivative(st)
-                factors.append(st)
-            out = out.add(fock.wick(factors).scale(c))
-        return out
+    def base(v):
+        return by_name[v.family][1]
 
     if not p:
         return QCResult("ok", {}, (), None, None)
@@ -536,13 +519,13 @@ def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QC
 
     corrections = []
     total = dict(p)
-    q = normal_order_abstract(p)
+    q = wick_expand(p, base, sys)
     prev_deg = d_total
     guard = 0
     while not q.is_zero():
         guard += 1
         if guard > d_total + 2:
-            raise AssertionError("descent failed to terminate")
+            raise RuntimeError("descent failed to terminate")
         _, _, dq = fock.gradings(q)
         if dq >= prev_deg:
             raise RuntimeError(
@@ -568,7 +551,7 @@ def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QC
         combo = ech.express(dict(s))
         if combo is None:
             return QCResult("failed", total, tuple(corrections), dq, s)
-        r = diff_zero()
+        r: dict = {}
         for prod, c in combo.items():
             factors = [
                 _abstract_var(
@@ -576,12 +559,12 @@ def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QC
                 )
                 for name, k in prod
             ]
-            r = diff_add(r, monomial_from_factors(factors, c))
+            axpy(r, monomial_from_factors(factors, c))
         corrections.append((dq, r))
         total = diff_sub(total, r)
-        q = q.sub(normal_order_abstract(r))
+        q = q.sub(wick_expand(r, base, sys))
 
-    if not normal_order_abstract(total).is_zero():
+    if not wick_expand(total, base, sys).is_zero():
         raise RuntimeError("re-expansion of the corrected relation is not zero")
     return QCResult("ok", total, tuple(corrections), None, None)
 
@@ -605,7 +588,7 @@ def diff_from_text(text: str, families: dict) -> dict:
     text = text.strip()
     if text == "0":
         return {}
-    out = diff_zero()
+    out: dict = {}
     for part in text.split(" + "):
         coeff_txt, facs_txt = part.split(" * ", 1)
         c = parse_qstr(coeff_txt)
@@ -620,5 +603,5 @@ def diff_from_text(text: str, families: dict) -> dict:
                 coord = int(name_part[len(fam):])
                 parity, offset = families[fam]
                 factors.append(DV(fam, int(copy_txt), coord, order, parity, offset))
-        out = diff_add(out, monomial_from_factors(factors, c))
+        axpy(out, monomial_from_factors(factors, c))
     return out

@@ -25,11 +25,11 @@ from .constructions import (bc_family, bc_labels, build_system,
                             mixed_psi_family, quad_family, sec4_identity,
                             state_invariant_basis, sugawara, theta,
                             verify_affine)
-from .diffalg import (FamilyDecl, ResourceCapError, VarSpace, diff_add,
-                      diff_bidegree, diff_sub, diff_to_text, generated_span,
-                      invariant_basis, jet_var, lie_jet_action,
-                      monomial_from_factors, quantum_correct,
-                      varspace_for_system)
+from .diffalg import (FamilyDecl, ResourceCapError, VarSpace, diff_bidegree,
+                      diff_sub, diff_to_text, generated_span, invariant_basis,
+                      jet_var, lie_jet_action, monomial_from_factors,
+                      quantum_correct, varspace_for_system, wick_expand)
+from .linalg import axpy, perm_sign
 from .weyl import (apply_weyl, classical_dets, poly_monomials, weyl_eq,
                    zhu_products, zhu_zero_mode)
 
@@ -258,9 +258,9 @@ def _plain_quadrics(space):
     out = []
     for j in range(1, fam.copies + 1):
         for k in range(j, fam.copies + 1):
-            acc = diffalg.diff_zero()
+            acc: dict = {}
             for i in range(1, fam.coords + 1):
-                acc = diff_add(acc, monomial_from_factors(
+                axpy(acc, monomial_from_factors(
                     [jet_var("x", j, i, 0), jet_var("x", k, i, 0)], 1))
             out.append(acc)
     return out
@@ -545,12 +545,11 @@ def task_quantum_correct(sys, group, opts, bounds):
 
     p = monomial_from_factors([var("d"), var("dp")], 1)
     for perm in itertools.permutations(range(1, m + 1)):
-        sign = _perm_sign_seq(perm)
         factors = [var(f"q{a}{b}") for a, b in zip(range(1, m + 1), perm)]
-        p = diff_add(p, monomial_from_factors(factors, -sign))
+        axpy(p, monomial_from_factors(factors, -perm_sign(perm)))
     res = quantum_correct(p, gens, sys, cap=task_cap(opts, 20000))
     by_name = {name: st for name, _sym, st in gens}
-    reexpanded = _expand_abstract(res.total, by_name, sys)
+    reexpanded = wick_expand(res.total, lambda v: by_name[v.family], sys)
     # the relation is quadratic in the generators; its top part is the
     # length-2 slice of the accumulated abstract polynomial
     top = {mono: c for mono, c in res.total.items() if len(mono) == 2}
@@ -567,32 +566,6 @@ def task_quantum_correct(sys, group, opts, bounds):
         if res.residual_symbol is not None:
             detail["residual_symbol"] = diff_to_text(res.residual_symbol)
     return ("pass" if ok else "fail"), detail
-
-
-def _perm_sign_seq(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def _expand_abstract(poly, by_name, sys):
-    from .fock import derivative, wick, zero
-    out = zero(sys)
-    for mono, c in poly.items():
-        if not mono:
-            out = out.add(vacuum(sys).scale(c))
-            continue
-        factors = []
-        for v in mono:
-            st = by_name[v.family]
-            for _ in range(v.order):
-                st = derivative(st)
-            factors.append(st)
-        out = out.add(wick(factors).scale(c))
-    return out
 
 
 def task_sugawara_check(sys, group, opts, bounds):
@@ -667,6 +640,9 @@ def run_scenario(raw, timings=False) -> dict:
             raise
         except ValueError as e:
             status, detail = "error", {"error": str(e)}
+        except Exception as e:
+            # any other failure is reported, not raised, and named by type
+            status, detail = "error", {"error": f"{type(e).__name__}: {e}"}
         entry = {"index": idx, "task": t["task"], "status": status,
                  "detail": detail}
         if timings:

@@ -185,12 +185,7 @@ def bracket(A: LieAlgebraSpec, x, y) -> dict:
     out: dict = {}
     for i, ci in u.items():
         for j, cj in v.items():
-            for k, ck in A.structure(i, j).items():
-                s = out.get(k, ZERO) + ci * cj * ck
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
+            axpy(out, A.structure(i, j), ci * cj)
     return out
 
 

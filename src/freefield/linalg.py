@@ -11,14 +11,29 @@ from __future__ import annotations
 from .rationals import QQ, ZERO
 
 
-def axpy(u: dict, v: dict, scale) -> None:
-    """u += scale*v in place, dropping zeros."""
+def axpy(u: dict, v: dict, scale=1) -> None:
+    """u += scale*v in place, dropping zeros; v is left unchanged.
+
+    This is the one sparse accumulator of the package: every sum of states,
+    polynomials, Weyl elements and echelon rows goes through it.
+    """
+    unit = scale == 1
     for k, c in v.items():
-        s = u.get(k, ZERO) + scale * c
+        s = u.get(k, ZERO) + (c if unit else scale * c)
         if s:
             u[k] = s
         else:
-            del u[k]
+            u.pop(k, None)
+
+
+def perm_sign(perm) -> int:
+    """Sign of a sequence of distinct comparable items: (-1)^inversions."""
+    sign = 1
+    for i, a in enumerate(perm):
+        for b in perm[i + 1:]:
+            if a > b:
+                sign = -sign
+    return sign
 
 
 def vec_scale(u: dict, scale) -> dict:

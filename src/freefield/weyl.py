@@ -8,6 +8,7 @@ classical counterparts.
 
 from itertools import product as iproduct
 
+from .linalg import axpy, perm_sign
 from .rationals import QQ, ZERO, ONE, qstr, parse_qstr
 from .fock import State, nth_product, monomial_state, mono_weight
 
@@ -15,10 +16,6 @@ from .fock import State, nth_product, monomial_state, mono_weight
 # A WeylElement is a dict {(alpha, beta): QQ} where alpha and beta are
 # sorted tuples of variable keys (i, j) with repetition: the normal-form
 # monomial x'^alpha d^beta, all x' factors left of all d factors.
-
-
-def weyl_zero() -> dict:
-    return {}
 
 
 def weyl_const(c) -> dict:
@@ -42,12 +39,7 @@ def weyl_d(i: int, j: int) -> dict:
 def weyl_add(*ws) -> dict:
     out: dict = {}
     for w in ws:
-        for mono, c in w.items():
-            s = out.get(mono, ZERO) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+        axpy(out, w)
     return out
 
 
@@ -59,7 +51,9 @@ def weyl_scale(w: dict, c) -> dict:
 
 
 def weyl_sub(u: dict, v: dict) -> dict:
-    return weyl_add(u, weyl_scale(v, QQ(-1)))
+    out = dict(u)
+    axpy(out, v, -1)
+    return out
 
 
 def _counts(tup) -> dict:
@@ -103,23 +97,21 @@ def normal_form_product(u: dict, v: dict) -> dict:
             ac = _counts(a2)
             shared = [v_ for v_ in bc if v_ in ac]
             ranges = [range(min(bc[v_], ac[v_]) + 1) for v_ in shared]
+            # distinct ks give distinct monomials, each with a positive
+            # integer coefficient
+            terms = {}
             for ks in iproduct(*ranges):
-                coeff = c1 * c2
+                coeff = 1
                 na, nb = dict(ac), dict(bc)
                 for v_, k in zip(shared, ks):
                     if k:
                         coeff *= _binom(bc[v_], k) * _falling(ac[v_], k)
                         na[v_] -= k
                         nb[v_] -= k
-                if not coeff:
-                    continue
                 alpha = tuple(sorted(a1 + _tup(na)))
                 beta = tuple(sorted(_tup(nb) + b2))
-                s = out.get((alpha, beta), ZERO) + coeff
-                if s:
-                    out[(alpha, beta)] = s
-                else:
-                    del out[(alpha, beta)]
+                terms[(alpha, beta)] = coeff
+            axpy(out, terms, c1 * c2)
     return out
 
 
@@ -184,12 +176,7 @@ def weyl_from_text(text: str) -> dict:
                 name, inner = tok.split("[")
                 i, j = (int(t) for t in inner[:-1].split(","))
                 (alpha if name == "x'" else beta).extend([(i, j)] * e)
-        mono = (tuple(sorted(alpha)), tuple(sorted(beta)))
-        s = out.get(mono, ZERO) + c
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
+        axpy(out, {(tuple(sorted(alpha)), tuple(sorted(beta))): c})
     return out
 
 
@@ -211,14 +198,14 @@ def tau_maps(A, shape, side: str = "left"):
         if A.rep_dim != n:
             raise ValueError("left action needs rep dimension = coordinate count")
         for M in A.rep:
-            w = weyl_zero()
+            w: dict = {}
             for j in range(1, m + 1):
                 for i in range(n):
                     for ip in range(n):
                         c = M[ip][i]
                         if c:
-                            w = weyl_add(w, weyl_term(-c, alpha=((i + 1, j),),
-                                                      beta=((ip + 1, j),)))
+                            axpy(w, weyl_term(-c, alpha=((i + 1, j),),
+                                              beta=((ip + 1, j),)))
             out.append(w)
         return out
     if side != "right":
@@ -228,9 +215,9 @@ def tau_maps(A, shape, side: str = "left"):
             raise ValueError("right action needs rep dimension = copy count")
         for lab in A.labels:
             a, b = (int(t) for t in lab[2:-1].split(","))
-            w = weyl_zero()
+            w: dict = {}
             for i in range(1, n + 1):
-                w = weyl_add(w, weyl_term(ONE, alpha=((i, a),), beta=((i, b),)))
+                axpy(w, weyl_term(ONE, alpha=((i, a),), beta=((i, b),)))
             out.append(w)
         return out
     if A.kind == "sp":
@@ -239,16 +226,16 @@ def tau_maps(A, shape, side: str = "left"):
         for lab in A.labels:
             kind, rest = lab.split("[")
             j, k = (int(t) for t in rest.rstrip("]").split(","))
-            w = weyl_zero()
+            w: dict = {}
             for i in range(1, n + 1):
                 if kind == "m":
-                    w = weyl_add(w, weyl_term(ONE, alpha=((i, j), (i, k))))
+                    axpy(w, weyl_term(ONE, alpha=((i, j), (i, k))))
                 elif kind == "d":
-                    w = weyl_add(w, weyl_term(ONE, beta=((i, j), (i, k))))
+                    axpy(w, weyl_term(ONE, beta=((i, j), (i, k))))
                 else:
-                    w = weyl_add(w, weyl_term(ONE, alpha=((i, j),), beta=((i, k),)))
+                    axpy(w, weyl_term(ONE, alpha=((i, j),), beta=((i, k),)))
             if kind == "h" and j == k:
-                w = weyl_add(w, weyl_const(QQ(n, 2)))
+                axpy(w, weyl_const(QQ(n, 2)))
             out.append(w)
         return out
     if A.kind == "so_split":
@@ -259,32 +246,23 @@ def tau_maps(A, shape, side: str = "left"):
         for lab in A.labels:
             kind, rest = lab.split("[")
             j, k = (int(t) for t in rest.rstrip("]").split(","))
-            w = weyl_zero()
+            w: dict = {}
             if kind in ("s", "d"):
                 for i in range(1, half + 1):
                     if kind == "s":
-                        w = weyl_add(w, weyl_term(ONE, alpha=((i, j), (i + half, k))))
-                        w = weyl_add(w, weyl_term(-ONE, alpha=((i + half, j), (i, k))))
+                        axpy(w, weyl_term(ONE, alpha=((i, j), (i + half, k))))
+                        axpy(w, weyl_term(-ONE, alpha=((i + half, j), (i, k))))
                     else:
-                        w = weyl_add(w, weyl_term(ONE, beta=((i, j), (i + half, k))))
-                        w = weyl_add(w, weyl_term(-ONE, beta=((i + half, j), (i, k))))
+                        axpy(w, weyl_term(ONE, beta=((i, j), (i + half, k))))
+                        axpy(w, weyl_term(-ONE, beta=((i + half, j), (i, k))))
             else:
                 for i in range(1, n + 1):
-                    w = weyl_add(w, weyl_term(ONE, alpha=((i, j),), beta=((i, k),)))
+                    axpy(w, weyl_term(ONE, alpha=((i, j),), beta=((i, k),)))
                 if j == k:
-                    w = weyl_add(w, weyl_const(QQ(half)))
+                    axpy(w, weyl_const(QQ(half)))
             out.append(w)
         return out
     raise ValueError(f"no right family for kind {A.kind!r}")
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def classical_dets(shape, J, primed: bool = False) -> dict:
@@ -297,14 +275,14 @@ def classical_dets(shape, J, primed: bool = False) -> dict:
         raise ValueError(f"repeated index in {J}")
     if len(J) != n:
         raise ValueError(f"need {n} distinct copies, got {len(J)}")
-    out = weyl_zero()
+    out: dict = {}
     for perm in permutations(range(n)):
         vars_ = tuple((r + 1, J[perm[r]]) for r in range(n))
         if primed:
-            t = weyl_term(QQ(_perm_sign(perm)), beta=vars_)
+            t = weyl_term(QQ(perm_sign(perm)), beta=vars_)
         else:
-            t = weyl_term(QQ(_perm_sign(perm)), alpha=vars_)
-        out = weyl_add(out, t)
+            t = weyl_term(QQ(perm_sign(perm)), alpha=vars_)
+        axpy(out, t)
     return out
 
 
@@ -363,9 +341,8 @@ def decode_polynomial(a: State) -> dict:
             if g.family != "gamma" or mm != -1:
                 raise ValueError("state is not a polynomial in the coordinates")
             alpha.append((g.coord, g.copy))
-        key = (tuple(sorted(alpha)), ())
-        out[key] = out.get(key, ZERO) + c
-    return {k: v for k, v in out.items() if v}
+        axpy(out, {(tuple(sorted(alpha)), ()): c})
+    return out
 
 
 def zhu_zero_mode(a: State, q: dict) -> dict:

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from freefield.constructions import build_system
@@ -167,3 +171,28 @@ def test_state_equality_ignores_term_order():
     assert a == b
     with pytest.raises(TypeError):
         hash(a)
+
+
+def test_nth_mono_homogeneity_guard_under_optimize():
+    # a mode action that returns a monomial of the wrong weight must trip
+    # the homogeneity check, also when -O strips asserts
+    code = (
+        "from freefield import fock\n"
+        "from freefield.constructions import build_system\n"
+        "from freefield.rationals import QQ\n"
+        "sys_ = build_system(bosonic=(1, 1))\n"
+        "fock._apply_mode_mono = lambda s, gi, m, mono: {((gi, -5),): QQ(1)}\n"
+        "beta = fock.generator_state(sys_, 'beta', 1, 1)\n"
+        "gamma = fock.generator_state(sys_, 'gamma', 1, 1)\n"
+        "try:\n"
+        "    fock.nth_product(beta, gamma, -1)\n"
+        "except RuntimeError as e:\n"
+        "    print('guarded:', e)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("guarded: inhomogeneous product")

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -248,13 +251,55 @@ def test_cli_exit_two_on_config_error(tmp_path, capsys):
     assert cli.main(["verify", str(bad)]) == 2
 
 
-def test_cli_thread_count_does_not_change_bytes(tmp_path):
+def test_cli_rejects_threads_flag(tmp_path, capsys):
+    # tasks run in order in one process; there is no thread count to set
     spath = write_scenario(tmp_path, tiny_affine())
-    r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert cli.main(["verify", str(spath), "--report", str(r1)]) == 0
-    assert cli.main(["verify", str(spath), "--report", str(r2),
-                     "--threads", "4"]) == 0
-    assert r1.read_bytes() == r2.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", str(spath), "--threads", "4"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+# malformed task options that fail inside the task: (system, group, task,
+# exception type named by the task error)
+MALFORMED_TASKS = [
+    ({"bosonic": [1, 1]}, {"kind": "gl", "rank": 1, "side": "right"},
+     {"task": "commutant_check", "candidates": [{"kind": "state"}]},
+     "KeyError"),
+    ({"bosonic": [2, 2]}, None,
+     {"task": "counterexample_sec4", "indices": [1, 5]}, "KeyError"),
+    ({"bosonic": [2, 1]}, {"kind": "sl", "rank": 2},
+     {"task": "jet_compare", "max_weight": "x"}, "TypeError"),
+]
+
+
+@pytest.mark.parametrize("system,group,task,exc_name", MALFORMED_TASKS)
+def test_malformed_task_options_give_task_error(system, group, task, exc_name):
+    raw = {"system": system, "group": group,
+           "tasks": [task, {"task": "property_suite", "samples": 2}]}
+    report = run_scenario(raw)
+    bad, after = report["tasks"]
+    assert bad["status"] == "error"
+    assert bad["detail"]["error"].startswith(exc_name + ": ")
+    assert after["status"] == "pass"
+    assert not report["all_pass"]
+
+
+def test_cli_malformed_task_exits_one_without_traceback(tmp_path):
+    system, group, task, _ = MALFORMED_TASKS[0]
+    spath = write_scenario(tmp_path, {"system": system, "group": group,
+                                      "tasks": [task]})
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "freefield.cli", "verify", str(spath)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "[0] commutant_check: ERROR" in proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["tasks"][0]["detail"]["error"] == "KeyError: 'text'"
 
 
 def test_cli_bound_overrides(tmp_path):
@@ -289,3 +334,25 @@ def test_bundled_property_scenario_small_sample_run():
     raw["bounds"] = {"samples": 10}
     report = run_scenario(raw)
     assert report["all_pass"], report["tasks"]
+
+
+def test_bundled_reports_match_recorded_digests():
+    # every bundled scenario at seed 0 must reproduce the report bytes
+    # recorded by the benchmark (perfbench/digests.json)
+    import hashlib
+    from importlib.resources import files
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "digests.json"),
+              encoding="utf-8") as fh:
+        recorded = json.load(fh)["0"]
+    scenarios = files("freefield") / "scenarios"
+    got = {}
+    for path in sorted(scenarios.iterdir(), key=lambda p: p.name):
+        if not path.name.endswith(".json"):
+            continue
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw["bounds"] = dict(raw.get("bounds") or {}, seed=0)
+        text = report_to_json(run_scenario(raw))
+        got[path.name[:-len(".json")]] = hashlib.sha256(
+            text.encode("utf-8")).hexdigest()
+    assert got == recorded

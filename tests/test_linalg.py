@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import pytest
 
 from freefield import linalg
-from freefield.linalg import Echelon, nullspace, rank_of, solve_affine
+from freefield.linalg import (Echelon, axpy, nullspace, perm_sign, rank_of,
+                              solve_affine)
 from freefield.rationals import QQ, ZERO
 
 
@@ -148,3 +150,38 @@ def test_solve_affine_rejects_rhs_key_under_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "rejected"
+
+
+def _cycle_parity_sign(perm):
+    """Reference sign: (-1)^(length - number of cycles)."""
+    seen = set()
+    cycles = 0
+    for start in range(len(perm)):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
+def test_perm_sign_matches_cycle_parity():
+    for n in range(6):
+        for perm in itertools.permutations(range(n)):
+            assert perm_sign(perm) == _cycle_parity_sign(perm), perm
+            # any distinct comparable items: the sign of their sorting order
+            assert perm_sign([p + 1 for p in perm]) == perm_sign(perm)
+
+
+def test_axpy_drops_cancelled_keys_and_leaves_v():
+    u = {"a": QQ(1), "b": QQ(2), "c": QQ(3)}
+    v = {"a": QQ(1, 2), "b": QQ(1), "d": QQ(-1)}
+    v_before = dict(v)
+    axpy(u, v, -2)
+    assert u == {"c": QQ(3), "d": QQ(2)}
+    assert v == v_before
+    axpy(u, {"c": QQ(-3), "e": QQ(1)})
+    assert u == {"d": QQ(2), "e": QQ(1)}
+    axpy(u, {"f": QQ(5)}, 0)
+    assert u == {"d": QQ(2), "e": QQ(1)}
