@@ -17,7 +17,7 @@ from .liealg import (LieAlgebraSpec, make_algebra, sp_any, mat_inverse,
                      normalized_gram, trace_gram, dual_coxeter)
 from .fock import (SystemSpec, State, vacuum, zero, generator_state,
                    nth_product, wick, derivative, gradings, state_weight,
-                   mono_weight, mono_charge, state_to_text)
+                   state_to_text)
 from .diffalg import ResourceCapError
 
 

@@ -9,7 +9,8 @@ anticommuting.
 
 from __future__ import annotations
 
-from math import factorial
+from bisect import bisect_left
+from math import factorial, lcm
 from typing import NamedTuple
 
 from .liealg import current_generators
@@ -160,6 +161,48 @@ def falling(i: int, r: int) -> int:
     return factorial(i) // factorial(i - r)
 
 
+def _var_images(mats: dict, r: int, v: DV) -> list:
+    """xi t^r on one variable: v^(i) -> [(w, lambda^r_i * M[row][col])] over
+    the nonzero entries of the column of v in its family's matrix M."""
+    lam = falling(v.order, r)
+    if not lam:
+        return []
+    if v.family not in mats:
+        raise KeyError(f"no action matrix for family {v.family!r}")
+    M = mats[v.family]
+    col = v.coord - 1
+    return [(v._replace(coord=row + 1, order=v.order - r), lam * M[row][col])
+            for row in range(len(M)) if M[row][col]]
+
+
+def _replace_factor(mono: tuple, k: int, w: DV):
+    """The canonical monomial with factor k of mono replaced by w, and the
+    Koszul sign of moving w to its place past the odd factors it crosses;
+    None when w is odd and already among the other factors."""
+    rest = mono[:k] + mono[k + 1:]
+    pos = bisect_left(rest, w)
+    sign = 1
+    if w.parity:
+        if pos < len(rest) and rest[pos] == w:
+            return None
+        crossed = rest[pos:k] if pos < k else rest[k:pos]
+        if sum(u.parity for u in crossed) & 1:
+            sign = -1
+    return rest[:pos] + (w,) + rest[pos:], sign
+
+
+def _act_mono(mono: tuple, images: dict) -> dict:
+    """xi t^r, an even derivation, on one monomial with coefficient 1:
+    each factor v in turn is replaced by its images[v] from _var_images."""
+    out: dict = {}
+    for k, v in enumerate(mono):
+        for w, e in images[v]:
+            hit = _replace_factor(mono, k, w)
+            if hit:
+                axpy(out, {hit[0]: e}, hit[1])
+    return out
+
+
 def lie_jet_action(mats: dict, r: int, p: dict) -> dict:
     """xi t^r acting as an even derivation: v^{(i)} -> lambda^r_i (M v)^{(i-r)}.
 
@@ -168,24 +211,19 @@ def lie_jet_action(mats: dict, r: int, p: dict) -> dict:
     """
     if r < 0:
         raise ValueError("need r >= 0")
+    images = {v: _var_images(mats, r, v) for mono in p for v in mono}
     out: dict = {}
     for mono, c in p.items():
-        for k, v in enumerate(mono):
-            lam = falling(v.order, r)
-            if not lam:
-                continue
-            if v.family not in mats:
-                raise KeyError(f"no action matrix for family {v.family!r}")
-            M = mats[v.family]
-            col = v.coord - 1
-            for row in range(len(M)):
-                entry = M[row][col]
-                if not entry:
-                    continue
-                factors = list(mono)
-                factors[k] = v._replace(coord=row + 1, order=v.order - r)
-                axpy(out, monomial_from_factors(factors, c * lam * entry))
+        axpy(out, _act_mono(mono, images), c)
     return out
+
+
+def _integer_matrices(mats: dict) -> dict:
+    """mats scaled by the lcm of the denominators of all their entries, as
+    int matrices: the same kernel, with integer equations."""
+    den = lcm(*[x.denominator for M in mats.values() for row in M for x in row])
+    return {fam: [[int(x * den) for x in row] for row in M]
+            for fam, M in mats.items()}
 
 
 def action_matrices(A, xi, roles: dict) -> dict:
@@ -310,7 +348,8 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int, cap: int = 200
     generating set `current_generators(A, weight)` of that algebra: if X
     and Y kill v then so does [X, Y], so the generators have the same
     joint kernel as every xi t^r, and the canonical nullspace basis is the
-    same.
+    same.  Each generator's matrices are scaled to integers, which keeps
+    its kernel, so every equation row is a {column index: int} dict.
 
     The action never moves a factor across families or copies, so the
     component splits into blocks by per-(family, copy) factor counts; each
@@ -318,7 +357,11 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int, cap: int = 200
     ascending, then block key, then canonical nullspace order.
     """
     gens = current_generators(A, weight)
-    actions = {i: space.action_for(A, i) for i in {i for i, _ in gens}}
+    actions = {i: _integer_matrices(space.action_for(A, i))
+               for i in {i for i, _ in gens}}
+    variables = space.variables(weight)
+    tables = [{v: _var_images(actions[i], r, v) for v in variables}
+              for i, r in gens]
     basis_out = []
     for d in range(0, maxdeg + 1):
         monos = enumerate_component(space, weight, d)
@@ -330,11 +373,10 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int, cap: int = 200
         for key in sorted(blocks):
             cols = sorted(blocks[key])
             equations = []
-            for i, r in gens:
+            for images in tables:
                 rows: dict = {}
                 for ci, mono in enumerate(cols):
-                    img = lie_jet_action(actions[i], r, {mono: QQ(1)})
-                    for tmono, c in img.items():
+                    for tmono, c in _act_mono(mono, images).items():
                         rows.setdefault(tmono, {})[ci] = c
                 equations.extend(rows[t] for t in sorted(rows))
             for vec in nullspace(equations, list(range(len(cols)))):

@@ -15,9 +15,9 @@ import random
 import time
 
 from . import __version__, diffalg
-from .rationals import QQ, qstr, parse_qstr
+from .rationals import qstr, parse_qstr
 from .fock import (gradings, nth_product, state_from_text, state_to_text,
-                   state_weight, symbol, vacuum)
+                   symbol, vacuum)
 from .liealg import make_algebra
 from .constructions import (bc_family, bc_labels, build_system,
                             commutant_check, conformal_and_charge, det_family,
@@ -441,6 +441,7 @@ def _jet_equivariance(sys, group, opts, bounds):
     space = varspace_for_system(sys)
     rng = random.Random(bounds["seed"])
     samples = opts.get("samples", bounds["samples"])
+    actions = [space.action_for(A, idx) for idx in range(A.dim)]
     failures = 0
     witness = None
     for _ in range(samples):
@@ -450,7 +451,7 @@ def _jet_equivariance(sys, group, opts, bounds):
         for idx in range(A.dim):
             for r in range(0, 3):
                 lhs = symbol(nth_product(fam.states[idx], v, r), dv)
-                rhs = lie_jet_action(space.action_for(A, idx), r, sym_v)
+                rhs = lie_jet_action(actions[idx], r, sym_v)
                 if not diffalg.diff_eq(lhs, rhs):
                     failures += 1
                     if witness is None:

@@ -1,14 +1,17 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts mapping hashable column keys to nonzero QQ entries.  All
-routines are deterministic: pivots are chosen by a fixed column order and
+Vectors are dicts mapping hashable column keys to nonzero rational entries
+(QQ or int); elimination itself runs on integer rows.  All routines are
+deterministic: pivots are chosen by a fixed column order and
 rows are processed in input order, so reduced bases are canonical for a
 given input.
 """
 
 from __future__ import annotations
 
-from .rationals import QQ, ZERO
+from math import gcd, lcm
+
+from .rationals import QQ
 
 
 def axpy(u: dict, v: dict, scale=1) -> None:
@@ -19,7 +22,7 @@ def axpy(u: dict, v: dict, scale=1) -> None:
     """
     unit = scale == 1
     for k, c in v.items():
-        s = u.get(k, ZERO) + (c if unit else scale * c)
+        s = u.get(k, 0) + (c if unit else scale * c)
         if s:
             u[k] = s
         else:
@@ -36,19 +39,35 @@ def perm_sign(perm) -> int:
     return sign
 
 
-def vec_scale(u: dict, scale) -> dict:
-    if not scale:
-        return {}
-    return {k: scale * c for k, c in u.items()}
+def _scale(u: dict, k) -> None:
+    """u *= k in place for a nonzero k."""
+    for key in u:
+        u[key] *= k
+
+
+def _integral(vec: dict):
+    """(den*vec as an int dict, den) for the least positive den that
+    clears the denominators of vec."""
+    den = lcm(*[c.denominator for c in vec.values()])
+    if den == 1:
+        return {k: int(c) for k, c in vec.items()}, 1
+    return {k: int(c.numerator) * (den // int(c.denominator))
+            for k, c in vec.items()}, den
 
 
 class Echelon:
-    """Incremental reduced row echelon structure.
+    """Incremental reduced row echelon structure over the integers.
 
-    Maintains pivot rows with pivot entry 1 and back-substitution applied,
-    so `rows` is the canonical reduced basis of the span of everything
-    added so far.  With track=True each row also carries its expression in
-    terms of the original tagged vectors, which `express` uses.
+    Each stored row is a primitive integer vector (content 1) with a
+    positive pivot entry and zeros on every other pivot column, so it is a
+    nonzero multiple of the canonical reduced row of the span of
+    everything added so far.  Reduction is fraction-free: a row cancels
+    the entry b of a vector whose own pivot entry is a by
+    vec = (a/g)*vec - (b/g)*row with g = gcd(a, b) (Bareiss 1968).  Inputs
+    may be rational; `add` clears their denominators, and the outputs
+    (`residual`, `express`, `reduced_rows`) are QQ.  With track=True each
+    row also carries its expression in terms of the original tagged
+    vectors, which `express` uses.
     """
 
     def __init__(self, col_rank=None, track: bool = False):
@@ -56,47 +75,88 @@ class Echelon:
         self._col_rank = col_rank if col_rank is not None else (lambda c: c)
         self._track = track
         self.pivots: list = []          # pivot column keys, insertion order
-        self.rows: dict = {}            # pivot col -> row dict
+        self.rows: dict = {}            # pivot col -> primitive int row
         self.combos: dict = {}          # pivot col -> {tag: QQ}
+        self._holders: dict = {}        # column -> {pivot col whose row has it}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     def _reduce(self, vec: dict, combo: dict):
-        """Eliminate the pivot columns of vec in one pass.
+        """Eliminate the pivot columns of an int vector in one pass.
 
         Every stored row is zero on every other pivot column, so removing
         one pivot column never brings back another: only the pivots vec
-        already holds need a subtraction.  Returns the reduced copy of vec
-        and combo, which is updated in place.
+        already holds need a step.  Works in place on vec and combo and
+        returns s, the product of the scalings applied to vec: the result
+        is s times the rational reduction of the input.
         """
-        vec = dict(vec)
         rows = self.rows
+        s = 1
         for p in [k for k in vec if k in rows]:
-            c = vec[p]
-            axpy(vec, rows[p], -c)
+            row = rows[p]
+            a, b = row[p], vec[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                _scale(vec, a)
+                s *= a
+            axpy(vec, row, -b)
             if self._track:
-                axpy(combo, self.combos[p], -c)
-        return vec, combo
+                if a != 1:
+                    _scale(combo, a)
+                axpy(combo, self.combos[p], -b)
+        return s
+
+    @staticmethod
+    def _primitive(row: dict, combo: dict, p) -> None:
+        """Divide row and combo in place by the content of row, signed so
+        that the pivot entry row[p] is positive."""
+        g = gcd(*row.values())
+        if row[p] < 0:
+            g = -g
+        if g != 1:
+            for k in row:
+                row[k] //= g
+            for t in combo:
+                combo[t] /= g
 
     def add(self, vec: dict, tag=None) -> bool:
         """Insert vec; returns True when it enlarges the span."""
-        combo = {tag: QQ(1)} if (self._track and tag is not None) else {}
-        vec, combo = self._reduce(vec, combo)
+        vec, den = _integral(vec)
+        combo = {tag: QQ(den)} if (self._track and tag is not None) else {}
+        self._reduce(vec, combo)
         if not vec:
             return False
         p = min(vec, key=self._col_rank)
-        inv = 1 / vec[p]
-        vec = vec_scale(vec, inv)
-        combo = vec_scale(combo, inv)
-        # back-substitute into the stored rows to keep them fully reduced
-        for q in self.pivots:
-            c = self.rows[q].get(p)
-            if c:
-                axpy(self.rows[q], vec, -c)
-                if self._track:
-                    axpy(self.combos[q], combo, -c)
+        self._primitive(vec, combo, p)
+        # back-substitute into the stored rows that hold p, which keeps
+        # every row zero on the other pivot columns
+        a = vec[p]
+        holders = self._holders
+        for q in holders.pop(p, ()):
+            row = self.rows[q]
+            g = gcd(a, row[p])
+            m, c = a // g, row[p] // g
+            if m != 1:
+                _scale(row, m)
+            axpy(row, vec, -c)
+            if self._track:
+                if m != 1:
+                    _scale(self.combos[q], m)
+                axpy(self.combos[q], combo, -c)
+            for k in vec:
+                if k in row:
+                    holders.setdefault(k, {})[q] = None
+                else:
+                    holders.get(k, {}).pop(q, None)
+            # the content of a row divides its pivot entry
+            if row[q] != 1:
+                self._primitive(row, self.combos[q], q)
+        for k in vec:
+            if k != p:
+                holders.setdefault(k, {})[p] = None
         self.pivots.append(p)
         self.rows[p] = vec
         self.combos[p] = combo
@@ -104,7 +164,9 @@ class Echelon:
 
     def residual(self, vec: dict) -> dict:
         """vec reduced modulo the current span."""
-        return self._reduce(vec, {})[0]
+        work, den = _integral(vec)
+        s = den * self._reduce(work, {})
+        return {k: QQ(c, s) for k, c in work.items()}
 
     def express(self, vec: dict):
         """Write vec as a combination of the tagged input vectors.
@@ -114,15 +176,21 @@ class Echelon:
         """
         if not self._track:
             raise ValueError("express() needs track=True")
-        work, combo = self._reduce(vec, {})
+        work, den = _integral(vec)
+        combo: dict = {}
+        s = den * self._reduce(work, combo)
         if work:
             return None
-        return {tag: -c for tag, c in combo.items()}
+        return {tag: -c / s for tag, c in combo.items()}
 
     def reduced_rows(self) -> list:
         """Rows sorted by pivot rank: the canonical basis of the span."""
-        return [dict(self.rows[p])
-                for p in sorted(self.pivots, key=self._col_rank)]
+        out = []
+        for p in sorted(self.pivots, key=self._col_rank):
+            row = self.rows[p]
+            a = row[p]
+            out.append({k: QQ(c, a) for k, c in row.items()})
+        return out
 
 
 def rank_of(vectors, col_rank=None) -> int:
@@ -135,7 +203,8 @@ def rank_of(vectors, col_rank=None) -> int:
 def nullspace(equations, columns) -> list:
     """Kernel basis of a sparse equation system.
 
-    equations: iterable of {column key: QQ} meaning sum(coeff*x_col) = 0.
+    equations: iterable of {column key: rational} meaning
+    sum(coeff*x_col) = 0.
     columns: ordered list of all column keys (fixes determinism).
     Returns the canonical basis: one vector per free column, that column's
     entry set to 1, in column order.
@@ -144,18 +213,14 @@ def nullspace(equations, columns) -> list:
     ech = Echelon(col_rank=lambda c: order[c])
     for eq in equations:
         ech.add(eq)
-    pivot_set = set(ech.pivots)
-    basis = []
-    for f in columns:
-        if f in pivot_set:
-            continue
-        v = {f: QQ(1)}
-        for p in ech.pivots:
-            c = ech.rows[p].get(f)
-            if c:
-                v[p] = -c
-        basis.append(v)
-    return basis
+    basis = {f: {f: QQ(1)} for f in columns if f not in ech.rows}
+    for p in ech.pivots:
+        row = ech.rows[p]
+        a = row[p]
+        for f, c in row.items():
+            if f != p:
+                basis[f][p] = QQ(-c, a)
+    return list(basis.values())
 
 
 def solve_affine(equations, rhs, columns):
@@ -184,7 +249,8 @@ def solve_affine(equations, rhs, columns):
         return None, coeff_rank
     sol = {}
     for p in ech.pivots:
-        c = ech.rows[p].get(RHS)
+        row = ech.rows[p]
+        c = row.get(RHS)
         if c:
-            sol[p] = -c
+            sol[p] = QQ(-c, row[p])
     return sol, coeff_rank

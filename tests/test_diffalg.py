@@ -1,17 +1,19 @@
+import random
+
 import pytest
 
 from freefield.constructions import build_system, det_family, theta
 from freefield.diffalg import (
     FamilyDecl, ResourceCapError, VarSpace, _abstract_var, _block_key,
     action_matrices, apply_D, diff_add, diff_bidegree, diff_const, diff_eq, diff_from_text,
-    diff_mul, diff_sub, diff_to_text, diff_zero, enumerate_component,
+    diff_mul, diff_sub, diff_to_text, diff_zero, enumerate_component, falling,
     generated_span, invariant_basis, jet_var, lie_jet_action,
     monomial_from_factors, normal_order, quantum_correct, symbol_var,
     varspace_for_system,
 )
 from freefield.fock import gradings, monomial_state, nth_product, symbol
 from freefield.liealg import current_generators, make_algebra, mat_trace
-from freefield.linalg import nullspace
+from freefield.linalg import axpy, nullspace
 from freefield.rationals import QQ
 
 
@@ -63,9 +65,65 @@ def test_invariant_basis_plain_sl2_minors():
     assert len([p for p in inv0 if diff_bidegree(p)[1] == 2]) == 6
 
 
+def _reference_lie_jet_action(mats, r, p):
+    """Reference for lie_jet_action: rebuild the factor list for every
+    matrix entry and re-sort it with monomial_from_factors."""
+    out: dict = {}
+    for mono, c in p.items():
+        for k, v in enumerate(mono):
+            lam = falling(v.order, r)
+            if not lam:
+                continue
+            M = mats[v.family]
+            col = v.coord - 1
+            for row in range(len(M)):
+                entry = M[row][col]
+                if not entry:
+                    continue
+                factors = list(mono)
+                factors[k] = v._replace(coord=row + 1, order=v.order - r)
+                axpy(out, monomial_from_factors(factors, c * lam * entry))
+    return out
+
+
+# even and odd families, rep and dual roles, both conformal offsets; the
+# two odd families have two copies each, so odd factors of different
+# families and copies cross when a factor is replaced
+def _mixed_space(n):
+    return VarSpace([FamilyDecl("x", 2, n, 0, 0, "rep"),
+                     FamilyDecl("y", 1, n, 0, 1, "dual"),
+                     FamilyDecl("c", 1, n, 1, 0, "dual"),
+                     FamilyDecl("f", 2, n, 1, 1, "rep")])
+
+
+@pytest.mark.parametrize("kind, n", [("sl", 2), ("so", 3), ("gl", 2),
+                                     ("sp", 4)])
+def test_lie_jet_action_matches_reference(kind, n):
+    A = make_algebra(kind, n)
+    space = _mixed_space(n)
+    odd = [v for v in space.variables(3) if v.parity]
+    even = [v for v in space.variables(3) if not v.parity]
+    rng = random.Random(f"{kind}{n}")
+    for _ in range(40):
+        # every monomial has odd factors, most also even ones
+        p: dict = {}
+        for _ in range(rng.randint(1, 4)):
+            factors = rng.sample(odd, rng.randint(1, 3)) + rng.sample(
+                even, rng.randint(0, 3))
+            rng.shuffle(factors)
+            axpy(p, monomial_from_factors(
+                factors, QQ(rng.choice([-3, -1, 1, 2, 5]), rng.choice([1, 2, 3]))))
+        idx = rng.randrange(A.dim)
+        mats = space.action_for(A, idx)
+        for r in range(4):
+            assert lie_jet_action(mats, r, p) == _reference_lie_jet_action(
+                mats, r, p), (idx, r, diff_to_text(p))
+
+
 def _full_system_invariants(space, A, weight, maxdeg):
     """Reference for invariant_basis: equations for every basis xi and
-    every 0 <= r <= weight, eliminated by the same nullspace call."""
+    every 0 <= r <= weight from the reference action, eliminated by the
+    same nullspace call."""
     actions = [space.action_for(A, i) for i in range(A.dim)]
     out = []
     for d in range(maxdeg + 1):
@@ -79,7 +137,7 @@ def _full_system_invariants(space, A, weight, maxdeg):
                 for r in range(weight + 1):
                     rows: dict = {}
                     for ci, mono in enumerate(cols):
-                        img = lie_jet_action(mats, r, {mono: QQ(1)})
+                        img = _reference_lie_jet_action(mats, r, {mono: QQ(1)})
                         for tmono, c in img.items():
                             rows.setdefault(tmono, {})[ci] = c
                     equations.extend(rows[t] for t in sorted(rows))
@@ -97,10 +155,7 @@ def _full_system_invariants(space, A, weight, maxdeg):
 ])
 def test_invariant_basis_matches_full_system(kind, n, maxdeg):
     A = make_algebra(kind, n)
-    # even and odd families, rep and dual roles, both conformal offsets
-    space = VarSpace([FamilyDecl("x", 2, n, 0, 0, "rep"),
-                      FamilyDecl("y", 1, n, 0, 1, "dual"),
-                      FamilyDecl("c", 1, n, 1, 0, "dual")])
+    space = _mixed_space(n)
     for weight in range(4):
         expected = _full_system_invariants(space, A, weight, maxdeg)
         assert expected, (kind, n, weight)

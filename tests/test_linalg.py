@@ -6,7 +6,6 @@ import sys
 
 import pytest
 
-from freefield import linalg
 from freefield.linalg import (Echelon, axpy, nullspace, perm_sign, rank_of,
                               solve_affine)
 from freefield.rationals import QQ, ZERO
@@ -53,84 +52,149 @@ def test_solve_affine_feasible_and_not():
     assert sol is None and rank == 1
 
 
-def _reduce_every_pivot(self, vec, combo):
-    """Reference reduction: walk every stored pivot, copying on each step."""
-    def add(u, v, scale):
-        out = dict(u)
-        for k, c in v.items():
-            s = out.get(k, ZERO) + scale * c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return out
+def _lin(u, v, scale):
+    """u + scale*v as a new dict without zero entries."""
+    out = dict(u)
+    for k, c in v.items():
+        out[k] = out.get(k, ZERO) + scale * c
+    return {k: c for k, c in out.items() if c}
 
-    vec, combo = dict(vec), dict(combo)
-    for p in self.pivots:
-        c = vec.get(p)
-        if c:
-            vec = add(vec, self.rows[p], -c)
-            if self._track:
-                combo = add(combo, self.combos[p], -c)
-    return vec, combo
+
+class _GaussJordan:
+    """Reference: rational Gauss-Jordan elimination with pivot entries 1,
+    walking every stored pivot on every reduction."""
+
+    def __init__(self, col_rank=lambda c: c):
+        self.col_rank = col_rank
+        self.rows: dict = {}
+        self.combos: dict = {}
+
+    def reduce(self, vec, combo):
+        vec, combo = dict(vec), dict(combo)
+        for p in self.rows:
+            c = vec.get(p)
+            if c:
+                vec = _lin(vec, self.rows[p], -c)
+                combo = _lin(combo, self.combos[p], -c)
+        return vec, combo
+
+    def add(self, vec, tag=None):
+        vec, combo = self.reduce(vec, {} if tag is None else {tag: QQ(1)})
+        if not vec:
+            return False
+        p = min(vec, key=self.col_rank)
+        inv = 1 / vec[p]
+        vec = {k: c * inv for k, c in vec.items()}
+        combo = {t: c * inv for t, c in combo.items()}
+        for q in self.rows:
+            c = self.rows[q].get(p)
+            if c:
+                self.rows[q] = _lin(self.rows[q], vec, -c)
+                self.combos[q] = _lin(self.combos[q], combo, -c)
+        self.rows[p] = vec
+        self.combos[p] = combo
+        return True
+
+    def express(self, vec):
+        work, combo = self.reduce(vec, {})
+        return None if work else {t: -c for t, c in combo.items()}
+
+
+def _reference_nullspace(rows, cols):
+    ref = _GaussJordan(cols.index)
+    for row in rows:
+        ref.add(row)
+    return [{f: QQ(1), **{p: -r[f] for p, r in ref.rows.items() if f in r}}
+            for f in cols if f not in ref.rows]
+
+
+def _reference_solve_affine(rows, rhs, cols):
+    RHS = ("_rhs",)
+    ref = _GaussJordan(lambda c: len(cols) if c == RHS else cols.index(c))
+    for row, b in zip(rows, rhs):
+        ref.add({**row, RHS: -b} if b else row)
+    rank = len([p for p in ref.rows if p != RHS])
+    if RHS in ref.rows:
+        return None, rank
+    return {p: -r[RHS] for p, r in ref.rows.items() if RHS in r}, rank
 
 
 def _random_system(rng, n_rows, n_cols):
-    """Sparse integer rows; about a third are combinations of earlier rows."""
+    """Sparse rational rows, some with denominators 2 and 3; about a third
+    are combinations of earlier rows."""
+    coeffs = [QQ(c) for c in (-3, -2, -1, 1, 2, 5)] + [
+        QQ(1, 2), QQ(-3, 2), QQ(2, 3), QQ(-1, 3)]
     rows = []
     for _ in range(n_rows):
         if rows and rng.random() < 0.35:
             row: dict = {}
             for other in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
-                scale = rng.choice([-2, -1, 1, 3])
-                for k, c in other.items():
-                    row[k] = row.get(k, ZERO) + scale * c
-            row = {k: c for k, c in row.items() if c}
+                row = _lin(row, other, rng.choice([-2, -1, 1, 3, QQ(1, 2)]))
         else:
             cols = rng.sample(range(n_cols), rng.randint(1, 4))
-            row = {k: QQ(rng.choice([-3, -2, -1, 1, 2, 5])) for k in cols}
+            row = {k: rng.choice(coeffs) for k in cols}
         rows.append(row)
     return rows
 
 
-def _echelon_outputs(rows, probes, n_cols, track):
-    ech = Echelon(track=track)
-    gained = [ech.add(row, tag=i) for i, row in enumerate(rows)]
-    out = {
-        "gained": gained,
-        "residual": [ech.residual(v) for v in probes],
-        "reduced_rows": ech.reduced_rows(),
-        "nullspace": nullspace(rows, list(range(n_cols))),
-        "solve_affine": [
-            solve_affine(rows, rhs, list(range(n_cols)))
-            for rhs in ([QQ(i % 3) for i in range(len(rows))],
-                        [v.get(0, ZERO) for v in rows])
-        ],
-    }
-    if track:
-        out["express"] = [ech.express(v) for v in probes]
-        for v, combo in zip(probes, out["express"]):
-            if combo is not None:
-                total: dict = {}
-                for tag, c in combo.items():
-                    for k, x in rows[tag].items():
-                        total[k] = total.get(k, ZERO) + c * x
-                assert {k: x for k, x in total.items() if x} == v
-    return out
+def _rhs_choices(rows):
+    return ([QQ(i % 3) for i in range(len(rows))],
+            [QQ(i % 3, 2) - QQ(1, 3) for i in range(len(rows))],
+            [v.get(0, ZERO) for v in rows])
+
+
+def _numbers(obj):
+    """Every number in nested lists, tuples and dict values."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [x for item in obj for x in _numbers(item)]
+    return [] if obj is None or isinstance(obj, bool) else [obj]
 
 
 @pytest.mark.parametrize("track", [True, False])
 @pytest.mark.parametrize("seed", range(6))
-def test_echelon_matches_reference_reduction(monkeypatch, seed, track):
+def test_echelon_matches_reference_reduction(seed, track):
     rng = random.Random(seed)
     n_cols = rng.randint(4, 12)
+    cols = list(range(n_cols))
     rows = _random_system(rng, rng.randint(3, 18), n_cols)
     # probes inside the span and, mostly, outside it
     probes = _random_system(rng, 6, n_cols) + [
-        {k: 2 * c for k, c in row.items()} for row in rows[:2]]
-    got = _echelon_outputs(rows, probes, n_cols, track)
-    monkeypatch.setattr(linalg.Echelon, "_reduce", _reduce_every_pivot)
-    assert got == _echelon_outputs(rows, probes, n_cols, track)
+        {k: QQ(2, 3) * c for k, c in row.items()} for row in rows[:2]]
+    ech = Echelon(track=track)
+    ref = _GaussJordan()
+    got = {
+        "gained": [ech.add(row, tag=i) for i, row in enumerate(rows)],
+        "residual": [ech.residual(v) for v in probes],
+        "reduced_rows": ech.reduced_rows(),
+        "nullspace": nullspace(rows, cols),
+        "solve_affine": [solve_affine(rows, rhs, cols)
+                         for rhs in _rhs_choices(rows)],
+    }
+    expected = {
+        "gained": [ref.add(row, tag=i) for i, row in enumerate(rows)],
+        "residual": [ref.reduce(v, {})[0] for v in probes],
+        "reduced_rows": [ref.rows[p] for p in sorted(ref.rows)],
+        "nullspace": _reference_nullspace(rows, cols),
+        "solve_affine": [_reference_solve_affine(rows, rhs, cols)
+                         for rhs in _rhs_choices(rows)],
+    }
+    if track:
+        got["express"] = [ech.express(v) for v in probes]
+        expected["express"] = [ref.express(v) for v in probes]
+        assert any(combo is not None for combo in got["express"])
+        for v, combo in zip(probes, got["express"]):
+            if combo is not None:
+                total: dict = {}
+                for tag, c in combo.items():
+                    total = _lin(total, rows[tag], c)
+                assert total == v
+    assert got == expected
+    # exact values leave the module as QQ, never as int or float
+    outputs = [got["residual"], got["reduced_rows"], got["nullspace"],
+               [sol for sol, _ in got["solve_affine"]], got.get("express")]
+    assert {type(x) for x in _numbers(outputs)} <= {QQ}
 
 
 def test_solve_affine_rejects_rhs_key_under_optimize():
