@@ -299,6 +299,8 @@ def varspace_for_system(sys: fock.SystemSpec) -> VarSpace:
 def enumerate_component(space: VarSpace, weight: int, degree: int) -> list:
     """All canonical monomials of the exact bidegree, sorted."""
     vars_all = [v for v in space.variables(weight) if v.weight <= weight]
+    weights = [v.weight for v in vars_all]
+    parities = [v.parity for v in vars_all]
     out: list = []
 
     def rec(start: int, w_left: int, d_left: int, acc: list):
@@ -307,15 +309,16 @@ def enumerate_component(space: VarSpace, weight: int, degree: int) -> list:
                 out.append(tuple(acc))
             return
         for idx in range(start, len(vars_all)):
-            v = vars_all[idx]
-            if v.weight > w_left:
+            w = weights[idx]
+            if w > w_left:
                 continue
             # weight-0 variables never exhaust w_left, but degree bounds it
-            if v.parity and acc and acc[-1] == v:
+            odd = parities[idx]
+            v = vars_all[idx]
+            if odd and acc and acc[-1] == v:
                 continue
             acc.append(v)
-            nxt = idx + 1 if v.parity else idx
-            rec(nxt, w_left - v.weight, d_left - 1, acc)
+            rec(idx + 1 if odd else idx, w_left - w, d_left - 1, acc)
             acc.pop()
 
     rec(0, weight, degree, [])

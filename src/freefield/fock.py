@@ -7,6 +7,13 @@ with monomials sorted by (generator, mode) and Koszul-sign normalized.
 All circle products are computed by the iterate recursion below; weight
 and charge homogeneity of every product is checked at run time (also
 under `python -O`), not assumed.
+
+The kernel is integral: every coefficient of the recursion is a
+generalized binomial times a +-1 contraction or Koszul sign, so
+`_apply_mode_mono`, `_nth_mono` and the per-system product cache work in
+`int`.  Rationals come back only at the public boundary: `nth_product`
+and `apply_mode` scale the integer dicts by the QQ coefficients of their
+inputs and return states whose every coefficient is QQ.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from bisect import bisect_left
 from math import factorial
 
 from .linalg import axpy
-from .rationals import QQ, ZERO, qstr, parse_qstr
+from .rationals import QQ, qstr, parse_qstr
 
 FAMILIES = ("beta", "gamma", "b", "c")
 _FAMILY_RANK = {f: i for i, f in enumerate(FAMILIES)}
@@ -93,10 +100,10 @@ class SystemSpec:
         self.parity = tuple(g.parity for g in gens)
         self.weight = tuple(g.weight for g in gens)
         self.charge = tuple(g.charge for g in gens)
-        # sparse contraction table phi o_0 psi, nonzero entries only
+        # sparse contraction table phi o_0 psi: int +-1, nonzero entries only
         table: dict = {}
         partner = {"beta": "gamma", "gamma": "beta", "b": "c", "c": "b"}
-        sign = {"beta": QQ(1), "gamma": QQ(-1), "b": QQ(1), "c": QQ(1)}
+        sign = {"beta": 1, "gamma": -1, "b": 1, "c": 1}
         for g in gens:
             other = self._lookup.get((partner[g.family], g.copy, g.coord))
             if other is not None:
@@ -112,7 +119,7 @@ class SystemSpec:
         return self.generators[self._lookup[key]]
 
     def contraction(self, gi: int, gj: int):
-        return self.contraction_table.get((gi, gj), ZERO)
+        return self.contraction_table.get((gi, gj), 0)
 
 
 class State:
@@ -179,14 +186,15 @@ def generator_state(sys: SystemSpec, family: str, copy: int, coord: int) -> Stat
     return State(sys, {((g.index, -1),): QQ(1)})
 
 
-def binom(m: int, j: int):
-    """Generalized binomial m(m-1)...(m-j+1)/j!, any integer m, j >= 0."""
+def binom(m: int, j: int) -> int:
+    """Generalized binomial m(m-1)...(m-j+1)/j!, any integer m, j >= 0;
+    an exact int, since j! divides any j consecutive integers."""
     if j < 0:
         raise ValueError("binom needs j >= 0")
     num = 1
     for t in range(j):
         num *= m - t
-    return QQ(num, factorial(j))
+    return num // factorial(j)
 
 
 # -- monomial helpers -------------------------------------------------------
@@ -243,12 +251,12 @@ def monomial_state(sys: SystemSpec, modes, coeff=1) -> State:
 
 
 def _apply_mode_mono(sys: SystemSpec, gi: int, m: int, mono) -> dict:
-    """phi(m) applied to one canonical monomial; returns a terms dict."""
+    """phi(m) applied to one canonical monomial; returns {mono: int}."""
     if m <= -1:
         new, sign = _insert_mode(sys, mono, gi, m)
         if new is None:
             return {}
-        return {new: QQ(sign)}
+        return {new: sign}
     # annihilation: push through, contracting with modes at depth -m-1
     out: dict = {}
     odd = sys.parity[gi]
@@ -263,34 +271,45 @@ def _apply_mode_mono(sys: SystemSpec, gi: int, m: int, mono) -> dict:
     return out
 
 
+def _qq_state(sys: SystemSpec, out: dict) -> State:
+    """State from an accumulator of QQ-scaled integer dicts: a term that
+    only ever took the unit-scale path of axpy is still an int."""
+    for mono, c in out.items():
+        if type(c) is int:
+            out[mono] = QQ(c)
+    return State(sys, out)
+
+
 def apply_mode(phi: GeneratorId, m: int, s: State) -> State:
     out: dict = {}
     for mono, c in s.terms.items():
         axpy(out, _apply_mode_mono(s.sys, phi.index, m, mono), c)
-    return State(s.sys, out)
+    return _qq_state(s.sys, out)
 
 
 # -- circle products --------------------------------------------------------
 
 
 def _nth_mono(sys: SystemSpec, ma, mb, n: int) -> dict:
-    """nth product of two canonical monomials, memoized on the system."""
+    """nth product of two canonical monomials as {mono: int}, memoized on
+    the system.  Results past the weight cutoff are never cached, so the
+    cache is read before the weights are computed."""
     if not ma:
-        return {mb: QQ(1)} if n == -1 else {}
-    wa, wb = mono_weight(sys, ma), mono_weight(sys, mb)
-    if n >= 0 and n > wa + wb - 1:
-        return {}
+        return {mb: 1} if n == -1 else {}
     key = (ma, mb, n)
     cache = sys._nth_cache
     hit = cache.get(key)
     if hit is not None:
         return hit
+    wa, wb = mono_weight(sys, ma), mono_weight(sys, mb)
+    if n >= 0 and n > wa + wb - 1:
+        return {}
 
     (gi, m0), rest = ma[0], ma[1:]
     par_phi = sys.parity[gi]
     par_rest = mono_parity(sys, rest)
     cross_sign = -1 if (par_phi and par_rest) else 1
-    second_sign = QQ(-((-1) ** (m0 & 1)) * cross_sign)
+    second_sign = cross_sign if m0 & 1 else -cross_sign
 
     acc: dict = {}
     # first sum: apply_mode(phi, m0-j, nth(rest, mb, n+j)); the inner
@@ -341,7 +360,7 @@ def nth_product(a: State, b: State, n: int) -> State:
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             axpy(out, _nth_mono(sys, ma, mb, n), ca * cb)
-    return State(sys, out)
+    return _qq_state(sys, out)
 
 
 def wick(factors) -> State:

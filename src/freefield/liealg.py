@@ -255,21 +255,17 @@ def trace_gram(A: LieAlgebraSpec) -> Matrix:
     return gram_matrix(A, trace_form)
 
 
-def ad_matrix(A: LieAlgebraSpec, i: int) -> Matrix:
-    cols = []
-    for j in range(A.dim):
-        br = A.structure(i, j)
-        cols.append(tuple(br.get(k, ZERO) for k in range(A.dim)))
-    # cols[j][k] = coefficient of x_k in [x_i, x_j]; transpose to rows
-    return tuple(tuple(cols[j][k] for j in range(A.dim)) for k in range(A.dim))
-
-
 def killing_gram(A: LieAlgebraSpec) -> Matrix:
+    """K[i][j] = tr(ad x_i ad x_j), the ordinary trace, read off the
+    sparse structure constants: (ad x_i)[a][b] is the x_a coefficient of
+    [x_i, x_b]."""
     if A._killing is None:
-        ads = [ad_matrix(A, i) for i in range(A.dim)]
+        r = range(A.dim)
         A._killing = tuple(
-            tuple(mat_trace(mat_mul(ads[i], ads[j])) for j in range(A.dim))
-            for i in range(A.dim)
+            tuple(sum((c * A.structure(j, a).get(b, 0)
+                       for b in r for a, c in A.structure(i, b).items()), ZERO)
+                  for j in r)
+            for i in r
         )
     return A._killing
 

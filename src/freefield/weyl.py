@@ -10,7 +10,8 @@ from itertools import product as iproduct
 
 from .linalg import axpy, perm_sign
 from .rationals import QQ, ZERO, ONE, qstr, parse_qstr
-from .fock import State, nth_product, monomial_state, mono_weight
+from .fock import (State, binom, nth_product, monomial_state, mono_weight,
+                   state_weight)
 
 
 # A WeylElement is a dict {(alpha, beta): QQ} where alpha and beta are
@@ -77,15 +78,6 @@ def _falling(a: int, k: int) -> int:
     return r
 
 
-def _binom(a: int, k: int) -> int:
-    if k < 0 or k > a:
-        return 0
-    r = 1
-    for t in range(k):
-        r = r * (a - t) // (t + 1)
-    return r
-
-
 def normal_form_product(u: dict, v: dict) -> dict:
     """Associative product with all x' moved left of all d:
     d^b x'^a = sum_k prod_v binom(b_v,k_v) * a_v!/(a_v-k_v)! x'^{a-k} d^{b-k}.
@@ -105,7 +97,7 @@ def normal_form_product(u: dict, v: dict) -> dict:
                 na, nb = dict(ac), dict(bc)
                 for v_, k in zip(shared, ks):
                     if k:
-                        coeff *= _binom(bc[v_], k) * _falling(ac[v_], k)
+                        coeff *= binom(bc[v_], k) * _falling(ac[v_], k)
                         na[v_] -= k
                         nb[v_] -= k
                 alpha = tuple(sorted(a1 + _tup(na)))
@@ -364,7 +356,6 @@ def zhu_zero_mode(a: State, q: dict) -> dict:
 def zhu_products(a: State, b: State):
     """(star, circ) with star = sum_j binom(m,j) a o_{j-1} b and
     circ = sum_j binom(m,j) a o_{j-2} b, m the weight of a."""
-    from .fock import state_weight, binom
     m = state_weight(a)
     star = State(a.sys, {})
     circ = State(a.sys, {})

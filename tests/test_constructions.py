@@ -6,9 +6,7 @@ from freefield.constructions import (
     quad_family, sec4_identity, state_invariant_basis, sugawara, theta,
     verify_affine,
 )
-from freefield.fock import (
-    derivative, gradings, nth_product, state_weight, vacuum,
-)
+from freefield.fock import derivative, gradings, nth_product, vacuum
 from freefield.liealg import make_algebra
 from freefield.rationals import QQ
 

@@ -1,15 +1,21 @@
+import json
 import os
+import random
 import subprocess
 import sys
+from importlib.resources import files
+from math import factorial
 
 import pytest
 
+from freefield import fock, harness
 from freefield.constructions import build_system
 from freefield.fock import (
-    State, apply_mode, binom, commutes, derivative, generator_state, gradings,
-    monomial_state, nth_product, state_from_text, state_to_text, symbol,
-    vacuum, wick, zero,
+    apply_mode, binom, commutes, derivative, generator_state, gradings,
+    mono_parity, mono_weight, monomial_state, nth_product, state_from_text,
+    state_to_text, symbol, vacuum, wick, zero,
 )
+from freefield.linalg import axpy
 from freefield.rationals import QQ
 
 
@@ -69,10 +75,10 @@ def test_positive_modes_annihilate_vacuum():
 
 
 def test_binom_generalized():
-    assert binom(-1, 2) == 1
-    assert binom(-2, 3) == -4
-    assert binom(3, 5) == 0
-    assert binom(4, 2) == 6
+    for args, want in (((-1, 2), 1), ((-2, 3), -4), ((3, 5), 0),
+                       ((4, 2), 6)):
+        got = binom(*args)
+        assert type(got) is int and got == want
 
 
 def test_derivative_matches_minus_two_product():
@@ -196,3 +202,151 @@ def test_nth_mono_homogeneity_guard_under_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("guarded: inhomogeneous product")
+
+
+# -- the integer kernel against the rational recursion ----------------------
+
+
+def _reference_apply_mode_mono(sys_, gi, m, mono):
+    if m <= -1:
+        new, sign = fock._insert_mode(sys_, mono, gi, m)
+        return {} if new is None else {new: QQ(sign)}
+    out = {}
+    crossing = 1
+    for k, (gj, p) in enumerate(mono):
+        if m + p == -1:
+            c = QQ(sys_.contraction(gi, gj))
+            if c:
+                axpy(out, {mono[:k] + mono[k + 1:]: c}, crossing)
+        if sys_.parity[gi] and sys_.parity[gj]:
+            crossing = -crossing
+    return out
+
+
+def _reference_binom(m, j):
+    num = 1
+    for t in range(j):
+        num *= m - t
+    return QQ(num, factorial(j))
+
+
+def _reference_nth_mono(sys_, ma, mb, n, cache):
+    # the same recursion over QQ: rational binomials, signs and vacuum,
+    # and a cache of its own
+    if not ma:
+        return {mb: QQ(1)} if n == -1 else {}
+    wa, wb = mono_weight(sys_, ma), mono_weight(sys_, mb)
+    if n >= 0 and n > wa + wb - 1:
+        return {}
+    key = (ma, mb, n)
+    if key in cache:
+        return cache[key]
+    (gi, m0), rest = ma[0], ma[1:]
+    cross_sign = -1 if (sys_.parity[gi] and mono_parity(sys_, rest)) else 1
+    second_sign = QQ(-((-1) ** (m0 & 1)) * cross_sign)
+    acc = {}
+    for j in range(0, mono_weight(sys_, rest) + wb - n):
+        coeff = ((-1) ** (j & 1)) * _reference_binom(m0, j)
+        for mono, v in _reference_nth_mono(sys_, rest, mb, n + j, cache).items():
+            axpy(acc, _reference_apply_mode_mono(sys_, gi, m0 - j, mono),
+                 coeff * v)
+    for j in sorted({-p - 1 for _, p in mb}):
+        coeff = ((-1) ** (j & 1)) * _reference_binom(m0, j) * second_sign
+        for mono, v in _reference_apply_mode_mono(sys_, gi, j, mb).items():
+            axpy(acc, _reference_nth_mono(sys_, rest, mono, m0 + n - j, cache),
+                 coeff * v)
+    cache[key] = acc
+    return acc
+
+
+def _random_mono(sys_, rng):
+    while True:
+        modes = [(rng.randrange(len(sys_.generators)), -1 - rng.randrange(3))
+                 for _ in range(rng.randrange(0, 4))]
+        a = monomial_state(sys_, modes)
+        if not a.is_zero():
+            (mono,) = a.terms
+            return mono
+
+
+def test_nth_mono_matches_rational_reference():
+    sys_ = mixed_system()
+    rng = random.Random(20120)
+    ref_cache: dict = {}
+    checked = 0
+    for _ in range(80):
+        ma, mb = _random_mono(sys_, rng), _random_mono(sys_, rng)
+        cutoff = mono_weight(sys_, ma) + mono_weight(sys_, mb) - 1
+        for n in range(-3, cutoff + 1):
+            got = fock._nth_mono(sys_, ma, mb, n)
+            assert got == _reference_nth_mono(sys_, ma, mb, n, ref_cache), \
+                (ma, mb, n)
+            assert all(type(c) is int for c in got.values())
+            checked += bool(got)
+    assert checked > 100
+    assert all(type(c) is int for d in sys_._nth_cache.values()
+               for c in d.values())
+
+
+def test_nth_cache_holds_ints_after_a_state_side_scenario(monkeypatch):
+    systems = []
+
+    def recording_build_system(*args, **kwargs):
+        systems.append(build_system(*args, **kwargs))
+        return systems[-1]
+
+    monkeypatch.setattr(harness, "build_system", recording_build_system)
+    raw = json.loads((files("freefield") / "scenarios" /
+                      "thm_4_3_n2_m1.json").read_text())
+    report = harness.run_scenario(raw)
+    assert all(t["status"] == "pass" for t in report["tasks"])
+    values = [c for s in systems for d in s._nth_cache.values()
+              for c in d.values()]
+    assert values and all(type(c) is int for c in values)
+
+
+# -- every coefficient that leaves the engine is QQ -------------------------
+
+
+def _all_qq(state):
+    return all(type(c) is QQ for c in state.terms.values())
+
+
+def test_engine_outputs_are_qq_also_for_unit_coefficients():
+    sys_ = mixed_system()
+    gens = [generator_state(sys_, f, 1, i)
+            for f in ("beta", "gamma", "b", "c") for i in (1, 2)]
+    rng = random.Random(7)
+    states = gens + [monomial_state(sys_, [(rng.randrange(8), -1 - rng.randrange(3))
+                                           for _ in range(rng.randrange(1, 4))],
+                                    rng.choice([1, -1, QQ(3, 2)]))
+                     for _ in range(12)]
+    states = [s for s in states if not s.is_zero()] + [vacuum(sys_)]
+    seen = 0
+    for a in states:
+        assert _all_qq(derivative(a))
+        for g in sys_.generators:
+            for m in (-2, -1, 0, 1, 2):
+                assert _all_qq(apply_mode(g, m, a))
+        for b in states:
+            for n in range(-3, 4):
+                p = nth_product(a, b, n)
+                assert _all_qq(p)
+                seen += len(p.terms)
+            assert _all_qq(wick([a, b]))
+            ok, witness = commutes(a, b)
+            if not ok:
+                assert _all_qq(witness[1])
+    assert seen > 1000
+    # the unit path: generator states carry coefficient 1
+    assert _all_qq(nth_product(gens[0], gens[2], 0))
+    assert _all_qq(nth_product(gens[0], gens[2], -1))
+
+
+def test_symbol_values_are_qq():
+    sys_ = mixed_system()
+    a = wick([generator_state(sys_, "beta", 1, 1),
+              derivative(derivative(generator_state(sys_, "gamma", 1, 2))),
+              generator_state(sys_, "c", 1, 1)])
+    s = symbol(a, 3)
+    assert s and all(type(c) is QQ for c in s.values())

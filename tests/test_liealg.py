@@ -1,7 +1,7 @@
 import pytest
 
 from freefield.liealg import (
-    bracket, dual_coxeter, killing_gram, make_algebra, mat, mat_eq, mat_mul,
+    bracket, dual_coxeter, killing_gram, make_algebra, mat_eq, mat_mul,
     mat_scale, mat_trace, normalized_gram, sp_any, trace_gram,
 )
 from freefield.rationals import QQ
@@ -49,6 +49,26 @@ def test_killing_is_multiple_of_trace_for_sl2():
     K = killing_gram(A)
     T = trace_gram(A)
     assert mat_eq(K, mat_scale(T, QQ(4)))
+
+
+def _dense_killing(A):
+    # tr(ad_i ad_j) from dense ad matrices: ad_i[a][b] is the x_a
+    # coefficient of [x_i, x_b]
+    ads = [tuple(tuple(bracket(A, i, b).get(a, QQ(0)) for b in range(A.dim))
+                 for a in range(A.dim)) for i in range(A.dim)]
+    return tuple(tuple(mat_trace(mat_mul(ads[i], ads[j]))
+                       for j in range(A.dim)) for i in range(A.dim))
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("sl", (2,)), ("so", (3,)), ("sl", (3,)), ("so", (4,)), ("sp", (4,)),
+    ("gl", (2,)), ("glsuper", (1, 1)),
+])
+def test_killing_gram_matches_dense_trace(kind, params):
+    A = make_algebra(kind, *params)
+    K = killing_gram(A)
+    assert K == _dense_killing(A)
+    assert all(type(c) is QQ for row in K for c in row)
 
 
 def test_dual_coxeter_numbers():

@@ -1,7 +1,7 @@
 import random
 
 from freefield.constructions import build_system
-from freefield.fock import generator_state, monomial_state, nth_product, wick
+from freefield.fock import generator_state, monomial_state, wick
 from freefield.properties import (
     CHECKS, check_commutator_formula, check_filtration_bounds,
     check_pull_off_independence, check_skew_symmetry, default_systems,
