@@ -14,11 +14,11 @@ from itertools import permutations
 from .rationals import QQ, ZERO, ONE
 from .linalg import nullspace, perm_sign, solve_affine
 from .liealg import (LieAlgebraSpec, make_algebra, sp_any, mat_inverse,
-                     normalized_gram, trace_gram, dual_coxeter)
+                     normalized_gram, trace_gram, dual_coxeter, torus_weights)
 from .fock import (SystemSpec, State, vacuum, zero, generator_state,
                    nth_product, wick, derivative, gradings, state_weight,
                    state_to_text)
-from .diffalg import ResourceCapError
+from .diffalg import ResourceCapError, monomial_counts, torus_bounds
 
 
 def build_system(bosonic=None, fermionic=None) -> SystemSpec:
@@ -510,71 +510,132 @@ def commutant_check(v: State, F: CurrentFamily):
     return True, None
 
 
-def component_monomials(sys: SystemSpec, weight: int, maxdeg: int, charge=None):
+def _modes(sys: SystemSpec, weight: int) -> list:
+    """The creation modes (generator index, m) of weight at most `weight`,
+    sorted, each as (mode, its weight, parity, charge)."""
+    out = []
+    for mode in sorted((g.index, -1 - depth) for g in sys.generators
+                       for depth in range(0, weight - g.weight + 1)):
+        g = sys.generators[mode[0]]
+        out.append((mode, -mode[1] - 1 + g.weight, g.parity, g.charge))
+    return out
+
+
+def component_monomials(sys: SystemSpec, weight: int, maxdeg: int, charge=None,
+                        torus=None):
     """Canonical monomials of exact weight, degree <= maxdeg, optionally
-    fixed total charge, in canonical sort order."""
-    modes = []
-    for g in sys.generators:
-        for depth in range(0, weight - g.weight + 1):
-            modes.append((g.index, -1 - depth))
-    modes.sort()
+    fixed total charge, in canonical sort order.
+
+    torus, when given, lists an integer torus weight vector per generator
+    index, and only the monomials of torus weight 0 are produced: a
+    branch is cut as soon as its remaining modes cannot bring the weight
+    back to 0 (`diffalg.torus_bounds`)."""
+    modes = _modes(sys, weight)
+    reachable = None
+    if torus and torus[0]:
+        bounds = torus_bounds([torus[gi] for (gi, _), *_ in modes])
+
+        def reachable(i, d, acc):
+            lo, hi = bounds[i]
+            for c, (a, b) in enumerate(zip(lo, hi)):
+                if not a * d <= -sum(torus[gi][c] for gi, _ in acc) <= b * d:
+                    return False
+            return True
+
     out = []
 
     def rec(i, w, d, ch, acc):
+        if reachable and not reachable(i, d, acc):
+            return
         if i == len(modes):
             if w == 0 and (charge is None or ch == charge):
                 out.append(tuple(acc))
             return
-        gi, mm = modes[i]
-        g = sys.generators[gi]
-        wm = -mm - 1 + g.weight
-        maxk = d if g.parity == 0 else min(d, 1)
+        mode, wm, odd, c = modes[i]
+        maxk = min(d, 1) if odd else d
         if wm > 0:
             maxk = min(maxk, w // wm)
         for k in range(maxk + 1):
-            rec(i + 1, w - k * wm, d - k, ch + k * g.charge, acc + [(gi, mm)] * k)
+            rec(i + 1, w - k * wm, d - k, ch + k * c, acc + [mode] * k)
 
     rec(0, weight, maxdeg, 0, [])
     return sorted(out)
 
 
 def _copy_charge_key(sys, mono):
+    slots, charge = sys.slots, sys.charge
     counts = {}
     for gi, _ in mono:
-        g = sys.generators[gi]
-        counts[g.slot] = counts.get(g.slot, 0) + g.charge
-    return tuple(sorted((slot, ch) for slot, ch in counts.items() if ch))
+        s = slots[gi]
+        counts[s] = counts.get(s, 0) + charge[gi]
+    return tuple(sorted((s, ch) for s, ch in counts.items() if ch))
+
+
+def state_torus(F: CurrentFamily):
+    """The label indices i whose zeroth product th_i o_0 maps every
+    generator field to a multiple of itself, and per generator index its
+    integer weight vector under them (`liealg.torus_weights`).  a o_0 is
+    a derivation of every product and commutes with T, so such an o_0
+    multiplies each monomial by the sum of its modes' weights."""
+    sys = F.sys
+    atoms = [((g.index, -1),) for g in sys.generators]
+    diag, weights = torus_weights(
+        range(len(F.states)), atoms,
+        lambda i, a: nth_product(F.states[i], State(sys, {a: ONE}), 0).terms)
+    return diag, [weights[a] for a in atoms]
 
 
 def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
                           cap: int = 20000):
     """Joint kernel of all nonnegative products with the family currents
     on the span of monomials of the given exact weight and degree <= maxdeg.
+
+    Torus grading: a current whose o_0 is diagonal on the generators
+    (`state_torus`) multiplies each monomial by its torus weight, so the
+    kernel lies in the monomials of torus weight 0 under all such
+    currents, and solving on those columns alone gives the same canonical
+    basis (the argument of `diffalg.invariant_basis`).  Only they are
+    enumerated, their diagonal o_0 images are checked to vanish (a
+    RuntimeError otherwise) instead of being written as equations, and
+    the resource cap still bounds the size of the whole component, which
+    is counted, not built.
+
     Left families preserve the per-copy charge, so the solve splits into
     blocks; the split is verified on every image monomial."""
     sys = F.sys
-    monos = component_monomials(sys, weight, maxdeg)
-    if len(monos) > cap:
-        raise ResourceCapError(cap, len(monos))
+    items = [(w, odd) for _, w, odd, _ in _modes(sys, weight)]
+    size = sum(monomial_counts(items, weight, maxdeg))
+    if size > cap:
+        raise ResourceCapError(cap, size)
+    diag, torus = state_torus(F)
+    diag = set(diag)
+    monos = component_monomials(sys, weight, maxdeg, torus=torus)
     if F.side == "left":
         blocks: dict = {}
         for mo in monos:
             blocks.setdefault(_copy_charge_key(sys, mo), []).append(mo)
     else:
         blocks = {None: list(monos)}
+    # products vanish beyond wt(th) + wt(v) - 1
+    products = [(i, lab, th, range(0, state_weight(th) + weight))
+                for i, (lab, th) in enumerate(F.items())]
     basis = []
     for key in sorted(blocks, key=lambda k: (k is not None, k)):
         cols = blocks[key]
         rows: dict = {}
         for mo in cols:
             v = State(sys, {mo: ONE})
-            for lab, th in F.items():
-                # products vanish beyond wt(th) + wt(v) - 1
-                for nn in range(0, state_weight(th) + weight):
+            for i, lab, th, ns in products:
+                for nn in ns:
                     p = nth_product(th, v, nn)
+                    if nn == 0 and i in diag:
+                        if p.terms:
+                            raise RuntimeError(
+                                f"torus weight of {mo} under {lab} is not 0")
+                        continue
                     for tm, tc in p.terms.items():
                         if key is not None and _copy_charge_key(sys, tm) != key:
-                            raise AssertionError("block split violated")
+                            raise RuntimeError("block split violated")
                         rows.setdefault((lab, nn, tm), {})[mo] = tc
         for vec in nullspace(rows.values(), cols):
             basis.append(State(sys, {mo: c for mo, c in vec.items()}))

@@ -13,7 +13,7 @@ from bisect import bisect_left
 from math import factorial, lcm
 from typing import NamedTuple
 
-from .liealg import current_generators
+from .liealg import current_generators, torus_weights
 from .linalg import Echelon, axpy, nullspace
 from .rationals import QQ, qstr, parse_qstr
 from . import fock
@@ -218,6 +218,14 @@ def lie_jet_action(mats: dict, r: int, p: dict) -> dict:
     return out
 
 
+def _eigenvalue(v: DV, images: list) -> int:
+    """The c with images = [(v, c)] from _var_images, 0 for no image; a
+    RuntimeError when the images leave the line of v."""
+    if any(w != v for w, _ in images):
+        raise RuntimeError(f"action on {v.token()} is not diagonal")
+    return images[0][1] if images else 0
+
+
 def _integer_matrices(mats: dict) -> dict:
     """mats scaled by the lcm of the denominators of all their entries, as
     int matrices: the same kernel, with integer equations."""
@@ -296,31 +304,97 @@ def varspace_for_system(sys: fock.SystemSpec) -> VarSpace:
     return VarSpace(fams)
 
 
-def enumerate_component(space: VarSpace, weight: int, degree: int) -> list:
-    """All canonical monomials of the exact bidegree, sorted."""
+def torus_bounds(vectors: list) -> list:
+    """Suffix bounds for cutting an enumeration down to torus weight 0:
+    entry s is the per-coordinate (min, max) over vectors[s:] and the zero
+    vector, so the last entry, with no vector left, is ((0, ...), (0, ...)).
+    A branch whose weight so far is t and which may take at most d more
+    factors from vectors[s:] can end at weight 0 only when
+    lo*d <= -t <= hi*d in every coordinate."""
+    k = len(vectors[0]) if vectors else 0
+    lo = hi = (0,) * k
+    out = [(lo, hi)]
+    for v in reversed(vectors):
+        lo, hi = tuple(map(min, lo, v)), tuple(map(max, hi, v))
+        out.append((lo, hi))
+    out.reverse()
+    return out
+
+
+def monomial_counts(items, weight: int, maxdeg: int) -> list:
+    """counts[d], d <= maxdeg: the number of monomials of exact weight
+    `weight` and degree d in atoms given as (weight, parity) items, an odd
+    atom at most once.  A knapsack count; no monomial is built."""
+    table = [[0] * (maxdeg + 1) for _ in range(weight + 1)]
+    table[0][0] = 1
+    for w_i, odd in items:
+        if w_i > weight:
+            continue
+        if odd:  # each old count extends at most once
+            for w in range(weight - w_i, -1, -1):
+                for d in range(maxdeg - 1, -1, -1):
+                    table[w + w_i][d + 1] += table[w][d]
+        else:  # counts that already use the atom extend again
+            for w in range(weight - w_i + 1):
+                for d in range(maxdeg):
+                    table[w + w_i][d + 1] += table[w][d]
+    return table[weight]
+
+
+def enumerate_component(space: VarSpace, weight: int, degree: int,
+                        torus: dict | None = None) -> list:
+    """All canonical monomials of the exact bidegree, sorted.
+
+    torus, when given, maps each variable to its integer torus weight
+    vector, and only the monomials of torus weight 0 are produced: a
+    branch is cut as soon as its remaining factors cannot bring the
+    weight back to 0 (`torus_bounds`).  The last factor is looked up by
+    the weight and torus weight it must have.
+    """
     vars_all = [v for v in space.variables(weight) if v.weight <= weight]
     weights = [v.weight for v in vars_all]
     parities = [v.parity for v in vars_all]
+    tws = [torus[v] for v in vars_all] if torus is not None else None
+    cut = bool(tws and tws[0])
+    if cut:
+        bounds = torus_bounds(tws)
+    t = [0] * len(tws[0]) if cut else []
+    last: dict = {}
+    for idx, v in enumerate(vars_all):
+        last.setdefault((weights[idx], tws[idx] if cut else ()), []).append(idx)
     out: list = []
 
     def rec(start: int, w_left: int, d_left: int, acc: list):
-        if d_left == 0:
-            if w_left == 0:
-                out.append(tuple(acc))
+        if d_left == 1:
+            cands = last.get((w_left, tuple(-x for x in t)), ())
+            for idx in cands[bisect_left(cands, start):]:
+                out.append(tuple(acc) + (vars_all[idx],))
             return
+        if cut:
+            lo, hi = bounds[start]
+            for x, a, b in zip(t, lo, hi):
+                if not a * d_left <= -x <= b * d_left:
+                    return
         for idx in range(start, len(vars_all)):
             w = weights[idx]
             if w > w_left:
                 continue
-            # weight-0 variables never exhaust w_left, but degree bounds it
-            odd = parities[idx]
-            v = vars_all[idx]
-            if odd and acc and acc[-1] == v:
-                continue
-            acc.append(v)
-            rec(idx + 1 if odd else idx, w_left - w, d_left - 1, acc)
+            # weight-0 variables never exhaust w_left, but degree bounds
+            # it; an odd variable is taken once, the next choice starts
+            # past it
+            acc.append(vars_all[idx])
+            if cut:
+                for c, x in enumerate(tws[idx]):
+                    t[c] += x
+            rec(idx + 1 if parities[idx] else idx, w_left - w, d_left - 1,
+                acc)
+            if cut:
+                for c, x in enumerate(tws[idx]):
+                    t[c] -= x
             acc.pop()
 
+    if degree == 0:
+        return [()] if weight == 0 else []
     rec(0, weight, degree, [])
     return sorted(out)
 
@@ -354,6 +428,18 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int, cap: int = 200
     same.  Each generator's matrices are scaled to integers, which keeps
     its kernel, so every equation row is a {column index: int} dict.
 
+    Torus grading: a basis element h whose matrices are diagonal acts by
+    h t^0 on a monomial as the sum of its factors' diagonal entries, so
+    every invariant lies in the monomials of torus weight 0 under all
+    such h (`torus_weights`).  The canonical nullspace basis has one
+    vector per free column, 1 there and 0 at the other free columns, and
+    the free columns are the last nonzero positions of kernel vectors;
+    so solving on the weight-0 columns alone gives the same vectors in
+    the same order.  Only those columns are enumerated, their h t^0
+    images are checked to vanish (a RuntimeError otherwise) instead of
+    being written as equations, and the resource cap still bounds the
+    size of the whole component, which is counted, not built.
+
     The action never moves a factor across families or copies, so the
     component splits into blocks by per-(family, copy) factor counts; each
     block is solved by exact sparse elimination.  Output order: degree
@@ -361,20 +447,31 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int, cap: int = 200
     """
     gens = current_generators(A, weight)
     actions = {i: _integer_matrices(space.action_for(A, i))
-               for i in {i for i, _ in gens}}
+               for i in range(A.dim)}
     variables = space.variables(weight)
+    diag, torus = torus_weights(
+        range(A.dim), variables,
+        lambda i, v: dict(_var_images(actions[i], 0, v)))
     tables = [{v: _var_images(actions[i], r, v) for v in variables}
-              for i, r in gens]
+              for i, r in gens if r or i not in diag]
+    # h t^0 maps a monomial to itself times the sum of the diagonal
+    # entries of its factors, read here off the matrices themselves
+    checks = [{v: _eigenvalue(v, _var_images(actions[i], 0, v))
+               for v in variables} for i in diag]
+    sizes = monomial_counts([(v.weight, v.parity) for v in variables],
+                            weight, maxdeg)
     basis_out = []
     for d in range(0, maxdeg + 1):
-        monos = enumerate_component(space, weight, d)
-        if len(monos) > cap:
-            raise ResourceCapError(cap, len(monos))
+        if sizes[d] > cap:
+            raise ResourceCapError(cap, sizes[d])
+        monos = enumerate_component(space, weight, d, torus)
         blocks: dict = {}
         for m in monos:
+            if any(sum(ev[v] for v in m) for ev in checks):
+                raise RuntimeError(f"torus weight of {m} is not 0")
             blocks.setdefault(_block_key(m), []).append(m)
         for key in sorted(blocks):
-            cols = sorted(blocks[key])
+            cols = blocks[key]
             equations = []
             for images in tables:
                 rows: dict = {}

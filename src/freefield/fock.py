@@ -100,6 +100,8 @@ class SystemSpec:
         self.parity = tuple(g.parity for g in gens)
         self.weight = tuple(g.weight for g in gens)
         self.charge = tuple(g.charge for g in gens)
+        # (parity, copy) of each generator: its tensor slot as ints
+        self.slots = tuple((g.parity, g.copy) for g in gens)
         # sparse contraction table phi o_0 psi: int +-1, nonzero entries only
         table: dict = {}
         partner = {"beta": "gamma", "gamma": "beta", "b": "c", "c": "b"}

@@ -7,6 +7,8 @@ bracket tables stay consistent with the rep by construction.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .linalg import Echelon, axpy
 from .rationals import QQ, ZERO
 
@@ -235,6 +237,33 @@ def current_generators(A: LieAlgebraSpec, weight: int) -> list:
                 if z and span.add(z):
                     pending.append(z)
     return kept
+
+
+def torus_weights(indices, atoms, image) -> tuple:
+    """The diagonal part of a basis action and the weights it gives.
+
+    image(i, a) is the image {atom: coefficient} of the atom a under the
+    basis element i.  An index counts as diagonal when it maps every atom
+    to a multiple of itself; the atom's weight under it is that
+    eigenvalue, scaled for each index by the lcm of the denominators of
+    its eigenvalues, which keeps the weight-0 condition, so weights are
+    ints.  Returns (diagonal indices, {atom: tuple of weights, one per
+    diagonal index}).
+    """
+    diag, columns = [], []
+    for i in indices:
+        col = []
+        for a in atoms:
+            img = image(i, a)
+            if any(b != a for b in img):
+                break
+            col.append(QQ(img.get(a, 0)))
+        else:
+            den = lcm(*[c.denominator for c in col])
+            diag.append(i)
+            columns.append([int(c * den) for c in col])
+    return diag, {a: tuple(col[k] for col in columns)
+                  for k, a in enumerate(atoms)}
 
 
 def trace_form(A: LieAlgebraSpec, x, y):

@@ -1,13 +1,19 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from freefield.constructions import (
     bc_family, bc_labels, build_system, commutant_check, component_monomials,
     conformal_and_charge, det_family, mixed_det, mixed_psi_family,
-    quad_family, sec4_identity, state_invariant_basis, sugawara, theta,
-    verify_affine,
+    quad_family, sec4_identity, state_invariant_basis, state_torus, sugawara,
+    theta, verify_affine,
 )
-from freefield.fock import derivative, gradings, nth_product, vacuum
+from freefield.diffalg import ResourceCapError
+from freefield.fock import State, derivative, gradings, nth_product, vacuum
 from freefield.liealg import make_algebra
+from freefield.linalg import nullspace
 from freefield.rationals import QQ
 
 
@@ -192,6 +198,106 @@ def test_state_invariant_basis_finds_determinant():
     for b in basis:
         ech.add(dict(b.terms))
     assert not ech.residual(dict(D.terms))
+
+
+def _unfiltered_state_invariants(F, weight, maxdeg):
+    """Reference for state_invariant_basis: every column of the component,
+    blocks keyed by the slot strings of the generators, every product
+    written as equations, eliminated by the same nullspace call."""
+    sys_ = F.sys
+
+    def key_of(mono):
+        counts = {}
+        for gi, _ in mono:
+            g = sys_.generators[gi]
+            counts[g.slot] = counts.get(g.slot, 0) + g.charge
+        return tuple(sorted((s, c) for s, c in counts.items() if c))
+
+    blocks = {}
+    for mo in component_monomials(sys_, weight, maxdeg):
+        blocks.setdefault(key_of(mo) if F.side == "left" else None,
+                          []).append(mo)
+    basis = []
+    for key in sorted(blocks, key=lambda k: (k is not None, k)):
+        rows = {}
+        for mo in blocks[key]:
+            v = State(sys_, {mo: QQ(1)})
+            for lab, th in F.items():
+                for nn in range(gradings(th)[0] + weight):
+                    for tm, tc in nth_product(th, v, nn).terms.items():
+                        rows.setdefault((lab, nn, tm), {})[mo] = tc
+        for vec in nullspace(rows.values(), blocks[key]):
+            basis.append(State(sys_, vec))
+    return basis
+
+
+@pytest.mark.parametrize("kind, n, system, side, maxdeg", [
+    pytest.param("gl", 2, {"bosonic": (2, 1)}, "left", 4, id="gl2-left"),
+    pytest.param("gl", 3, {"bosonic": (3, 1)}, "left", 3, id="gl3-left"),
+    pytest.param("sl", 2, {"bosonic": (2, 1), "fermionic": (2, 1)}, "left",
+                 3, id="sl2-left-mixed"),
+    pytest.param("sp", 4, {"bosonic": (4, 1)}, "left", 2, id="sp4-left"),
+    pytest.param("gl", 2, {"fermionic": (2, 2)}, "right", 3,
+                 id="gl2-right-bc"),
+])
+def test_state_invariant_basis_matches_unfiltered_columns(kind, n, system,
+                                                          side, maxdeg):
+    F = theta(make_algebra(kind, n), build_system(**system), side=side)
+    assert state_torus(F)[0]
+    dims = []
+    for weight in range(4):
+        expected = _unfiltered_state_invariants(F, weight, maxdeg)
+        assert state_invariant_basis(F, weight, maxdeg) == expected, weight
+        dims.append(len(expected))
+    # the full gl commutants are trivial (Thm 4.3); the others are not
+    assert (sum(dims) == 1) == (kind == "gl" and side == "left"), dims
+
+
+def test_state_resource_cap_bounds_the_full_component():
+    # the cap is checked against the whole component, not the torus-weight-0
+    # columns that are solved
+    F = theta(make_algebra("gl", 2), build_system(bosonic=(2, 1)), "left")
+    full = len(component_monomials(F.sys, 2, 4))
+    kept = len(component_monomials(F.sys, 2, 4, torus=state_torus(F)[1]))
+    assert kept < full
+    cap = (kept + full) // 2
+    with pytest.raises(ResourceCapError) as err:
+        state_invariant_basis(F, 2, 4, cap=cap)
+    assert err.value.size == full and err.value.cap == cap
+    assert str(err.value) == (
+        f"component size {full} exceeds the configured cap {cap}")
+
+
+def test_torus_guards_under_optimize():
+    # a torus helper that hands out zero atom weights lets columns of
+    # nonzero torus weight through; the h t^0 and o_0 guards must stop
+    # both solvers, also when -O strips asserts
+    code = (
+        "from freefield import constructions, diffalg, liealg\n"
+        "def zero_weights(indices, atoms, image):\n"
+        "    diag, weights = liealg.torus_weights(indices, atoms, image)\n"
+        "    return diag, {a: (0,) * len(diag) for a in weights}\n"
+        "diffalg.torus_weights = constructions.torus_weights = zero_weights\n"
+        "A = liealg.make_algebra('sl', 2)\n"
+        "space = diffalg.VarSpace([diffalg.FamilyDecl('x', 2, 2, 0, 0, 'rep')])\n"
+        "sys_ = constructions.build_system(bosonic=(2, 2))\n"
+        "F = constructions.theta(A, sys_, side='left')\n"
+        "for solve in (lambda: diffalg.invariant_basis(space, A, 0, 2),\n"
+        "              lambda: constructions.state_invariant_basis(F, 1, 2)):\n"
+        "    try:\n"
+        "        solve()\n"
+        "    except RuntimeError as e:\n"
+        "        print('guarded:', e)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2, proc.stdout
+    assert all(ln.startswith("guarded: torus weight of") for ln in lines)
 
 
 def test_sec4_identity_report():

@@ -7,12 +7,13 @@ from freefield.diffalg import (
     FamilyDecl, ResourceCapError, VarSpace, _abstract_var, _block_key,
     action_matrices, apply_D, diff_add, diff_bidegree, diff_const, diff_eq, diff_from_text,
     diff_mul, diff_sub, diff_to_text, diff_zero, enumerate_component, falling,
-    generated_span, invariant_basis, jet_var, lie_jet_action,
-    monomial_from_factors, normal_order, quantum_correct, symbol_var,
-    varspace_for_system,
+    _var_images, generated_span, invariant_basis, jet_var, lie_jet_action,
+    monomial_counts, monomial_from_factors, normal_order, quantum_correct,
+    symbol_var, varspace_for_system,
 )
 from freefield.fock import gradings, monomial_state, nth_product, symbol
-from freefield.liealg import current_generators, make_algebra, mat_trace
+from freefield.liealg import (current_generators, make_algebra, mat_trace,
+                              torus_weights)
 from freefield.linalg import axpy, nullspace
 from freefield.rationals import QQ
 
@@ -152,10 +153,14 @@ def _full_system_invariants(space, A, weight, maxdeg):
     # gl1 is all centre; from degree 4 on, dropping the centre at some
     # r >= 2 enlarges the kernel
     ("gl", 1, 4),
+    # odd basis elements beside a diagonal torus; the split torus of
+    # so_split, where the antisymmetric so(3) has none
+    pytest.param("glsuper", (1, 1), 3, id="glsuper-1-1-3"),
+    ("so_split", 4, 2),
 ])
 def test_invariant_basis_matches_full_system(kind, n, maxdeg):
-    A = make_algebra(kind, n)
-    space = _mixed_space(n)
+    A = make_algebra(kind, *(n if isinstance(n, tuple) else (n,)))
+    space = _mixed_space(A.rep_dim)
     for weight in range(4):
         expected = _full_system_invariants(space, A, weight, maxdeg)
         assert expected, (kind, n, weight)
@@ -196,6 +201,43 @@ def test_enumerate_component_counts():
     assert len(comp) == 2  # x D^2x and (Dx)^2
     for mono in comp:
         assert sum(v.order for v in mono) == 2 and len(mono) == 2
+
+
+def _space_torus(space, A, weight):
+    actions = [space.action_for(A, i) for i in range(A.dim)]
+    return torus_weights(range(A.dim), space.variables(weight),
+                         lambda i, v: dict(_var_images(actions[i], 0, v)))
+
+
+@pytest.mark.parametrize("kind, n", [("sl", 2), ("gl", 2), ("sl", 3),
+                                     ("sp", 4), ("so_split", 4), ("so", 3)])
+def test_enumerate_component_torus_and_counts(kind, n):
+    # the pruned enumeration is the torus-weight-0 part of the full one,
+    # and the counting pass gives the full sizes without building them
+    A = make_algebra(kind, n)
+    space = _mixed_space(n)
+    for weight in range(4):
+        diag, torus = _space_torus(space, A, weight)
+        assert bool(diag) == (kind != "so"), diag
+        sizes = monomial_counts([(v.weight, v.parity)
+                                 for v in space.variables(weight)], weight, 3)
+        for d in range(4):
+            full = enumerate_component(space, weight, d)
+            assert len(full) == sizes[d], (weight, d)
+            kept = [m for m in full
+                    if all(sum(torus[v][k] for v in m) == 0
+                           for k in range(len(diag)))]
+            assert enumerate_component(space, weight, d, torus) == kept
+
+
+def test_torus_weights_are_diagonal_entries():
+    A = make_algebra("sl", 3)
+    space = VarSpace([FamilyDecl("x", 1, 3, 0, 0, "rep"),
+                      FamilyDecl("y", 1, 3, 0, 0, "dual")])
+    diag, torus = _space_torus(space, A, 0)
+    assert [A.labels[i] for i in diag] == ["h[1]", "h[2]"]
+    assert [torus[v] for v in space.variables(0)] == [
+        (1, 0), (-1, 1), (0, -1), (-1, 0), (1, -1), (0, 1)]
 
 
 def test_resource_cap():

@@ -356,3 +356,27 @@ def test_bundled_reports_match_recorded_digests():
         got[path.name[:-len(".json")]] = hashlib.sha256(
             text.encode("utf-8")).hexdigest()
     assert got == recorded
+
+
+def test_report_schema_names_every_jet_compare_detail_key():
+    # every detail key the bundled jet_compare tasks emit is documented
+    import re
+    from importlib.resources import files
+    schema = (files("freefield") / "docs" / "report_schema.md").read_text(
+        encoding="utf-8")
+    section = schema[schema.index("- `jet_compare`"):
+                     schema.index("- `zhu_check`")]
+    named = set(re.findall(r"`(\w+)`", section))
+    seen = set()
+    for path in sorted((files("freefield") / "scenarios").iterdir(),
+                       key=lambda p: p.name):
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        tasks = [t for t in raw["tasks"] if t["task"] == "jet_compare"]
+        if not tasks:
+            continue
+        raw["tasks"] = tasks
+        for t in run_scenario(raw)["tasks"]:
+            assert t["status"] == "pass", (path.name, t)
+            seen.update(t["detail"])
+    assert {"invariant_dims", "samples", "weights"} <= seen
+    assert seen <= named, sorted(seen - named)
