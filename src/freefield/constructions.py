@@ -18,7 +18,7 @@ from .liealg import (LieAlgebraSpec, make_algebra, sp_any, mat_inverse,
 from .fock import (SystemSpec, State, vacuum, zero, generator_state,
                    nth_product, wick, derivative, gradings, state_weight,
                    state_to_text)
-from .diffalg import ResourceCapError, monomial_counts, torus_bounds
+from .diffalg import ResourceCapError, graded_multisets, monomial_counts
 
 
 def build_system(bosonic=None, fermionic=None) -> SystemSpec:
@@ -524,42 +524,18 @@ def _modes(sys: SystemSpec, weight: int) -> list:
 def component_monomials(sys: SystemSpec, weight: int, maxdeg: int, charge=None,
                         torus=None):
     """Canonical monomials of exact weight, degree <= maxdeg, optionally
-    fixed total charge, in canonical sort order.
+    fixed total charge, in canonical sort order: the
+    `diffalg.graded_multisets` of the creation modes, each of degree 1.
 
     torus, when given, lists an integer torus weight vector per generator
-    index, and only the monomials of torus weight 0 are produced: a
-    branch is cut as soon as its remaining modes cannot bring the weight
-    back to 0 (`diffalg.torus_bounds`)."""
+    index, and only the monomials of torus weight 0 are produced, cut
+    inside the enumeration."""
     modes = _modes(sys, weight)
-    reachable = None
-    if torus and torus[0]:
-        bounds = torus_bounds([torus[gi] for (gi, _), *_ in modes])
-
-        def reachable(i, d, acc):
-            lo, hi = bounds[i]
-            for c, (a, b) in enumerate(zip(lo, hi)):
-                if not a * d <= -sum(torus[gi][c] for gi, _ in acc) <= b * d:
-                    return False
-            return True
-
-    out = []
-
-    def rec(i, w, d, ch, acc):
-        if reachable and not reachable(i, d, acc):
-            return
-        if i == len(modes):
-            if w == 0 and (charge is None or ch == charge):
-                out.append(tuple(acc))
-            return
-        mode, wm, odd, c = modes[i]
-        maxk = min(d, 1) if odd else d
-        if wm > 0:
-            maxk = min(maxk, w // wm)
-        for k in range(maxk + 1):
-            rec(i + 1, w - k * wm, d - k, ch + k * c, acc + [mode] * k)
-
-    rec(0, weight, maxdeg, 0, [])
-    return sorted(out)
+    tws = [torus[gi] for (gi, _), *_ in modes] if torus else None
+    atoms = [(w, 1, odd) for _, w, odd, _ in modes]
+    return [tuple(modes[i][0] for i in tup)
+            for tup in graded_multisets(atoms, weight, 0, maxdeg, tws)
+            if charge is None or sum(modes[i][3] for i in tup) == charge]
 
 
 def _copy_charge_key(sys, mono):

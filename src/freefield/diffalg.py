@@ -57,10 +57,6 @@ def jet_var(family: str, copy: int, coord: int, order: int, parity: int = 0) -> 
 # -- polynomial arithmetic --------------------------------------------------
 
 
-def diff_zero() -> dict:
-    return {}
-
-
 def diff_const(c) -> dict:
     c = QQ(c)
     return {(): c} if c else {}
@@ -135,22 +131,6 @@ def apply_D(p: dict) -> dict:
             factors = list(mono)
             factors[k] = v.bump()
             axpy(out, monomial_from_factors(factors, c))
-    return out
-
-
-def jet_ideal(f_list, m: int) -> list:
-    """Generators {D^i f : 0 <= i <= m} for each f, f first, i ascending."""
-    for f in f_list:
-        w, _ = diff_bidegree(f)
-        if f and w != 0:
-            raise ValueError("jet_ideal inputs must sit at jet weight 0")
-    out = []
-    for f in f_list:
-        cur = f
-        out.append(cur)
-        for _ in range(m):
-            cur = apply_D(cur)
-            out.append(cur)
     return out
 
 
@@ -304,20 +284,72 @@ def varspace_for_system(sys: fock.SystemSpec) -> VarSpace:
     return VarSpace(fams)
 
 
-def torus_bounds(vectors: list) -> list:
-    """Suffix bounds for cutting an enumeration down to torus weight 0:
-    entry s is the per-coordinate (min, max) over vectors[s:] and the zero
-    vector, so the last entry, with no vector left, is ((0, ...), (0, ...)).
-    A branch whose weight so far is t and which may take at most d more
-    factors from vectors[s:] can end at weight 0 only when
-    lo*d <= -t <= hi*d in every coordinate."""
-    k = len(vectors[0]) if vectors else 0
-    lo = hi = (0,) * k
-    out = [(lo, hi)]
-    for v in reversed(vectors):
-        lo, hi = tuple(map(min, lo, v)), tuple(map(max, hi, v))
-        out.append((lo, hi))
-    out.reverse()
+def graded_multisets(atoms, weight: int, mindeg: int, maxdeg: int,
+                     torus=None) -> list:
+    """Index tuples i1 <= i2 <= ... into atoms, given as (weight, degree,
+    parity) with degree >= 1, that take an odd atom at most once, whose
+    weights sum to `weight` and whose degrees sum to a value in
+    [mindeg, maxdeg].  They come in lexicographic order, each tuple before
+    its extensions: for atoms listed in the sort order of what they stand
+    for, the sorted order of the multisets.
+
+    torus, when given, lists an integer torus weight vector per atom, and
+    only the tuples of torus weight 0 are produced.  A branch of weight t
+    that may add at most r more atoms, all from atoms[s:], is cut unless
+    lo*r <= -t <= hi*r in every coordinate, with (lo, hi) the coordinatewise
+    bounds over atoms[s:] and the zero vector.  Where at most one more atom
+    fits, it is looked up by the weight and torus weight it must have.
+    """
+    if any(d < 1 for _, d, _ in atoms):
+        raise ValueError("every atom needs degree >= 1")
+    ws, ds, odd = zip(*atoms) if atoms else ((), (), ())
+    dmin = min(ds, default=1)
+    cut = bool(torus) and bool(torus[0])
+    t = [0] * len(torus[0]) if cut else []
+    if cut:
+        lo = hi = tuple(t)
+        bounds = [(lo, hi)]
+        for v in reversed(torus):
+            lo, hi = tuple(map(min, lo, v)), tuple(map(max, hi, v))
+            bounds.append((lo, hi))
+        bounds.reverse()
+    last: dict = {}
+    for i, w in enumerate(ws):
+        last.setdefault((w, tuple(torus[i]) if cut else ()), []).append(i)
+    out: list = []
+    acc: list = []
+
+    def rec(start: int, w_left: int, deg: int):
+        room = maxdeg - deg
+        if cut:
+            lo, hi = bounds[start]
+            r = room // dmin
+            for x, a, b in zip(t, lo, hi):
+                if not a * r <= -x <= b * r:
+                    return
+        if w_left == 0 and deg >= mindeg and not any(t):
+            out.append(tuple(acc))
+        if room < 2 * dmin:  # at most one more atom fits
+            cands = last.get((w_left, tuple(-x for x in t)), ())
+            for i in cands[bisect_left(cands, start):]:
+                if mindeg <= deg + ds[i] <= maxdeg:
+                    out.append(tuple(acc) + (i,))
+            return
+        for i in range(start, len(ws)):
+            if ws[i] > w_left or ds[i] > room:
+                continue
+            acc.append(i)
+            if cut:
+                for c, x in enumerate(torus[i]):
+                    t[c] += x
+            # an odd atom is taken once: the next choice starts past it
+            rec(i + 1 if odd[i] else i, w_left - ws[i], deg + ds[i])
+            if cut:
+                for c, x in enumerate(torus[i]):
+                    t[c] -= x
+            acc.pop()
+
+    rec(0, weight, 0)
     return out
 
 
@@ -343,60 +375,18 @@ def monomial_counts(items, weight: int, maxdeg: int) -> list:
 
 def enumerate_component(space: VarSpace, weight: int, degree: int,
                         torus: dict | None = None) -> list:
-    """All canonical monomials of the exact bidegree, sorted.
+    """All canonical monomials of the exact bidegree, sorted: the
+    `graded_multisets` of the variables, each of degree 1.
 
     torus, when given, maps each variable to its integer torus weight
-    vector, and only the monomials of torus weight 0 are produced: a
-    branch is cut as soon as its remaining factors cannot bring the
-    weight back to 0 (`torus_bounds`).  The last factor is looked up by
-    the weight and torus weight it must have.
+    vector, and only the monomials of torus weight 0 are produced, cut
+    inside the enumeration.
     """
-    vars_all = [v for v in space.variables(weight) if v.weight <= weight]
-    weights = [v.weight for v in vars_all]
-    parities = [v.parity for v in vars_all]
-    tws = [torus[v] for v in vars_all] if torus is not None else None
-    cut = bool(tws and tws[0])
-    if cut:
-        bounds = torus_bounds(tws)
-    t = [0] * len(tws[0]) if cut else []
-    last: dict = {}
-    for idx, v in enumerate(vars_all):
-        last.setdefault((weights[idx], tws[idx] if cut else ()), []).append(idx)
-    out: list = []
-
-    def rec(start: int, w_left: int, d_left: int, acc: list):
-        if d_left == 1:
-            cands = last.get((w_left, tuple(-x for x in t)), ())
-            for idx in cands[bisect_left(cands, start):]:
-                out.append(tuple(acc) + (vars_all[idx],))
-            return
-        if cut:
-            lo, hi = bounds[start]
-            for x, a, b in zip(t, lo, hi):
-                if not a * d_left <= -x <= b * d_left:
-                    return
-        for idx in range(start, len(vars_all)):
-            w = weights[idx]
-            if w > w_left:
-                continue
-            # weight-0 variables never exhaust w_left, but degree bounds
-            # it; an odd variable is taken once, the next choice starts
-            # past it
-            acc.append(vars_all[idx])
-            if cut:
-                for c, x in enumerate(tws[idx]):
-                    t[c] += x
-            rec(idx + 1 if parities[idx] else idx, w_left - w, d_left - 1,
-                acc)
-            if cut:
-                for c, x in enumerate(tws[idx]):
-                    t[c] -= x
-            acc.pop()
-
-    if degree == 0:
-        return [()] if weight == 0 else []
-    rec(0, weight, degree, [])
-    return sorted(out)
+    vs = space.variables(weight)
+    tws = [torus[v] for v in vs] if torus is not None else None
+    atoms = [(v.weight, 1, v.parity) for v in vs]
+    return [tuple(vs[i] for i in tup)
+            for tup in graded_multisets(atoms, weight, degree, degree, tws)]
 
 
 class ResourceCapError(RuntimeError):
@@ -487,48 +477,24 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int, cap: int = 200
 def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000):
     """Canonical basis of the span of all products of D-derivatives of the
     gens at bidegree (weight, degree <= maxdeg)."""
-    info = []
+    # derivative closure D^k g while the weight fits
+    derived = []
     for g in gens:
         w, d = diff_bidegree(g)
         if w is None or d is None:
             raise ValueError("generated_span needs bihomogeneous generators")
-        if g:
-            info.append((w, d, g))
-    # derivative closure D^k g while the weight fits
-    derived = []
-    for w, d, g in info:
-        cur = g
-        for k in range(0, weight - w + 1):
-            if d <= maxdeg and w + k <= weight:
-                derived.append((w + k, d, cur))
-            cur = apply_D(cur)
-    products: list = []
-
-    def rec(start: int, w_left: int, d_left: int, acc):
-        if w_left == 0 and acc:
-            products.append(list(acc))
-        if d_left <= 0:
-            return
-        for idx in range(start, len(derived)):
-            w, d, g = derived[idx]
-            if w > w_left or d > d_left:
-                continue
-            acc.append(idx)
-            rec(idx, w_left - w, d_left - d, acc)
-            acc.pop()
-
-    rec(0, weight, maxdeg, [])
-    if weight == 0:
-        products.append([])  # the empty product: constants
+        if g and d <= maxdeg:
+            for k in range(weight - w + 1):
+                derived.append((w + k, d, g))
+                g = apply_D(g)
+    atoms = [(w, d, 0) for w, d, _ in derived]
     ech = Echelon()
-    count = 0
-    for prod in products:
+    for count, prod in enumerate(graded_multisets(atoms, weight, 0, maxdeg), 1):
+        if count > cap:
+            raise ResourceCapError(cap, count)
         poly = diff_const(1)
         for idx in prod:
             poly = diff_mul(poly, derived[idx][2])
-        count += 1
-        if count > cap:
-            raise ResourceCapError(cap, count)
         if poly:
             ech.add(dict(poly))
     return ech.reduced_rows()
@@ -633,31 +599,12 @@ def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QC
 
     def expression_basis(wq: int, dq: int):
         """Abstract monomials in D^k-generators at engine bidegree (wq, dq)."""
-        items = []
-        for name in names:
-            _, _, w, d, par = by_name[name]
-            for k in range(0, wq - w + 1):
-                items.append((name, k, w + k, d, par))
-        found: list = []
-
-        def rec(start, w_left, d_left, acc):
-            if w_left == 0 and d_left == 0:
-                found.append(tuple(acc))
-                return
-            if d_left <= 0:
-                return
-            for idx in range(start, len(items)):
-                name, k, w, d, par = items[idx]
-                if w > w_left or d > d_left:
-                    continue
-                if par and acc and acc[-1] == (name, k):
-                    continue
-                acc.append((name, k))
-                rec(idx, w_left - w, d_left - d, acc)
-                acc.pop()
-
-        rec(0, wq, dq, [])
-        return found
+        items = [(name, k) for name in names
+                 for k in range(wq - by_name[name][2] + 1)]
+        atoms = [(by_name[name][2] + k, by_name[name][3], by_name[name][4])
+                 for name, k in items]
+        return [tuple(items[i] for i in prod)
+                for prod in graded_multisets(atoms, wq, dq, dq)]
 
     corrections = []
     total = dict(p)

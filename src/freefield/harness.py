@@ -16,9 +16,9 @@ import time
 
 from . import __version__, diffalg
 from .rationals import qstr, parse_qstr
-from .fock import (gradings, nth_product, state_from_text, state_to_text,
-                   symbol, vacuum)
-from .liealg import make_algebra
+from .fock import (derivative, gradings, nth_product, state_from_text,
+                   state_to_text, symbol, vacuum)
+from .liealg import dual_coxeter, make_algebra
 from .constructions import (bc_family, bc_labels, build_system,
                             commutant_check, conformal_and_charge, det_family,
                             invariant_lift_search, mixed_det,
@@ -30,8 +30,9 @@ from .diffalg import (FamilyDecl, ResourceCapError, VarSpace, diff_bidegree,
                       jet_var, lie_jet_action, monomial_from_factors,
                       quantum_correct, varspace_for_system, wick_expand)
 from .linalg import axpy, perm_sign
+from .properties import random_monomial, run_property_suite
 from .weyl import (apply_weyl, classical_dets, poly_monomials, weyl_eq,
-                   zhu_products, zhu_zero_mode)
+                   weyl_to_text, zhu_products, zhu_zero_mode)
 
 TOOL_NAME = "freefield"
 
@@ -432,8 +433,6 @@ def task_jet_compare(sys, group, opts, bounds):
 def _jet_equivariance(sys, group, opts, bounds):
     """symbol(theta o_r v, deg v) must equal the jet action of xi t^r on
     symbol(v, deg v) for every basis xi and r."""
-    from .properties import random_monomial
-
     fam = build_family(sys, opts.get("family") or group)
     if fam.side != "left":
         raise ScenarioError("equivariance checks need a left family")
@@ -475,20 +474,19 @@ def task_zhu_check(sys, group, opts, bounds):
     indices = tuple(opts.get("indices", range(1, n + 1)))
     DJ = det_family(sys, indices, side="beta")
     dd = classical_dets(shape, indices, primed=True)
+    polys = poly_monomials(shape, 3)
     det_ok = True
     det_witness = None
-    for q in poly_monomials(shape, 3):
+    for q in polys:
         got = zhu_zero_mode(DJ, q)
         want = apply_weyl(dd, q)
         if not weyl_eq(got, want):
             det_ok = False
-            det_witness = {"q": _weyl_text(q), "got": _weyl_text(got),
-                           "want": _weyl_text(want)}
+            det_witness = {"q": weyl_to_text(q), "got": weyl_to_text(got),
+                           "want": weyl_to_text(want)}
             break
-    from .properties import random_monomial
     rng = random.Random(bounds["seed"])
     samples = opts.get("samples", bounds["samples"])
-    polys = poly_monomials(shape, 3)
     star_failures = 0
     star_witness = None
     for _ in range(samples):
@@ -502,7 +500,7 @@ def task_zhu_check(sys, group, opts, bounds):
                 star_failures += 1
                 if star_witness is None:
                     star_witness = {"a": state_to_text(a), "b": state_to_text(b),
-                                    "q": _weyl_text(q)}
+                                    "q": weyl_to_text(q)}
                 break
     detail = {
         "det_matches_classical": det_ok,
@@ -515,11 +513,6 @@ def task_zhu_check(sys, group, opts, bounds):
         detail["star_witness"] = star_witness
     ok = det_ok and star_failures == 0
     return ("pass" if ok else "fail"), detail
-
-
-def _weyl_text(w):
-    from .weyl import weyl_to_text
-    return weyl_to_text(w)
 
 
 def task_quantum_correct(sys, group, opts, bounds):
@@ -573,8 +566,6 @@ def task_sugawara_check(sys, group, opts, bounds):
     fam = build_family(sys, opts.get("family") or group)
     k = parse_qstr(str(opts.get("k", "-1")))
     L = sugawara(fam, k)
-    from .fock import derivative
-    from .liealg import dual_coxeter
     h = dual_coxeter(fam.algebra)
     c = k * fam.algebra.dim / (k + h)
     vac = vacuum(sys)
@@ -600,7 +591,6 @@ def task_sugawara_check(sys, group, opts, bounds):
 
 
 def task_property_suite(sys, group, opts, bounds):
-    from .properties import run_property_suite
     samples = opts.get("samples", bounds["samples"])
     rep = run_property_suite(seed=bounds["seed"], instances=samples)
     ok = all(entry["failures"] == 0 for entry in rep.values())

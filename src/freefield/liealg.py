@@ -15,10 +15,6 @@ from .rationals import QQ, ZERO
 Matrix = tuple
 
 
-def mat(rows) -> Matrix:
-    return tuple(tuple(QQ(c) for c in row) for row in rows)
-
-
 def zero_matrix(n: int, m: int | None = None) -> Matrix:
     m = n if m is None else m
     return tuple(tuple(ZERO for _ in range(m)) for _ in range(n))
@@ -62,12 +58,6 @@ def mat_trace(M: Matrix):
 def mat_supertrace(M: Matrix, parity):
     return sum(
         ((-1) ** parity[i] * M[i][i] for i in range(len(M))), ZERO
-    )
-
-
-def mat_eq(X: Matrix, Y: Matrix) -> bool:
-    return all(
-        X[r][c] == Y[r][c] for r in range(len(X)) for c in range(len(X[0]))
     )
 
 

@@ -193,13 +193,6 @@ class Echelon:
         return out
 
 
-def rank_of(vectors, col_rank=None) -> int:
-    ech = Echelon(col_rank=col_rank)
-    for v in vectors:
-        ech.add(v)
-    return ech.rank
-
-
 def nullspace(equations, columns) -> list:
     """Kernel basis of a sparse equation system.
 

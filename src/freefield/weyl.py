@@ -8,6 +8,7 @@ classical counterparts.
 
 from itertools import product as iproduct
 
+from .diffalg import graded_multisets
 from .linalg import axpy, perm_sign
 from .rationals import QQ, ZERO, ONE, qstr, parse_qstr
 from .fock import (State, binom, nth_product, monomial_state, mono_weight,
@@ -27,28 +28,6 @@ def weyl_const(c) -> dict:
 def weyl_term(c, alpha=(), beta=()) -> dict:
     c = QQ(c)
     return {(tuple(sorted(alpha)), tuple(sorted(beta))): c} if c else {}
-
-
-def weyl_var(i: int, j: int) -> dict:
-    return weyl_term(ONE, alpha=((i, j),))
-
-
-def weyl_d(i: int, j: int) -> dict:
-    return weyl_term(ONE, beta=((i, j),))
-
-
-def weyl_add(*ws) -> dict:
-    out: dict = {}
-    for w in ws:
-        axpy(out, w)
-    return out
-
-
-def weyl_scale(w: dict, c) -> dict:
-    c = QQ(c)
-    if not c:
-        return {}
-    return {mono: v * c for mono, v in w.items()}
 
 
 def weyl_sub(u: dict, v: dict) -> dict:
@@ -293,20 +272,12 @@ def weyl_invariance(w: dict, taus, labels=None):
 
 
 def poly_monomials(shape, maxdeg: int):
-    """All x'-monomials of degree <= maxdeg as WeylElements, sorted."""
+    """All x'-monomials of degree <= maxdeg as WeylElements, sorted: the
+    `diffalg.graded_multisets` of the variables x'[i, j]."""
     n, m = shape
-    vars_ = [(i, j) for j in range(1, m + 1) for i in range(1, n + 1)]
-    vars_.sort()
-    monos = [()]
-    for _ in range(maxdeg):
-        fresh = []
-        for mo in monos:
-            last = mo[-1] if mo else min(vars_)
-            for v in vars_:
-                if v >= last:
-                    fresh.append(mo + (v,))
-        monos = sorted(set(monos) | set(fresh))
-    return [weyl_term(ONE, alpha=mo) for mo in monos]
+    vars_ = sorted((i, j) for j in range(1, m + 1) for i in range(1, n + 1))
+    return [weyl_term(ONE, alpha=tuple(vars_[k] for k in tup))
+            for tup in graded_multisets([(0, 1, 0)] * len(vars_), 0, 0, maxdeg)]
 
 
 def encode_polynomial(sys, q: dict) -> State:

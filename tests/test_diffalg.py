@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,8 +7,8 @@ from freefield.constructions import build_system, det_family, theta
 from freefield.diffalg import (
     FamilyDecl, ResourceCapError, VarSpace, _abstract_var, _block_key,
     action_matrices, apply_D, diff_add, diff_bidegree, diff_const, diff_eq, diff_from_text,
-    diff_mul, diff_sub, diff_to_text, diff_zero, enumerate_component, falling,
-    _var_images, generated_span, invariant_basis, jet_var, lie_jet_action,
+    diff_mul, diff_sub, diff_to_text, enumerate_component, falling,
+    _var_images, generated_span, graded_multisets, invariant_basis, jet_var, lie_jet_action,
     monomial_counts, monomial_from_factors, normal_order, quantum_correct,
     symbol_var, varspace_for_system,
 )
@@ -23,7 +24,7 @@ def test_odd_variables_anticommute():
     t2 = jet_var("t", 1, 2, 0, parity=1)
     p = monomial_from_factors([t1])
     q = monomial_from_factors([t2])
-    assert diff_eq(diff_mul(p, q), diff_sub(diff_zero(), diff_mul(q, p)))
+    assert diff_eq(diff_mul(p, q), diff_sub({}, diff_mul(q, p)))
     assert not diff_mul(p, p)
     # engine symbol families are reserved
     with pytest.raises(ValueError):
@@ -228,6 +229,37 @@ def test_enumerate_component_torus_and_counts(kind, n):
                     if all(sum(torus[v][k] for v in m) == 0
                            for k in range(len(diag)))]
             assert enumerate_component(space, weight, d, torus) == kept
+
+
+def test_graded_multisets_matches_brute_force():
+    # seeded random atoms against a filter over every multiset: the same
+    # tuples in the same (sorted) order, odd atoms at most once, degrees
+    # in the window, and the torus cut equal to filtering the uncut output
+    rng = random.Random(7)
+    for trial in range(300):
+        n = rng.randint(0, 6)
+        atoms = [(rng.randint(0, 2), rng.randint(1, 2), rng.randint(0, 1))
+                 for _ in range(n)]
+        k = rng.randint(0, 2)
+        torus = [tuple(rng.randint(-1, 1) for _ in range(k))
+                 for _ in range(n)]
+        weight = rng.randint(0, 4)
+        mindeg = rng.randint(0, 3)
+        maxdeg = rng.randint(mindeg, 5)
+        want = sorted(
+            tup for r in range(maxdeg + 1)
+            for tup in itertools.combinations_with_replacement(range(n), r)
+            if not any(atoms[i][2] and tup.count(i) > 1 for i in tup)
+            and sum(atoms[i][0] for i in tup) == weight
+            and mindeg <= sum(atoms[i][1] for i in tup) <= maxdeg)
+        full = graded_multisets(atoms, weight, mindeg, maxdeg)
+        assert full == want, (trial, atoms, weight, mindeg, maxdeg)
+        balanced = [tup for tup in full
+                    if not any(map(sum, zip(*(torus[i] for i in tup))))]
+        got = graded_multisets(atoms, weight, mindeg, maxdeg, torus)
+        assert got == balanced, (trial, atoms, torus, weight, mindeg, maxdeg)
+    with pytest.raises(ValueError):
+        graded_multisets([(1, 0, 0)], 1, 0, 1)
 
 
 def test_torus_weights_are_diagonal_entries():

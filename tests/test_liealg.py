@@ -1,7 +1,7 @@
 import pytest
 
 from freefield.liealg import (
-    bracket, dual_coxeter, killing_gram, make_algebra, mat_eq, mat_mul,
+    bracket, dual_coxeter, killing_gram, make_algebra, mat_mul,
     mat_scale, mat_trace, normalized_gram, sp_any, trace_gram,
 )
 from freefield.rationals import QQ
@@ -48,7 +48,7 @@ def test_killing_is_multiple_of_trace_for_sl2():
     A = make_algebra("sl", 2)
     K = killing_gram(A)
     T = trace_gram(A)
-    assert mat_eq(K, mat_scale(T, QQ(4)))
+    assert K == mat_scale(T, QQ(4))
 
 
 def _dense_killing(A):
@@ -90,7 +90,7 @@ def test_normalized_halves_killing():
     K = killing_gram(A)
     N = normalized_gram(A)
     h = dual_coxeter(A)
-    assert mat_eq(K, mat_scale(N, QQ(2 * h)))
+    assert K == mat_scale(N, QQ(2 * h))
 
 
 def test_sp_any_small_case():

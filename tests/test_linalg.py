@@ -6,8 +6,7 @@ import sys
 
 import pytest
 
-from freefield.linalg import (Echelon, axpy, nullspace, perm_sign, rank_of,
-                              solve_affine)
+from freefield.linalg import Echelon, axpy, nullspace, perm_sign, solve_affine
 from freefield.rationals import QQ, ZERO
 
 
@@ -16,6 +15,7 @@ def test_echelon_detects_dependence():
     assert ech.add({"a": QQ(1), "b": QQ(2)}, tag=0)
     assert ech.add({"b": QQ(1)}, tag=1)
     assert not ech.add({"a": QQ(2), "b": QQ(1)}, tag=2)
+    assert ech.rank == 2
 
 
 def test_echelon_express_recovers_combination():
@@ -25,11 +25,6 @@ def test_echelon_express_recovers_combination():
     combo = ech.express({"a": QQ(2), "b": QQ(5), "c": QQ(3)})
     assert combo == {"u": QQ(2), "v": QQ(3)}
     assert ech.express({"c": QQ(1), "d": QQ(1)}) is None
-
-
-def test_rank_of():
-    rows = [{0: QQ(1), 1: QQ(1)}, {1: QQ(1)}, {0: QQ(1), 1: QQ(2)}]
-    assert rank_of(rows) == 2
 
 
 def test_nullspace_small_system():

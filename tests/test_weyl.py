@@ -2,36 +2,37 @@ import pytest
 
 from freefield.constructions import build_system, det_family, theta
 from freefield.liealg import make_algebra
+from freefield.linalg import axpy
 from freefield.rationals import QQ
 from freefield.weyl import (
     apply_weyl, bernstein_degree, classical_dets, measure_zero_mode_shift,
-    normal_form_product, poly_monomials, tau_maps, weyl_add, weyl_commutator,
-    weyl_const, weyl_d, weyl_eq, weyl_from_text, weyl_invariance, weyl_scale,
-    weyl_term, weyl_to_text, weyl_var, zhu_products, zhu_zero_mode,
+    normal_form_product, poly_monomials, tau_maps, weyl_commutator, weyl_const,
+    weyl_eq, weyl_from_text, weyl_invariance, weyl_term, weyl_to_text,
+    zhu_products, zhu_zero_mode,
 )
 
 
 def test_canonical_commutation():
-    x = weyl_var(1, 1)
-    d = weyl_d(1, 1)
+    x = weyl_term(QQ(1), alpha=((1, 1),))
+    d = weyl_term(QQ(1), beta=((1, 1),))
     assert weyl_eq(weyl_commutator(d, x), weyl_const(QQ(1)))
-    assert not weyl_commutator(weyl_d(2, 1), x)
+    assert not weyl_commutator(weyl_term(QQ(1), beta=((2, 1),)), x)
 
 
 def test_normal_form_reordering():
-    x = weyl_var(1, 1)
-    d = weyl_d(1, 1)
+    x = weyl_term(QQ(1), alpha=((1, 1),))
+    d = weyl_term(QQ(1), beta=((1, 1),))
     xd = normal_form_product(x, d)
     # (x d)(x d) = x^2 d^2 + x d
-    want = weyl_add(weyl_term(QQ(1), alpha=((1, 1), (1, 1)), beta=((1, 1), (1, 1))),
-                    weyl_term(QQ(1), alpha=((1, 1),), beta=((1, 1),)))
+    want = {**weyl_term(QQ(1), alpha=((1, 1), (1, 1)), beta=((1, 1), (1, 1))),
+            **weyl_term(QQ(1), alpha=((1, 1),), beta=((1, 1),))}
     assert weyl_eq(normal_form_product(xd, xd), want)
     assert bernstein_degree(want) == 4
 
 
 def test_apply_weyl_derivative():
     # d/dx applied to x^3 gives 3 x^2
-    d = weyl_d(1, 1)
+    d = weyl_term(QQ(1), beta=((1, 1),))
     x3 = weyl_term(QQ(1), alpha=((1, 1), (1, 1), (1, 1)))
     got = apply_weyl(d, x3)
     want = weyl_term(QQ(3), alpha=((1, 1), (1, 1)))
@@ -39,8 +40,8 @@ def test_apply_weyl_derivative():
 
 
 def test_text_round_trip():
-    w = weyl_add(weyl_term(QQ(-3, 2), alpha=((1, 2),), beta=((2, 1), (2, 1))),
-                 weyl_const(QQ(5)))
+    w = {**weyl_term(QQ(-3, 2), alpha=((1, 2),), beta=((2, 1), (2, 1))),
+         **weyl_const(QQ(5))}
     assert weyl_eq(weyl_from_text(weyl_to_text(w)), w)
 
 
@@ -53,7 +54,7 @@ def test_tau_left_realizes_bracket():
             comm = weyl_commutator(taus[i], taus[j])
             want = {}
             for k, c in bracket(A, i, j).items():
-                want = weyl_add(want, weyl_scale(taus[k], c))
+                axpy(want, taus[k], c)
             assert weyl_eq(comm, want), (i, j)
 
 
