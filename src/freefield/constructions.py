@@ -619,8 +619,7 @@ def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
 
 
 def invariant_lift_search(F: CurrentFamily, target: State, maxdeg: int,
-                          modes, restrict_block: bool = True,
-                          cap: int = 20000) -> dict:
+                          modes, cap: int = 20000) -> dict:
     """Search for a correction X (same weight and charge as target, degree
     <= maxdeg) with every listed product theta o_n (target + X) = 0.
 
@@ -634,7 +633,7 @@ def invariant_lift_search(F: CurrentFamily, target: State, maxdeg: int,
     if w is None or ch is None:
         raise ValueError("target must be weight and charge homogeneous")
     cands = component_monomials(sys, w, maxdeg, charge=ch)
-    if restrict_block and F.side == "left":
+    if F.side == "left":
         keys = {_copy_charge_key(sys, mo) for mo in target.terms}
         if len(keys) == 1:
             key = keys.pop()

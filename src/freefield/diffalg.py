@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .liealg import current_generators, torus_weights
 from .linalg import Echelon, axpy, nullspace
-from .rationals import QQ, qstr, parse_qstr
+from .rationals import QQ, qstr
 from . import fock
 
 
@@ -114,10 +114,6 @@ def diff_bidegree(p: dict):
     ws = {mono_weight(m) for m in p}
     ds = {len(m) for m in p}
     return (ws.pop() if len(ws) == 1 else None, ds.pop() if len(ds) == 1 else None)
-
-
-def diff_eq(p: dict, q: dict) -> bool:
-    return p == q
 
 
 # -- derivation and g[t]-action ---------------------------------------------
@@ -500,6 +496,26 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000):
     return ech.reduced_rows()
 
 
+def noninvariant_generator(space: VarSpace, A, gens):
+    """The first (generator, basis index i, r) with x_i t^r g != 0 for some
+    0 <= r <= weight of g, or None when every generator is invariant.
+
+    The invariants form a differential subalgebra: each x t^r acts as a
+    derivation and [x t^r, D] is a multiple of x t^(r-1).  So products of
+    D-derivatives of invariant generators are invariant, and equal
+    dimensions per bidegree then prove `generated_span` equal to
+    `invariant_basis`.
+    """
+    actions = [space.action_for(A, i) for i in range(A.dim)]
+    for g in gens:
+        w = max(map(mono_weight, g), default=0)
+        for i, mats in enumerate(actions):
+            for r in range(w + 1):
+                if lie_jet_action(mats, r, g):
+                    return g, i, r
+    return None
+
+
 # -- normal ordering and quantum correction ---------------------------------
 
 
@@ -518,18 +534,6 @@ def wick_expand(p: dict, base, sys: fock.SystemSpec) -> fock.State:
         term = fock.wick(factors) if factors else fock.vacuum(sys)
         axpy(out, term.terms, c)
     return fock.State(sys, out)
-
-
-def normal_order(p: dict, sys: fock.SystemSpec) -> fock.State:
-    """Wick-expand a polynomial in symbol variables: v becomes d^k of its
-    generator."""
-
-    def base(v):
-        if v.family not in _SYMBOL_OFFSET or v.offset != _SYMBOL_OFFSET[v.family]:
-            raise ValueError(f"non-symbol variable {v.token()}")
-        return fock.generator_state(sys, v.family, v.copy, v.coord)
-
-    return wick_expand(p, base, sys)
 
 
 class QCResult(NamedTuple):
@@ -670,27 +674,3 @@ def diff_to_text(p: dict) -> str:
         facs = " ".join(v.token() for v in mono) if mono else "1"
         parts.append(f"{qstr(c)} * {facs}")
     return " + ".join(parts)
-
-
-def diff_from_text(text: str, families: dict) -> dict:
-    """Parse diff_to_text output; families maps name -> (parity, offset)."""
-    text = text.strip()
-    if text == "0":
-        return {}
-    out: dict = {}
-    for part in text.split(" + "):
-        coeff_txt, facs_txt = part.split(" * ", 1)
-        c = parse_qstr(coeff_txt)
-        factors = []
-        if facs_txt.strip() != "1":
-            for tok in facs_txt.split():
-                # name+coord [copy] ^(order): e.g. beta2[1]^(3)
-                name_part, rest = tok.split("[", 1)
-                copy_txt, order_part = rest.split("]^(", 1)
-                order = int(order_part[:-1])
-                fam = name_part.rstrip("0123456789")
-                coord = int(name_part[len(fam):])
-                parity, offset = families[fam]
-                factors.append(DV(fam, int(copy_txt), coord, order, parity, offset))
-        axpy(out, monomial_from_factors(factors, c))
-    return out

@@ -419,18 +419,6 @@ def state_weight(a: State) -> int:
     return w
 
 
-def commutes(a: State, b: State):
-    """All nonnegative products vanish?  Returns (True, None) or
-    (False, (n, witness product)).  Products beyond wt(a)+wt(b)-1 vanish
-    identically, so the check is finite."""
-    wa, wb = state_weight(a), state_weight(b)
-    for n in range(0, max(wa + wb, 0)):
-        p = nth_product(a, b, n)
-        if not p.is_zero():
-            return False, (n, p)
-    return True, None
-
-
 def parity_of(a: State):
     """0/1 for parity-homogeneous states, None otherwise."""
     if a.is_zero():

@@ -171,16 +171,6 @@ class LieAlgebraSpec:
         return self._structure[key]
 
 
-def bracket(A: LieAlgebraSpec, x, y) -> dict:
-    """Super-bracket in basis coordinates: {basis index: QQ}."""
-    u, v = A.coords(x), A.coords(y)
-    out: dict = {}
-    for i, ci in u.items():
-        for j, cj in v.items():
-            axpy(out, A.structure(i, j), ci * cj)
-    return out
-
-
 def current_generators(A: LieAlgebraSpec, weight: int) -> list:
     """(basis index, r) pairs whose elements x_index t^r generate the
     truncated current algebra g[t]/t^(weight+1) as a Lie algebra.

@@ -1,16 +1,14 @@
 """
-Exact Weyl algebra on a matrix of variables x'[i,j] with the Bernstein
-filtration, the classical infinitesimal actions (left on coordinates,
-right on copies, and the quadratic pairing families), commutative
+Exact Weyl algebra on a matrix of variables x'[i,j], commutative
 determinants, and zero-mode checks connecting Fock states to their
 classical counterparts.
 """
 
 from itertools import product as iproduct
 
-from .diffalg import graded_multisets
+from .diffalg import falling, graded_multisets
 from .linalg import axpy, perm_sign
-from .rationals import QQ, ZERO, ONE, qstr, parse_qstr
+from .rationals import QQ, ONE, qstr
 from .fock import (State, binom, nth_product, monomial_state, mono_weight,
                    state_weight)
 
@@ -20,20 +18,9 @@ from .fock import (State, binom, nth_product, monomial_state, mono_weight,
 # monomial x'^alpha d^beta, all x' factors left of all d factors.
 
 
-def weyl_const(c) -> dict:
-    c = QQ(c)
-    return {((), ()): c} if c else {}
-
-
 def weyl_term(c, alpha=(), beta=()) -> dict:
     c = QQ(c)
     return {(tuple(sorted(alpha)), tuple(sorted(beta))): c} if c else {}
-
-
-def weyl_sub(u: dict, v: dict) -> dict:
-    out = dict(u)
-    axpy(out, v, -1)
-    return out
 
 
 def _counts(tup) -> dict:
@@ -48,13 +35,6 @@ def _tup(counts) -> tuple:
     for v in sorted(counts):
         out.extend([v] * counts[v])
     return tuple(out)
-
-
-def _falling(a: int, k: int) -> int:
-    r = 1
-    for t in range(k):
-        r *= a - t
-    return r
 
 
 def normal_form_product(u: dict, v: dict) -> dict:
@@ -76,7 +56,7 @@ def normal_form_product(u: dict, v: dict) -> dict:
                 na, nb = dict(ac), dict(bc)
                 for v_, k in zip(shared, ks):
                     if k:
-                        coeff *= binom(bc[v_], k) * _falling(ac[v_], k)
+                        coeff *= binom(bc[v_], k) * falling(ac[v_], k)
                         na[v_] -= k
                         nb[v_] -= k
                 alpha = tuple(sorted(a1 + _tup(na)))
@@ -84,21 +64,6 @@ def normal_form_product(u: dict, v: dict) -> dict:
                 terms[(alpha, beta)] = coeff
             axpy(out, terms, c1 * c2)
     return out
-
-
-def weyl_commutator(u: dict, v: dict) -> dict:
-    return weyl_sub(normal_form_product(u, v), normal_form_product(v, u))
-
-
-def bernstein_degree(w: dict) -> int:
-    """Total degree in variables plus derivatives; 0 for the zero element."""
-    if not w:
-        return 0
-    return max(len(a) + len(b) for a, b in w)
-
-
-def weyl_eq(u: dict, v: dict) -> bool:
-    return not weyl_sub(u, v)
 
 
 def apply_weyl(w: dict, q: dict) -> dict:
@@ -128,112 +93,7 @@ def weyl_to_text(w: dict) -> str:
     return " + ".join(parts)
 
 
-def weyl_from_text(text: str) -> dict:
-    text = text.strip()
-    if text == "0":
-        return {}
-    out: dict = {}
-    for part in text.split(" + "):
-        coeff_txt, facs_txt = part.split(" * ", 1)
-        c = parse_qstr(coeff_txt)
-        alpha, beta = [], []
-        if facs_txt.strip() != "1":
-            for tok in facs_txt.split():
-                if "^" in tok:
-                    tok, etxt = tok.split("^")
-                    e = int(etxt)
-                else:
-                    e = 1
-                name, inner = tok.split("[")
-                i, j = (int(t) for t in inner[:-1].split(","))
-                (alpha if name == "x'" else beta).extend([(i, j)] * e)
-        axpy(out, {(tuple(sorted(alpha)), tuple(sorted(beta))): c})
-    return out
-
-
-# -- classical actions -------------------------------------------------------
-
-
-def tau_maps(A, shape, side: str = "left"):
-    """WeylElements realizing A on an n x m matrix of variables, aligned
-    with A.labels.
-
-    side "left": tau(xi) = -sum_{i,i',j} rho(xi)_{i'i} x'[i,j] d[i',j].
-    side "right": gl acts on the copy index, tau'(eta) = sum x'[i,a] d[i,b];
-    sp (block basis) maps to M / Delta / E + (n/2)delta; so_split maps to
-    the split S / D / E + (n/2)delta pattern, n the coordinate count.
-    """
-    n, m = shape
-    out = []
-    if side == "left":
-        if A.rep_dim != n:
-            raise ValueError("left action needs rep dimension = coordinate count")
-        for M in A.rep:
-            w: dict = {}
-            for j in range(1, m + 1):
-                for i in range(n):
-                    for ip in range(n):
-                        c = M[ip][i]
-                        if c:
-                            axpy(w, weyl_term(-c, alpha=((i + 1, j),),
-                                              beta=((ip + 1, j),)))
-            out.append(w)
-        return out
-    if side != "right":
-        raise ValueError(f"unknown side {side!r}")
-    if A.kind == "gl":
-        if A.rep_dim != m:
-            raise ValueError("right action needs rep dimension = copy count")
-        for lab in A.labels:
-            a, b = (int(t) for t in lab[2:-1].split(","))
-            w: dict = {}
-            for i in range(1, n + 1):
-                axpy(w, weyl_term(ONE, alpha=((i, a),), beta=((i, b),)))
-            out.append(w)
-        return out
-    if A.kind == "sp":
-        if A.rep_dim != 2 * m:
-            raise ValueError("sp family needs rep dimension = 2 * copy count")
-        for lab in A.labels:
-            kind, rest = lab.split("[")
-            j, k = (int(t) for t in rest.rstrip("]").split(","))
-            w: dict = {}
-            for i in range(1, n + 1):
-                if kind == "m":
-                    axpy(w, weyl_term(ONE, alpha=((i, j), (i, k))))
-                elif kind == "d":
-                    axpy(w, weyl_term(ONE, beta=((i, j), (i, k))))
-                else:
-                    axpy(w, weyl_term(ONE, alpha=((i, j),), beta=((i, k),)))
-            if kind == "h" and j == k:
-                axpy(w, weyl_const(QQ(n, 2)))
-            out.append(w)
-        return out
-    if A.kind == "so_split":
-        if A.rep_dim != 2 * m or n % 2:
-            raise ValueError("split family needs even coordinates and "
-                             "rep dimension = 2 * copy count")
-        half = n // 2
-        for lab in A.labels:
-            kind, rest = lab.split("[")
-            j, k = (int(t) for t in rest.rstrip("]").split(","))
-            w: dict = {}
-            if kind in ("s", "d"):
-                for i in range(1, half + 1):
-                    if kind == "s":
-                        axpy(w, weyl_term(ONE, alpha=((i, j), (i + half, k))))
-                        axpy(w, weyl_term(-ONE, alpha=((i + half, j), (i, k))))
-                    else:
-                        axpy(w, weyl_term(ONE, beta=((i, j), (i + half, k))))
-                        axpy(w, weyl_term(-ONE, beta=((i + half, j), (i, k))))
-            else:
-                for i in range(1, n + 1):
-                    axpy(w, weyl_term(ONE, alpha=((i, j),), beta=((i, k),)))
-                if j == k:
-                    axpy(w, weyl_const(QQ(half)))
-            out.append(w)
-        return out
-    raise ValueError(f"no right family for kind {A.kind!r}")
+# -- classical determinants --------------------------------------------------
 
 
 def classical_dets(shape, J, primed: bool = False) -> dict:
@@ -255,17 +115,6 @@ def classical_dets(shape, J, primed: bool = False) -> dict:
             t = weyl_term(QQ(perm_sign(perm)), alpha=vars_)
         axpy(out, t)
     return out
-
-
-def weyl_invariance(w: dict, taus, labels=None):
-    """True iff w commutes with every listed operator; on failure returns
-    (False, (label, commutator))."""
-    for idx, t in enumerate(taus):
-        c = weyl_commutator(t, w)
-        if c:
-            lab = labels[idx] if labels else idx
-            return False, (lab, c)
-    return True, None
 
 
 # -- Zhu-side checks ---------------------------------------------------------
@@ -324,42 +173,12 @@ def zhu_zero_mode(a: State, q: dict) -> dict:
     return decode_polynomial(total)
 
 
-def zhu_products(a: State, b: State):
-    """(star, circ) with star = sum_j binom(m,j) a o_{j-1} b and
-    circ = sum_j binom(m,j) a o_{j-2} b, m the weight of a."""
+def zhu_star(a: State, b: State) -> State:
+    """Zhu's star product sum_j binom(m,j) a o_{j-1} b, m the weight of a."""
     m = state_weight(a)
     star = State(a.sys, {})
-    circ = State(a.sys, {})
     for j in range(0, m + 1):
         c = binom(m, j)
         if c:
             star = star.add(nth_product(a, b, j - 1).scale(c))
-            circ = circ.add(nth_product(a, b, j - 2).scale(c))
-    return star, circ
-
-
-def measure_zero_mode_shift(F, taus, shape, maxdeg: int):
-    """Compare the zero-mode action of each family current against its
-    classical operator on all monomials of degree <= maxdeg.  The gap must
-    be a constant multiple of the identity; the constants are measured and
-    returned, never assumed.  Returns (ok, {label: QQ}, witness)."""
-    shifts = {}
-    for (lab, th), t in zip(F.items(), taus):
-        shift = None
-        for q in poly_monomials(shape, maxdeg):
-            got = zhu_zero_mode(th, q)
-            want = apply_weyl(t, q)
-            diff = weyl_sub(got, want)
-            if not diff:
-                cur = ZERO
-            elif set(diff) == set(q):
-                (mono,) = diff
-                cur = diff[mono] / q[mono]
-            else:
-                return False, shifts, (lab, weyl_to_text(diff))
-            if shift is None:
-                shift = cur
-            elif shift != cur:
-                return False, shifts, (lab, f"shift varies: {qstr(shift)} vs {qstr(cur)}")
-        shifts[lab] = shift
-    return True, shifts, None
+    return star

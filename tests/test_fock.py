@@ -11,9 +11,9 @@ import pytest
 from freefield import fock, harness
 from freefield.constructions import build_system
 from freefield.fock import (
-    apply_mode, binom, commutes, derivative, generator_state, gradings,
+    apply_mode, binom, derivative, generator_state, gradings,
     mono_parity, mono_weight, monomial_state, nth_product, state_from_text,
-    state_to_text, symbol, vacuum, wick, zero,
+    state_to_text, state_weight, symbol, vacuum, wick, zero,
 )
 from freefield.linalg import axpy
 from freefield.rationals import QQ
@@ -134,18 +134,6 @@ def test_weight_charge_additivity_on_products():
             continue
         w, ch, _ = gradings(p)
         assert w == 1 + 1 - n - 1 and ch == 0
-
-
-def test_commutes_bound():
-    sys = mixed_system()
-    a = generator_state(sys, "beta", 1, 1)
-    g = generator_state(sys, "gamma", 1, 1)
-    ok, witness = commutes(a, generator_state(sys, "beta", 1, 2))
-    assert ok and witness is None
-    ok, witness = commutes(a, g)
-    assert not ok
-    n, p = witness
-    assert n == 0 and not p.is_zero()
 
 
 def test_symbol_degree_guard():
@@ -329,14 +317,12 @@ def test_engine_outputs_are_qq_also_for_unit_coefficients():
             for m in (-2, -1, 0, 1, 2):
                 assert _all_qq(apply_mode(g, m, a))
         for b in states:
-            for n in range(-3, 4):
+            # every product that can be nonzero, and a few negative ones
+            for n in range(-3, max(4, state_weight(a) + state_weight(b))):
                 p = nth_product(a, b, n)
                 assert _all_qq(p)
                 seen += len(p.terms)
             assert _all_qq(wick([a, b]))
-            ok, witness = commutes(a, b)
-            if not ok:
-                assert _all_qq(witness[1])
     assert seen > 1000
     # the unit path: generator states carry coefficient 1
     assert _all_qq(nth_product(gens[0], gens[2], 0))

@@ -7,8 +7,8 @@ import pytest
 
 from freefield import cli
 from freefield.harness import (
-    DEFAULT_BOUNDS, ScenarioError, build_family, expand_candidates,
-    report_to_json, resolve_scenario, run_scenario,
+    DEFAULT_BOUNDS, TASK_NAMES, ScenarioError, build_family,
+    expand_candidates, report_to_json, resolve_scenario, run_scenario,
 )
 
 
@@ -169,6 +169,21 @@ def test_charge_e_and_bc_det_candidates():
     report = run_scenario(raw)
     assert report["all_pass"], report["tasks"]
     assert len(report["tasks"][0]["detail"]["candidates"]) == 3
+
+
+def test_dims_fail_on_a_generator_the_currents_do_not_kill():
+    # x1^2 + x2^2 has the same dims as the so_split(2) invariants at every
+    # bidegree, but h[1,1] = e11 - e22 does not kill it
+    raw = {"system": {"bosonic": [2, 1]},
+           "group": {"kind": "so_split", "rank": 2},
+           "tasks": [{"task": "jet_compare", "generators": "quadrics",
+                      "space": {"plain": {"copies": 1, "coords": 2}},
+                      "max_weight": 3, "max_degree": 4}]}
+    (task,) = run_scenario(raw)["tasks"]
+    assert task["status"] == "fail"
+    assert task["detail"] == {"generator_not_invariant": {
+        "generator": "1 * x1[1]^(0) x1[1]^(0) + 1 * x2[1]^(0) x2[1]^(0)",
+        "current": "h[1,1]", "r": 0}}
 
 
 def test_cap_env_var(monkeypatch):
@@ -336,47 +351,67 @@ def test_bundled_property_scenario_small_sample_run():
     assert report["all_pass"], report["tasks"]
 
 
-def test_bundled_reports_match_recorded_digests():
-    # every bundled scenario at seed 0 must reproduce the report bytes
-    # recorded by the benchmark (perfbench/digests.json)
-    import hashlib
+@pytest.fixture(scope="module")
+def bundled_reports():
+    """Every bundled scenario's report at seed 0, run once per module."""
     from importlib.resources import files
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "perfbench", "digests.json"),
-              encoding="utf-8") as fh:
-        recorded = json.load(fh)["0"]
-    scenarios = files("freefield") / "scenarios"
-    got = {}
-    for path in sorted(scenarios.iterdir(), key=lambda p: p.name):
+    out = {}
+    for path in sorted((files("freefield") / "scenarios").iterdir(),
+                       key=lambda p: p.name):
         if not path.name.endswith(".json"):
             continue
         raw = json.loads(path.read_text(encoding="utf-8"))
         raw["bounds"] = dict(raw.get("bounds") or {}, seed=0)
-        text = report_to_json(run_scenario(raw))
-        got[path.name[:-len(".json")]] = hashlib.sha256(
-            text.encode("utf-8")).hexdigest()
+        out[path.name[:-len(".json")]] = run_scenario(raw)
+    return out
+
+
+def test_bundled_reports_match_recorded_digests(bundled_reports):
+    # every bundled scenario at seed 0 must reproduce the report bytes
+    # recorded by the benchmark (perfbench/digests.json)
+    import hashlib
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "digests.json"),
+              encoding="utf-8") as fh:
+        recorded = json.load(fh)["0"]
+    got = {name: hashlib.sha256(report_to_json(report).encode("utf-8"))
+           .hexdigest() for name, report in bundled_reports.items()}
     assert got == recorded
 
 
-def test_report_schema_names_every_jet_compare_detail_key():
-    # every detail key the bundled jet_compare tasks emit is documented
+def _detail_keys(value):
+    """Every identifier-like key in a detail, at any depth (the bidegree
+    keys "w,d" of the dims maps are data, not names)."""
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            if key.isidentifier():
+                yield key
+            yield from _detail_keys(sub)
+    elif isinstance(value, list):
+        for sub in value:
+            yield from _detail_keys(sub)
+
+
+def test_report_schema_names_every_jet_compare_detail_key(bundled_reports):
+    # every detail key the bundled tasks emit is named in their task's
+    # section of the report schema
     import re
     from importlib.resources import files
     schema = (files("freefield") / "docs" / "report_schema.md").read_text(
         encoding="utf-8")
-    section = schema[schema.index("- `jet_compare`"):
-                     schema.index("- `zhu_check`")]
-    named = set(re.findall(r"`(\w+)`", section))
-    seen = set()
-    for path in sorted((files("freefield") / "scenarios").iterdir(),
-                       key=lambda p: p.name):
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        tasks = [t for t in raw["tasks"] if t["task"] == "jet_compare"]
-        if not tasks:
-            continue
-        raw["tasks"] = tasks
-        for t in run_scenario(raw)["tasks"]:
-            assert t["status"] == "pass", (path.name, t)
-            seen.update(t["detail"])
-    assert {"invariant_dims", "samples", "weights"} <= seen
-    assert seen <= named, sorted(seen - named)
+    body = schema[schema.index("## detail fields by task"):]
+    heads = list(re.finditer(r"^- `(\w+)`", body, re.M))
+    sections = {m.group(1): body[m.start():n.start() if n else len(body)]
+                for m, n in zip(heads, heads[1:] + [None])}
+    assert sorted(sections) == sorted(TASK_NAMES)
+    seen = {}
+    for name, report in bundled_reports.items():
+        for t in report["tasks"]:
+            assert t["status"] == "pass", (name, t)
+            seen.setdefault(t["task"], set()).update(_detail_keys(t["detail"]))
+    assert sorted(seen) == sorted(TASK_NAMES)
+    assert {"invariant_dims", "samples", "weights"} <= seen["jet_compare"]
+    for task, keys in seen.items():
+        named = {word for span in re.findall(r"`([^`]*)`", sections[task])
+                 for word in re.findall(r"\w+", span)}
+        assert keys <= named, (task, sorted(keys - named))

@@ -1,8 +1,8 @@
 import pytest
 
 from freefield.liealg import (
-    bracket, dual_coxeter, killing_gram, make_algebra, mat_mul,
-    mat_scale, mat_trace, normalized_gram, sp_any, trace_gram,
+    dual_coxeter, killing_gram, make_algebra, mat_mul, mat_scale, mat_trace,
+    normalized_gram, sp_any, trace_gram,
 )
 from freefield.rationals import QQ
 
@@ -20,8 +20,8 @@ def test_bracket_antisymmetry_and_jacobi():
     A = make_algebra("sl", 3)
     for i in range(A.dim):
         for j in range(A.dim):
-            xy = bracket(A, i, j)
-            yx = bracket(A, j, i)
+            xy = A.structure(i, j)
+            yx = A.structure(j, i)
             assert xy == {k: -c for k, c in yx.items()}
     # spot-check Jacobi on a fixed triple via the rep
     x, y, z = A.rep[0], A.rep[3], A.rep[5]
@@ -40,7 +40,7 @@ def test_super_bracket_closes():
     A = make_algebra("glsuper", 2, 1)
     for i in range(A.dim):
         for j in range(A.dim):
-            for k, c in bracket(A, i, j).items():
+            for k, c in A.structure(i, j).items():
                 assert 0 <= k < A.dim and c
 
 
@@ -54,7 +54,7 @@ def test_killing_is_multiple_of_trace_for_sl2():
 def _dense_killing(A):
     # tr(ad_i ad_j) from dense ad matrices: ad_i[a][b] is the x_a
     # coefficient of [x_i, x_b]
-    ads = [tuple(tuple(bracket(A, i, b).get(a, QQ(0)) for b in range(A.dim))
+    ads = [tuple(tuple(A.structure(i, b).get(a, QQ(0)) for b in range(A.dim))
                  for a in range(A.dim)) for i in range(A.dim)]
     return tuple(tuple(mat_trace(mat_mul(ads[i], ads[j]))
                        for j in range(A.dim)) for i in range(A.dim))
@@ -98,7 +98,7 @@ def test_sp_any_small_case():
     assert A.dim == 3
     for i in range(A.dim):
         for j in range(A.dim):
-            bracket(A, i, j)
+            A.structure(i, j)
 
 
 def test_so_matrices_antisymmetric():
