@@ -402,6 +402,48 @@ def _block_key(mono):
     return tuple(sorted(counts.items()))
 
 
+def _copy_counts(space: VarSpace, key) -> dict:
+    """Family -> the factor counts of its copies 1, 2, ... in a block key."""
+    got = dict(key)
+    return {f.family: [got.get((f.family, j), 0) for j in range(1, f.copies + 1)]
+            for f in space.families}
+
+
+def _copy_map(src: dict, dst: dict) -> dict:
+    """Family -> {copy: copy} sending the per-copy counts src to dst, which
+    hold the same multiset per family: the copies are paired in the order
+    of (count, copy) on both sides."""
+    sigma = {}
+    for fam, counts in src.items():
+        order_src = sorted(range(len(counts)), key=counts.__getitem__)
+        order_dst = sorted(range(len(counts)), key=dst[fam].__getitem__)
+        sigma[fam] = {i + 1: j + 1 for i, j in zip(order_src, order_dst)}
+    return sigma
+
+
+def _carry(vectors: list, sigma: dict, key) -> list:
+    """The vectors with the copy of every factor relabelled by sigma, each
+    monomial re-sorted with its Koszul sign; a RuntimeError when a carried
+    monomial does not land in the block `key`."""
+    factors = {v for vec in vectors for mono in vec for v in mono}
+    relabel = {v: v._replace(copy=sigma[v.family][v.copy]) for v in factors}
+    moved: dict = {}
+    out = []
+    for vec in vectors:
+        new = {}
+        for mono, c in vec.items():
+            if mono not in moved:
+                (image, sign), = monomial_from_factors(
+                    [relabel[v] for v in mono]).items()
+                if _block_key(image) != key:
+                    raise RuntimeError(f"copy map sends {mono} out of block {key}")
+                moved[mono] = image, sign
+            image, sign = moved[mono]
+            new[image] = c if sign > 0 else -c
+        out.append(new)
+    return out
+
+
 def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int, cap: int = 20000):
     """Exact basis of the joint kernel of g[t] on the (weight, degree <=
     maxdeg) component.
@@ -426,10 +468,25 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int, cap: int = 200
     being written as equations, and the resource cap still bounds the
     size of the whole component, which is counted, not built.
 
-    The action never moves a factor across families or copies, so the
-    component splits into blocks by per-(family, copy) factor counts; each
-    block is solved by exact sparse elimination.  Output order: degree
-    ascending, then block key, then canonical nullspace order.
+    Blocks: the action never moves a factor across families or copies, so
+    the component splits into blocks by per-(family, copy) factor counts.
+    Copy symmetry: every copy of a family is acted on by the same matrix,
+    so relabelling the copies of each family, independently per family,
+    is an algebra automorphism (odd factors re-sorted with their Koszul
+    sign) that commutes with every xi t^r; it maps the invariants of one
+    block onto those of the block it maps to.  So the blocks are grouped
+    into orbits by, per family, the multiset of per-copy counts (zeros
+    included), and only the first block of each orbit in block-key order
+    is solved, by exact sparse elimination.  The kernel basis of every
+    other block of the orbit is that block's basis carried by a copy
+    relabelling, with a RuntimeError when a carried monomial leaves the
+    target block.
+
+    Output order: degree ascending, then block key; within a block, the
+    order of the solved block's nullspace basis.  The blocks that are
+    first in their orbit, which are all blocks when every family has one
+    copy, hold the canonical nullspace basis; the carried vectors span
+    the same space as, but need not equal, their block's canonical basis.
     """
     gens = current_generators(A, weight)
     actions = {i: _integer_matrices(space.action_for(A, i))
@@ -456,7 +513,14 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int, cap: int = 200
             if any(sum(ev[v] for v in m) for ev in checks):
                 raise RuntimeError(f"torus weight of {m} is not 0")
             blocks.setdefault(_block_key(m), []).append(m)
+        solved: dict = {}  # orbit -> (per-copy counts, basis) of its first block
         for key in sorted(blocks):
+            counts = _copy_counts(space, key)
+            orbit = tuple(tuple(sorted(c)) for c in counts.values())
+            if orbit in solved:
+                first, basis = solved[orbit]
+                basis_out.extend(_carry(basis, _copy_map(first, counts), key))
+                continue
             cols = blocks[key]
             equations = []
             for images in tables:
@@ -465,8 +529,10 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int, cap: int = 200
                     for tmono, c in _act_mono(mono, images).items():
                         rows.setdefault(tmono, {})[ci] = c
                 equations.extend(rows[t] for t in sorted(rows))
-            for vec in nullspace(equations, list(range(len(cols)))):
-                basis_out.append({cols[i]: c for i, c in vec.items()})
+            basis = [{cols[i]: c for i, c in vec.items()}
+                     for vec in nullspace(equations, list(range(len(cols))))]
+            solved[orbit] = counts, basis
+            basis_out.extend(basis)
     return basis_out
 
 
@@ -484,15 +550,22 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000):
                 derived.append((w + k, d, g))
                 g = apply_D(g)
     atoms = [(w, d, 0) for w, d, _ in derived]
+    # products of the proper prefixes of the index tuples, each built once
+    prefix = {(): diff_const(1)}
+
+    def product(tup):
+        if tup not in prefix:
+            prefix[tup] = diff_mul(product(tup[:-1]), derived[tup[-1]][2])
+        return prefix[tup]
+
     ech = Echelon()
     for count, prod in enumerate(graded_multisets(atoms, weight, 0, maxdeg), 1):
         if count > cap:
             raise ResourceCapError(cap, count)
-        poly = diff_const(1)
-        for idx in prod:
-            poly = diff_mul(poly, derived[idx][2])
+        poly = (diff_mul(product(prod[:-1]), derived[prod[-1]][2]) if prod
+                else prefix[()])
         if poly:
-            ech.add(dict(poly))
+            ech.add(poly)
     return ech.reduced_rows()
 
 

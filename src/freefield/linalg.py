@@ -65,9 +65,9 @@ class Echelon:
     the entry b of a vector whose own pivot entry is a by
     vec = (a/g)*vec - (b/g)*row with g = gcd(a, b) (Bareiss 1968).  Inputs
     may be rational; `add` clears their denominators, and the outputs
-    (`residual`, `express`, `reduced_rows`) are QQ.  With track=True each
-    row also carries its expression in terms of the original tagged
-    vectors, which `express` uses.
+    (`express`, `reduced_rows`) are QQ.  With track=True each row also
+    carries its expression in terms of the original tagged vectors, which
+    `express` uses.
     """
 
     def __init__(self, col_rank=None, track: bool = False):
@@ -161,12 +161,6 @@ class Echelon:
         self.rows[p] = vec
         self.combos[p] = combo
         return True
-
-    def residual(self, vec: dict) -> dict:
-        """vec reduced modulo the current span."""
-        work, den = _integral(vec)
-        s = den * self._reduce(work, {})
-        return {k: QQ(c, s) for k, c in work.items()}
 
     def express(self, vec: dict):
         """Write vec as a combination of the tagged input vectors.

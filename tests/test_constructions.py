@@ -197,7 +197,8 @@ def test_state_invariant_basis_finds_determinant():
     ech = Echelon()
     for b in basis:
         ech.add(dict(b.terms))
-    assert not ech.residual(dict(D.terms))
+    # D lies in the span: adding it does not enlarge it
+    assert not ech.add(dict(D.terms))
 
 
 def _unfiltered_state_invariants(F, weight, maxdeg):

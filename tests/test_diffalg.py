@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -16,7 +19,7 @@ from freefield.fock import (generator_state, gradings, monomial_state,
                             nth_product, symbol)
 from freefield.liealg import (current_generators, make_algebra, mat_trace,
                               torus_weights)
-from freefield.linalg import axpy, nullspace
+from freefield.linalg import Echelon, axpy, nullspace
 from freefield.rationals import QQ
 
 
@@ -126,9 +129,10 @@ def test_lie_jet_action_matches_reference(kind, n):
 def _full_system_invariants(space, A, weight, maxdeg):
     """Reference for invariant_basis: equations for every basis xi and
     every 0 <= r <= weight from the reference action, eliminated by the
-    same nullspace call."""
+    same nullspace call per block.  Returns {(degree, block key): the
+    canonical nullspace basis of the block}, in output order."""
     actions = [space.action_for(A, i) for i in range(A.dim)]
-    out = []
+    out = {}
     for d in range(maxdeg + 1):
         blocks: dict = {}
         for m in enumerate_component(space, weight, d):
@@ -144,30 +148,134 @@ def _full_system_invariants(space, A, weight, maxdeg):
                         for tmono, c in img.items():
                             rows.setdefault(tmono, {})[ci] = c
                     equations.extend(rows[t] for t in sorted(rows))
-            for vec in nullspace(equations, list(range(len(cols)))):
-                out.append({cols[i]: c for i, c in vec.items()})
+            basis = [{cols[i]: c for i, c in vec.items()}
+                     for vec in nullspace(equations, list(range(len(cols))))]
+            if basis:
+                out[(d, key)] = basis
     return out
 
 
-@pytest.mark.parametrize("kind, n, maxdeg", [
-    ("sl", 2, 3), ("so", 3, 3), ("sl", 3, 2), ("gl", 2, 3),
-    ("so", 4, 2), ("sp", 4, 2),
+def _copy_orbit(space, key):
+    """Per family, the multiset of the factor counts of its copies."""
+    counts = dict(key)
+    return tuple(tuple(sorted(counts.get((f.family, j), 0)
+                              for j in range(1, f.copies + 1)))
+                 for f in space.families)
+
+
+def _canonical_kernel_form(vectors, cols):
+    """The canonical nullspace basis spanned by vectors over the sorted
+    columns cols: 1 at its last nonzero column, which no other vector
+    holds, so the row-reduced form with the column order reversed, in
+    ascending order of that column."""
+    order = {c: i for i, c in enumerate(cols)}
+    ech = Echelon(col_rank=lambda c: -order[c])
+    for v in vectors:
+        ech.add(v)
+    return ech.reduced_rows()[::-1]
+
+
+# even and odd families with several copies; every family with one copy;
+# four copies of the plain sl2 module; the bc system on two copies
+_SPACES = {
+    "mixed": lambda A: _mixed_space(A.rep_dim),
+    "one-copy": lambda A: varspace_for_system(build_system(
+        bosonic=(A.rep_dim, 1), fermionic=(A.rep_dim, 1))),
+    "plain-4": lambda A: VarSpace([FamilyDecl("x", 4, A.rep_dim, 0, 0, "rep")]),
+    "bc-2": lambda A: varspace_for_system(build_system(
+        fermionic=(A.rep_dim, 2))),
+}
+
+
+def _case(kind, n, maxdeg, space_name="mixed"):
+    dims = n if isinstance(n, tuple) else (n,)
+    name = "-".join(map(str, (kind, *dims, maxdeg)))
+    if space_name != "mixed":
+        name += f"-{space_name}"
+    return pytest.param(kind, dims, maxdeg, space_name, id=name)
+
+
+@pytest.mark.parametrize("kind, dims, maxdeg, space_name", [
+    _case("sl", 2, 3), _case("so", 3, 3), _case("sl", 3, 2), _case("gl", 2, 3),
+    _case("so", 4, 2), _case("sp", 4, 2),
     # gl1 is all centre; from degree 4 on, dropping the centre at some
     # r >= 2 enlarges the kernel
-    ("gl", 1, 4),
+    _case("gl", 1, 4),
     # odd basis elements beside a diagonal torus; the split torus of
     # so_split, where the antisymmetric so(3) has none
-    pytest.param("glsuper", (1, 1), 3, id="glsuper-1-1-3"),
-    ("so_split", 4, 2),
+    _case("glsuper", (1, 1), 3),
+    _case("so_split", 4, 2),
+    _case("sl", 2, 3, "one-copy"),
+    _case("sl", 2, 4, "plain-4"),
+    _case("sl", 2, 4, "bc-2"),
 ])
-def test_invariant_basis_matches_full_system(kind, n, maxdeg):
-    A = make_algebra(kind, *(n if isinstance(n, tuple) else (n,)))
-    space = _mixed_space(A.rep_dim)
+def test_invariant_basis_matches_full_system(kind, dims, maxdeg, space_name):
+    A = make_algebra(kind, *dims)
+    space = _SPACES[space_name](A)
+    one_copy = all(f.copies == 1 for f in space.families)
     for weight in range(4):
         expected = _full_system_invariants(space, A, weight, maxdeg)
-        assert expected, (kind, n, weight)
-        assert invariant_basis(space, A, weight, maxdeg) == expected, (
-            kind, n, weight)
+        assert expected, (kind, dims, weight)
+        got = invariant_basis(space, A, weight, maxdeg)
+        if one_copy:
+            assert got == [v for basis in expected.values() for v in basis]
+        # every vector lies in one block; output order: degree, then key
+        keys = []
+        for vec in got:
+            vec_keys = {(len(m), _block_key(m)) for m in vec}
+            assert len(vec_keys) == 1, vec
+            keys += vec_keys
+        assert keys == sorted(keys), (kind, dims, weight)
+        blocks: dict = {}
+        for key, vec in zip(keys, got):
+            blocks.setdefault(key, []).append(vec)
+        assert list(blocks) == list(expected), (kind, dims, weight)
+        seen = set()
+        for (d, key), want in expected.items():
+            vecs = blocks[(d, key)]
+            orbit = (d, _copy_orbit(space, key))
+            if orbit not in seen:  # the solved block of its orbit
+                seen.add(orbit)
+                assert vecs == want, (weight, key)
+                continue
+            assert len(vecs) == len(want), (weight, key)
+            cols = sorted({m for v in want + vecs for m in v})
+            assert _canonical_kernel_form(vecs, cols) == want, (weight, key)
+        # every returned vector is killed by every x_i t^r, r <= weight
+        for i in range(A.dim):
+            mats = space.action_for(A, i)
+            for r in range(weight + 1):
+                for vec in got:
+                    assert lie_jet_action(mats, r, vec) == {}, (i, r, vec)
+
+
+def test_copy_transport_guard_under_optimize():
+    # three copies of the sl2 module: the three minors at degree 2 lie in
+    # one orbit of blocks, so two of them are carried from the first; a
+    # copy map that sends each block to itself must stop the solve, also
+    # when -O strips asserts
+    code = (
+        "from freefield import diffalg, liealg\n"
+        "A = liealg.make_algebra('sl', 2)\n"
+        "space = diffalg.VarSpace([diffalg.FamilyDecl('x', 3, 2, 0, 0, 'rep')])\n"
+        "print(len(diffalg.invariant_basis(space, A, 0, 2)))\n"
+        "diffalg._copy_map = lambda src, dst: {\n"
+        "    fam: {j: j for j in range(1, len(c) + 1)} for fam, c in src.items()}\n"
+        "try:\n"
+        "    diffalg.invariant_basis(space, A, 0, 2)\n"
+        "except RuntimeError as e:\n"
+        "    print('guarded:', e)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    # the constant and the three minors, then the guard
+    assert len(lines) == 2 and lines[0] == "4", proc.stdout
+    assert lines[1].startswith("guarded: copy map sends"), proc.stdout
 
 
 def test_current_generators_sl2_and_gl2_centre():

@@ -1,5 +1,6 @@
-"""Static checks on the source tree: no dead top-level definitions in the
-package and no unused imports in the package or the tests."""
+"""Static checks on the source tree: no dead top-level definitions or
+methods in the package and no unused imports in the package or the
+tests."""
 
 import ast
 import pathlib
@@ -37,6 +38,25 @@ def test_every_top_level_definition_is_used_in_the_package():
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 used.update(n for n in _read_names(stmt) if n != stmt.name)
     unused = [f"{mod}:{name}" for mod, name in defined if name not in used]
+    assert not unused, unused
+
+
+def test_every_method_is_read_in_the_package():
+    # a method counts as used when its name is read anywhere in the
+    # package outside its own body; special methods are called implicitly
+    methods = []
+    reads: dict = {}
+    for path, tree in _trees(PACKAGE):
+        for name in _read_names(tree):
+            reads[name] = reads.get(name, 0) + 1
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                methods += [(path.name, cls.name, stmt) for stmt in cls.body
+                            if isinstance(stmt, ast.FunctionDef)
+                            and not stmt.name.startswith("__")]
+    unused = [f"{mod}:{cls}.{stmt.name}" for mod, cls, stmt in methods
+              if reads.get(stmt.name, 0)
+              == sum(1 for n in _read_names(stmt) if n == stmt.name)]
     assert not unused, unused
 
 
