@@ -11,14 +11,17 @@ singular vectors.
 
 from itertools import permutations
 
-from .rationals import QQ, ZERO, ONE
-from .linalg import nullspace, perm_sign, solve_affine
+from .rationals import QQ, ZERO, ONE, qstr
+from .linalg import axpy, nullspace, perm_sign, solve_affine
 from .liealg import (LieAlgebraSpec, make_algebra, sp_any, mat_inverse,
-                     normalized_gram, trace_gram, dual_coxeter, torus_weights)
+                     normalized_gram, trace_gram, dual_coxeter, split_label,
+                     torus_weights)
 from .fock import (SystemSpec, State, vacuum, zero, generator_state,
                    nth_product, wick, derivative, gradings, state_weight,
                    state_to_text)
-from .diffalg import ResourceCapError, graded_multisets, monomial_counts
+from .diffalg import (ResourceCapError, abstract_var, graded_multisets,
+                      monomial_counts, monomial_from_factors, quantum_correct,
+                      symbol, wick_expand)
 
 
 def build_system(bosonic=None, fermionic=None) -> SystemSpec:
@@ -149,7 +152,6 @@ class AffineReport:
         return self.closure_ok and self.level_ok and self.higher_ok
 
     def summary(self) -> dict:
-        from .rationals import qstr
         return {
             "closure_ok": self.closure_ok,
             "level": None if self.level is None else qstr(self.level),
@@ -236,6 +238,27 @@ def sugawara(F: CurrentFamily, k) -> State:
             if c:
                 total = total.add(nth_product(F.states[i], F.states[j], -1).scale(c))
     return total.scale(QQ(1, 2) / (k + h))
+
+
+def sugawara_checks(F: CurrentFamily, k) -> tuple:
+    """(checks, c) for L = sugawara(F, k) and c = k dim g / (k + h): the
+    Virasoro products of L with itself at central charge c, and whether
+    every current is primary of weight 1 for L, as {name: bool}."""
+    L = sugawara(F, k)
+    c = k * F.algebra.dim / (k + dual_coxeter(F.algebra))
+    checks = {
+        "L0_is_derivative": nth_product(L, L, 0).sub(derivative(L)).is_zero(),
+        "L1_is_2L": nth_product(L, L, 1).sub(L.scale(2)).is_zero(),
+        "L2_vanishes": nth_product(L, L, 2).is_zero(),
+        "L3_is_half_c":
+            nth_product(L, L, 3).sub(vacuum(F.sys).scale(c / 2)).is_zero(),
+    }
+    checks["currents_primary_weight_one"] = all(
+        nth_product(L, th, 1).sub(th).is_zero()
+        and nth_product(L, th, 2).is_zero()
+        and nth_product(L, th, 0).sub(derivative(th)).is_zero()
+        for th in F.states)
+    return checks, c
 
 
 def conformal_and_charge(sys: SystemSpec):
@@ -332,8 +355,7 @@ def quad_family(group: LieAlgebraSpec, sys: SystemSpec) -> CurrentFamily:
         target = sp_any(m)
         states = []
         for lab in target.labels:
-            kind, rest = lab.split("[")
-            j, k = (int(t) for t in rest.rstrip("]").split(","))
+            kind, (j, k) = split_label(lab)
             total = zero(sys)
             for c in range(1, n + 1):
                 if kind == "m":
@@ -355,8 +377,7 @@ def quad_family(group: LieAlgebraSpec, sys: SystemSpec) -> CurrentFamily:
         target = make_algebra("so_split", 2 * m)
         states = []
         for lab in target.labels:
-            kind, rest = lab.split("[")
-            j, k = (int(t) for t in rest.rstrip("]").split(","))
+            kind, (j, k) = split_label(lab)
             total = zero(sys)
             if kind in ("s", "d"):
                 fam = "gamma" if kind == "s" else "beta"
@@ -378,16 +399,18 @@ def _pair_state(sys, f1, j1, i1, f2, j2, i2) -> State:
     return wick([generator_state(sys, f1, j1, i1), generator_state(sys, f2, j2, i2)])
 
 
+PAIR_FAMILIES = ("D", "Dprime", "E", "Eprime", "F", "Fprime")
+
+
 def bc_family(sys: SystemSpec, which: str):
     """Generator families of the fermionic and mixed systems with n = 2.
 
-    psi: gl_m currents sum_a :b^{x_{a,i}} c^{x'_{a,j}}: in gl basis order.
+    psi: the CurrentFamily of gl_m currents sum_a :b^{x_{a,i}} c^{x'_{a,j}}:
+    in gl basis order.  The PAIR_FAMILIES come as a list of (label, state)
+    pairs, labelled which[i,j]:
     D / Dprime: symmetrized b-b resp. c-c pairs, k <= l.
     E / Eprime, F / Fprime: mixed beta-b / gamma-c pairs and antisymmetrized
     beta-beta / gamma-gamma pairs across the two coordinates.
-    psi_mixed: gl(r|s) currents over both sectors in glsuper basis order.
-    Returns a list of States except for psi / psi_mixed, which return a
-    CurrentFamily.
     """
     if which == "psi":
         if not sys.fermionic:
@@ -396,7 +419,7 @@ def bc_family(sys: SystemSpec, which: str):
         A = make_algebra("gl", m)
         states = []
         for lab in A.labels:
-            i, j = (int(t) for t in lab[2:-1].split(","))
+            _, (i, j) = split_label(lab)
             total = zero(sys)
             for a in range(1, n + 1):
                 total = total.add(_pair_state(sys, "b", i, a, "c", j, a))
@@ -407,55 +430,27 @@ def bc_family(sys: SystemSpec, which: str):
             raise ValueError("pair determinants need fermionic n = 2")
         fam = "b" if which == "D" else "c"
         m = sys.fermionic[1]
-        out = []
-        for k in range(1, m + 1):
-            for l in range(k, m + 1):
-                out.append(_pair_state(sys, fam, k, 1, fam, l, 2)
-                           .add(_pair_state(sys, fam, l, 1, fam, k, 2)))
-        return out
+        return [(f"{which}[{k},{l}]", _pair_state(sys, fam, k, 1, fam, l, 2)
+                 .add(_pair_state(sys, fam, l, 1, fam, k, 2)))
+                for k in range(1, m + 1) for l in range(k, m + 1)]
     if which in ("E", "Eprime"):
         if not (sys.fermionic and sys.bosonic) or sys.bosonic[0] != 2 \
                 or sys.fermionic[0] != 2:
             raise ValueError("mixed pairs need bosonic and fermionic n = 2")
         bos, fer = ("beta", "b") if which == "E" else ("gamma", "c")
         s, r = sys.bosonic[1], sys.fermionic[1]
-        out = []
-        for i in range(1, s + 1):
-            for k in range(1, r + 1):
-                out.append(_pair_state(sys, bos, i, 1, fer, k, 2)
-                           .sub(_pair_state(sys, bos, i, 2, fer, k, 1)))
-        return out
+        return [(f"{which}[{i},{k}]", _pair_state(sys, bos, i, 1, fer, k, 2)
+                 .sub(_pair_state(sys, bos, i, 2, fer, k, 1)))
+                for i in range(1, s + 1) for k in range(1, r + 1)]
     if which in ("F", "Fprime"):
         if not sys.bosonic or sys.bosonic[0] != 2:
             raise ValueError("antisymmetric pairs need bosonic n = 2")
         fam = "beta" if which == "F" else "gamma"
         s = sys.bosonic[1]
-        out = []
-        for i in range(1, s + 1):
-            for j in range(i + 1, s + 1):
-                out.append(_pair_state(sys, fam, i, 1, fam, j, 2)
-                           .sub(_pair_state(sys, fam, j, 1, fam, i, 2)))
-        return out
-    if which == "psi_mixed":
-        return mixed_psi_family(sys)
-    raise ValueError(f"unknown family {which!r}")
-
-
-def bc_labels(sys: SystemSpec, which: str):
-    """Labels matching bc_family's list order for the det-type families."""
-    if which in ("D", "Dprime"):
-        m = sys.fermionic[1]
-        return [f"{which}[{k},{l}]"
-                for k in range(1, m + 1) for l in range(k, m + 1)]
-    if which in ("E", "Eprime"):
-        s, r = sys.bosonic[1], sys.fermionic[1]
-        return [f"{which}[{i},{k}]"
-                for i in range(1, s + 1) for k in range(1, r + 1)]
-    if which in ("F", "Fprime"):
-        s = sys.bosonic[1]
-        return [f"{which}[{i},{j}]"
+        return [(f"{which}[{i},{j}]", _pair_state(sys, fam, i, 1, fam, j, 2)
+                 .sub(_pair_state(sys, fam, j, 1, fam, i, 2)))
                 for i in range(1, s + 1) for j in range(i + 1, s + 1)]
-    raise ValueError(f"no labels for family {which!r}")
+    raise ValueError(f"unknown family {which!r}")
 
 
 # Sign conventions of the odd and bosonic blocks of the gl(r|s) family,
@@ -481,7 +476,7 @@ def mixed_psi_family(sys: SystemSpec) -> CurrentFamily:
     A = make_algebra("glsuper", r, s)
     states = []
     for lab in A.labels:
-        Ai, Bi = (int(t) for t in lab[2:-1].split(","))
+        _, (Ai, Bi) = split_label(lab)
         total = zero(sys)
         for a in range(1, n + 1):
             if Ai <= r and Bi <= r:
@@ -495,6 +490,27 @@ def mixed_psi_family(sys: SystemSpec) -> CurrentFamily:
             total = total.add(t)
         states.append(total)
     return CurrentFamily(A, sys, states, "right", "mixed_glrs")
+
+
+GENERATOR_SETS = ("right_gl_currents", "bc_psi_dets", "mixed_all")
+
+
+def symbol_generators(sys: SystemSpec, name: str) -> list:
+    """Degree-2 symbols of the nonzero states of a named generator set:
+    right_gl_currents, the right gl_m currents of a betagamma system;
+    bc_psi_dets, the psi currents with the D and Dprime pairs; mixed_all,
+    the gl(r|s) currents with every pair family."""
+    if name == "right_gl_currents":
+        gens = theta(make_algebra("gl", sys.bosonic[1]), sys, "right").states
+    elif name == "bc_psi_dets":
+        gens = bc_family(sys, "psi").states + tuple(
+            st for which in ("D", "Dprime") for _, st in bc_family(sys, which))
+    elif name == "mixed_all":
+        gens = mixed_psi_family(sys).states + tuple(
+            st for which in PAIR_FAMILIES for _, st in bc_family(sys, which))
+    else:
+        raise ValueError(f"unknown generator set {name!r}")
+    return [symbol(st, 2) for st in gens if not st.is_zero()]
 
 
 def commutant_check(v: State, F: CurrentFamily):
@@ -699,3 +715,34 @@ def sec4_identity(sys: SystemSpec, J=None, Jp=None) -> dict:
         "escapes_lower_filtration": gradings(lhs)[2] == 2 * n,
         "n": n,
     }
+
+
+def correct_det_relation(sys: SystemSpec, cap: int) -> tuple:
+    """`quantum_correct` on the classical relation d d' = det(q_ab) of a
+    betagamma system with n = m: d, d' the beta and gamma determinants over
+    all copies, q_ab the right gl_m currents.  Returns (the result, whether
+    the Wick re-expansion of its accumulated polynomial vanishes, whether
+    the length-2 part of that polynomial is the relation itself)."""
+    n, m = sys.bosonic
+    indices = tuple(range(1, n + 1))
+    DJ = det_family(sys, indices, side="beta")
+    DJp = det_family(sys, indices, side="gamma")
+    gens = [("d", symbol(DJ, n), DJ), ("dp", symbol(DJp, n), DJp)]
+    weights = {"d": n, "dp": 0}
+    for lab, st in theta(make_algebra("gl", m), sys, "right").items():
+        _, (a, b) = split_label(lab)
+        gens.append((f"q{a}{b}", symbol(st, 2), st))
+        weights[f"q{a}{b}"] = 1
+
+    def var(name):
+        return abstract_var(name, 0, 0, weights[name])
+
+    p = monomial_from_factors([var("d"), var("dp")], 1)
+    for perm in permutations(range(1, m + 1)):
+        factors = [var(f"q{a}{b}") for a, b in zip(range(1, m + 1), perm)]
+        axpy(p, monomial_from_factors(factors, -perm_sign(perm)))
+    res = quantum_correct(p, gens, sys, cap=cap)
+    by_name = {name: st for name, _sym, st in gens}
+    reexpanded = wick_expand(res.total, lambda v: by_name[v.family], sys)
+    top = {mono: c for mono, c in res.total.items() if len(mono) == 2}
+    return res, reexpanded.is_zero(), top == p

@@ -54,6 +54,12 @@ def jet_var(family: str, copy: int, coord: int, order: int, parity: int = 0) -> 
     return DV(family, copy, coord, order, parity, 0)
 
 
+def abstract_var(name: str, order: int, parity: int, weight: int) -> DV:
+    """D^order of the abstract generator `name` of the given parity and
+    weight, as a variable of the polynomials `quantum_correct` takes."""
+    return DV(name, 0, 0, order, parity, weight)
+
+
 # -- polynomial arithmetic --------------------------------------------------
 
 
@@ -105,6 +111,26 @@ def diff_mul(p: dict, q: dict) -> dict:
 
 def mono_weight(mono) -> int:
     return sum(v.weight for v in mono)
+
+
+def symbol(a: fock.State, r: int) -> dict:
+    """Image in the associated graded at degree r as a polynomial in
+    symbol variables; monomials shorter than r map to 0."""
+    out: dict = {}
+    for mono, c in a.terms.items():
+        if len(mono) > r:
+            raise ValueError(f"degree {len(mono)} exceeds symbol degree {r}")
+        if len(mono) < r:
+            continue
+        coeff = c
+        factors = []
+        for gi, m in mono:
+            g = a.sys.generators[gi]
+            k = -m - 1
+            coeff /= factorial(k)
+            factors.append(symbol_var(g.family, g.copy, g.coord, k))
+        axpy(out, monomial_from_factors(factors, coeff))
+    return out
 
 
 def diff_bidegree(p: dict):
@@ -589,6 +615,50 @@ def noninvariant_generator(space: VarSpace, A, gens):
     return None
 
 
+def plain_quadrics(space: VarSpace) -> list:
+    """The dot products sum_i x_i[j] x_i[k], j <= k, of the copies of the
+    first family of a plain space."""
+    fam = space.families[0]
+    out = []
+    for j in range(1, fam.copies + 1):
+        for k in range(j, fam.copies + 1):
+            acc: dict = {}
+            for i in range(1, fam.coords + 1):
+                axpy(acc, monomial_from_factors(
+                    [jet_var("x", j, i, 0), jet_var("x", k, i, 0)], 1))
+            out.append(acc)
+    return out
+
+
+def plain_minors(space: VarSpace) -> list:
+    """The 2 x 2 minors x_1[j] x_2[k] - x_2[j] x_1[k], j < k, of the copies
+    of the first family of a plain space with two coordinates."""
+    copies = space.families[0].copies
+    return [diff_sub(
+        monomial_from_factors([jet_var("x", j, 1, 0), jet_var("x", k, 2, 0)], 1),
+        monomial_from_factors([jet_var("x", j, 2, 0), jet_var("x", k, 1, 0)], 1))
+        for j in range(1, copies + 1) for k in range(j + 1, copies + 1)]
+
+
+def _dims_by_bidegree(polys) -> dict:
+    out = {}
+    for p in polys:
+        w, d = diff_bidegree(p)
+        out[f"{w},{d}"] = out.get(f"{w},{d}", 0) + 1
+    return out
+
+
+def bidegree_dims(space: VarSpace, A, gens, max_weight: int, maxdeg: int,
+                  cap: int) -> tuple:
+    """{"weight,degree": dimension} of the invariants and of the span
+    generated by gens, over weights 0..max_weight and degrees <= maxdeg."""
+    inv, gen = {}, {}
+    for w in range(0, max_weight + 1):
+        inv.update(_dims_by_bidegree(invariant_basis(space, A, w, maxdeg, cap)))
+        gen.update(_dims_by_bidegree(generated_span(gens, w, maxdeg, cap)))
+    return inv, gen
+
+
 # -- normal ordering and quantum correction ---------------------------------
 
 
@@ -617,10 +687,6 @@ class QCResult(NamedTuple):
     residual_symbol: dict | None
 
 
-def _abstract_var(name: str, order: int, parity: int, weight: int) -> DV:
-    return DV(name, 0, 0, order, parity, weight)
-
-
 def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QCResult:
     """Descent turning a classical relation into an identically zero field.
 
@@ -639,16 +705,18 @@ def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QC
             raise ValueError(f"generator {name!r} must be bihomogeneous")
         by_name[name] = (sym, st, w, d, par)
 
+    def derived(name: str, k: int) -> dict:
+        sym = by_name[name][0]
+        for _ in range(k):
+            sym = apply_D(sym)
+        return sym
+
     def substitute(poly: dict) -> dict:
         out: dict = {}
         for mono, c in poly.items():
             term = diff_const(c)
             for v in mono:
-                sym = by_name[v.family][0]
-                img = sym
-                for _ in range(v.order):
-                    img = apply_D(img)
-                term = diff_mul(term, img)
+                term = diff_mul(term, derived(v.family, v.order))
             axpy(out, term)
         return out
 
@@ -697,34 +765,25 @@ def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QC
             raise RuntimeError(
                 f"descent did not lower the degree: {dq} after {prev_deg}")
         prev_deg = dq
-        s = fock.symbol(q, dq)
+        s = symbol(q, dq)
         ech = Echelon(track=True)
-        tags = {}
         n_prods = 0
         for prod in expression_basis(w_total, dq):
             poly = diff_const(1)
             for name, k in prod:
-                sym = by_name[name][0]
-                for _ in range(k):
-                    sym = apply_D(sym)
-                poly = diff_mul(poly, sym)
+                poly = diff_mul(poly, derived(name, k))
             n_prods += 1
             if n_prods > cap:
                 raise ResourceCapError(cap, n_prods)
             if poly:
-                tags[prod] = poly
-                ech.add(dict(poly), tag=prod)
+                ech.add(poly, tag=prod)
         combo = ech.express(dict(s))
         if combo is None:
             return QCResult("failed", total, tuple(corrections), dq, s)
         r: dict = {}
         for prod, c in combo.items():
-            factors = [
-                _abstract_var(
-                    name, k, by_name[name][4], by_name[name][2]
-                )
-                for name, k in prod
-            ]
+            factors = [abstract_var(name, k, by_name[name][4], by_name[name][2])
+                       for name, k in prod]
             axpy(r, monomial_from_factors(factors, c))
         corrections.append((dq, r))
         total = diff_sub(total, r)

@@ -427,28 +427,6 @@ def parity_of(a: State):
     return ps.pop() if len(ps) == 1 else None
 
 
-def symbol(a: State, r: int):
-    """Image in the associated graded at degree r as a DiffPoly in symbol
-    variables; monomials shorter than r map to 0."""
-    from . import diffalg
-
-    out: dict = {}
-    for mono, c in a.terms.items():
-        if len(mono) > r:
-            raise ValueError(f"degree {len(mono)} exceeds symbol degree {r}")
-        if len(mono) < r:
-            continue
-        coeff = c
-        factors = []
-        for gi, m in mono:
-            g = a.sys.generators[gi]
-            k = -m - 1
-            coeff /= factorial(k)
-            factors.append(diffalg.symbol_var(g.family, g.copy, g.coord, k))
-        axpy(out, diffalg.monomial_from_factors(factors, coeff))
-    return out
-
-
 # -- serialization ----------------------------------------------------------
 
 

@@ -438,6 +438,13 @@ def _glsuper(r: int, s: int) -> LieAlgebraSpec:
     return LieAlgebraSpec("glsuper", (r, s), labels, parity, rep, rep_parity)
 
 
+def split_label(label: str) -> tuple:
+    """(kind, integer indices) of a basis label "kind[i,j,...]" as built
+    above, e.g. "e[1,2]" -> ("e", (1, 2))."""
+    kind, rest = label.split("[")
+    return kind, tuple(int(t) for t in rest.rstrip("]").split(","))
+
+
 def make_algebra(kind: str, *params) -> LieAlgebraSpec:
     """Build gl(n), sl(n), so(n) [n >= 3, antisymmetric], sp(2m) [2m >= 4,
     block basis], so_split(2m) [2m >= 2, block basis], glsuper(r, s)."""

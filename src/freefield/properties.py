@@ -5,7 +5,9 @@ skew-symmetry, the commutator formula, pull-off independence of the
 product recursion, derivation laws for the translation operator,
 weight/charge additivity, and filtration degree bounds.  Every check
 returns (ok, witness); run_property_suite drives all six from one seed
-and is shared by the test suite and the verification harness.
+and is shared by the test suite and the verification harness.  Two more
+seeded checks tie the engine to the jet action (jet_equivariance) and to
+Zhu's algebra (zhu_star_check).
 """
 
 import random
@@ -16,6 +18,8 @@ from .fock import (State, apply_mode, binom, derivative, gradings,
                    monomial_state, nth_product, parity_of, state_to_text,
                    state_weight, vacuum)
 from .constructions import build_system
+from .diffalg import lie_jet_action, symbol, varspace_for_system
+from .weyl import zhu_star, zhu_zero_mode
 
 
 CHECKS = (
@@ -210,3 +214,48 @@ def run_property_suite(seed=0, instances=200, max_len=2, max_depth=1):
         record("weight_charge_additivity", *check_weight_charge_additivity(a, b, n))
         record("filtration_bounds", *check_filtration_bounds(a, b, n))
     return report
+
+
+def jet_equivariance(F, seed: int, samples: int) -> tuple:
+    """symbol(theta o_r v, deg v) must equal the jet action of xi t^r on
+    symbol(v, deg v) for every basis xi of the left family F, r = 0, 1, 2
+    and `samples` random monomials v drawn from the seed.  Returns (number
+    of failures, the first as (label, r, v, engine side, jet side) or
+    None)."""
+    space = varspace_for_system(F.sys)
+    rng = random.Random(seed)
+    actions = [space.action_for(F.algebra, idx) for idx in range(F.algebra.dim)]
+    failures, witness = 0, None
+    for _ in range(samples):
+        v = random_monomial(F.sys, rng, max_len=3, max_depth=2)
+        _, _, dv = gradings(v)
+        sym_v = symbol(v, dv)
+        for (lab, th), mats in zip(F.items(), actions):
+            for r in range(0, 3):
+                lhs = symbol(nth_product(th, v, r), dv)
+                rhs = lie_jet_action(mats, r, sym_v)
+                if lhs != rhs:
+                    failures += 1
+                    if witness is None:
+                        witness = (lab, r, v, lhs, rhs)
+    return failures, witness
+
+
+def zhu_star_check(sys, polys, seed: int, samples: int) -> tuple:
+    """The zero mode of Zhu's star product a * b must act on every q in
+    polys as that of a after that of b, for `samples` random pairs of
+    monomials drawn from the seed.  Returns (number of failing pairs, the
+    first as (a, b, q) or None)."""
+    rng = random.Random(seed)
+    failures, witness = 0, None
+    for _ in range(samples):
+        a = random_monomial(sys, rng, max_len=2, max_depth=1)
+        b = random_monomial(sys, rng, max_len=2, max_depth=1)
+        star = zhu_star(a, b)
+        for q in polys:
+            if zhu_zero_mode(star, q) != zhu_zero_mode(a, zhu_zero_mode(b, q)):
+                failures += 1
+                if witness is None:
+                    witness = (a, b, q)
+                break
+    return failures, witness

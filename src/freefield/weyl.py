@@ -4,8 +4,9 @@ determinants, and zero-mode checks connecting Fock states to their
 classical counterparts.
 """
 
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
+from .constructions import det_family
 from .diffalg import falling, graded_multisets
 from .linalg import axpy, perm_sign
 from .rationals import QQ, ONE, qstr
@@ -99,7 +100,6 @@ def weyl_to_text(w: dict) -> str:
 def classical_dets(shape, J, primed: bool = False) -> dict:
     """Commutative n x n determinant over the copies in J: pure x' columns
     (primed False) or pure derivative columns (primed True)."""
-    from itertools import permutations
     n, m = shape
     J = tuple(J)
     if len(set(J)) != len(J):
@@ -182,3 +182,17 @@ def zhu_star(a: State, b: State) -> State:
         if c:
             star = star.add(nth_product(a, b, j - 1).scale(c))
     return star
+
+
+def zhu_det_mismatch(sys, J, polys):
+    """The first q in polys on which the zero mode of the beta determinant
+    state D_J differs from the classical determinant of derivatives over
+    the copies J, as (q, zero-mode image, classical image); None when the
+    two agree on every q."""
+    DJ = det_family(sys, J, side="beta")
+    dd = classical_dets(sys.bosonic, J, primed=True)
+    for q in polys:
+        got, want = zhu_zero_mode(DJ, q), apply_weyl(dd, q)
+        if got != want:
+            return q, got, want
+    return None

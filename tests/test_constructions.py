@@ -5,14 +5,14 @@ import sys
 import pytest
 
 from freefield.constructions import (
-    bc_family, bc_labels, build_system, commutant_check, component_monomials,
+    bc_family, build_system, commutant_check, component_monomials,
     conformal_and_charge, det_family, mixed_det, mixed_psi_family,
     quad_family, sec4_identity, state_invariant_basis, state_torus, sugawara,
     theta, verify_affine,
 )
 from freefield.diffalg import ResourceCapError
 from freefield.fock import State, derivative, gradings, nth_product, vacuum
-from freefield.liealg import make_algebra
+from freefield.liealg import make_algebra, split_label
 from freefield.linalg import nullspace
 from freefield.rationals import QQ
 
@@ -130,16 +130,25 @@ def test_sugawara_virasoro():
 def test_bc_labels_align_with_families():
     sys = build_system(fermionic=(2, 2))
     for which in ("D", "Dprime"):
-        labels = bc_labels(sys, which)
-        states = bc_family(sys, which)
-        assert len(labels) == len(states) == 3
+        assert [lab for lab, _ in bc_family(sys, which)] == [
+            f"{which}[1,1]", f"{which}[1,2]", f"{which}[2,2]"]
     sysm = build_system(bosonic=(2, 2), fermionic=(2, 1))
-    for which in ("E", "Eprime"):
-        assert len(bc_labels(sysm, which)) == len(bc_family(sysm, which)) == 2
-    for which in ("F", "Fprime"):
-        assert len(bc_labels(sysm, which)) == len(bc_family(sysm, which)) == 1
-    with pytest.raises(ValueError):
-        bc_labels(sysm, "G")
+    for which, count in (("E", 2), ("Eprime", 2), ("F", 1), ("Fprime", 1)):
+        assert len(bc_family(sysm, which)) == count
+    assert [lab for lab, _ in bc_family(sysm, "Eprime")] == [
+        "Eprime[1,1]", "Eprime[2,1]"]
+    assert [lab for lab, _ in bc_family(sysm, "Fprime")] == ["Fprime[1,2]"]
+    # each label names the copies its state pairs
+    for which in ("D", "Dprime", "E", "Eprime", "F", "Fprime"):
+        owner = sys if which.startswith("D") else sysm
+        for lab, st in bc_family(owner, which):
+            assert not st.is_zero()
+            copies = {owner.generators[gi].copy for mono in st.terms
+                      for gi, _ in mono}
+            assert copies == set(split_label(lab)[1]), (lab, st)
+    for bad in ("G", "psi_mixed"):
+        with pytest.raises(ValueError):
+            bc_family(sysm, bad)
 
 
 def test_bc_psi_closes_as_gl_level_two():

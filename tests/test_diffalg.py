@@ -8,15 +8,14 @@ import pytest
 
 from freefield.constructions import build_system, det_family, theta
 from freefield.diffalg import (
-    FamilyDecl, ResourceCapError, VarSpace, _abstract_var, _block_key,
+    FamilyDecl, ResourceCapError, VarSpace, _block_key, abstract_var,
     action_matrices, apply_D, diff_add, diff_bidegree,
     diff_mul, diff_sub, diff_to_text, enumerate_component, falling,
     _var_images, generated_span, graded_multisets, invariant_basis, jet_var, lie_jet_action,
     monomial_counts, monomial_from_factors, quantum_correct,
-    symbol_var, varspace_for_system, wick_expand,
+    symbol, symbol_var, varspace_for_system, wick_expand,
 )
-from freefield.fock import (generator_state, gradings, monomial_state,
-                            nth_product, symbol)
+from freefield.fock import generator_state, gradings, monomial_state, nth_product
 from freefield.liealg import (current_generators, make_algebra, mat_trace,
                               torus_weights)
 from freefield.linalg import Echelon, axpy, nullspace
@@ -407,9 +406,9 @@ def test_quantum_correct_trivial_relation():
     gens = [("d", symbol(D, 1), D), ("dp", symbol(Dp, 1), Dp),
             ("q", symbol(q_state, 2), q_state)]
     p = diff_sub(
-        diff_mul(monomial_from_factors([_abstract_var("d", 0, 0, 1)]),
-                 monomial_from_factors([_abstract_var("dp", 0, 0, 0)])),
-        monomial_from_factors([_abstract_var("q", 0, 0, 1)]))
+        diff_mul(monomial_from_factors([abstract_var("d", 0, 0, 1)]),
+                 monomial_from_factors([abstract_var("dp", 0, 0, 0)])),
+        monomial_from_factors([abstract_var("q", 0, 0, 1)]))
     res = quantum_correct(p, gens, sys)
     assert res.status == "ok" and res.corrections == ()
     assert res.total == p
@@ -419,7 +418,7 @@ def test_quantum_correct_rejects_non_relation():
     sys = build_system(bosonic=(1, 1))
     D = det_family(sys, (1,), side="beta")
     gens = [("d", symbol(D, 1), D)]
-    p = monomial_from_factors([_abstract_var("d", 0, 0, 1)])
+    p = monomial_from_factors([abstract_var("d", 0, 0, 1)])
     with pytest.raises(ValueError):
         quantum_correct(p, gens, sys)
 

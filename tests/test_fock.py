@@ -13,8 +13,9 @@ from freefield.constructions import build_system
 from freefield.fock import (
     apply_mode, binom, derivative, generator_state, gradings,
     mono_parity, mono_weight, monomial_state, nth_product, state_from_text,
-    state_to_text, state_weight, symbol, vacuum, wick, zero,
+    state_to_text, state_weight, vacuum, wick, zero,
 )
+from freefield.diffalg import symbol
 from freefield.linalg import axpy
 from freefield.rationals import QQ
 

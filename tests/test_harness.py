@@ -7,7 +7,7 @@ import pytest
 
 from freefield import cli
 from freefield.harness import (
-    DEFAULT_BOUNDS, TASK_NAMES, ScenarioError, build_family,
+    DEFAULT_BOUNDS, TASK_FUNCTIONS, TASK_NAMES, ScenarioError, build_family,
     expand_candidates, report_to_json, resolve_scenario, run_scenario,
 )
 
@@ -205,6 +205,27 @@ def test_cap_env_var(monkeypatch):
     monkeypatch.setenv("FREEFIELD_CAP", "2")
     raw["tasks"][0]["cap"] = 100000
     assert run_scenario(raw)["all_pass"]
+
+
+def test_bad_cap_env_var_stops_before_any_task(monkeypatch):
+    # the override is checked once, before the first task; a task that
+    # does not use a cap must not run ahead of the configuration error
+    calls = []
+    for name, fn in list(TASK_FUNCTIONS.items()):
+        monkeypatch.setitem(TASK_FUNCTIONS, name,
+                            lambda *args, _name=name, _fn=fn:
+                            calls.append(_name) or _fn(*args))
+    monkeypatch.setenv("FREEFIELD_CAP", "x")
+    raw = {
+        "system": {"bosonic": [2, 1]},
+        "group": {"kind": "gl", "rank": 2, "side": "left"},
+        "tasks": [{"task": "property_suite", "samples": 2},
+                  {"task": "jet_compare", "mode": "state_dims",
+                   "max_weight": 1}],
+    }
+    with pytest.raises(ScenarioError, match="FREEFIELD_CAP must be an integer"):
+        run_scenario(raw)
+    assert calls == []
 
 
 def test_scenario_bounds_do_not_leak_between_runs():

@@ -1,6 +1,7 @@
 """Static checks on the source tree: no dead top-level definitions or
-methods in the package and no unused imports in the package or the
-tests."""
+methods in the package, no unused imports in the package or the tests,
+imports only at module level, no reads of another module's private
+names, and a harness that imports no maths."""
 
 import ast
 import pathlib
@@ -76,3 +77,63 @@ def test_no_module_imports_a_name_it_never_reads():
                    for name, line in sorted(imported.items())
                    if name not in read]
     assert not unused, unused
+
+
+def test_imports_are_at_module_level():
+    nested = set()
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                nested.update(f"{path.name}:{sub.lineno}"
+                              for sub in ast.walk(node)
+                              if isinstance(sub, (ast.Import, ast.ImportFrom)))
+    assert not nested, sorted(nested)
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_another_modules_private_name():
+    reads = []
+    for path, tree in _trees(PACKAGE):
+        modules = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                reads += [f"{path.name}:{node.lineno}: {a.name}"
+                          for a in node.names if _private(a.name)]
+                if node.module is None:  # from . import module
+                    modules.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.Import):
+                modules.update(a.asname or a.name for a in node.names)
+        reads += [f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and _private(node.attr)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in modules]
+    assert not reads, reads
+
+
+# the harness validates and dispatches; the maths lives in the modules
+# that own these names
+HARNESS_FORBIDDEN_MODULES = {"linalg", "itertools", "random"}
+HARNESS_FORBIDDEN_NAMES = {
+    "nth_product", "derivative", "symbol", "wick_expand",
+    "monomial_from_factors", "lie_jet_action", "zhu_zero_mode", "zhu_star",
+    "apply_weyl", "classical_dets", "random_monomial",
+}
+
+
+def test_harness_imports_no_maths():
+    tree = ast.parse((PACKAGE / "harness.py").read_text(encoding="utf-8"))
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.module in HARNESS_FORBIDDEN_MODULES):
+            bad.append(node.module)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bad += [a.name for a in node.names
+                    if a.name in HARNESS_FORBIDDEN_MODULES
+                    | HARNESS_FORBIDDEN_NAMES]
+    assert not bad, bad
