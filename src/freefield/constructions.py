@@ -31,8 +31,7 @@ def build_system(bosonic=None, fermionic=None) -> SystemSpec:
 class CurrentFamily:
     """Basis-aligned family of weight-1 currents xi -> theta^xi.
 
-    states[i] corresponds to algebra.labels[i].  level and form_name are
-    populated by verify_affine once measured.
+    states[i] corresponds to algebra.labels[i].
     """
 
     def __init__(self, algebra: LieAlgebraSpec, sys: SystemSpec, states,
@@ -42,8 +41,6 @@ class CurrentFamily:
         self.states = tuple(states)
         self.side = side
         self.name = name
-        self.level = None
-        self.form_name = None
         # theta-style families are weight 1 and charge 0 throughout; the
         # quadratic pairing families carry weights 0/1/2 and charges -2/0/2,
         # so the shared container only demands homogeneity.
@@ -211,12 +208,8 @@ def verify_affine(F: CurrentFamily, form="trace") -> AffineReport:
             if not d2.is_zero() and higher_ok:
                 higher_ok = False
                 higher_witness = (A.labels[i], A.labels[j], d2)
-    rep = AffineReport(closure_ok, closure_witness, level, level_ok,
-                       level_witness, higher_ok, higher_witness, form_name)
-    if rep.ok:
-        F.level = level
-        F.form_name = form_name
-    return rep
+    return AffineReport(closure_ok, closure_witness, level, level_ok,
+                        level_witness, higher_ok, higher_witness, form_name)
 
 
 def sugawara(F: CurrentFamily, k) -> State:

@@ -102,10 +102,26 @@ def diff_sub(p: dict, q: dict) -> dict:
 
 
 def diff_mul(p: dict, q: dict) -> dict:
+    """p*q, with the coefficient type of the inputs.  Two canonical
+    monomials multiply to their merged sort, negated when an odd number
+    of pairs of odd factors cross and 0 when they share an odd factor.
+    For one m1 the products with distinct m2 are distinct monomials, so
+    they are collected in one dict and added with one axpy."""
     out: dict = {}
+    right = [(m2, c2, [v for v in m2 if v.parity]) for m2, c2 in q.items()]
     for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            axpy(out, monomial_from_factors(list(m1) + list(m2), c1 * c2))
+        odd1 = [v for v in m1 if v.parity]
+        row = {}
+        for m2, c2, odd2 in right:
+            crossed = 0
+            for v in odd2 if odd1 else ():
+                pos = bisect_left(odd1, v)
+                if pos < len(odd1) and odd1[pos] == v:
+                    break
+                crossed += len(odd1) - pos
+            else:
+                row[tuple(sorted(m1 + m2))] = -c2 if crossed & 1 else c2
+        axpy(out, row, c1)
     return out
 
 
@@ -428,59 +444,30 @@ def _block_key(mono):
     return tuple(sorted(counts.items()))
 
 
-def _copy_counts(space: VarSpace, key) -> dict:
-    """Family -> the factor counts of its copies 1, 2, ... in a block key."""
+def _copy_orbit(space: VarSpace, key) -> tuple:
+    """Per family, the sorted factor counts of its copies 1, 2, ... in a
+    block key, zeros included: the orbit of the block under relabelling
+    the copies of each family."""
     got = dict(key)
-    return {f.family: [got.get((f.family, j), 0) for j in range(1, f.copies + 1)]
-            for f in space.families}
+    return tuple(tuple(sorted(got.get((f.family, j), 0)
+                              for j in range(1, f.copies + 1)))
+                 for f in space.families)
 
 
-def _copy_map(src: dict, dst: dict) -> dict:
-    """Family -> {copy: copy} sending the per-copy counts src to dst, which
-    hold the same multiset per family: the copies are paired in the order
-    of (count, copy) on both sides."""
-    sigma = {}
-    for fam, counts in src.items():
-        order_src = sorted(range(len(counts)), key=counts.__getitem__)
-        order_dst = sorted(range(len(counts)), key=dst[fam].__getitem__)
-        sigma[fam] = {i + 1: j + 1 for i, j in zip(order_src, order_dst)}
-    return sigma
-
-
-def _carry(vectors: list, sigma: dict, key) -> list:
-    """The vectors with the copy of every factor relabelled by sigma, each
-    monomial re-sorted with its Koszul sign; a RuntimeError when a carried
-    monomial does not land in the block `key`."""
-    factors = {v for vec in vectors for mono in vec for v in mono}
-    relabel = {v: v._replace(copy=sigma[v.family][v.copy]) for v in factors}
-    moved: dict = {}
-    out = []
-    for vec in vectors:
-        new = {}
-        for mono, c in vec.items():
-            if mono not in moved:
-                (image, sign), = monomial_from_factors(
-                    [relabel[v] for v in mono]).items()
-                if _block_key(image) != key:
-                    raise RuntimeError(f"copy map sends {mono} out of block {key}")
-                moved[mono] = image, sign
-            image, sign = moved[mono]
-            new[image] = c if sign > 0 else -c
-        out.append(new)
-    return out
-
-
-def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int, cap: int = 20000):
-    """Exact basis of the joint kernel of g[t] on the (weight, degree <=
-    maxdeg) component.
+def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
+                    cap: int = 20000, pairs=None) -> list:
+    """The joint kernel of g[t] on the (weight, degree <= maxdeg)
+    component, one entry (degree, number of blocks in the orbit,
+    canonical basis) per orbit of blocks, defined below.
 
     Only t^r with r <= weight can act nonzero on the component, so g[t]
     acts through g[t]/t^(weight+1).  The equations are written for the
-    generating set `current_generators(A, weight)` of that algebra: if X
-    and Y kill v then so does [X, Y], so the generators have the same
-    joint kernel as every xi t^r, and the canonical nullspace basis is the
-    same.  Each generator's matrices are scaled to integers, which keeps
-    its kernel, so every equation row is a {column index: int} dict.
+    generating set pairs of that algebra, `current_generators(A, weight)`
+    when not given: if X and Y kill v then so does [X, Y], so the
+    generators have the same joint kernel as every xi t^r, and the
+    canonical nullspace basis is the same.  Each generator's matrices are
+    scaled to integers, which keeps its kernel, so every equation row is
+    a {column index: int} dict.
 
     Torus grading: a basis element h whose matrices are diagonal acts by
     h t^0 on a monomial as the sum of its factors' diagonal entries, so
@@ -499,22 +486,20 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int, cap: int = 200
     Copy symmetry: every copy of a family is acted on by the same matrix,
     so relabelling the copies of each family, independently per family,
     is an algebra automorphism (odd factors re-sorted with their Koszul
-    sign) that commutes with every xi t^r; it maps the invariants of one
-    block onto those of the block it maps to.  So the blocks are grouped
-    into orbits by, per family, the multiset of per-copy counts (zeros
-    included), and only the first block of each orbit in block-key order
-    is solved, by exact sparse elimination.  The kernel basis of every
-    other block of the orbit is that block's basis carried by a copy
-    relabelling, with a RuntimeError when a carried monomial leaves the
-    target block.
+    sign) that commutes with every xi t^r and maps the torus-weight-0
+    monomials of one block bijectively onto those of the block it maps
+    to; so it maps the invariants of the one onto those of the other.
+    The blocks are grouped into orbits by `_copy_orbit`, and only the
+    first block of each orbit in block-key order, its representative, is
+    solved, by exact sparse elimination.  Every other block of the orbit
+    has a kernel of the same dimension; a RuntimeError is raised when one
+    of them does not have as many columns as its representative.
 
-    Output order: degree ascending, then block key; within a block, the
-    order of the solved block's nullspace basis.  The blocks that are
-    first in their orbit, which are all blocks when every family has one
-    copy, hold the canonical nullspace basis; the carried vectors span
-    the same space as, but need not equal, their block's canonical basis.
+    Output order: degree ascending, then the block key of the
+    representative.  Each basis is the canonical nullspace basis of its
+    representative block, possibly empty.
     """
-    gens = current_generators(A, weight)
+    gens = current_generators(A, weight) if pairs is None else pairs
     actions = {i: _integer_matrices(space.action_for(A, i))
                for i in range(A.dim)}
     variables = space.variables(weight)
@@ -529,7 +514,7 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int, cap: int = 200
                for v in variables} for i in diag]
     sizes = monomial_counts([(v.weight, v.parity) for v in variables],
                             weight, maxdeg)
-    basis_out = []
+    out = []
     for d in range(0, maxdeg + 1):
         if sizes[d] > cap:
             raise ResourceCapError(cap, sizes[d])
@@ -539,15 +524,16 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int, cap: int = 200
             if any(sum(ev[v] for v in m) for ev in checks):
                 raise RuntimeError(f"torus weight of {m} is not 0")
             blocks.setdefault(_block_key(m), []).append(m)
-        solved: dict = {}  # orbit -> (per-copy counts, basis) of its first block
+        orbits: dict = {}  # orbit -> its block keys, in key order
         for key in sorted(blocks):
-            counts = _copy_counts(space, key)
-            orbit = tuple(tuple(sorted(c)) for c in counts.values())
-            if orbit in solved:
-                first, basis = solved[orbit]
-                basis_out.extend(_carry(basis, _copy_map(first, counts), key))
-                continue
-            cols = blocks[key]
+            orbits.setdefault(_copy_orbit(space, key), []).append(key)
+        for keys in orbits.values():
+            cols = blocks[keys[0]]
+            for key in keys[1:]:
+                if len(blocks[key]) != len(cols):
+                    raise RuntimeError(
+                        f"block {key} has {len(blocks[key])} columns, its "
+                        f"orbit representative {keys[0]} has {len(cols)}")
             equations = []
             for images in tables:
                 rows: dict = {}
@@ -557,14 +543,22 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int, cap: int = 200
                 equations.extend(rows[t] for t in sorted(rows))
             basis = [{cols[i]: c for i, c in vec.items()}
                      for vec in nullspace(equations, list(range(len(cols))))]
-            solved[orbit] = counts, basis
-            basis_out.extend(basis)
-    return basis_out
+            out.append((d, len(keys), basis))
+    return out
 
 
-def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000):
-    """Canonical basis of the span of all products of D-derivatives of the
-    gens at bidegree (weight, degree <= maxdeg)."""
+def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000) -> dict:
+    """{degree: dimension} of the span of all products of D-derivatives of
+    the gens at bidegree (weight, degree <= maxdeg), nonzero dimensions
+    only.
+
+    Each derived generator is scaled to integer coefficients once, which
+    leaves the span unchanged, so the products are int polynomials.  They
+    all have the given weight, and those of degree d lie in the monomials
+    of length d; so the integer echelon form splits by degree, every
+    pivot is a monomial of the degree of its row, and the dimension at
+    degree d is the number of pivots of length d.
+    """
     # derivative closure D^k g while the weight fits
     derived = []
     for g in gens:
@@ -573,11 +567,12 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000):
             raise ValueError("generated_span needs bihomogeneous generators")
         if g and d <= maxdeg:
             for k in range(weight - w + 1):
-                derived.append((w + k, d, g))
+                den = lcm(*[c.denominator for c in g.values()])
+                derived.append((w + k, d, {m: int(c * den) for m, c in g.items()}))
                 g = apply_D(g)
     atoms = [(w, d, 0) for w, d, _ in derived]
     # products of the proper prefixes of the index tuples, each built once
-    prefix = {(): diff_const(1)}
+    prefix = {(): {(): 1}}
 
     def product(tup):
         if tup not in prefix:
@@ -592,7 +587,10 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000):
                 else prefix[()])
         if poly:
             ech.add(poly)
-    return ech.reduced_rows()
+    dims: dict = {}
+    for p in ech.pivots:
+        dims[len(p)] = dims.get(len(p), 0) + 1
+    return dims
 
 
 def noninvariant_generator(space: VarSpace, A, gens):
@@ -601,9 +599,9 @@ def noninvariant_generator(space: VarSpace, A, gens):
 
     The invariants form a differential subalgebra: each x t^r acts as a
     derivation and [x t^r, D] is a multiple of x t^(r-1).  So products of
-    D-derivatives of invariant generators are invariant, and equal
-    dimensions per bidegree then prove `generated_span` equal to
-    `invariant_basis`.
+    D-derivatives of invariant generators are invariant, and the equal
+    dimensions per bidegree of `bidegree_dims` then prove the span the
+    generators give equal to the invariants, though neither is built.
     """
     actions = [space.action_for(A, i) for i in range(A.dim)]
     for g in gens:
@@ -640,22 +638,35 @@ def plain_minors(space: VarSpace) -> list:
         for j in range(1, copies + 1) for k in range(j + 1, copies + 1)]
 
 
-def _dims_by_bidegree(polys) -> dict:
-    out = {}
-    for p in polys:
-        w, d = diff_bidegree(p)
-        out[f"{w},{d}"] = out.get(f"{w},{d}", 0) + 1
-    return out
-
-
 def bidegree_dims(space: VarSpace, A, gens, max_weight: int, maxdeg: int,
                   cap: int) -> tuple:
     """{"weight,degree": dimension} of the invariants and of the span
-    generated by gens, over weights 0..max_weight and degrees <= maxdeg."""
+    generated by gens, over weights 0..max_weight and degrees <= maxdeg,
+    nonzero dimensions only.
+
+    The invariant dimension of a bidegree sums, over the orbits of
+    `invariant_basis`, the orbit size times the length of its basis; the
+    generated one is the rank `generated_span` reads off its pivots.
+
+    The current generators are computed once, for max_weight, and weight
+    w takes the pairs with r <= w, which are `current_generators(A, w)`:
+    that greedy walks the pairs in (r, index) order, so both runs see the
+    same pairs before any r <= w, and keeps a pair when x t^r lies
+    outside the subalgebra generated by the pairs kept so far.  A
+    subalgebra generated by t-homogeneous elements is graded by t-degree,
+    and its part of degree r <= w is spanned by brackets of kept elements
+    whose degrees sum to r, which truncation at t^(w+1) or t^(max_weight+1)
+    leaves alone; so both runs keep the same pairs with r <= w.
+    """
+    pairs = current_generators(A, max_weight)
     inv, gen = {}, {}
     for w in range(0, max_weight + 1):
-        inv.update(_dims_by_bidegree(invariant_basis(space, A, w, maxdeg, cap)))
-        gen.update(_dims_by_bidegree(generated_span(gens, w, maxdeg, cap)))
+        for d, size, basis in invariant_basis(
+                space, A, w, maxdeg, cap, [(i, r) for i, r in pairs if r <= w]):
+            if basis:
+                inv[f"{w},{d}"] = inv.get(f"{w},{d}", 0) + size * len(basis)
+        for d, dim in generated_span(gens, w, maxdeg, cap).items():
+            gen[f"{w},{d}"] = dim
     return inv, gen
 
 

@@ -263,6 +263,8 @@ def _generators(sys, space, name):
         return plain_minors(space)
     if name not in GENERATOR_SETS:
         raise ScenarioError(f"unknown generator set {name!r}")
+    if name == "right_gl_currents" and not sys.bosonic:
+        raise ScenarioError("right_gl_currents need a bosonic sector")
     return symbol_generators(sys, name)
 
 

@@ -64,10 +64,9 @@ class Echelon:
     everything added so far.  Reduction is fraction-free: a row cancels
     the entry b of a vector whose own pivot entry is a by
     vec = (a/g)*vec - (b/g)*row with g = gcd(a, b) (Bareiss 1968).  Inputs
-    may be rational; `add` clears their denominators, and the outputs
-    (`express`, `reduced_rows`) are QQ.  With track=True each row also
-    carries its expression in terms of the original tagged vectors, which
-    `express` uses.
+    may be rational; `add` clears their denominators, and `express`
+    returns QQ.  With track=True each row also carries its expression in
+    terms of the original tagged vectors, which `express` uses.
     """
 
     def __init__(self, col_rank=None, track: bool = False):
@@ -176,15 +175,6 @@ class Echelon:
         if work:
             return None
         return {tag: -c / s for tag, c in combo.items()}
-
-    def reduced_rows(self) -> list:
-        """Rows sorted by pivot rank: the canonical basis of the span."""
-        out = []
-        for p in sorted(self.pivots, key=self._col_rank):
-            row = self.rows[p]
-            a = row[p]
-            out.append({k: QQ(c, a) for k, c in row.items()})
-        return out
 
 
 def nullspace(equations, columns) -> list:

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from freefield.constructions import build_system, det_family, theta
+from freefield.constructions import (build_system, det_family, symbol_generators,
+                                     theta)
 from freefield.diffalg import (
     FamilyDecl, ResourceCapError, VarSpace, _block_key, abstract_var,
     action_matrices, apply_D, diff_add, diff_bidegree,
@@ -67,7 +68,52 @@ def test_invariant_basis_plain_sl2_minors():
     space = VarSpace([FamilyDecl("x", 4, 2, 0, 0, "rep")])
     A = make_algebra("sl", 2)
     inv0 = invariant_basis(space, A, 0, 2)
-    assert len([p for p in inv0 if diff_bidegree(p)[1] == 2]) == 6
+    # one orbit of six blocks, each with one minor; the squares of copies
+    # have no invariant
+    assert [(d, size, len(basis)) for d, size, basis in inv0] == [
+        (0, 1, 1), (2, 6, 1), (2, 4, 0)]
+
+
+def _reference_diff_mul(p, q):
+    """Reference for diff_mul: re-sort every concatenated factor list,
+    with its Koszul sign, through monomial_from_factors."""
+    out: dict = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            axpy(out, monomial_from_factors(list(m1) + list(m2), c1 * c2))
+    return out
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_diff_mul_matches_reference(rational):
+    # few odd variables, so products often share an odd factor; several
+    # families and copies, so odd factors cross in every order
+    space = VarSpace([FamilyDecl("x", 2, 2, 0, 0, "rep"),
+                      FamilyDecl("c", 2, 2, 1, 0, "dual"),
+                      FamilyDecl("f", 1, 2, 1, 1, "rep")])
+    variables = space.variables(1)
+    rng = random.Random(f"diff_mul-{rational}")
+    coeffs = ([QQ(-3, 2), QQ(1, 3), QQ(2), QQ(-1)] if rational
+              else [-3, -1, 1, 2, 5])
+
+    def random_poly():
+        p: dict = {}
+        for _ in range(rng.randint(0, 5)):
+            factors = rng.choices(variables, k=rng.randint(0, 4))
+            for mono, sign in monomial_from_factors(factors).items():
+                axpy(p, {mono: int(sign) * rng.choice(coeffs)})
+        return p
+
+    shared = 0
+    for _ in range(300):
+        p, q = random_poly(), random_poly()
+        got = diff_mul(p, q)
+        assert got == _reference_diff_mul(p, q), (diff_to_text(p),
+                                                  diff_to_text(q))
+        # integer inputs stay integer
+        assert all(type(c) is (QQ if rational else int) for c in got.values())
+        shared += any(v.parity and v in m2 for m1 in p for m2 in q for v in m1)
+    assert shared > 50
 
 
 def _reference_lie_jet_action(mats, r, p):
@@ -162,18 +208,6 @@ def _copy_orbit(space, key):
                  for f in space.families)
 
 
-def _canonical_kernel_form(vectors, cols):
-    """The canonical nullspace basis spanned by vectors over the sorted
-    columns cols: 1 at its last nonzero column, which no other vector
-    holds, so the row-reduced form with the column order reversed, in
-    ascending order of that column."""
-    order = {c: i for i, c in enumerate(cols)}
-    ech = Echelon(col_rank=lambda c: -order[c])
-    for v in vectors:
-        ech.add(v)
-    return ech.reduced_rows()[::-1]
-
-
 # even and odd families with several copies; every family with one copy;
 # four copies of the plain sl2 module; the bc system on two copies
 _SPACES = {
@@ -211,55 +245,42 @@ def _case(kind, n, maxdeg, space_name="mixed"):
 def test_invariant_basis_matches_full_system(kind, dims, maxdeg, space_name):
     A = make_algebra(kind, *dims)
     space = _SPACES[space_name](A)
-    one_copy = all(f.copies == 1 for f in space.families)
     for weight in range(4):
         expected = _full_system_invariants(space, A, weight, maxdeg)
         assert expected, (kind, dims, weight)
+        # the reference's nonempty blocks, grouped by orbit in key order
+        orbits: dict = {}
+        for (d, key), basis in expected.items():
+            orbits.setdefault((d, _copy_orbit(space, key)), []).append(basis)
         got = invariant_basis(space, A, weight, maxdeg)
-        if one_copy:
-            assert got == [v for basis in expected.values() for v in basis]
-        # every vector lies in one block; output order: degree, then key
-        keys = []
-        for vec in got:
-            vec_keys = {(len(m), _block_key(m)) for m in vec}
-            assert len(vec_keys) == 1, vec
-            keys += vec_keys
-        assert keys == sorted(keys), (kind, dims, weight)
-        blocks: dict = {}
-        for key, vec in zip(keys, got):
-            blocks.setdefault(key, []).append(vec)
-        assert list(blocks) == list(expected), (kind, dims, weight)
-        seen = set()
-        for (d, key), want in expected.items():
-            vecs = blocks[(d, key)]
-            orbit = (d, _copy_orbit(space, key))
-            if orbit not in seen:  # the solved block of its orbit
-                seen.add(orbit)
-                assert vecs == want, (weight, key)
-                continue
-            assert len(vecs) == len(want), (weight, key)
-            cols = sorted({m for v in want + vecs for m in v})
-            assert _canonical_kernel_form(vecs, cols) == want, (weight, key)
+        assert [d for d, _, _ in got] == sorted(d for d, _, _ in got)
+        solved = [(d, size, basis) for d, size, basis in got if basis]
+        assert len(solved) == len(orbits), (kind, dims, weight)
+        for (d, size, basis), (orbit, want) in zip(solved, orbits.items()):
+            # the representative is the orbit's first block, in canonical
+            # form, and the orbit size is the reference's block count
+            assert d == orbit[0] and basis == want[0], (weight, orbit)
+            assert size == len(want), (weight, orbit)
         # every returned vector is killed by every x_i t^r, r <= weight
         for i in range(A.dim):
             mats = space.action_for(A, i)
             for r in range(weight + 1):
-                for vec in got:
-                    assert lie_jet_action(mats, r, vec) == {}, (i, r, vec)
+                for _, _, basis in got:
+                    for vec in basis:
+                        assert lie_jet_action(mats, r, vec) == {}, (i, r, vec)
 
 
-def test_copy_transport_guard_under_optimize():
-    # three copies of the sl2 module: the three minors at degree 2 lie in
-    # one orbit of blocks, so two of them are carried from the first; a
-    # copy map that sends each block to itself must stop the solve, also
-    # when -O strips asserts
+def test_orbit_column_guard_under_optimize():
+    # three copies of the sl2 module: at degree 2 the three mixed blocks
+    # have two columns each and the three squares one; an orbit map that
+    # puts every block in one orbit must stop the solve, also when -O
+    # strips asserts
     code = (
         "from freefield import diffalg, liealg\n"
         "A = liealg.make_algebra('sl', 2)\n"
         "space = diffalg.VarSpace([diffalg.FamilyDecl('x', 3, 2, 0, 0, 'rep')])\n"
-        "print(len(diffalg.invariant_basis(space, A, 0, 2)))\n"
-        "diffalg._copy_map = lambda src, dst: {\n"
-        "    fam: {j: j for j in range(1, len(c) + 1)} for fam, c in src.items()}\n"
+        "print([(d, n, len(b)) for d, n, b in diffalg.invariant_basis(space, A, 0, 2)])\n"
+        "diffalg._copy_orbit = lambda space, key: ()\n"
         "try:\n"
         "    diffalg.invariant_basis(space, A, 0, 2)\n"
         "except RuntimeError as e:\n"
@@ -272,9 +293,12 @@ def test_copy_transport_guard_under_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    # the constant and the three minors, then the guard
-    assert len(lines) == 2 and lines[0] == "4", proc.stdout
-    assert lines[1].startswith("guarded: copy map sends"), proc.stdout
+    # the constant, the three minors and the squares without invariant,
+    # then the guard
+    assert len(lines) == 2, proc.stdout
+    assert lines[0] == "[(0, 1, 1), (2, 3, 1), (2, 3, 0)]", proc.stdout
+    assert lines[1].startswith("guarded: block"), proc.stdout
+    assert "orbit representative" in lines[1], proc.stdout
 
 
 def test_current_generators_sl2_and_gl2_centre():
@@ -289,17 +313,76 @@ def test_current_generators_sl2_and_gl2_centre():
         assert any(mat_trace(gl2.rep[i]) for i, s in gens if s == r), r
 
 
+@pytest.mark.parametrize("kind, dims", [
+    pytest.param(kind, dims, id="-".join(map(str, (kind, *dims))))
+    for kind, dims in [("sl", (2,)), ("so", (3,)), ("gl", (1,)), ("gl", (2,)),
+                       ("sp", (4,)), ("glsuper", (1, 1)), ("so_split", (4,))]])
+def test_current_generators_restrict_to_lower_weights(kind, dims):
+    # bidegree_dims computes the pairs once, for its largest weight
+    A = make_algebra(kind, *dims)
+    for top in range(5):
+        pairs = current_generators(A, top)
+        for w in range(top + 1):
+            assert current_generators(A, w) == [
+                (i, r) for i, r in pairs if r <= w], (top, w)
+
+
 def test_generated_span_counts_bihomogeneous():
     x11 = monomial_from_factors([jet_var("x", 1, 1, 0)])
     x21 = monomial_from_factors([jet_var("x", 2, 1, 0)])
     minor = diff_sub(diff_mul(x11, apply_D(x21)), diff_mul(x21, apply_D(x11)))
-    span = generated_span([minor], 2, 4)
-    dims = {}
-    for p in span:
-        w, d = diff_bidegree(p)
-        dims[(w, d)] = dims.get((w, d), 0) + 1
     # weight-2 span of {minor}: D(minor) at degree 2 and minor*minor at 4
-    assert dims == {(2, 2): 1, (2, 4): 1}
+    assert generated_span([minor], 2, 4) == {2: 1, 4: 1}
+
+
+def _reference_span_dims(gens, weight, maxdeg):
+    """Reference for generated_span: every product of D-derivatives of the
+    gens with rational coefficients, multiplied by _reference_diff_mul,
+    those of the given weight and degree <= maxdeg eliminated by one
+    Echelon, whose rows are counted by the degree diff_bidegree gives
+    them."""
+    derived = []
+    for g in gens:
+        for _ in range(weight - diff_bidegree(g)[0] + 1):
+            derived.append(g)
+            g = apply_D(g)
+    ech = Echelon()
+    most = maxdeg // min((diff_bidegree(g)[1] for g in gens), default=1)
+    for r in range(most + 1):
+        for tup in itertools.combinations_with_replacement(derived, r):
+            poly = {(): QQ(1)}
+            for g in tup:
+                poly = _reference_diff_mul(poly, g)
+            w, d = diff_bidegree(poly)
+            if poly and w == weight and d <= maxdeg:
+                ech.add(poly)
+    dims: dict = {}
+    for row in ech.rows.values():
+        w, d = diff_bidegree(row)
+        assert w == weight and d is not None and d <= maxdeg
+        dims[d] = dims.get(d, 0) + 1
+    return dims
+
+
+@pytest.mark.parametrize("system, name", [
+    pytest.param({"fermionic": (2, 2)}, "bc_psi_dets", id="bc_psi_dets"),
+    pytest.param({"bosonic": (2, 1), "fermionic": (2, 1)}, "mixed_all",
+                 id="mixed_all"),
+    pytest.param({"bosonic": (2, 2)}, "right_gl_currents",
+                 id="right_gl_currents"),
+])
+def test_generated_span_matches_rational_products(system, name):
+    # symbol generators with odd factors or even ones, each scaled by its
+    # own fraction: the integer-scaled products span the same space at
+    # every bidegree, products of two generators included
+    gens = [{m: QQ(k + 1, 2 * k + 3) * c for m, c in g.items()} for k, g in
+            enumerate(symbol_generators(build_system(**system), name))]
+    products = 0
+    for weight in range(3):
+        want = _reference_span_dims(gens, weight, 4)
+        assert generated_span(gens, weight, 4) == want, weight
+        products += want.get(4, 0)
+    assert products
 
 
 def test_enumerate_component_counts():

@@ -287,6 +287,21 @@ def test_cli_exit_two_on_config_error(tmp_path, capsys):
     assert cli.main(["verify", str(bad)]) == 2
 
 
+def test_right_gl_currents_without_bosons_is_a_config_error(tmp_path, capsys):
+    raw = {"system": {"fermionic": [2, 2]},
+           "group": {"kind": "sl", "rank": 2},
+           "tasks": [{"task": "jet_compare", "generators": "right_gl_currents",
+                      "max_weight": 1, "max_degree": 2}]}
+    with pytest.raises(ScenarioError,
+                       match="right_gl_currents need a bosonic sector"):
+        run_scenario(raw)
+    spath = write_scenario(tmp_path, raw)
+    assert cli.main(["verify", str(spath)]) == 2
+    err = capsys.readouterr().err
+    assert "right_gl_currents need a bosonic sector" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_cli_rejects_threads_flag(tmp_path, capsys):
     # tasks run in order in one process; there is no thread count to set
     spath = write_scenario(tmp_path, tiny_affine())
