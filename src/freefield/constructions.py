@@ -13,7 +13,7 @@ from itertools import permutations
 
 from .rationals import QQ, ZERO, ONE, qstr
 from .linalg import axpy, nullspace, perm_sign, solve_affine
-from .liealg import (LieAlgebraSpec, make_algebra, sp_any, mat_inverse,
+from .liealg import (LieAlgebraSpec, make_algebra, sp_any, gram_inverse,
                      normalized_gram, trace_gram, dual_coxeter, split_label,
                      torus_weights)
 from .fock import (SystemSpec, State, vacuum, zero, generator_state,
@@ -72,59 +72,41 @@ def theta(A: LieAlgebraSpec, sys: SystemSpec, side: str = "left") -> CurrentFami
     """
     states = []
     if side == "left":
-        for n in (sys.bosonic, sys.fermionic):
-            if n and n[0] != A.rep_dim:
+        sectors = [(shape, odd) for shape, odd in
+                   ((sys.bosonic, False), (sys.fermionic, True)) if shape]
+        for (n, _), _ in sectors:
+            if n != A.rep_dim:
                 raise ValueError(
-                    f"rep dimension {A.rep_dim} does not match coordinate count {n[0]}")
+                    f"rep dimension {A.rep_dim} does not match coordinate count {n}")
         for M in A.rep:
             total = zero(sys)
-            if sys.bosonic:
-                n, m = sys.bosonic
+            for (_, m), odd in sectors:
                 for j in range(1, m + 1):
-                    for i in range(n):
-                        for ip in range(n):
-                            c = M[ip][i]
-                            if not c:
-                                continue
-                            term = wick([generator_state(sys, "gamma", j, i + 1),
-                                         generator_state(sys, "beta", j, ip + 1)])
-                            total = total.add(term.scale(-c))
-            if sys.fermionic:
-                n, m = sys.fermionic
-                for j in range(1, m + 1):
-                    for i in range(n):
-                        for ip in range(n):
-                            c = M[ip][i]
-                            if not c:
-                                continue
+                    for (ip, i), c in M.items():
+                        if odd:
                             term = wick([generator_state(sys, "b", j, ip + 1),
                                          generator_state(sys, "c", j, i + 1)])
-                            total = total.add(term.scale(c))
+                        else:
+                            term = wick([generator_state(sys, "gamma", j, i + 1),
+                                         generator_state(sys, "beta", j, ip + 1)])
+                        total = total.add(term.scale(c if odd else -c))
             states.append(total)
         return CurrentFamily(A, sys, states, "left", f"theta_left_{A.kind}")
     if side == "right":
         if sys.bosonic and sys.fermionic:
             raise ValueError("right action needs a pure system")
-        shape = sys.bosonic or sys.fermionic
-        n, m = shape
+        n, m = sys.bosonic or sys.fermionic
         if A.rep_dim != m:
             raise ValueError(
                 f"rep dimension {A.rep_dim} does not match copy count {m}")
+        lo, hi = ("gamma", "beta") if sys.bosonic else ("b", "c")
         for M in A.rep:
             total = zero(sys)
-            for a in range(m):
-                for ap in range(m):
-                    c = M[a][ap]
-                    if not c:
-                        continue
-                    for i in range(1, n + 1):
-                        if sys.bosonic:
-                            term = wick([generator_state(sys, "gamma", a + 1, i),
-                                         generator_state(sys, "beta", ap + 1, i)])
-                        else:
-                            term = wick([generator_state(sys, "b", a + 1, i),
-                                         generator_state(sys, "c", ap + 1, i)])
-                        total = total.add(term.scale(c))
+            for (a, ap), c in M.items():
+                for i in range(1, n + 1):
+                    term = wick([generator_state(sys, lo, a + 1, i),
+                                 generator_state(sys, hi, ap + 1, i)])
+                    total = total.add(term.scale(c))
             states.append(total)
         return CurrentFamily(A, sys, states, "right", f"theta_right_{A.kind}")
     raise ValueError(f"unknown side {side!r}")
@@ -223,13 +205,10 @@ def sugawara(F: CurrentFamily, k) -> State:
     k = QQ(k)
     if k == QQ(-h):
         raise ValueError("critical level k = -h_dual is excluded")
-    Ginv = mat_inverse(normalized_gram(A))
     total = zero(F.sys)
-    for i in range(A.dim):
-        for j in range(A.dim):
-            c = Ginv[i][j]
-            if c:
-                total = total.add(nth_product(F.states[i], F.states[j], -1).scale(c))
+    for i, row in enumerate(gram_inverse(normalized_gram(A))):
+        for j, c in sorted(row.items()):
+            total = total.add(nth_product(F.states[i], F.states[j], -1).scale(c))
     return total.scale(QQ(1, 2) / (k + h))
 
 

@@ -180,17 +180,17 @@ def falling(i: int, r: int) -> int:
 
 
 def _var_images(mats: dict, r: int, v: DV) -> list:
-    """xi t^r on one variable: v^(i) -> [(w, lambda^r_i * M[row][col])] over
-    the nonzero entries of the column of v in its family's matrix M."""
+    """xi t^r on one variable: v^(i) -> [(w, lambda^r_i * M[row, col])] over
+    the nonzero entries of the column of v in its family's sparse matrix
+    M, rows ascending."""
     lam = falling(v.order, r)
     if not lam:
         return []
     if v.family not in mats:
         raise KeyError(f"no action matrix for family {v.family!r}")
-    M = mats[v.family]
     col = v.coord - 1
-    return [(v._replace(coord=row + 1, order=v.order - r), lam * M[row][col])
-            for row in range(len(M)) if M[row][col]]
+    return [(v._replace(coord=row + 1, order=v.order - r), lam * x)
+            for (row, c), x in sorted(mats[v.family].items()) if c == col]
 
 
 def _replace_factor(mono: tuple, k: int, w: DV):
@@ -247,8 +247,8 @@ def _eigenvalue(v: DV, images: list) -> int:
 def _integer_matrices(mats: dict) -> dict:
     """mats scaled by the lcm of the denominators of all their entries, as
     int matrices: the same kernel, with integer equations."""
-    den = lcm(*[x.denominator for M in mats.values() for row in M for x in row])
-    return {fam: [[int(x * den) for x in row] for row in M]
+    den = lcm(*[x.denominator for M in mats.values() for x in M.values()])
+    return {fam: {k: int(x * den) for k, x in M.items()}
             for fam, M in mats.items()}
 
 

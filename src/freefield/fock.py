@@ -62,6 +62,17 @@ class GeneratorId:
         return self.token()
 
 
+def _cache_cap() -> int:
+    """FREEFIELD_CACHE_CAP, the most products the cache of one system
+    keeps (default 1000000, 0 turns the cache off); ValueError naming the
+    variable when it is not a non-negative integer."""
+    raw = os.environ.get("FREEFIELD_CACHE_CAP", "1000000")
+    if not raw.isdecimal():
+        raise ValueError(
+            f"FREEFIELD_CACHE_CAP must be a non-negative integer, got {raw!r}")
+    return int(raw)
+
+
 class SystemSpec:
     """A free-field system: m_b bosonic copies of C^{n_b} (beta/gamma pairs)
     plus m_f fermionic copies of C^{n_f} (b/c pairs).
@@ -112,7 +123,7 @@ class SystemSpec:
                 table[(g.index, other)] = sign[g.family]
         self.contraction_table = table
         self._nth_cache: dict = {}
-        self._cache_cap = int(os.environ.get("FREEFIELD_CACHE_CAP", "1000000"))
+        self._cache_cap = _cache_cap()
 
     def gen(self, family: str, copy: int, coord: int) -> GeneratorId:
         key = (family, copy, coord)

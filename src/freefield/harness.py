@@ -6,9 +6,9 @@ it, hands each task to the module that owns its maths and turns the
 results into report details.  run_scenario executes the tasks in order
 and returns a deterministic report: two runs of the same scenario
 produce byte-identical JSON (timings are only added on request).  Task
-names and the FREEFIELD_CAP override are validated before any
-computation starts; resource-cap breaches fail the single task and the
-run continues.
+names and the FREEFIELD_CAP and FREEFIELD_CACHE_CAP overrides are
+validated before any computation starts; resource-cap breaches fail the
+single task and the run continues.
 """
 
 import json

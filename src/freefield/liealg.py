@@ -10,95 +10,36 @@ from __future__ import annotations
 from math import lcm
 
 from .linalg import Echelon, axpy
-from .rationals import QQ, ZERO
-
-Matrix = tuple
+from .rationals import QQ, ONE, ZERO
 
 
-def zero_matrix(n: int, m: int | None = None) -> Matrix:
-    m = n if m is None else m
-    return tuple(tuple(ZERO for _ in range(m)) for _ in range(n))
-
-
-def unit_matrix(n: int, a: int, b: int) -> Matrix:
-    """e_{ab}, 0-indexed."""
-    return tuple(
-        tuple(QQ(1) if (r == a and c == b) else ZERO for c in range(n))
-        for r in range(n)
-    )
-
-
-def mat_add(*ms: Matrix) -> Matrix:
-    n, m = len(ms[0]), len(ms[0][0])
-    return tuple(
-        tuple(sum((M[r][c] for M in ms), ZERO) for c in range(m)) for r in range(n)
-    )
-
-
-def mat_scale(M: Matrix, s) -> Matrix:
-    return tuple(tuple(s * c for c in row) for row in M)
-
-
-def mat_mul(X: Matrix, Y: Matrix) -> Matrix:
-    n, k, m = len(X), len(Y), len(Y[0])
-    return tuple(
-        tuple(sum((X[r][t] * Y[t][c] for t in range(k)), ZERO) for c in range(m))
-        for r in range(n)
-    )
-
-
-def mat_transpose(M: Matrix) -> Matrix:
-    return tuple(tuple(row[c] for row in M) for c in range(len(M[0])))
-
-
-def mat_trace(M: Matrix):
-    return sum((M[i][i] for i in range(len(M))), ZERO)
-
-
-def mat_supertrace(M: Matrix, parity):
-    return sum(
-        ((-1) ** parity[i] * M[i][i] for i in range(len(M))), ZERO
-    )
-
-
-def mat_inverse(M: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan; raises on singular input."""
-    n = len(M)
-    aug = [
-        [QQ(M[r][c]) for c in range(n)]
-        + [QQ(1) if c == r else ZERO for c in range(n)]
-        for r in range(n)
-    ]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+def mat_mul(X: dict, Y: dict) -> dict:
+    """XY for sparse matrices {(row, col): QQ}."""
+    out: dict = {}
+    for (r, t), x in X.items():
+        axpy(out, {(r, c): y for (s, c), y in Y.items() if s == t}, x)
+    return out
 
 
 class LieAlgebraSpec:
     """Basis-labeled Lie (super)algebra with defining representation.
 
-    rep[i] is the matrix of basis element i on the standard module; for
-    glsuper the module is Z/2-graded with rep_parity marking odd rows.
-    Immutable after construction; structure constants are derived lazily
-    from rep (super)commutators.
+    rep[i] is the matrix of basis element i on the standard module of
+    dimension rep_dim, a sparse {(row, col): QQ} dict of its nonzero
+    entries (0-indexed), the vector format of linalg; for glsuper the
+    module is Z/2-graded with rep_parity marking odd rows.  Immutable
+    after construction; structure constants are derived lazily from rep
+    (super)commutators.
     """
 
-    def __init__(self, kind, params, labels, parity, rep, rep_parity=None):
+    def __init__(self, kind, params, labels, parity, rep, rep_dim,
+                 rep_parity=None):
         self.kind = kind
         self.params = tuple(params)
         self.labels = tuple(labels)
         self.parity = tuple(parity)
         self.rep = tuple(rep)
-        self.rep_dim = len(rep[0])
+        self.rep_dim = rep_dim
         self.rep_parity = tuple(rep_parity) if rep_parity else (0,) * self.rep_dim
         self.dim = len(self.labels)
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
@@ -119,15 +60,16 @@ class LieAlgebraSpec:
             return {self.index(k): QQ(c) for k, c in x.items() if c}
         return {self.index(x): QQ(1)}
 
-    def matrix_for(self, x) -> Matrix:
-        co = self.coords(x)
-        out = zero_matrix(self.rep_dim)
-        for i, c in co.items():
-            out = mat_add(out, mat_scale(self.rep[i], c))
+    def matrix_for(self, x) -> dict:
+        """rho(x), a sparse {(row, col): QQ} dict, for x as in coords."""
+        out: dict = {}
+        for i, c in self.coords(x).items():
+            axpy(out, self.rep[i], c)
         return out
 
-    def dual_matrix(self, x) -> Matrix:
-        return mat_scale(mat_transpose(self.matrix_for(x)), QQ(-1))
+    def dual_matrix(self, x) -> dict:
+        """-rho(x)^T."""
+        return {(c, r): -v for (r, c), v in self.matrix_for(x).items()}
 
     # -- structure constants ----------------------------------------------
 
@@ -135,25 +77,13 @@ class LieAlgebraSpec:
         if self._echelon is None:
             ech = Echelon(track=True)
             for i, M in enumerate(self.rep):
-                v = {
-                    (r, c): M[r][c]
-                    for r in range(self.rep_dim)
-                    for c in range(self.rep_dim)
-                    if M[r][c]
-                }
-                if not ech.add(v, tag=i):
+                if not ech.add(M, tag=i):
                     raise ValueError(f"dependent basis matrix {self.labels[i]}")
             self._echelon = ech
         return self._echelon
 
-    def _express_matrix(self, M: Matrix) -> dict:
-        v = {
-            (r, c): M[r][c]
-            for r in range(self.rep_dim)
-            for c in range(self.rep_dim)
-            if M[r][c]
-        }
-        combo = self._basis_echelon().express(v)
+    def _express_matrix(self, M: dict) -> dict:
+        combo = self._basis_echelon().express(M)
         if combo is None:
             raise ValueError("matrix outside the algebra span")
         return combo
@@ -163,10 +93,8 @@ class LieAlgebraSpec:
         key = (i, j)
         if key not in self._structure:
             sign = (-1) ** (self.parity[i] * self.parity[j])
-            M = mat_add(
-                mat_mul(self.rep[i], self.rep[j]),
-                mat_scale(mat_mul(self.rep[j], self.rep[i]), QQ(-sign)),
-            )
+            M = mat_mul(self.rep[i], self.rep[j])
+            axpy(M, mat_mul(self.rep[j], self.rep[i]), -sign)
             self._structure[key] = self._express_matrix(M)
         return self._structure[key]
 
@@ -246,25 +174,17 @@ def torus_weights(indices, atoms, image) -> tuple:
                   for k, a in enumerate(atoms)}
 
 
-def trace_form(A: LieAlgebraSpec, x, y):
-    """(Super)trace of rho(x)rho(y) on the defining module."""
-    M = mat_mul(A.matrix_for(x), A.matrix_for(y))
-    if A.kind == "glsuper":
-        return mat_supertrace(M, A.rep_parity)
-    return mat_trace(M)
+def trace_gram(A: LieAlgebraSpec) -> tuple:
+    """T[i][j] = str(rho(x_i) rho(x_j)), the (super)trace on the defining
+    module: the diagonal of the sparse product, odd rows negated."""
+    def form(i, j):
+        M = mat_mul(A.rep[i], A.rep[j])
+        return sum(((-1) ** A.rep_parity[r] * v
+                    for (r, c), v in M.items() if r == c), ZERO)
+    return tuple(tuple(form(i, j) for j in range(A.dim)) for i in range(A.dim))
 
 
-def gram_matrix(A: LieAlgebraSpec, form) -> Matrix:
-    return tuple(
-        tuple(form(A, i, j) for j in range(A.dim)) for i in range(A.dim)
-    )
-
-
-def trace_gram(A: LieAlgebraSpec) -> Matrix:
-    return gram_matrix(A, trace_form)
-
-
-def killing_gram(A: LieAlgebraSpec) -> Matrix:
+def killing_gram(A: LieAlgebraSpec) -> tuple:
     """K[i][j] = tr(ad x_i ad x_j), the ordinary trace, read off the
     sparse structure constants: (ad x_i)[a][b] is the x_a coefficient of
     [x_i, x_b]."""
@@ -289,7 +209,7 @@ def dual_coxeter(A: LieAlgebraSpec):
     return None
 
 
-def normalized_gram(A: LieAlgebraSpec) -> Matrix:
+def normalized_gram(A: LieAlgebraSpec) -> tuple:
     """Killing form divided by 2 h-dual; the form giving level 1 its
     usual meaning for the simple classical kinds."""
     h = dual_coxeter(A)
@@ -300,46 +220,62 @@ def normalized_gram(A: LieAlgebraSpec) -> Matrix:
             f"normalized form undefined for kind {A.kind!r} {A.params}: "
             "dual Coxeter number is zero"
         )
-    K = killing_gram(A)
-    return mat_scale(K, QQ(1, 2 * h))
+    s = QQ(1, 2 * h)
+    return tuple(tuple(s * c for c in row) for row in killing_gram(A))
+
+
+def gram_inverse(G) -> list:
+    """The rows of G^{-1}, as sparse {col: QQ} dicts, for a Gram matrix G
+    given by its rows: row i is the combination of the rows of G that
+    gives the unit vector e_i.  Raises ValueError when G is singular."""
+    ech = Echelon(track=True)
+    for i, row in enumerate(G):
+        if not ech.add({j: g for j, g in enumerate(row) if g}, tag=i):
+            raise ValueError("singular Gram matrix")
+    return [ech.express({i: ONE}) for i in range(len(G))]
 
 
 # -- constructors ----------------------------------------------------------
 
 
-def _gl(n: int) -> LieAlgebraSpec:
-    labels, rep = [], []
-    for a in range(n):
-        for b in range(n):
+def _matrix(*entries) -> dict:
+    """The sparse matrix sum of c e_{row,col} over the (row, col, c) in
+    entries, 0-indexed; entries on one cell add up."""
+    out: dict = {}
+    for r, c, v in entries:
+        axpy(out, {(r, c): QQ(v)})
+    return out
+
+
+def _gl(kind: str, r: int, s: int = 0) -> LieAlgebraSpec:
+    """gl(r) (kind "gl", s = 0) or gl(r|s) on C^(r|s): the units e_{ab}."""
+    N = r + s
+    rep_parity = [0] * r + [1] * s
+    labels, rep, parity = [], [], []
+    for a in range(N):
+        for b in range(N):
             labels.append(f"e[{a + 1},{b + 1}]")
-            rep.append(unit_matrix(n, a, b))
-    return LieAlgebraSpec("gl", (n,), labels, [0] * len(labels), rep)
+            rep.append(_matrix((a, b, 1)))
+            parity.append((rep_parity[a] + rep_parity[b]) % 2)
+    params = (r, s) if kind == "glsuper" else (r,)
+    return LieAlgebraSpec(kind, params, labels, parity, rep, N, rep_parity)
 
 
 def _sl(n: int) -> LieAlgebraSpec:
     if n == 2:
-        labels = ["x", "y", "h"]
-        rep = [
-            unit_matrix(2, 0, 1),
-            unit_matrix(2, 1, 0),
-            mat_add(unit_matrix(2, 0, 0), mat_scale(unit_matrix(2, 1, 1), QQ(-1))),
-        ]
-        return LieAlgebraSpec("sl", (2,), labels, [0, 0, 0], rep)
+        rep = [_matrix((0, 1, 1)), _matrix((1, 0, 1)),
+               _matrix((0, 0, 1), (1, 1, -1))]
+        return LieAlgebraSpec("sl", (2,), ["x", "y", "h"], [0, 0, 0], rep, 2)
     labels, rep = [], []
     for a in range(n):
         for b in range(n):
             if a != b:
                 labels.append(f"e[{a + 1},{b + 1}]")
-                rep.append(unit_matrix(n, a, b))
+                rep.append(_matrix((a, b, 1)))
     for a in range(n - 1):
         labels.append(f"h[{a + 1}]")
-        rep.append(
-            mat_add(
-                unit_matrix(n, a, a),
-                mat_scale(unit_matrix(n, a + 1, a + 1), QQ(-1)),
-            )
-        )
-    return LieAlgebraSpec("sl", (n,), labels, [0] * len(labels), rep)
+        rep.append(_matrix((a, a, 1), (a + 1, a + 1, -1)))
+    return LieAlgebraSpec("sl", (n,), labels, [0] * len(labels), rep, n)
 
 
 def _so(n: int) -> LieAlgebraSpec:
@@ -348,94 +284,32 @@ def _so(n: int) -> LieAlgebraSpec:
     for j in range(n):
         for k in range(j + 1, n):
             labels.append(f"a[{j + 1},{k + 1}]")
-            rep.append(
-                mat_add(unit_matrix(n, j, k), mat_scale(unit_matrix(n, k, j), QQ(-1)))
-            )
-    return LieAlgebraSpec("so", (n,), labels, [0] * len(labels), rep)
+            rep.append(_matrix((j, k, 1), (k, j, -1)))
+    return LieAlgebraSpec("so", (n,), labels, [0] * len(labels), rep, n)
 
 
-def _sp_block(m: int) -> LieAlgebraSpec:
-    """sp_2m in the block basis: J = [[0, I], [-I, 0]].
-
-    Basis order: m_{jk} = e_{j,k+m} + e_{k,j+m} (j <= k), then
-    d_{jk} = -e_{j+m,k} - e_{k+m,j} (j <= k), then
-    h_{jk} = e_{j,k} - e_{m+k,m+j} (all j, k).
-    """
-    N = 2 * m
+def _block_basis(kind: str, m: int) -> LieAlgebraSpec:
+    """sp_2m (kind "sp", s = 1) or so_2m (kind "so_split", s = -1) in the
+    block basis, preserving [[0, I], [-s I, 0]].  Basis order:
+    m_{jk} = e_{j,k+m} + s e_{k,j+m} (named s_{jk} for so_2m), then
+    d_{jk} = -s e_{j+m,k} - e_{k+m,j}, both for j <= k (sp) or j < k (so),
+    then h_{jk} = e_{j,k} - e_{m+k,m+j} for all j, k.  The two entries of
+    m_{jj} fall on one cell, which holds 2; those of d_{jj} give -2."""
+    s, up = (1, "m") if kind == "sp" else (-1, "s")
+    pairs = [(j, k) for j in range(m) for k in range(j + (s < 0), m)]
     labels, rep = [], []
-    for j in range(m):
-        for k in range(j, m):
-            labels.append(f"m[{j + 1},{k + 1}]")
-            rep.append(
-                mat_add(unit_matrix(N, j, k + m), unit_matrix(N, k, j + m))
-            )
-    for j in range(m):
-        for k in range(j, m):
-            labels.append(f"d[{j + 1},{k + 1}]")
-            rep.append(
-                mat_scale(
-                    mat_add(unit_matrix(N, j + m, k), unit_matrix(N, k + m, j)),
-                    QQ(-1),
-                )
-            )
+    for j, k in pairs:
+        labels.append(f"{up}[{j + 1},{k + 1}]")
+        rep.append(_matrix((j, k + m, 1), (k, j + m, s)))
+    for j, k in pairs:
+        labels.append(f"d[{j + 1},{k + 1}]")
+        rep.append(_matrix((j + m, k, -s), (k + m, j, -1)))
     for j in range(m):
         for k in range(m):
             labels.append(f"h[{j + 1},{k + 1}]")
-            rep.append(
-                mat_add(
-                    unit_matrix(N, j, k),
-                    mat_scale(unit_matrix(N, m + k, m + j), QQ(-1)),
-                )
-            )
-    return LieAlgebraSpec("sp", (N,), labels, [0] * len(labels), rep)
-
-
-def _so_split(m: int) -> LieAlgebraSpec:
-    """so_2m in the split block basis (antisymmetric off-diagonal blocks):
-    s_{jk} = e_{j,k+m} - e_{k,j+m} (j < k), d_{jk} = e_{j+m,k} - e_{k+m,j}
-    (j < k), h_{jk} = e_{j,k} - e_{m+k,m+j}."""
-    N = 2 * m
-    labels, rep = [], []
-    for j in range(m):
-        for k in range(j + 1, m):
-            labels.append(f"s[{j + 1},{k + 1}]")
-            rep.append(
-                mat_add(
-                    unit_matrix(N, j, k + m),
-                    mat_scale(unit_matrix(N, k, j + m), QQ(-1)),
-                )
-            )
-    for j in range(m):
-        for k in range(j + 1, m):
-            labels.append(f"d[{j + 1},{k + 1}]")
-            rep.append(
-                mat_add(
-                    unit_matrix(N, j + m, k),
-                    mat_scale(unit_matrix(N, k + m, j), QQ(-1)),
-                )
-            )
-    for j in range(m):
-        for k in range(m):
-            labels.append(f"h[{j + 1},{k + 1}]")
-            rep.append(
-                mat_add(
-                    unit_matrix(N, j, k),
-                    mat_scale(unit_matrix(N, m + k, m + j), QQ(-1)),
-                )
-            )
-    return LieAlgebraSpec("so_split", (N,), labels, [0] * len(labels), rep)
-
-
-def _glsuper(r: int, s: int) -> LieAlgebraSpec:
-    N = r + s
-    rep_parity = [0] * r + [1] * s
-    labels, rep, parity = [], [], []
-    for a in range(N):
-        for b in range(N):
-            labels.append(f"e[{a + 1},{b + 1}]")
-            rep.append(unit_matrix(N, a, b))
-            parity.append((rep_parity[a] + rep_parity[b]) % 2)
-    return LieAlgebraSpec("glsuper", (r, s), labels, parity, rep, rep_parity)
+            rep.append(_matrix((j, k, 1), (m + k, m + j, -1)))
+    return LieAlgebraSpec(kind, (2 * m,), labels, [0] * len(labels), rep,
+                          2 * m)
 
 
 def split_label(label: str) -> tuple:
@@ -452,7 +326,7 @@ def make_algebra(kind: str, *params) -> LieAlgebraSpec:
         (n,) = params
         if n < 1:
             raise ValueError("gl needs n >= 1")
-        return _gl(n)
+        return _gl("gl", n)
     if kind == "sl":
         (n,) = params
         if n < 2:
@@ -467,17 +341,17 @@ def make_algebra(kind: str, *params) -> LieAlgebraSpec:
         (N,) = params
         if N < 4 or N % 2:
             raise ValueError("sp needs even dimension >= 4")
-        return _sp_block(N // 2)
+        return _block_basis("sp", N // 2)
     if kind == "so_split":
         (N,) = params
         if N < 2 or N % 2:
             raise ValueError("so_split needs even dimension >= 2")
-        return _so_split(N // 2)
+        return _block_basis("so_split", N // 2)
     if kind == "glsuper":
         r, s = params
         if r < 0 or s < 0 or r + s < 1:
             raise ValueError("glsuper needs r, s >= 0, r + s >= 1")
-        return _glsuper(r, s)
+        return _gl("glsuper", r, s)
     raise ValueError(f"unknown algebra kind {kind!r}")
 
 
@@ -486,4 +360,4 @@ def sp_any(m: int) -> LieAlgebraSpec:
     constructor for quadratic current families, where m = 1 is legitimate."""
     if m < 1:
         raise ValueError("sp_any needs m >= 1")
-    return _sp_block(m)
+    return _block_basis("sp", m)

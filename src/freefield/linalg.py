@@ -47,7 +47,9 @@ def _scale(u: dict, k) -> None:
 
 def _integral(vec: dict):
     """(den*vec as an int dict, den) for the least positive den that
-    clears the denominators of vec."""
+    clears the denominators of vec; an all-int vec is only copied."""
+    if all(type(c) is int for c in vec.values()):
+        return dict(vec), 1
     den = lcm(*[c.denominator for c in vec.values()])
     if den == 1:
         return {k: int(c) for k, c in vec.items()}, 1

@@ -17,8 +17,7 @@ from freefield.diffalg import (
     symbol, symbol_var, varspace_for_system, wick_expand,
 )
 from freefield.fock import generator_state, gradings, monomial_state, nth_product
-from freefield.liealg import (current_generators, make_algebra, mat_trace,
-                              torus_weights)
+from freefield.liealg import current_generators, make_algebra, torus_weights
 from freefield.linalg import Echelon, axpy, nullspace
 from freefield.rationals import QQ
 
@@ -116,9 +115,15 @@ def test_diff_mul_matches_reference(rational):
     assert shared > 50
 
 
+def _dense(mats, n):
+    """Dense n x n copies of a table of sparse {(row, col): QQ} matrices."""
+    return {fam: [[M.get((r, c), 0) for c in range(n)] for r in range(n)]
+            for fam, M in mats.items()}
+
+
 def _reference_lie_jet_action(mats, r, p):
-    """Reference for lie_jet_action: rebuild the factor list for every
-    matrix entry and re-sort it with monomial_from_factors."""
+    """Reference for lie_jet_action on dense matrices: rebuild the factor
+    list for every matrix entry and re-sort it with monomial_from_factors."""
     out: dict = {}
     for mono, c in p.items():
         for k, v in enumerate(mono):
@@ -168,7 +173,7 @@ def test_lie_jet_action_matches_reference(kind, n):
         mats = space.action_for(A, idx)
         for r in range(4):
             assert lie_jet_action(mats, r, p) == _reference_lie_jet_action(
-                mats, r, p), (idx, r, diff_to_text(p))
+                _dense(mats, n), r, p), (idx, r, diff_to_text(p))
 
 
 def _full_system_invariants(space, A, weight, maxdeg):
@@ -176,7 +181,7 @@ def _full_system_invariants(space, A, weight, maxdeg):
     every 0 <= r <= weight from the reference action, eliminated by the
     same nullspace call per block.  Returns {(degree, block key): the
     canonical nullspace basis of the block}, in output order."""
-    actions = [space.action_for(A, i) for i in range(A.dim)]
+    actions = [_dense(space.action_for(A, i), A.rep_dim) for i in range(A.dim)]
     out = {}
     for d in range(maxdeg + 1):
         blocks: dict = {}
@@ -310,7 +315,8 @@ def test_current_generators_sl2_and_gl2_centre():
     # the identity t^r is no bracket, so every r needs a generator that
     # carries it: one whose matrix has nonzero trace
     for r in range(weight + 1):
-        assert any(mat_trace(gl2.rep[i]) for i, s in gens if s == r), r
+        assert any(sum(v for (a, b), v in gl2.rep[i].items() if a == b)
+                   for i, s in gens if s == r), r
 
 
 @pytest.mark.parametrize("kind, dims", [
@@ -510,7 +516,10 @@ def test_action_matrices_roles():
     A = make_algebra("sl", 2)
     mats = action_matrices(A, 0, {"beta": "rep", "gamma": "dual"})
     assert set(mats) == {"beta", "gamma"}
-    M, Md = mats["beta"], mats["gamma"]
+    # sparse: nonzero entries only
+    assert all(all(M.values()) for M in mats.values())
+    dense = _dense(mats, 2)
+    M, Md = dense["beta"], dense["gamma"]
     # dual action is minus transpose
     for r in range(2):
         for c in range(2):

@@ -287,6 +287,28 @@ def test_cli_exit_two_on_config_error(tmp_path, capsys):
     assert cli.main(["verify", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("value", ["x", "-5", "1.5", "", " 7"])
+def test_bad_cache_cap_env_var_is_a_config_error(tmp_path, capsys,
+                                                 monkeypatch, value):
+    monkeypatch.setenv("FREEFIELD_CACHE_CAP", value)
+    with pytest.raises(ScenarioError, match="FREEFIELD_CACHE_CAP must be a "
+                                            "non-negative integer"):
+        run_scenario(tiny_affine())
+    spath = write_scenario(tmp_path, tiny_affine())
+    assert cli.main(["verify", str(spath)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["configuration error: FREEFIELD_CACHE_CAP must be a "
+                   f"non-negative integer, got {value!r}"]
+
+
+@pytest.mark.parametrize("value", ["0", "3"])
+def test_cache_cap_env_var_keeps_the_report(monkeypatch, value):
+    # 0 turns the product cache off; a cap changes no report byte
+    want = report_to_json(run_scenario(tiny_affine()))
+    monkeypatch.setenv("FREEFIELD_CACHE_CAP", value)
+    assert report_to_json(run_scenario(tiny_affine())) == want
+
+
 def test_right_gl_currents_without_bosons_is_a_config_error(tmp_path, capsys):
     raw = {"system": {"fermionic": [2, 2]},
            "group": {"kind": "sl", "rank": 2},

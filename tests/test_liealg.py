@@ -1,10 +1,53 @@
 import pytest
 
 from freefield.liealg import (
-    dual_coxeter, killing_gram, make_algebra, mat_mul, mat_scale, mat_trace,
-    normalized_gram, sp_any, trace_gram,
+    dual_coxeter, gram_inverse, killing_gram, make_algebra, normalized_gram,
+    sp_any, trace_gram,
 )
 from freefield.rationals import QQ
+
+
+# dense references, independent of the sparse format of liealg
+
+
+def _dense(M, n):
+    """The n x n list of lists of a sparse {(row, col): QQ} matrix."""
+    return [[M.get((r, c), 0) for c in range(n)] for r in range(n)]
+
+
+def _mul(X, Y):
+    return [[sum(X[r][t] * Y[t][c] for t in range(len(Y)))
+             for c in range(len(Y[0]))] for r in range(len(X))]
+
+
+def _trace(M):
+    return sum((M[i][i] for i in range(len(M))), QQ(0))
+
+
+def _scale(G, s):
+    return tuple(tuple(s * c for c in row) for row in G)
+
+
+def _reference_inverse(M):
+    """Exact inverse by Gauss-Jordan; raises on singular input."""
+    n = len(M)
+    aug = [
+        [QQ(M[r][c]) for c in range(n)]
+        + [QQ(1) if c == r else QQ(0) for c in range(n)]
+        for r in range(n)
+    ]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
 
 
 def test_dimensions():
@@ -24,11 +67,11 @@ def test_bracket_antisymmetry_and_jacobi():
             yx = A.structure(j, i)
             assert xy == {k: -c for k, c in yx.items()}
     # spot-check Jacobi on a fixed triple via the rep
-    x, y, z = A.rep[0], A.rep[3], A.rep[5]
+    x, y, z = (_dense(A.rep[i], A.rep_dim) for i in (0, 3, 5))
 
     def br(u, v):
         return [[u_row[c] - v_row[c] for c in range(len(u))]
-                for u_row, v_row in zip(mat_mul(u, v), mat_mul(v, u))]
+                for u_row, v_row in zip(_mul(u, v), _mul(v, u))]
 
     lhs = br(x, br(y, z))
     rhs = [[br(br(x, y), z)[r][c] + br(y, br(x, z))[r][c]
@@ -48,7 +91,7 @@ def test_killing_is_multiple_of_trace_for_sl2():
     A = make_algebra("sl", 2)
     K = killing_gram(A)
     T = trace_gram(A)
-    assert K == mat_scale(T, QQ(4))
+    assert K == _scale(T, QQ(4))
 
 
 def _dense_killing(A):
@@ -56,7 +99,7 @@ def _dense_killing(A):
     # coefficient of [x_i, x_b]
     ads = [tuple(tuple(A.structure(i, b).get(a, QQ(0)) for b in range(A.dim))
                  for a in range(A.dim)) for i in range(A.dim)]
-    return tuple(tuple(mat_trace(mat_mul(ads[i], ads[j]))
+    return tuple(tuple(_trace(_mul(ads[i], ads[j]))
                        for j in range(A.dim)) for i in range(A.dim))
 
 
@@ -90,7 +133,7 @@ def test_normalized_halves_killing():
     K = killing_gram(A)
     N = normalized_gram(A)
     h = dual_coxeter(A)
-    assert K == mat_scale(N, QQ(2 * h))
+    assert K == _scale(N, QQ(2 * h))
 
 
 def test_sp_any_small_case():
@@ -103,8 +146,9 @@ def test_sp_any_small_case():
 
 def test_so_matrices_antisymmetric():
     A = make_algebra("so", 4)
+    n = A.rep_dim
     for M in A.rep:
-        n = len(M)
+        M = _dense(M, n)
         for r in range(n):
             for c in range(n):
                 assert M[r][c] == -M[c][r]
@@ -120,5 +164,67 @@ def test_supertrace_form_vanishes_on_identity_of_gl11():
     T = trace_gram(A)
     i1 = A.label_index["e[1,1]"]
     i2 = A.label_index["e[2,2]"]
-    # str(id) = r - s = 0 for gl(1|1): the even diagonal pairing is singular
+    # str(id id) = r - s = 0 for gl(1|1): the identity is isotropic
     assert T[i1][i1] + T[i1][i2] + T[i2][i1] + T[i2][i2] == 0
+
+
+def _form_algebra(kind, m):
+    """The algebra of a form-test case and the form F its basis matrices
+    preserve, M^T F + F M = 0: the identity for so(n), n = m + 2; the
+    block forms [[0, I], [-I, 0]] for sp(2m) and [[0, I], [I, 0]] for
+    so_split(2m)."""
+    if kind == "so":
+        n = m + 2
+        return make_algebra("so", n), [[int(r == c) for c in range(n)]
+                                       for r in range(n)]
+    A = sp_any(m) if kind == "sp" else make_algebra("so_split", 2 * m)
+    lower = -1 if kind == "sp" else 1
+    return A, [[1 if c == r + m else lower if r == c + m else 0
+                for c in range(2 * m)] for r in range(2 * m)]
+
+
+@pytest.mark.parametrize("kind", ["so", "sp", "so_split"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_basis_matrices_preserve_their_form(kind, m):
+    A, F = _form_algebra(kind, m)
+    n = A.rep_dim
+    assert len(F) == n
+    for label, M in zip(A.labels, A.rep):
+        assert all(0 <= r < n and 0 <= c < n and v for (r, c), v in M.items())
+        D = _dense(M, n)
+        Dt = [list(col) for col in zip(*D)]
+        lhs = [[a + b for a, b in zip(u, v)]
+               for u, v in zip(_mul(Dt, F), _mul(F, D))]
+        assert lhs == [[0] * n for _ in range(n)], label
+
+
+def test_sp_doubled_cells():
+    # m[j,j] = e_{j,j+m} + e_{j,j+m} and d[j,j] = -e_{j+m,j} - e_{j+m,j}
+    A = sp_any(1)
+    assert A.rep[A.label_index["m[1,1]"]] == {(0, 1): 2}
+    assert A.rep[A.label_index["d[1,1]"]] == {(1, 0): -2}
+    B = make_algebra("sp", 4)
+    assert B.rep[B.label_index["m[2,2]"]] == {(1, 3): 2}
+    assert B.rep[B.label_index["d[1,2]"]] == {(2, 1): -1, (3, 0): -1}
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("sl", (2,)), ("sl", (3,)), ("so", (3,)), ("so", (4,)), ("sp", (4,)),
+])
+def test_gram_inverse_matches_gauss_jordan(kind, params):
+    G = normalized_gram(make_algebra(kind, *params))
+    n = len(G)
+    inv = [[row.get(c, 0) for c in range(n)] for row in gram_inverse(G)]
+    assert inv == _reference_inverse(G)
+    assert all(type(c) is QQ for row in gram_inverse(G) for c in row.values())
+
+
+def test_gram_inverse_rejects_singular():
+    singular = ((QQ(1), QQ(2)), (QQ(2), QQ(4)))
+    with pytest.raises(ValueError):
+        _reference_inverse(singular)
+    with pytest.raises(ValueError):
+        gram_inverse(singular)
+    # the Killing form of gl(2) vanishes on the identity
+    with pytest.raises(ValueError):
+        gram_inverse(killing_gram(make_algebra("gl", 2)))
