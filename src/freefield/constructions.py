@@ -17,8 +17,8 @@ from .liealg import (LieAlgebraSpec, make_algebra, sp_any, gram_inverse,
                      normalized_gram, trace_gram, dual_coxeter, split_label,
                      torus_weights)
 from .fock import (SystemSpec, State, vacuum, zero, generator_state,
-                   nth_product, wick, derivative, gradings, state_weight,
-                   state_to_text)
+                   generator_polynomial, nth_product, derivative, gradings,
+                   state_weight, state_to_text)
 from .diffalg import (ResourceCapError, abstract_var, graded_multisets,
                       monomial_counts, monomial_from_factors, quantum_correct,
                       symbol, wick_expand)
@@ -79,18 +79,15 @@ def theta(A: LieAlgebraSpec, sys: SystemSpec, side: str = "left") -> CurrentFami
                 raise ValueError(
                     f"rep dimension {A.rep_dim} does not match coordinate count {n}")
         for M in A.rep:
-            total = zero(sys)
+            terms = []
             for (_, m), odd in sectors:
                 for j in range(1, m + 1):
                     for (ip, i), c in M.items():
                         if odd:
-                            term = wick([generator_state(sys, "b", j, ip + 1),
-                                         generator_state(sys, "c", j, i + 1)])
+                            terms.append((c, [("b", j, ip + 1), ("c", j, i + 1)]))
                         else:
-                            term = wick([generator_state(sys, "gamma", j, i + 1),
-                                         generator_state(sys, "beta", j, ip + 1)])
-                        total = total.add(term.scale(c if odd else -c))
-            states.append(total)
+                            terms.append((-c, [("gamma", j, i + 1), ("beta", j, ip + 1)]))
+            states.append(generator_polynomial(sys, terms))
         return CurrentFamily(A, sys, states, "left", f"theta_left_{A.kind}")
     if side == "right":
         if sys.bosonic and sys.fermionic:
@@ -101,13 +98,9 @@ def theta(A: LieAlgebraSpec, sys: SystemSpec, side: str = "left") -> CurrentFami
                 f"rep dimension {A.rep_dim} does not match copy count {m}")
         lo, hi = ("gamma", "beta") if sys.bosonic else ("b", "c")
         for M in A.rep:
-            total = zero(sys)
-            for (a, ap), c in M.items():
-                for i in range(1, n + 1):
-                    term = wick([generator_state(sys, lo, a + 1, i),
-                                 generator_state(sys, hi, ap + 1, i)])
-                    total = total.add(term.scale(c))
-            states.append(total)
+            states.append(generator_polynomial(sys, [
+                (c, [(lo, a + 1, i), (hi, ap + 1, i)])
+                for (a, ap), c in M.items() for i in range(1, n + 1)]))
         return CurrentFamily(A, sys, states, "right", f"theta_right_{A.kind}")
     raise ValueError(f"unknown side {side!r}")
 
@@ -116,7 +109,7 @@ class AffineReport:
     """Result of verify_affine: closure, measured level, higher products."""
 
     def __init__(self, closure_ok, closure_witness, level, level_ok,
-                 level_witness, higher_ok, higher_witness, form_name):
+                 level_witness, higher_ok, higher_witness, form):
         self.closure_ok = closure_ok
         self.closure_witness = closure_witness
         self.level = level
@@ -124,7 +117,7 @@ class AffineReport:
         self.level_witness = level_witness
         self.higher_ok = higher_ok
         self.higher_witness = higher_witness
-        self.form_name = form_name
+        self.form = form
 
     @property
     def ok(self):
@@ -136,26 +129,24 @@ class AffineReport:
             "level": None if self.level is None else qstr(self.level),
             "level_ok": self.level_ok,
             "higher_ok": self.higher_ok,
-            "form": self.form_name,
+            "form": self.form,
         }
 
 
 def verify_affine(F: CurrentFamily, form="trace") -> AffineReport:
     """Check, for all basis pairs, that the zeroth product closes with the
     algebra's structure constants, the first product is one scalar multiple
-    of the declared form times the vacuum, and second products vanish.
-    The scalar is the measured level; discrepancies are reported, never
-    absorbed."""
+    of the declared form ("trace" or "normalized") times the vacuum, and
+    second products vanish.  The scalar is the measured level;
+    discrepancies are reported, never absorbed.  ValueError on any other
+    form."""
     A = F.algebra
     if form == "trace":
         gram = trace_gram(A)
-        form_name = "trace"
     elif form == "normalized":
         gram = normalized_gram(A)
-        form_name = "normalized"
     else:
-        gram = form
-        form_name = "explicit"
+        raise ValueError(f"unknown verify_affine form {form!r}")
     vac = vacuum(F.sys)
     closure_ok, closure_witness = True, None
     level_ok, level_witness = True, None
@@ -191,7 +182,7 @@ def verify_affine(F: CurrentFamily, form="trace") -> AffineReport:
                 higher_ok = False
                 higher_witness = (A.labels[i], A.labels[j], d2)
     return AffineReport(closure_ok, closure_witness, level, level_ok,
-                        level_witness, higher_ok, higher_witness, form_name)
+                        level_witness, higher_ok, higher_witness, form)
 
 
 def sugawara(F: CurrentFamily, k) -> State:
@@ -258,13 +249,12 @@ def conformal_and_charge(sys: SystemSpec):
 def _det_state(sys, entries) -> State:
     """Determinant of a square matrix of generators; entries[r][c] is a
     (family, copy, coord) triple.  Expansion order does not matter since
-    creation modes (super)commute inside wick."""
+    `generator_polynomial` sorts each product of (-1)-modes with its
+    Koszul sign."""
     n = len(entries)
-    total = zero(sys)
-    for perm in permutations(range(n)):
-        factors = [generator_state(sys, *entries[perm[c]][c]) for c in range(n)]
-        total = total.add(wick(factors).scale(QQ(perm_sign(perm))))
-    return total
+    return generator_polynomial(sys, [
+        (perm_sign(perm), [entries[perm[c]][c] for c in range(n)])
+        for perm in permutations(range(n))])
 
 
 def det_family(sys: SystemSpec, J, side: str = "beta", axis: str = "copies") -> State:
@@ -328,19 +318,14 @@ def quad_family(group: LieAlgebraSpec, sys: SystemSpec) -> CurrentFamily:
         states = []
         for lab in target.labels:
             kind, (j, k) = split_label(lab)
-            total = zero(sys)
-            for c in range(1, n + 1):
-                if kind == "m":
-                    t = wick([generator_state(sys, "gamma", j, c),
-                              generator_state(sys, "gamma", k, c)])
-                elif kind == "d":
-                    t = wick([generator_state(sys, "beta", j, c),
-                              generator_state(sys, "beta", k, c)])
-                else:
-                    t = wick([generator_state(sys, "gamma", j, c),
-                              generator_state(sys, "beta", k, c)])
-                total = total.add(t)
-            states.append(total)
+            if kind == "m":
+                fj, fk = "gamma", "gamma"
+            elif kind == "d":
+                fj, fk = "beta", "beta"
+            else:
+                fj, fk = "gamma", "beta"
+            states.append(generator_polynomial(sys, [
+                (1, [(fj, j, c), (fk, k, c)]) for c in range(1, n + 1)]))
         return CurrentFamily(target, sys, states, "right", "quad_so")
     if group.kind == "sp":
         if group.rep_dim != n or n % 2:
@@ -350,25 +335,18 @@ def quad_family(group: LieAlgebraSpec, sys: SystemSpec) -> CurrentFamily:
         states = []
         for lab in target.labels:
             kind, (j, k) = split_label(lab)
-            total = zero(sys)
+            terms = []
             if kind in ("s", "d"):
                 fam = "gamma" if kind == "s" else "beta"
                 for c in range(1, half + 1):
-                    total = total.add(wick([generator_state(sys, fam, j, c),
-                                            generator_state(sys, fam, k, c + half)]))
-                    total = total.sub(wick([generator_state(sys, fam, j, c + half),
-                                            generator_state(sys, fam, k, c)]))
+                    terms.append((1, [(fam, j, c), (fam, k, c + half)]))
+                    terms.append((-1, [(fam, j, c + half), (fam, k, c)]))
             else:
                 for c in range(1, n + 1):
-                    total = total.add(wick([generator_state(sys, "gamma", j, c),
-                                            generator_state(sys, "beta", k, c)]))
-            states.append(total)
+                    terms.append((1, [("gamma", j, c), ("beta", k, c)]))
+            states.append(generator_polynomial(sys, terms))
         return CurrentFamily(target, sys, states, "right", "quad_sp")
     raise ValueError(f"no quadratic pairing family for kind {group.kind!r}")
-
-
-def _pair_state(sys, f1, j1, i1, f2, j2, i2) -> State:
-    return wick([generator_state(sys, f1, j1, i1), generator_state(sys, f2, j2, i2)])
 
 
 PAIR_FAMILIES = ("D", "Dprime", "E", "Eprime", "F", "Fprime")
@@ -392,18 +370,17 @@ def bc_family(sys: SystemSpec, which: str):
         states = []
         for lab in A.labels:
             _, (i, j) = split_label(lab)
-            total = zero(sys)
-            for a in range(1, n + 1):
-                total = total.add(_pair_state(sys, "b", i, a, "c", j, a))
-            states.append(total)
+            states.append(generator_polynomial(sys, [
+                (1, [("b", i, a), ("c", j, a)]) for a in range(1, n + 1)]))
         return CurrentFamily(A, sys, states, "right", "bc_psi")
     if which in ("D", "Dprime"):
         if not sys.fermionic or sys.fermionic[0] != 2:
             raise ValueError("pair determinants need fermionic n = 2")
         fam = "b" if which == "D" else "c"
         m = sys.fermionic[1]
-        return [(f"{which}[{k},{l}]", _pair_state(sys, fam, k, 1, fam, l, 2)
-                 .add(_pair_state(sys, fam, l, 1, fam, k, 2)))
+        return [(f"{which}[{k},{l}]", generator_polynomial(sys, [
+                    (1, [(fam, k, 1), (fam, l, 2)]),
+                    (1, [(fam, l, 1), (fam, k, 2)])]))
                 for k in range(1, m + 1) for l in range(k, m + 1)]
     if which in ("E", "Eprime"):
         if not (sys.fermionic and sys.bosonic) or sys.bosonic[0] != 2 \
@@ -411,16 +388,18 @@ def bc_family(sys: SystemSpec, which: str):
             raise ValueError("mixed pairs need bosonic and fermionic n = 2")
         bos, fer = ("beta", "b") if which == "E" else ("gamma", "c")
         s, r = sys.bosonic[1], sys.fermionic[1]
-        return [(f"{which}[{i},{k}]", _pair_state(sys, bos, i, 1, fer, k, 2)
-                 .sub(_pair_state(sys, bos, i, 2, fer, k, 1)))
+        return [(f"{which}[{i},{k}]", generator_polynomial(sys, [
+                    (1, [(bos, i, 1), (fer, k, 2)]),
+                    (-1, [(bos, i, 2), (fer, k, 1)])]))
                 for i in range(1, s + 1) for k in range(1, r + 1)]
     if which in ("F", "Fprime"):
         if not sys.bosonic or sys.bosonic[0] != 2:
             raise ValueError("antisymmetric pairs need bosonic n = 2")
         fam = "beta" if which == "F" else "gamma"
         s = sys.bosonic[1]
-        return [(f"{which}[{i},{j}]", _pair_state(sys, fam, i, 1, fam, j, 2)
-                 .sub(_pair_state(sys, fam, j, 1, fam, i, 2)))
+        return [(f"{which}[{i},{j}]", generator_polynomial(sys, [
+                    (1, [(fam, i, 1), (fam, j, 2)]),
+                    (-1, [(fam, j, 1), (fam, i, 2)])]))
                 for i in range(1, s + 1) for j in range(i + 1, s + 1)]
     raise ValueError(f"unknown family {which!r}")
 
@@ -449,18 +428,16 @@ def mixed_psi_family(sys: SystemSpec) -> CurrentFamily:
     states = []
     for lab in A.labels:
         _, (Ai, Bi) = split_label(lab)
-        total = zero(sys)
-        for a in range(1, n + 1):
-            if Ai <= r and Bi <= r:
-                t = _pair_state(sys, "b", Ai, a, "c", Bi, a)
-            elif Ai > r and Bi > r:
-                t = _pair_state(sys, "beta", Ai - r, a, "gamma", Bi - r, a).scale(_MIXED_EVEN_SIGN)
-            elif Ai <= r:
-                t = _pair_state(sys, "b", Ai, a, "gamma", Bi - r, a).scale(_MIXED_BG_SIGN)
-            else:
-                t = _pair_state(sys, "beta", Ai - r, a, "c", Bi, a).scale(_MIXED_BC_SIGN)
-            total = total.add(t)
-        states.append(total)
+        if Ai <= r and Bi <= r:
+            sign, left, right = ONE, ("b", Ai), ("c", Bi)
+        elif Ai > r and Bi > r:
+            sign, left, right = _MIXED_EVEN_SIGN, ("beta", Ai - r), ("gamma", Bi - r)
+        elif Ai <= r:
+            sign, left, right = _MIXED_BG_SIGN, ("b", Ai), ("gamma", Bi - r)
+        else:
+            sign, left, right = _MIXED_BC_SIGN, ("beta", Ai - r), ("c", Bi)
+        states.append(generator_polynomial(sys, [
+            (sign, [(*left, a), (*right, a)]) for a in range(1, n + 1)]))
     return CurrentFamily(A, sys, states, "right", "mixed_glrs")
 
 

@@ -40,16 +40,13 @@ class DV(NamedTuple):
         return f"{self.family}{self.coord}[{self.copy}]^({self.order})"
 
 
-_SYMBOL_OFFSET = {"beta": 1, "gamma": 0, "b": 1, "c": 0}
-_SYMBOL_PARITY = {"beta": 0, "gamma": 0, "b": 1, "c": 1}
-
-
 def symbol_var(family: str, copy: int, coord: int, order: int) -> DV:
-    return DV(family, copy, coord, order, _SYMBOL_PARITY[family], _SYMBOL_OFFSET[family])
+    parity, weight, _ = fock.FAMILIES[family]
+    return DV(family, copy, coord, order, parity, weight)
 
 
 def jet_var(family: str, copy: int, coord: int, order: int, parity: int = 0) -> DV:
-    if family in _SYMBOL_OFFSET:
+    if family in fock.FAMILIES:
         raise ValueError(f"{family!r} is reserved for symbol variables")
     return DV(family, copy, coord, order, parity, 0)
 
@@ -311,14 +308,13 @@ class VarSpace:
 
 def varspace_for_system(sys: fock.SystemSpec) -> VarSpace:
     fams = []
-    if sys.bosonic:
-        n, m = sys.bosonic
-        fams.append(FamilyDecl("beta", m, n, 0, 1, "rep"))
-        fams.append(FamilyDecl("gamma", m, n, 0, 0, "dual"))
-    if sys.fermionic:
-        n, m = sys.fermionic
-        fams.append(FamilyDecl("b", m, n, 1, 1, "rep"))
-        fams.append(FamilyDecl("c", m, n, 1, 0, "dual"))
+    for shape, pair in ((sys.bosonic, ("beta", "gamma")),
+                        (sys.fermionic, ("b", "c"))):
+        if shape:
+            n, m = shape
+            for family, role in zip(pair, ("rep", "dual")):
+                parity, weight, _ = fock.FAMILIES[family]
+                fams.append(FamilyDecl(family, m, n, parity, weight, role))
     return VarSpace(fams)
 
 

@@ -25,11 +25,8 @@ from math import factorial
 from .linalg import axpy
 from .rationals import QQ, qstr, parse_qstr
 
-FAMILIES = ("beta", "gamma", "b", "c")
-_FAMILY_RANK = {f: i for i, f in enumerate(FAMILIES)}
-_BOSONIC = {"beta": True, "gamma": True, "b": False, "c": False}
-_WEIGHT = {"beta": 1, "gamma": 0, "b": 1, "c": 0}
-_CHARGE = {"beta": -1, "gamma": 1, "b": -1, "c": 1}
+# family -> (parity, conformal weight, charge) of its generator fields
+FAMILIES = {"beta": (0, 1, -1), "gamma": (0, 0, 1), "b": (1, 1, -1), "c": (1, 0, 1)}
 
 
 class GeneratorId:
@@ -46,14 +43,12 @@ class GeneratorId:
         self.family = family
         self.copy = copy
         self.coord = coord
-        self.parity = 0 if _BOSONIC[family] else 1
-        self.weight = _WEIGHT[family]
-        self.charge = _CHARGE[family]
+        self.parity, self.weight, self.charge = FAMILIES[family]
         self.index = index
 
     @property
     def slot(self) -> str:
-        return ("b" if _BOSONIC[self.family] else "f") + str(self.copy)
+        return ("f" if self.parity else "b") + str(self.copy)
 
     def token(self) -> str:
         return f"g[{self.slot},{self.family},{self.coord}]"
@@ -258,6 +253,18 @@ def monomial_state(sys: SystemSpec, modes, coeff=1) -> State:
     if not c:
         return State(sys)
     return State(sys, {mono: c})
+
+
+def generator_polynomial(sys: SystemSpec, terms) -> State:
+    """sum c * g_1(-1)...g_k(-1)|0>, the normally ordered polynomial
+    sum c :g_1...g_k: in the generator fields, over terms
+    (c, [(family, copy, coord), ...]) given in operator order; each
+    monomial is canonicalized with its Koszul sign by `monomial_state`."""
+    out: dict = {}
+    for c, gens in terms:
+        modes = [(sys.gen(*g).index, -1) for g in gens]
+        axpy(out, monomial_state(sys, modes, c).terms)
+    return State(sys, out)
 
 
 # -- mode action ------------------------------------------------------------

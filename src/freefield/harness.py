@@ -272,8 +272,11 @@ def _generators(sys, space, name):
 
 
 def task_verify_affine(sys, group, opts, bounds):
-    fam = build_family(sys, opts.get("family") or group)
     form = opts.get("form", "trace")
+    if form not in ("trace", "normalized"):
+        raise ScenarioError(f"unknown verify_affine form {form!r}; "
+                            "expected trace or normalized")
+    fam = build_family(sys, opts.get("family") or group)
     rep = verify_affine(fam, form=form)
     detail = rep.summary()
     detail["family"] = fam.name

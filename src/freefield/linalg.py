@@ -205,31 +205,17 @@ def nullspace(equations, columns) -> list:
 def solve_affine(equations, rhs, columns):
     """Particular solution of sum(coeff*x) = rhs per equation.
 
-    Returns (solution dict with free vars 0, rank) or (None, rank) when the
-    system is inconsistent.  rank is the rank of the coefficient matrix.
+    Each column enters an `Echelon` as its vector over the equations, in
+    column order, so the pivot columns are those outside the span of the
+    columns before them; the others are the free variables, set to 0.
+    Returns (solution dict, rank) or (None, rank) when the system is
+    inconsistent.  rank is the rank of the coefficient matrix.
     """
-    order = {c: i for i, c in enumerate(columns)}
-    RHS = ("_rhs",)
-    if RHS in order:
-        raise ValueError(f"column key {RHS!r} is reserved for the right-hand side")
-
-    def crank(c):
-        # rhs column must never be chosen as a pivot before real columns
-        return (1, 0) if c == RHS else (0, order[c])
-
-    ech = Echelon(col_rank=crank)
-    for eq, b in zip(equations, rhs):
-        row = dict(eq)
-        if b:
-            row[RHS] = -b
-        ech.add(row)
-    coeff_rank = sum(1 for p in ech.pivots if p != RHS)
-    if RHS in ech.rows:
-        return None, coeff_rank
-    sol = {}
-    for p in ech.pivots:
-        row = ech.rows[p]
-        c = row.get(RHS)
-        if c:
-            sol[p] = QQ(-c, row[p])
-    return sol, coeff_rank
+    by_column: dict = {c: {} for c in columns}
+    for i, eq in enumerate(equations):
+        for c, v in eq.items():
+            by_column[c][i] = v
+    ech = Echelon(track=True)
+    for c in columns:
+        ech.add(by_column[c], tag=c)
+    return ech.express({i: b for i, b in enumerate(rhs) if b}), ech.rank

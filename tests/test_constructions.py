@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from itertools import permutations
 
 import pytest
 
@@ -11,9 +12,10 @@ from freefield.constructions import (
     theta, verify_affine,
 )
 from freefield.diffalg import ResourceCapError
-from freefield.fock import State, derivative, gradings, nth_product, vacuum
-from freefield.liealg import make_algebra, split_label
-from freefield.linalg import nullspace
+from freefield.fock import (State, derivative, generator_state, gradings,
+                            nth_product, vacuum, wick, zero)
+from freefield.liealg import make_algebra, split_label, sp_any
+from freefield.linalg import nullspace, perm_sign
 from freefield.rationals import QQ
 
 
@@ -65,6 +67,13 @@ def test_quad_family_sp_case_trace_vs_normalized():
     assert verify_affine(F, form="normalized").level == -4
 
 
+def test_verify_affine_rejects_other_forms():
+    F = theta(make_algebra("gl", 2), build_system(bosonic=(3, 2)), "right")
+    for form in ("killing", "explicit", [[1, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="unknown verify_affine form"):
+            verify_affine(F, form=form)
+
+
 def test_det_family_alternating_and_membership():
     sys = build_system(bosonic=(2, 2))
     D = det_family(sys, (1, 2), side="beta")
@@ -79,7 +88,6 @@ def test_det_family_alternating_and_membership():
     ok, _ = commutant_check(Dp, F)
     assert ok
     # a single beta is not in the commutant
-    from freefield.fock import generator_state
     bad = generator_state(sys, "beta", 1, 1)
     ok, witness = commutant_check(bad, F)
     assert not ok and witness[1] == 0
@@ -315,3 +323,207 @@ def test_sec4_identity_report():
     assert rep["holds"] and not rep["printed_form_holds"]
     assert rep["normal_degree"] == 4 and rep["zeroth_degree"] <= 2
     assert rep["escapes_lower_filtration"]
+
+
+# -- the builders against Wick products of generator states ----------------
+# Each reference multiplies generator states through the circle-product
+# engine (`wick`), a path to the same monomials that shares no code with
+# `generator_polynomial` beyond the sorted monomial format.
+
+
+def _pair(sys_, f1, j1, i1, f2, j2, i2):
+    return wick([generator_state(sys_, f1, j1, i1),
+                 generator_state(sys_, f2, j2, i2)])
+
+
+def _reference_theta(A, sys_, side):
+    states = []
+    for M in A.rep:
+        total = zero(sys_)
+        if side == "left":
+            for shape, odd in ((sys_.bosonic, False), (sys_.fermionic, True)):
+                for j in range(1, shape[1] + 1 if shape else 1):
+                    for (ip, i), c in M.items():
+                        if odd:
+                            term = _pair(sys_, "b", j, ip + 1, "c", j, i + 1)
+                        else:
+                            term = _pair(sys_, "gamma", j, i + 1,
+                                         "beta", j, ip + 1)
+                        total = total.add(term.scale(c if odd else -c))
+        else:
+            n = (sys_.bosonic or sys_.fermionic)[0]
+            lo, hi = ("gamma", "beta") if sys_.bosonic else ("b", "c")
+            for (a, ap), c in M.items():
+                for i in range(1, n + 1):
+                    total = total.add(
+                        _pair(sys_, lo, a + 1, i, hi, ap + 1, i).scale(c))
+        states.append(total)
+    return states
+
+
+def _reference_quad(group, sys_):
+    n, m = sys_.bosonic
+    states = []
+    if group.kind == "so":
+        for lab in sp_any(m).labels:
+            kind, (j, k) = split_label(lab)
+            fj, fk = {"m": ("gamma", "gamma"), "d": ("beta", "beta")}.get(
+                kind, ("gamma", "beta"))
+            total = zero(sys_)
+            for c in range(1, n + 1):
+                total = total.add(_pair(sys_, fj, j, c, fk, k, c))
+            states.append(total)
+        return states
+    half = n // 2
+    for lab in make_algebra("so_split", 2 * m).labels:
+        kind, (j, k) = split_label(lab)
+        total = zero(sys_)
+        if kind in ("s", "d"):
+            fam = "gamma" if kind == "s" else "beta"
+            for c in range(1, half + 1):
+                total = total.add(_pair(sys_, fam, j, c, fam, k, c + half))
+                total = total.sub(_pair(sys_, fam, j, c + half, fam, k, c))
+        else:
+            for c in range(1, n + 1):
+                total = total.add(_pair(sys_, "gamma", j, c, "beta", k, c))
+        states.append(total)
+    return states
+
+
+def _reference_bc(sys_, which):
+    if which == "psi":
+        n, m = sys_.fermionic
+        states = []
+        for lab in make_algebra("gl", m).labels:
+            _, (i, j) = split_label(lab)
+            total = zero(sys_)
+            for a in range(1, n + 1):
+                total = total.add(_pair(sys_, "b", i, a, "c", j, a))
+            states.append(total)
+        return states
+    if which in ("D", "Dprime"):
+        fam = "b" if which == "D" else "c"
+        m = sys_.fermionic[1]
+        return [_pair(sys_, fam, k, 1, fam, l, 2).add(
+                    _pair(sys_, fam, l, 1, fam, k, 2))
+                for k in range(1, m + 1) for l in range(k, m + 1)]
+    if which in ("E", "Eprime"):
+        bos, fer = ("beta", "b") if which == "E" else ("gamma", "c")
+        return [_pair(sys_, bos, i, 1, fer, k, 2).sub(
+                    _pair(sys_, bos, i, 2, fer, k, 1))
+                for i in range(1, sys_.bosonic[1] + 1)
+                for k in range(1, sys_.fermionic[1] + 1)]
+    fam = "beta" if which == "F" else "gamma"
+    s = sys_.bosonic[1]
+    return [_pair(sys_, fam, i, 1, fam, j, 2).sub(
+                _pair(sys_, fam, j, 1, fam, i, 2))
+            for i in range(1, s + 1) for j in range(i + 1, s + 1)]
+
+
+def _reference_mixed_psi(sys_):
+    n, s = sys_.bosonic
+    r = sys_.fermionic[1]
+    states = []
+    for lab in make_algebra("glsuper", r, s).labels:
+        _, (Ai, Bi) = split_label(lab)
+        total = zero(sys_)
+        for a in range(1, n + 1):
+            if Ai <= r and Bi <= r:
+                t = _pair(sys_, "b", Ai, a, "c", Bi, a)
+            elif Ai > r and Bi > r:
+                t = _pair(sys_, "beta", Ai - r, a, "gamma", Bi - r, a).scale(-1)
+            elif Ai <= r:
+                t = _pair(sys_, "b", Ai, a, "gamma", Bi - r, a)
+            else:
+                t = _pair(sys_, "beta", Ai - r, a, "c", Bi, a).scale(-1)
+            total = total.add(t)
+        states.append(total)
+    return states
+
+
+def _reference_det(sys_, entries):
+    n = len(entries)
+    total = zero(sys_)
+    for perm in permutations(range(n)):
+        factors = [generator_state(sys_, *entries[perm[c]][c])
+                   for c in range(n)]
+        total = total.add(wick(factors).scale(QQ(perm_sign(perm))))
+    return total
+
+
+@pytest.mark.parametrize("kind, rank, shape, side", [
+    ("sl", 2, {"bosonic": (2, 2)}, "left"),
+    ("gl", 3, {"fermionic": (3, 2)}, "left"),
+    ("sp", 4, {"bosonic": (4, 1), "fermionic": (4, 2)}, "left"),
+    ("glsuper", (1, 1), {"bosonic": (2, 1), "fermionic": (2, 1)}, "left"),
+    ("gl", 2, {"bosonic": (3, 2)}, "right"),
+    ("sl", 3, {"fermionic": (2, 3)}, "right"),
+])
+def test_theta_matches_wick_reference(kind, rank, shape, side):
+    A = make_algebra(kind, *rank) if isinstance(rank, tuple) \
+        else make_algebra(kind, rank)
+    sys_ = build_system(**shape)
+    F = theta(A, sys_, side=side)
+    assert list(F.states) == _reference_theta(A, sys_, side)
+    assert any(not st.is_zero() for st in F.states)
+
+
+@pytest.mark.parametrize("kind, rank, shape", [
+    ("so", 3, (3, 2)), ("so", 4, (4, 3)), ("sp", 4, (4, 2)), ("sp", 6, (6, 1))])
+def test_quad_family_matches_wick_reference(kind, rank, shape):
+    group = make_algebra(kind, rank)
+    sys_ = build_system(bosonic=shape)
+    assert list(quad_family(group, sys_).states) == _reference_quad(group, sys_)
+
+
+@pytest.mark.parametrize("which, shape", [
+    ("psi", {"fermionic": (2, 3)}),
+    ("psi", {"bosonic": (2, 1), "fermionic": (3, 2)}),
+    ("D", {"fermionic": (2, 3)}),
+    ("Dprime", {"fermionic": (2, 3)}),
+    ("E", {"bosonic": (2, 2), "fermionic": (2, 2)}),
+    ("Eprime", {"bosonic": (2, 2), "fermionic": (2, 2)}),
+    ("F", {"bosonic": (2, 3)}),
+    ("Fprime", {"bosonic": (2, 3), "fermionic": (2, 1)}),
+])
+def test_bc_family_matches_wick_reference(which, shape):
+    sys_ = build_system(**shape)
+    got = bc_family(sys_, which)
+    states = list(got.states) if which == "psi" else [st for _, st in got]
+    assert states == _reference_bc(sys_, which)
+    assert states and all(not st.is_zero() for st in states)
+
+
+@pytest.mark.parametrize("shape", [((2, 1), (2, 1)), ((2, 1), (2, 2)),
+                                   ((3, 2), (3, 1))])
+def test_mixed_psi_family_matches_wick_reference(shape):
+    bos, fer = shape
+    sys_ = build_system(bosonic=bos, fermionic=fer)
+    assert list(mixed_psi_family(sys_).states) == _reference_mixed_psi(sys_)
+
+
+@pytest.mark.parametrize("shape, J, side, axis", [
+    ((2, 2), (1, 2), "beta", "copies"),
+    ((3, 3), (3, 1, 2), "gamma", "copies"),
+    ((3, 2), (2, 3), "beta", "coords"),
+    ((2, 3), (3, 1), "gamma", "copies"),
+    ((4, 3), (4, 1, 3), "gamma", "coords"),
+])
+def test_det_family_matches_wick_reference(shape, J, side, axis):
+    sys_ = build_system(bosonic=shape)
+    k = len(J)
+    if axis == "copies":
+        entries = [[(side, J[c], r + 1) for c in range(k)] for r in range(k)]
+    else:
+        entries = [[(side, c + 1, J[r]) for c in range(k)] for r in range(k)]
+    D = det_family(sys_, J, side=side, axis=axis)
+    assert D == _reference_det(sys_, entries) and not D.is_zero()
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_mixed_det_matches_wick_reference(m):
+    sys_ = build_system(bosonic=(2 * m, m))
+    cols = [(fam, j) for j in range(1, m + 1) for fam in ("gamma", "beta")]
+    entries = [[(fam, j, r + 1) for fam, j in cols] for r in range(2 * m)]
+    M = mixed_det(sys_)
+    assert M == _reference_det(sys_, entries) and not M.is_zero()

@@ -11,9 +11,9 @@ import pytest
 from freefield import fock, harness
 from freefield.constructions import build_system
 from freefield.fock import (
-    apply_mode, binom, derivative, generator_state, gradings,
-    mono_parity, mono_weight, monomial_state, nth_product, state_from_text,
-    state_to_text, state_weight, vacuum, wick, zero,
+    apply_mode, binom, derivative, generator_polynomial, generator_state,
+    gradings, mono_parity, mono_weight, monomial_state, nth_product,
+    state_from_text, state_to_text, state_weight, vacuum, wick, zero,
 )
 from freefield.diffalg import symbol
 from freefield.linalg import axpy
@@ -121,6 +121,59 @@ def test_wick_right_nested():
          generator_state(sys, "b", 1, 1)]
     nested = nth_product(f[0], nth_product(f[1], f[2], -1), -1)
     assert wick(f) == nested
+
+
+def _wick_polynomial(sys_, terms):
+    """Reference for generator_polynomial: each term as a right-nested
+    Wick product of generator states, summed state by state."""
+    total = zero(sys_)
+    for c, gens in terms:
+        factors = [generator_state(sys_, *g) for g in gens]
+        total = total.add(wick(factors).scale(c))
+    return total
+
+
+@pytest.mark.parametrize("shape", [
+    {"bosonic": (2, 2)}, {"fermionic": (2, 2)},
+    {"bosonic": (2, 1), "fermionic": (2, 2)}])
+def test_generator_polynomial_matches_wick_of_generator_states(shape):
+    sys_ = build_system(**shape)
+    keys = [(g.family, g.copy, g.coord) for g in sys_.generators]
+    odd = [k for k in keys if sys_.gen(*k).parity]
+    rng = random.Random(len(keys))
+    coeffs = [QQ(1), QQ(-1), QQ(2), QQ(1, 2), QQ(-3, 4)]
+    nonzero = 0
+    for _ in range(40):
+        terms = [(rng.choice(coeffs),
+                  [rng.choice(keys) for _ in range(rng.randint(1, 4))])
+                 for _ in range(rng.randint(1, 5))]
+        # a term and its negative cancel; a repeated odd generator kills
+        # its monomial
+        c, gens = terms[0]
+        terms.append((-c, gens))
+        if odd:
+            g = rng.choice(odd)
+            terms.append((QQ(5), [g, rng.choice(keys), g]))
+        got = generator_polynomial(sys_, terms)
+        assert got == _wick_polynomial(sys_, terms)
+        assert all(type(v) is QQ for v in got.terms.values())
+        nonzero += not got.is_zero()
+    assert nonzero > 20
+
+
+def test_generator_polynomial_repeated_odd_and_cancelling_terms():
+    sys_ = mixed_system()
+    b, c = ("b", 1, 1), ("c", 1, 2)
+    beta, gamma = ("beta", 1, 1), ("gamma", 1, 2)
+    assert generator_polynomial(sys_, [(1, [b, beta, b])]).is_zero()
+    # :b c: = -:c b: and bosons commute with everything
+    assert generator_polynomial(
+        sys_, [(1, [b, c]), (1, [c, b]), (2, [beta, gamma]),
+               (-2, [gamma, beta])]).is_zero()
+    assert generator_polynomial(sys_, []).is_zero()
+    assert generator_polynomial(sys_, [(3, [])]) == vacuum(sys_).scale(3)
+    assert generator_polynomial(sys_, [(1, [b, beta, c])]) == wick(
+        [generator_state(sys_, *g) for g in (b, beta, c)])
 
 
 def test_weight_charge_additivity_on_products():

@@ -324,6 +324,20 @@ def test_right_gl_currents_without_bosons_is_a_config_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+# verify_affine takes only the trace and normalized forms; any other
+# value, a Gram matrix included, ends the run as a configuration error
+@pytest.mark.parametrize("form", ["killing", "Trace", "", [[1]], 2, None])
+def test_unknown_verify_affine_form_is_a_config_error(tmp_path, capsys, form):
+    raw = tiny_affine(tasks=[{"task": "verify_affine", "form": form}])
+    with pytest.raises(ScenarioError, match="unknown verify_affine form"):
+        run_scenario(raw)
+    spath = write_scenario(tmp_path, raw)
+    assert cli.main(["verify", str(spath)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"configuration error: unknown verify_affine form {form!r}; "
+        "expected trace or normalized"]
+
+
 def test_cli_rejects_threads_flag(tmp_path, capsys):
     # tasks run in order in one process; there is no thread count to set
     spath = write_scenario(tmp_path, tiny_affine())

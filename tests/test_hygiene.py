@@ -1,7 +1,7 @@
-"""Static checks on the source tree: no dead top-level definitions or
-methods in the package, no unused imports in the package or the tests,
-imports only at module level, no reads of another module's private
-names, and a harness that imports no maths."""
+"""Static checks on the source tree: no dead top-level definitions,
+module-level assignments or methods in the package, no unused imports in
+the package or the tests, imports only at module level, no reads of
+another module's private names, and a harness that imports no maths."""
 
 import ast
 import pathlib
@@ -39,6 +39,27 @@ def test_every_top_level_definition_is_used_in_the_package():
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 used.update(n for n in _read_names(stmt) if n != stmt.name)
     unused = [f"{mod}:{name}" for mod, name in defined if name not in used]
+    assert not unused, unused
+
+
+def test_every_module_level_assignment_is_read_in_the_package():
+    # a constant or table that no expression in the package loads is dead
+    assigned = []
+    loaded = set()
+    for path, tree in _trees(PACKAGE):
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = getattr(stmt, "targets", None) or [stmt.target]
+                assigned += [(path.name, node.id) for target in targets
+                             for node in ast.walk(target)
+                             if isinstance(node, ast.Name)]
+        loaded.update(node.id for node in ast.walk(tree)
+                      if isinstance(node, ast.Name)
+                      and isinstance(node.ctx, ast.Load))
+        loaded.update(node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute))
+    unused = [f"{mod}:{name}" for mod, name in assigned
+              if name not in loaded and not name.startswith("__")]
     assert not unused, unused
 
 

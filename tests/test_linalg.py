@@ -1,8 +1,5 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -212,23 +209,46 @@ def test_echelon_matches_reference_reduction(seed, track):
     assert {type(x) for x in _numbers(outputs)} <= {QQ}
 
 
-def test_solve_affine_rejects_rhs_key_under_optimize():
-    # the guard must be an exception, not an assert that -O strips
-    code = (
-        "from freefield.linalg import solve_affine\n"
-        "from freefield.rationals import QQ\n"
-        "try:\n"
-        "    solve_affine([{('_rhs',): QQ(1)}], [QQ(1)], [('_rhs',)])\n"
-        "except ValueError:\n"
-        "    print('rejected')\n"
-    )
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "rejected"
+def _rhs_column_solve_affine(equations, rhs, columns):
+    """Reference: the right-hand side as an appended column under a
+    reserved key that ranks after every real column, eliminated row by
+    row; the solution is read off the reduced rows with free variables 0."""
+    order = {c: i for i, c in enumerate(columns)}
+    RHS = ("_rhs",)
+    ech = Echelon(col_rank=lambda c: (1, 0) if c == RHS else (0, order[c]))
+    for eq, b in zip(equations, rhs):
+        ech.add({**eq, RHS: -b} if b else dict(eq))
+    rank = sum(1 for p in ech.pivots if p != RHS)
+    if RHS in ech.rows:
+        return None, rank
+    return {p: QQ(-row[RHS], row[p]) for p, row in ech.rows.items()
+            if RHS in row}, rank
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_solve_affine_matches_rhs_column_reference(seed):
+    # consistent (rhs = A x), mostly inconsistent (random) and zero
+    # right-hand sides; some columns appear in no equation
+    rng = random.Random(seed)
+    for _ in range(40):
+        n_cols = rng.randint(4, 10)
+        cols = [("x", k) for k in range(n_cols + rng.randint(0, 2))]
+        rows = [{("x", k): c for k, c in row.items()}
+                for row in _random_system(rng, rng.randint(1, 12), n_cols)]
+        x = {c: QQ(rng.randint(-3, 3), rng.choice([1, 2, 3])) for c in cols}
+        consistent = [sum((c * x[k] for k, c in row.items()), ZERO)
+                      for row in rows]
+        noisy = [QQ(rng.randint(-2, 2)) for _ in rows]
+        for rhs in (consistent, noisy, [ZERO] * len(rows)):
+            got = solve_affine(rows, rhs, cols)
+            assert got == _rhs_column_solve_affine(rows, rhs, cols)
+            sol, _ = got
+            if rhs is not noisy:
+                assert sol is not None
+            if sol is not None:
+                assert all(type(c) is QQ and c for c in sol.values())
+                assert [sum((c * sol.get(k, ZERO) for k, c in row.items()),
+                            ZERO) for row in rows] == rhs
 
 
 def _cycle_parity_sign(perm):
