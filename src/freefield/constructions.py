@@ -16,9 +16,9 @@ from .linalg import axpy, nullspace, perm_sign, solve_affine
 from .liealg import (LieAlgebraSpec, make_algebra, sp_any, gram_inverse,
                      normalized_gram, trace_gram, dual_coxeter, split_label,
                      torus_weights)
-from .fock import (SystemSpec, State, vacuum, zero, generator_state,
-                   generator_polynomial, nth_product, derivative, gradings,
-                   state_weight, state_to_text)
+from .fock import (SystemSpec, State, vacuum, zero, generator_polynomial,
+                   nth_product, derivative, gradings, state_weight,
+                   state_to_text)
 from .diffalg import (ResourceCapError, abstract_var, graded_multisets,
                       monomial_counts, monomial_from_factors, quantum_correct,
                       symbol, wick_expand)
@@ -226,24 +226,21 @@ def sugawara_checks(F: CurrentFamily, k) -> tuple:
 
 def conformal_and_charge(sys: SystemSpec):
     """(L_S, L_E, e): conformal elements of the bosonic and fermionic
-    sectors and the charge element; zero states for absent sectors."""
-    L_S, L_E, e = zero(sys), zero(sys), zero(sys)
+    sectors and the charge element; zero states for absent sectors.
+    L_S = sum :beta d(gamma):, L_E = -sum :b d(c):, e = sum :beta gamma:."""
+    L_S, L_E, e = [], [], []
     if sys.bosonic:
         n, m = sys.bosonic
         for j in range(1, m + 1):
             for i in range(1, n + 1):
-                beta = generator_state(sys, "beta", j, i)
-                gamma = generator_state(sys, "gamma", j, i)
-                L_S = L_S.add(nth_product(beta, derivative(gamma), -1))
-                e = e.add(nth_product(beta, gamma, -1))
+                L_S.append((1, [("beta", j, i), ("gamma", j, i, 1)]))
+                e.append((1, [("beta", j, i), ("gamma", j, i)]))
     if sys.fermionic:
         n, m = sys.fermionic
         for j in range(1, m + 1):
             for i in range(1, n + 1):
-                b = generator_state(sys, "b", j, i)
-                c = generator_state(sys, "c", j, i)
-                L_E = L_E.sub(nth_product(b, derivative(c), -1))
-    return L_S, L_E, e
+                L_E.append((-1, [("b", j, i), ("c", j, i, 1)]))
+    return tuple(generator_polynomial(sys, terms) for terms in (L_S, L_E, e))
 
 
 def _det_state(sys, entries) -> State:

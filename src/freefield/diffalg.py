@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import factorial, lcm
+from operator import attrgetter
 from typing import NamedTuple
 
 from .liealg import current_generators, torus_weights
-from .linalg import Echelon, axpy, nullspace
+from .linalg import Echelon, axpy, koszul_insert, koszul_sort, nullspace
 from .rationals import QQ, qstr
 from . import fock
 
@@ -59,6 +60,9 @@ def abstract_var(name: str, order: int, parity: int, weight: int) -> DV:
 
 # -- polynomial arithmetic --------------------------------------------------
 
+# the parity argument of the Koszul rule on monomials of variables
+_parity = attrgetter("parity")
+
 
 def diff_const(c) -> dict:
     c = QQ(c)
@@ -67,24 +71,9 @@ def diff_const(c) -> dict:
 
 def monomial_from_factors(factors, coeff=1) -> dict:
     """Canonicalize a factor list with Koszul signs; odd repeats kill it."""
-    c = QQ(coeff)
-    if not c:
-        return {}
-    mono: list = []
-    for v in factors:
-        pos = len(mono)
-        while pos > 0 and mono[pos - 1] > v:
-            pos -= 1
-        if v.parity:
-            if (pos < len(mono) and mono[pos] == v) or (
-                pos > 0 and mono[pos - 1] == v
-            ):
-                return {}
-            crossed = sum(u.parity for u in mono[pos:]) & 1
-            if crossed:
-                c = -c
-        mono.insert(pos, v)
-    return {tuple(mono): c}
+    mono, sign = koszul_sort(list(factors), _parity)
+    c = QQ(coeff) * sign
+    return {mono: c} if c else {}
 
 
 def diff_add(p: dict, q: dict, scale=1) -> dict:
@@ -100,24 +89,17 @@ def diff_sub(p: dict, q: dict) -> dict:
 
 def diff_mul(p: dict, q: dict) -> dict:
     """p*q, with the coefficient type of the inputs.  Two canonical
-    monomials multiply to their merged sort, negated when an odd number
-    of pairs of odd factors cross and 0 when they share an odd factor.
-    For one m1 the products with distinct m2 are distinct monomials, so
-    they are collected in one dict and added with one axpy."""
+    monomials multiply to the Koszul sort of m1 into m2, which is 0 when
+    they share an odd factor.  For one m1 the products with distinct m2
+    are distinct monomials, so they are collected in one dict and added
+    with one axpy."""
     out: dict = {}
-    right = [(m2, c2, [v for v in m2 if v.parity]) for m2, c2 in q.items()]
     for m1, c1 in p.items():
-        odd1 = [v for v in m1 if v.parity]
         row = {}
-        for m2, c2, odd2 in right:
-            crossed = 0
-            for v in odd2 if odd1 else ():
-                pos = bisect_left(odd1, v)
-                if pos < len(odd1) and odd1[pos] == v:
-                    break
-                crossed += len(odd1) - pos
-            else:
-                row[tuple(sorted(m1 + m2))] = -c2 if crossed & 1 else c2
+        for m2, c2 in q.items():
+            mono, sign = koszul_sort(m1, _parity, m2)
+            if sign:
+                row[mono] = sign * c2
         axpy(out, row, c1)
     return out
 
@@ -128,7 +110,9 @@ def mono_weight(mono) -> int:
 
 def symbol(a: fock.State, r: int) -> dict:
     """Image in the associated graded at degree r as a polynomial in
-    symbol variables; monomials shorter than r map to 0."""
+    symbol variables; monomials shorter than r map to 0.  It inverts the
+    state <-> field dictionary of `fock.generator_polynomial` on top
+    degree: k! g(-k-1) becomes the symbol variable of g of order k."""
     out: dict = {}
     for mono, c in a.terms.items():
         if len(mono) > r:
@@ -163,9 +147,9 @@ def apply_D(p: dict) -> dict:
     out: dict = {}
     for mono, c in p.items():
         for k, v in enumerate(mono):
-            factors = list(mono)
-            factors[k] = v.bump()
-            axpy(out, monomial_from_factors(factors, c))
+            new, sign = _replace_factor(mono, k, v.bump())
+            if sign:
+                axpy(out, {new: c}, sign)
     return out
 
 
@@ -191,19 +175,10 @@ def _var_images(mats: dict, r: int, v: DV) -> list:
 
 
 def _replace_factor(mono: tuple, k: int, w: DV):
-    """The canonical monomial with factor k of mono replaced by w, and the
-    Koszul sign of moving w to its place past the odd factors it crosses;
-    None when w is odd and already among the other factors."""
-    rest = mono[:k] + mono[k + 1:]
-    pos = bisect_left(rest, w)
-    sign = 1
-    if w.parity:
-        if pos < len(rest) and rest[pos] == w:
-            return None
-        crossed = rest[pos:k] if pos < k else rest[k:pos]
-        if sum(u.parity for u in crossed) & 1:
-            sign = -1
-    return rest[:pos] + (w,) + rest[pos:], sign
+    """(canonical monomial, sign) for factor k of mono replaced by w, which
+    `koszul_insert` moves from place k to its sorted place; (None, 0) when
+    w is odd and already among the other factors."""
+    return koszul_insert(mono[:k] + mono[k + 1:], w, _parity, k)
 
 
 def _act_mono(mono: tuple, images: dict) -> dict:
@@ -212,9 +187,9 @@ def _act_mono(mono: tuple, images: dict) -> dict:
     out: dict = {}
     for k, v in enumerate(mono):
         for w, e in images[v]:
-            hit = _replace_factor(mono, k, w)
-            if hit:
-                axpy(out, {hit[0]: e}, hit[1])
+            new, sign = _replace_factor(mono, k, w)
+            if sign:
+                axpy(out, {new: e}, sign)
     return out
 
 
@@ -543,6 +518,32 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     return out
 
 
+def _products_echelon(polys, atoms, weight: int, mindeg: int, maxdeg: int,
+                      cap: int, track: bool = False) -> Echelon:
+    """The `Echelon` of the nonzero products of polys over the index
+    tuples `graded_multisets(atoms, weight, mindeg, maxdeg)`, each tagged
+    by its tuple (kept when track=True); a ResourceCapError once more
+    than cap tuples come.  Each product is its prefix's times one poly,
+    and the products of the proper prefixes are each built once."""
+    prefix = {(): {(): 1}}
+
+    def product(tup):
+        if tup not in prefix:
+            prefix[tup] = diff_mul(product(tup[:-1]), polys[tup[-1]])
+        return prefix[tup]
+
+    ech = Echelon(track=track)
+    for count, prod in enumerate(
+            graded_multisets(atoms, weight, mindeg, maxdeg), 1):
+        if count > cap:
+            raise ResourceCapError(cap, count)
+        poly = (diff_mul(product(prod[:-1]), polys[prod[-1]]) if prod
+                else prefix[()])
+        if poly:
+            ech.add(poly, tag=prod)
+    return ech
+
+
 def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000) -> dict:
     """{degree: dimension} of the span of all products of D-derivatives of
     the gens at bidegree (weight, degree <= maxdeg), nonzero dimensions
@@ -566,23 +567,9 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000) -> dict:
                 den = lcm(*[c.denominator for c in g.values()])
                 derived.append((w + k, d, {m: int(c * den) for m, c in g.items()}))
                 g = apply_D(g)
-    atoms = [(w, d, 0) for w, d, _ in derived]
-    # products of the proper prefixes of the index tuples, each built once
-    prefix = {(): {(): 1}}
-
-    def product(tup):
-        if tup not in prefix:
-            prefix[tup] = diff_mul(product(tup[:-1]), derived[tup[-1]][2])
-        return prefix[tup]
-
-    ech = Echelon()
-    for count, prod in enumerate(graded_multisets(atoms, weight, 0, maxdeg), 1):
-        if count > cap:
-            raise ResourceCapError(cap, count)
-        poly = (diff_mul(product(prod[:-1]), derived[prod[-1]][2]) if prod
-                else prefix[()])
-        if poly:
-            ech.add(poly)
+    ech = _products_echelon([g for _, _, g in derived],
+                            [(w, d, 0) for w, d, _ in derived],
+                            weight, 0, maxdeg, cap)
     dims: dict = {}
     for p in ech.pivots:
         dims[len(p)] = dims.get(len(p), 0) + 1
@@ -747,16 +734,13 @@ def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QC
         raise ValueError("p is not a classical relation: symbols do not cancel")
     w_total, d_total = engine_bidegree(p)
 
-    names = sorted(by_name)
-
-    def expression_basis(wq: int, dq: int):
-        """Abstract monomials in D^k-generators at engine bidegree (wq, dq)."""
-        items = [(name, k) for name in names
-                 for k in range(wq - by_name[name][2] + 1)]
-        atoms = [(by_name[name][2] + k, by_name[name][3], by_name[name][4])
-                 for name, k in items]
-        return [tuple(items[i] for i in prod)
-                for prod in graded_multisets(atoms, wq, dq, dq)]
+    # the D^k-generators of weight <= w_total, as atoms (engine weight,
+    # engine degree, parity) of the products that may express a symbol
+    items = [(name, k) for name in sorted(by_name)
+             for k in range(w_total - by_name[name][2] + 1)]
+    atoms = [(by_name[name][2] + k, by_name[name][3], by_name[name][4])
+             for name, k in items]
+    polys = [derived(name, k) for name, k in items]
 
     corrections = []
     total = dict(p)
@@ -773,24 +757,14 @@ def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QC
                 f"descent did not lower the degree: {dq} after {prev_deg}")
         prev_deg = dq
         s = symbol(q, dq)
-        ech = Echelon(track=True)
-        n_prods = 0
-        for prod in expression_basis(w_total, dq):
-            poly = diff_const(1)
-            for name, k in prod:
-                poly = diff_mul(poly, derived(name, k))
-            n_prods += 1
-            if n_prods > cap:
-                raise ResourceCapError(cap, n_prods)
-            if poly:
-                ech.add(poly, tag=prod)
+        ech = _products_echelon(polys, atoms, w_total, dq, dq, cap, track=True)
         combo = ech.express(dict(s))
         if combo is None:
             return QCResult("failed", total, tuple(corrections), dq, s)
         r: dict = {}
         for prod, c in combo.items():
             factors = [abstract_var(name, k, by_name[name][4], by_name[name][2])
-                       for name, k in prod]
+                       for name, k in (items[i] for i in prod)]
             axpy(r, monomial_from_factors(factors, c))
         corrections.append((dq, r))
         total = diff_sub(total, r)

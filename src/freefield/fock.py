@@ -1,9 +1,11 @@
 """Exact Fock-state engine for free-field vertex superalgebras.
 
 States are finite rational combinations of canonical creation-mode
-monomials.  The state <-> field dictionary is
-:d^{k1}phi_1 ... d^{kr}phi_r:  <->  k1!...kr! phi_1(-k1-1)...phi_r(-kr-1)|0>,
-with monomials sorted by (generator, mode) and Koszul-sign normalized.
+monomials, sorted by (generator, mode) and Koszul-sign normalized by the
+one Koszul rule, `linalg.koszul_insert`.  The state <-> field dictionary
+:d^{k1}phi_1 ... d^{kr}phi_r:  <->  k1!...kr! phi_1(-k1-1)...phi_r(-kr-1)|0>
+lives in `generator_polynomial`, the one builder of normally ordered
+generator fields; `diffalg.symbol` is its inverse on top degree.
 All circle products are computed by the iterate recursion below; weight
 and charge homogeneity of every product is checked at run time (also
 under `python -O`), not assumed.
@@ -19,10 +21,9 @@ inputs and return states whose every coefficient is QQ.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from math import factorial
 
-from .linalg import axpy
+from .linalg import axpy, koszul_insert, koszul_sort
 from .rationals import QQ, qstr, parse_qstr
 
 # family -> (parity, conformal weight, charge) of its generator fields
@@ -129,6 +130,11 @@ class SystemSpec:
     def contraction(self, gi: int, gj: int):
         return self.contraction_table.get((gi, gj), 0)
 
+    def mode_parity(self, mode) -> int:
+        """Parity of a mode (generator index, m), the `parity` argument of
+        the Koszul rule `linalg.koszul_insert`."""
+        return self.parity[mode[0]]
+
 
 class State:
     """Finite map canonical monomial -> nonzero QQ; immutable by convention.
@@ -189,11 +195,6 @@ def zero(sys: SystemSpec) -> State:
     return State(sys)
 
 
-def generator_state(sys: SystemSpec, family: str, copy: int, coord: int) -> State:
-    g = sys.gen(family, copy, coord)
-    return State(sys, {((g.index, -1),): QQ(1)})
-
-
 def binom(m: int, j: int) -> int:
     """Generalized binomial m(m-1)...(m-j+1)/j!, any integer m, j >= 0;
     an exact int, since j! divides any j consecutive integers."""
@@ -220,49 +221,32 @@ def mono_parity(sys: SystemSpec, mono) -> int:
     return sum(sys.parity[gi] for gi, m in mono) & 1
 
 
-def _insert_mode(sys: SystemSpec, mono, gi: int, m: int):
-    """Sort phi(m) from the left into a canonical monomial.
-
-    Returns (new_mono, sign) or (None, _) when an odd mode repeats.
-    """
-    key = (gi, m)
-    pos = bisect_left(mono, key)
-    odd = sys.parity[gi]
-    if odd:
-        if pos < len(mono) and mono[pos] == key:
-            return None, 0
-        crossed = sum(sys.parity[g] for g, _ in mono[:pos]) & 1
-        sign = -1 if crossed else 1
-    else:
-        sign = 1
-    return mono[:pos] + (key,) + mono[pos:], sign
-
-
 def monomial_state(sys: SystemSpec, modes, coeff=1) -> State:
     """Build a state from modes given in operator order (leftmost first),
     canonicalizing with Koszul signs."""
-    c = QQ(coeff)
-    mono: tuple = ()
-    for gi, m in reversed(list(modes)):
-        if m > -1:
-            raise ValueError("creation modes require m <= -1")
-        mono, sign = _insert_mode(sys, mono, gi, m)
-        if mono is None:
-            return State(sys)
-        c *= sign
-    if not c:
-        return State(sys)
-    return State(sys, {mono: c})
+    modes = list(modes)
+    if any(m > -1 for _, m in modes):
+        raise ValueError("creation modes require m <= -1")
+    mono, sign = koszul_sort(modes, sys.mode_parity)
+    c = QQ(coeff) * sign
+    return State(sys, {mono: c} if c else {})
 
 
 def generator_polynomial(sys: SystemSpec, terms) -> State:
-    """sum c * g_1(-1)...g_k(-1)|0>, the normally ordered polynomial
-    sum c :g_1...g_k: in the generator fields, over terms
-    (c, [(family, copy, coord), ...]) given in operator order; each
+    """sum c * k_1!...k_r! g_1(-k_1-1)...g_r(-k_r-1)|0>, the normally
+    ordered polynomial sum c :d^{k_1}g_1...d^{k_r}g_r: in the generator
+    fields, over terms (c, [(family, copy, coord[, k]), ...]) given in
+    operator order, k = 0 when left out.  This is the one place of the
+    state <-> field dictionary; `diffalg.symbol` inverts it.  Each
     monomial is canonicalized with its Koszul sign by `monomial_state`."""
     out: dict = {}
     for c, gens in terms:
-        modes = [(sys.gen(*g).index, -1) for g in gens]
+        modes = []
+        for g in gens:
+            k = g[3] if len(g) > 3 else 0
+            modes.append((sys.gen(*g[:3]).index, -k - 1))
+            if k:
+                c *= factorial(k)
         axpy(out, monomial_state(sys, modes, c).terms)
     return State(sys, out)
 
@@ -273,10 +257,8 @@ def generator_polynomial(sys: SystemSpec, terms) -> State:
 def _apply_mode_mono(sys: SystemSpec, gi: int, m: int, mono) -> dict:
     """phi(m) applied to one canonical monomial; returns {mono: int}."""
     if m <= -1:
-        new, sign = _insert_mode(sys, mono, gi, m)
-        if new is None:
-            return {}
-        return {new: sign}
+        new, sign = koszul_insert(mono, (gi, m), sys.mode_parity)
+        return {new: sign} if sign else {}
     # annihilation: push through, contracting with modes at depth -m-1
     out: dict = {}
     odd = sys.parity[gi]
@@ -398,22 +380,17 @@ def derivative(a: State) -> State:
     """Translation operator; mode-raising derivation phi(m) -> -m phi(m-1).
 
     Must agree with nth_product(a, vacuum, -2); the test suite checks both
-    implementations against each other.
-
-    The raised mode keeps its place in operator order: its sort key only
-    drops below equal (necessarily bosonic) keys, so re-sorting never
-    crosses an odd mode and the Koszul sign is +1 throughout.
+    implementations against each other.  The raised mode moves from its
+    place to its sorted one by `koszul_insert`.
     """
     sys = a.sys
     out: dict = {}
     for mono, c in a.terms.items():
         for k, (gi, m) in enumerate(mono):
-            lowered = mono[:k] + mono[k + 1 :]
-            key = (gi, m - 1)
-            if sys.parity[gi] and key in lowered:
-                continue
-            pos = bisect_left(lowered, key)
-            axpy(out, {lowered[:pos] + (key,) + lowered[pos:]: c}, -m)
+            new, sign = koszul_insert(mono[:k] + mono[k + 1:], (gi, m - 1),
+                                      sys.mode_parity, k)
+            if sign:
+                axpy(out, {new: c}, -m * sign)
     return State(sys, out)
 
 

@@ -34,18 +34,6 @@ from .weyl import poly_monomials, weyl_to_text, zhu_det_mismatch
 
 TOOL_NAME = "freefield"
 
-TASK_NAMES = (
-    "verify_affine",
-    "commutant_check",
-    "counterexample_sec4",
-    "counterexample_so4",
-    "jet_compare",
-    "zhu_check",
-    "quantum_correct",
-    "sugawara_check",
-    "property_suite",
-)
-
 DEFAULT_BOUNDS = {"max_weight": 3, "max_degree": 4, "samples": 200, "seed": 0}
 
 CAP_ENV = "FREEFIELD_CAP"
@@ -126,7 +114,7 @@ def resolve_scenario(raw) -> dict:
             t = {"task": t}
         if not isinstance(t, dict) or "task" not in t:
             raise ScenarioError("each task must be a name or an object with 'task'")
-        if t["task"] not in TASK_NAMES:
+        if t["task"] not in TASK_FUNCTIONS:
             raise ScenarioError(f"unknown task {t['task']!r}")
         if "family" in t:
             t = dict(t)

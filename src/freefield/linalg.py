@@ -9,6 +9,7 @@ given input.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from math import gcd, lcm
 
 from .rationals import QQ
@@ -29,14 +30,45 @@ def axpy(u: dict, v: dict, scale=1) -> None:
             u.pop(k, None)
 
 
-def perm_sign(perm) -> int:
-    """Sign of a sequence of distinct comparable items: (-1)^inversions."""
+def koszul_insert(seq: tuple, item, parity, start: int = 0):
+    """Place item into the sorted tuple seq, moving it from position
+    `start` of seq (its front by default) to its sorted place.
+
+    Returns (new tuple, sign): sign is (-1)^(odd items passed) for an odd
+    item and 1 for an even one, and 0 (with None) when item is odd and
+    already in seq.  parity maps an item to 0 or 1.  This is the one
+    Koszul rule of the package.
+    """
+    pos = bisect_left(seq, item)
     sign = 1
-    for i, a in enumerate(perm):
-        for b in perm[i + 1:]:
-            if a > b:
-                sign = -sign
-    return sign
+    if parity(item):
+        if pos < len(seq) and seq[pos] == item:
+            return None, 0
+        passed = seq[pos:start] if pos < start else seq[start:pos]
+        if sum(map(parity, passed)) & 1:
+            sign = -1
+    return seq[:pos] + (item,) + seq[pos:], sign
+
+
+def koszul_sort(items, parity, seq: tuple = ()):
+    """Sort items, given in operator order, into the sorted tuple seq
+    that stands to their right, by `koszul_insert` from the right.
+
+    Returns (sorted tuple, sign), or (None, 0) when an odd item repeats.
+    """
+    sign = 1
+    for item in reversed(items):
+        seq, s = koszul_insert(seq, item, parity)
+        if not s:
+            return None, 0
+        sign *= s
+    return seq, sign
+
+
+def perm_sign(perm) -> int:
+    """Sign of a sequence of distinct comparable items: (-1)^inversions,
+    the Koszul sign of sorting it with every item odd."""
+    return koszul_sort(perm, lambda _: 1)[1]
 
 
 def _scale(u: dict, k) -> None:
@@ -205,17 +237,21 @@ def nullspace(equations, columns) -> list:
 def solve_affine(equations, rhs, columns):
     """Particular solution of sum(coeff*x) = rhs per equation.
 
-    Each column enters an `Echelon` as its vector over the equations, in
-    column order, so the pivot columns are those outside the span of the
-    columns before them; the others are the free variables, set to 0.
-    Returns (solution dict, rank) or (None, rank) when the system is
-    inconsistent.  rank is the rank of the coefficient matrix.
+    Each equation enters an `Echelon` as its row with -rhs under a private
+    constant column ranked after every unknown, so the pivots are the
+    columns outside the span of the columns before them and the others
+    are the free variables, set to 0.  Returns (solution dict, rank) or
+    (None, rank) when the system is inconsistent, which is when the
+    constant column becomes a pivot.  rank is the rank of the coefficient
+    matrix.
     """
-    by_column: dict = {c: {} for c in columns}
-    for i, eq in enumerate(equations):
-        for c, v in eq.items():
-            by_column[c][i] = v
-    ech = Echelon(track=True)
-    for c in columns:
-        ech.add(by_column[c], tag=c)
-    return ech.express({i: b for i, b in enumerate(rhs) if b}), ech.rank
+    const = object()
+    order = {c: i for i, c in enumerate(columns)}
+    order[const] = len(columns)
+    ech = Echelon(col_rank=order.__getitem__)
+    for eq, b in zip(equations, rhs):
+        ech.add({**eq, const: -b} if b else eq)
+    if const in ech.rows:
+        return None, ech.rank - 1
+    return {p: QQ(-row[const], row[p]) for p, row in ech.rows.items()
+            if const in row}, ech.rank

@@ -10,8 +10,8 @@ from .constructions import det_family
 from .diffalg import falling, graded_multisets
 from .linalg import axpy, perm_sign
 from .rationals import QQ, ONE, qstr
-from .fock import (State, binom, nth_product, monomial_state, mono_weight,
-                   state_weight)
+from .fock import (State, binom, generator_polynomial, nth_product,
+                   mono_weight, state_weight)
 
 
 # A WeylElement is a dict {(alpha, beta): QQ} where alpha and beta are
@@ -130,17 +130,14 @@ def poly_monomials(shape, maxdeg: int):
 
 
 def encode_polynomial(sys, q: dict) -> State:
-    """x'^alpha -> product of gamma(-1) modes; x'[i,j] is the coordinate i
-    of copy j."""
+    """x'^alpha -> the normally ordered product of the gamma fields, by
+    `generator_polynomial`; x'[i,j] is the coordinate i of copy j."""
     if sys.fermionic:
         raise ValueError("polynomial encoding needs a pure betagamma system")
-    total = State(sys, {})
-    for (alpha, beta), c in q.items():
-        if beta:
-            raise ValueError("only derivative-free polynomials encode")
-        modes = [(sys.gen("gamma", j, i).index, -1) for (i, j) in alpha]
-        total = total.add(monomial_state(sys, modes, c))
-    return total
+    if any(beta for _, beta in q):
+        raise ValueError("only derivative-free polynomials encode")
+    return generator_polynomial(sys, [
+        (c, [("gamma", j, i) for i, j in alpha]) for (alpha, _), c in q.items()])
 
 
 def decode_polynomial(a: State) -> dict:

@@ -1,5 +1,8 @@
 import re
 
+from freefield.fock import State
+from freefield.rationals import QQ
+
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
 
@@ -21,3 +24,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num in sorted(results):
         verdict = "PASS" if results[num] else "FAIL"
         terminalreporter.write_line(f"[criterion {num}] {verdict}")
+
+
+def generator_state(sys, family, copy, coord):
+    return State(sys, {((sys.gen(family, copy, coord).index, -1),): QQ(1)})

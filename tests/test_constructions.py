@@ -4,6 +4,7 @@ import sys
 from itertools import permutations
 
 import pytest
+from conftest import generator_state
 
 from freefield.constructions import (
     bc_family, build_system, commutant_check, component_monomials,
@@ -12,8 +13,8 @@ from freefield.constructions import (
     theta, verify_affine,
 )
 from freefield.diffalg import ResourceCapError
-from freefield.fock import (State, derivative, generator_state, gradings,
-                            nth_product, vacuum, wick, zero)
+from freefield.fock import (State, derivative, gradings, nth_product, vacuum,
+                            wick, zero)
 from freefield.liealg import make_algebra, split_label, sp_any
 from freefield.linalg import nullspace, perm_sign
 from freefield.rationals import QQ

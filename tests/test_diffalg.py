@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import generator_state
 
 from freefield.constructions import (build_system, det_family, symbol_generators,
                                      theta)
@@ -16,7 +17,7 @@ from freefield.diffalg import (
     monomial_counts, monomial_from_factors, quantum_correct,
     symbol, symbol_var, varspace_for_system, wick_expand,
 )
-from freefield.fock import generator_state, gradings, monomial_state, nth_product
+from freefield.fock import gradings, monomial_state, nth_product
 from freefield.liealg import current_generators, make_algebra, torus_weights
 from freefield.linalg import Echelon, axpy, nullspace
 from freefield.rationals import QQ
@@ -74,12 +75,18 @@ def test_invariant_basis_plain_sl2_minors():
 
 
 def _reference_diff_mul(p, q):
-    """Reference for diff_mul: re-sort every concatenated factor list,
-    with its Koszul sign, through monomial_from_factors."""
+    """Reference for diff_mul: sort every concatenated factor list by
+    brute force, with the sign (-1)^(inverted pairs of odd factors), and
+    drop it when an odd factor repeats."""
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            axpy(out, monomial_from_factors(list(m1) + list(m2), c1 * c2))
+            odd = [v for v in m1 + m2 if v.parity]
+            if len(set(odd)) < len(odd):
+                continue
+            inversions = sum(a > b for i, a in enumerate(odd)
+                             for b in odd[i + 1:])
+            axpy(out, {tuple(sorted(m1 + m2)): c1 * c2 * (-1) ** inversions})
     return out
 
 

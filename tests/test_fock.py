@@ -3,15 +3,17 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_left
 from importlib.resources import files
 from math import factorial
 
 import pytest
+from conftest import generator_state
 
 from freefield import fock, harness
 from freefield.constructions import build_system
 from freefield.fock import (
-    apply_mode, binom, derivative, generator_polynomial, generator_state,
+    apply_mode, binom, derivative, generator_polynomial,
     gradings, mono_parity, mono_weight, monomial_state, nth_product,
     state_from_text, state_to_text, state_weight, vacuum, wick, zero,
 )
@@ -125,10 +127,16 @@ def test_wick_right_nested():
 
 def _wick_polynomial(sys_, terms):
     """Reference for generator_polynomial: each term as a right-nested
-    Wick product of generator states, summed state by state."""
+    Wick product of the k-th derivatives of generator states, summed state
+    by state."""
     total = zero(sys_)
     for c, gens in terms:
-        factors = [generator_state(sys_, *g) for g in gens]
+        factors = []
+        for family, copy, coord, *order in gens:
+            st = generator_state(sys_, family, copy, coord)
+            for _ in range(sum(order)):
+                st = derivative(st)
+            factors.append(st)
         total = total.add(wick(factors).scale(c))
     return total
 
@@ -142,18 +150,25 @@ def test_generator_polynomial_matches_wick_of_generator_states(shape):
     odd = [k for k in keys if sys_.gen(*k).parity]
     rng = random.Random(len(keys))
     coeffs = [QQ(1), QQ(-1), QQ(2), QQ(1, 2), QQ(-3, 4)]
+
+    def factor():
+        # derivative order 0, 1 or 2 as a fourth entry, or no fourth
+        # entry for order 0
+        key, k = rng.choice(keys), rng.randrange(4)
+        return key if k == 3 else key + (k,)
+
     nonzero = 0
     for _ in range(40):
         terms = [(rng.choice(coeffs),
-                  [rng.choice(keys) for _ in range(rng.randint(1, 4))])
+                  [factor() for _ in range(rng.randint(1, 4))])
                  for _ in range(rng.randint(1, 5))]
         # a term and its negative cancel; a repeated odd generator kills
         # its monomial
         c, gens = terms[0]
         terms.append((-c, gens))
         if odd:
-            g = rng.choice(odd)
-            terms.append((QQ(5), [g, rng.choice(keys), g]))
+            g = rng.choice(odd) + (rng.randrange(3),)
+            terms.append((QQ(5), [g, factor(), g]))
         got = generator_polynomial(sys_, terms)
         assert got == _wick_polynomial(sys_, terms)
         assert all(type(v) is QQ for v in got.terms.values())
@@ -230,8 +245,8 @@ def test_nth_mono_homogeneity_guard_under_optimize():
         "from freefield.rationals import QQ\n"
         "sys_ = build_system(bosonic=(1, 1))\n"
         "fock._apply_mode_mono = lambda s, gi, m, mono: {((gi, -5),): QQ(1)}\n"
-        "beta = fock.generator_state(sys_, 'beta', 1, 1)\n"
-        "gamma = fock.generator_state(sys_, 'gamma', 1, 1)\n"
+        "beta = fock.monomial_state(sys_, [(sys_.gen('beta', 1, 1).index, -1)])\n"
+        "gamma = fock.monomial_state(sys_, [(sys_.gen('gamma', 1, 1).index, -1)])\n"
         "try:\n"
         "    fock.nth_product(beta, gamma, -1)\n"
         "except RuntimeError as e:\n"
@@ -249,9 +264,23 @@ def test_nth_mono_homogeneity_guard_under_optimize():
 # -- the integer kernel against the rational recursion ----------------------
 
 
+def _reference_insert_mode(sys_, mono, gi, m):
+    """Sort phi(m) from the left into a canonical monomial: (new_mono,
+    sign), or (None, 0) when an odd mode repeats."""
+    key = (gi, m)
+    pos = bisect_left(mono, key)
+    sign = 1
+    if sys_.parity[gi]:
+        if pos < len(mono) and mono[pos] == key:
+            return None, 0
+        if sum(sys_.parity[g] for g, _ in mono[:pos]) & 1:
+            sign = -1
+    return mono[:pos] + (key,) + mono[pos:], sign
+
+
 def _reference_apply_mode_mono(sys_, gi, m, mono):
     if m <= -1:
-        new, sign = fock._insert_mode(sys_, mono, gi, m)
+        new, sign = _reference_insert_mode(sys_, mono, gi, m)
         return {} if new is None else {new: QQ(sign)}
     out = {}
     crossing = 1

@@ -7,7 +7,7 @@ import pytest
 
 from freefield import cli
 from freefield.harness import (
-    DEFAULT_BOUNDS, TASK_FUNCTIONS, TASK_NAMES, ScenarioError, build_family,
+    DEFAULT_BOUNDS, TASK_FUNCTIONS, ScenarioError, build_family,
     expand_candidates, report_to_json, resolve_scenario, run_scenario,
 )
 
@@ -475,13 +475,13 @@ def test_report_schema_names_every_jet_compare_detail_key(bundled_reports):
     heads = list(re.finditer(r"^- `(\w+)`", body, re.M))
     sections = {m.group(1): body[m.start():n.start() if n else len(body)]
                 for m, n in zip(heads, heads[1:] + [None])}
-    assert sorted(sections) == sorted(TASK_NAMES)
+    assert sorted(sections) == sorted(TASK_FUNCTIONS)
     seen = {}
     for name, report in bundled_reports.items():
         for t in report["tasks"]:
             assert t["status"] == "pass", (name, t)
             seen.setdefault(t["task"], set()).update(_detail_keys(t["detail"]))
-    assert sorted(seen) == sorted(TASK_NAMES)
+    assert sorted(seen) == sorted(TASK_FUNCTIONS)
     assert {"invariant_dims", "samples", "weights"} <= seen["jet_compare"]
     for task, keys in seen.items():
         named = {word for span in re.findall(r"`([^`]*)`", sections[task])

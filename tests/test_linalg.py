@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from freefield.linalg import Echelon, axpy, nullspace, perm_sign, solve_affine
+from freefield.linalg import (Echelon, axpy, koszul_insert, koszul_sort,
+                              nullspace, perm_sign, solve_affine)
 from freefield.rationals import QQ, ZERO
 
 
@@ -271,6 +272,42 @@ def test_perm_sign_matches_cycle_parity():
             assert perm_sign(perm) == _cycle_parity_sign(perm), perm
             # any distinct comparable items: the sign of their sorting order
             assert perm_sign([p + 1 for p in perm]) == perm_sign(perm)
+
+
+def _int_parity(x):
+    return x & 1
+
+
+def _brute_koszul(items):
+    """(sorted tuple, sign) with the sign (-1)^(inverted pairs of odd
+    items) counted pair by pair, or (None, 0) when an odd item repeats."""
+    odd = [x for x in items if _int_parity(x)]
+    if len(set(odd)) < len(odd):
+        return None, 0
+    inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
+    return tuple(sorted(items)), (-1) ** inversions
+
+
+def test_koszul_sort_matches_inversion_count():
+    # ints with their low bit as parity: repeats of both parities, odd
+    # items crossing in every order
+    rng = random.Random(2012)
+    outcomes = {-1: 0, 0: 0, 1: 0}
+    for _ in range(400):
+        items = [rng.randrange(8) for _ in range(rng.randint(0, 7))]
+        got = koszul_sort(items, _int_parity)
+        assert got == _brute_koszul(items), items
+        outcomes[got[1]] += 1
+        # a sorted tail without repeated odd items, sorted into from the
+        # left, and one item moved into it from any place
+        tail = tuple(sorted(rng.sample(range(8), rng.randint(0, 4))
+                            + [2 * rng.randrange(4)]))
+        assert koszul_sort(items, _int_parity, tail) == _brute_koszul(
+            items + list(tail)), (items, tail)
+        item, start = rng.randrange(8), rng.randint(0, len(tail))
+        assert koszul_insert(tail, item, _int_parity, start) == _brute_koszul(
+            list(tail[:start]) + [item] + list(tail[start:])), (tail, item, start)
+    assert min(outcomes.values()) > 40, outcomes
 
 
 def test_axpy_drops_cancelled_keys_and_leaves_v():

@@ -1,7 +1,9 @@
 import random
 
+from conftest import generator_state
+
 from freefield.constructions import build_system
-from freefield.fock import generator_state, monomial_state, wick
+from freefield.fock import monomial_state, wick
 from freefield.properties import (
     CHECKS, check_commutator_formula, check_filtration_bounds,
     check_pull_off_independence, check_skew_symmetry, default_systems,

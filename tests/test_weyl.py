@@ -1,6 +1,8 @@
 import pytest
+from conftest import generator_state
 
 from freefield.constructions import build_system, det_family
+from freefield.fock import wick
 from freefield.linalg import axpy
 from freefield.rationals import QQ
 from freefield.weyl import (
@@ -66,7 +68,6 @@ def test_zhu_zero_mode_of_gamma_determinant_multiplies():
 
 def test_star_product_functoriality_sample():
     sys = build_system(bosonic=(2, 1))
-    from freefield.fock import generator_state, wick
     a = wick([generator_state(sys, "beta", 1, 1),
               generator_state(sys, "gamma", 1, 2)])
     b = wick([generator_state(sys, "beta", 1, 2),
