@@ -224,22 +224,6 @@ def _integer_matrices(mats: dict) -> dict:
             for fam, M in mats.items()}
 
 
-def action_matrices(A, xi, roles: dict) -> dict:
-    """Family -> matrix table for lie_jet_action.
-
-    roles maps family name to 'rep' (transform by rho(xi)) or 'dual'
-    (transform by -rho(xi)^T)."""
-    out = {}
-    for fam, role in roles.items():
-        if role == "rep":
-            out[fam] = A.matrix_for(xi)
-        elif role == "dual":
-            out[fam] = A.dual_matrix(xi)
-        else:
-            raise ValueError(f"unknown role {role!r}")
-    return out
-
-
 # -- bidegree components and invariants -------------------------------------
 
 
@@ -261,6 +245,8 @@ class VarSpace:
         for f in self.families:
             if f.family in seen:
                 raise ValueError(f"duplicate family {f.family!r}")
+            if f.role not in ("rep", "dual"):
+                raise ValueError(f"unknown role {f.role!r}")
             seen.add(f.family)
 
     def variables(self, max_weight: int) -> list:
@@ -274,11 +260,11 @@ class VarSpace:
                         )
         return sorted(out)
 
-    def roles(self) -> dict:
-        return {f.family: f.role for f in self.families}
-
     def action_for(self, A, xi) -> dict:
-        return action_matrices(A, xi, self.roles())
+        """Family -> sparse matrix of xi for lie_jet_action: rho(xi) on a
+        'rep' family, -rho(xi)^T on a 'dual' one."""
+        return {f.family: A.matrix_for(xi) if f.role == "rep"
+                else A.dual_matrix(xi) for f in self.families}
 
 
 def varspace_for_system(sys: fock.SystemSpec) -> VarSpace:
@@ -550,25 +536,28 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000) -> dict:
     only.
 
     Each derived generator is scaled to integer coefficients once, which
-    leaves the span unchanged, so the products are int polynomials.  They
-    all have the given weight, and those of degree d lie in the monomials
-    of length d; so the integer echelon form splits by degree, every
-    pivot is a monomial of the degree of its row, and the dimension at
-    degree d is the number of pivots of length d.
+    leaves the span unchanged, so the products are int polynomials, and
+    an odd one enters a product at most once (its square vanishes).  All
+    have the given weight, and those of degree d lie in the monomials of
+    length d; so the integer echelon form splits by degree, every pivot is
+    a monomial of the degree of its row, and the dimension at degree d is
+    the number of pivots of length d.
     """
-    # derivative closure D^k g while the weight fits
+    # derivative closure D^k g while the weight fits, as (atom, polynomial)
     derived = []
     for g in gens:
         w, d = diff_bidegree(g)
-        if w is None or d is None:
+        odd = {sum(v.parity for v in m) & 1 for m in g}
+        if w is None or d is None or len(odd) > 1:
             raise ValueError("generated_span needs bihomogeneous generators")
         if g and d <= maxdeg:
+            par = odd.pop()
             for k in range(weight - w + 1):
                 den = lcm(*[c.denominator for c in g.values()])
-                derived.append((w + k, d, {m: int(c * den) for m, c in g.items()}))
+                derived.append(((w + k, d, par),
+                                {m: int(c * den) for m, c in g.items()}))
                 g = apply_D(g)
-    ech = _products_echelon([g for _, _, g in derived],
-                            [(w, d, 0) for w, d, _ in derived],
+    ech = _products_echelon([g for _, g in derived], [a for a, _ in derived],
                             weight, 0, maxdeg, cap)
     dims: dict = {}
     for p in ech.pivots:

@@ -30,7 +30,8 @@ from .diffalg import (FamilyDecl, ResourceCapError, VarSpace, bidegree_dims,
                       diff_to_text, noninvariant_generator, plain_minors,
                       plain_quadrics, varspace_for_system)
 from .properties import jet_equivariance, run_property_suite, zhu_star_check
-from .weyl import poly_monomials, weyl_to_text, zhu_det_mismatch
+from .weyl import (decode_polynomial, poly_monomials, weyl_to_text,
+                   zhu_det_mismatch)
 
 TOOL_NAME = "freefield"
 
@@ -372,7 +373,7 @@ def task_zhu_check(sys, group, opts, bounds):
     if not sys.bosonic or sys.fermionic:
         raise ScenarioError("zhu_check needs a purely bosonic system")
     indices = tuple(opts.get("indices", range(1, sys.bosonic[0] + 1)))
-    polys = poly_monomials(sys.bosonic, 3)
+    polys = poly_monomials(sys, 3)
     mismatch = zhu_det_mismatch(sys, indices, polys)
     samples = opts.get("samples", bounds["samples"])
     star_failures, star_witness = zhu_star_check(sys, polys, bounds["seed"],
@@ -389,7 +390,7 @@ def task_zhu_check(sys, group, opts, bounds):
     if star_witness:
         a, b, q = star_witness
         detail["star_witness"] = {"a": state_to_text(a), "b": state_to_text(b),
-                                  "q": weyl_to_text(q)}
+                                  "q": weyl_to_text(decode_polynomial(q))}
     ok = mismatch is None and star_failures == 0
     return ("pass" if ok else "fail"), detail
 

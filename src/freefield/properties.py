@@ -179,7 +179,7 @@ def check_filtration_bounds(a, b, n):
     return False, f"n={n}: degree {dp} exceeds {bound}"
 
 
-def run_property_suite(seed=0, instances=200, max_len=2, max_depth=1):
+def run_property_suite(seed=0, instances=200):
     """Run every check on `instances` fresh random instances; returns a
     report dict keyed by check name."""
     rng = random.Random(seed)
@@ -198,9 +198,9 @@ def run_property_suite(seed=0, instances=200, max_len=2, max_depth=1):
 
     for i in range(instances):
         sys = systems[i % len(systems)]
-        a = random_monomial(sys, rng, max_len, max_depth)
-        b = random_monomial(sys, rng, max_len, max_depth)
-        c = random_monomial(sys, rng, max_len, max_depth)
+        a = random_monomial(sys, rng)
+        b = random_monomial(sys, rng)
+        c = random_monomial(sys, rng)
         wa, wb = state_weight(a), state_weight(b)
         n = rng.randrange(-2, max(wa + wb, 0) + 1)
         record("skew_symmetry", *check_skew_symmetry(a, b, n))
@@ -242,10 +242,10 @@ def jet_equivariance(F, seed: int, samples: int) -> tuple:
 
 
 def zhu_star_check(sys, polys, seed: int, samples: int) -> tuple:
-    """The zero mode of Zhu's star product a * b must act on every q in
-    polys as that of a after that of b, for `samples` random pairs of
-    monomials drawn from the seed.  Returns (number of failing pairs, the
-    first as (a, b, q) or None)."""
+    """The zero mode of Zhu's star product a * b must act on every
+    polynomial state q in polys as that of a after that of b, for
+    `samples` random pairs of monomials drawn from the seed.  Returns
+    (number of failing pairs, the first as (a, b, q) or None)."""
     rng = random.Random(seed)
     failures, witness = 0, None
     for _ in range(samples):

@@ -1,17 +1,18 @@
 """
-Exact Weyl algebra on a matrix of variables x'[i,j], commutative
-determinants, and zero-mode checks connecting Fock states to their
-classical counterparts.
+Zero modes of Fock states on polynomial states, Zhu's star product, and
+their classical counterparts.  A polynomial in the variables x'[i,j] is a
+weight-0 state of a betagamma system, x'[i,j] = gamma(-1) of coordinate i
+of copy j.  Weyl algebra elements remain only for the classical
+determinant of derivatives and for witness text.
 """
 
 from itertools import permutations, product as iproduct
 
-from .constructions import det_family
-from .diffalg import falling, graded_multisets
+from .constructions import component_monomials, det_family
+from .diffalg import falling
 from .linalg import axpy, perm_sign
 from .rationals import QQ, ONE, qstr
-from .fock import (State, binom, generator_polynomial, nth_product,
-                   mono_weight, state_weight)
+from .fock import State, binom, nth_product, mono_weight, state_weight
 
 
 # A WeylElement is a dict {(alpha, beta): QQ} where alpha and beta are
@@ -97,9 +98,9 @@ def weyl_to_text(w: dict) -> str:
 # -- classical determinants --------------------------------------------------
 
 
-def classical_dets(shape, J, primed: bool = False) -> dict:
-    """Commutative n x n determinant over the copies in J: pure x' columns
-    (primed False) or pure derivative columns (primed True)."""
+def classical_dets(shape, J) -> dict:
+    """Commutative n x n determinant of the derivatives d[i, j] over the
+    copies j in J."""
     n, m = shape
     J = tuple(J)
     if len(set(J)) != len(J):
@@ -109,38 +110,25 @@ def classical_dets(shape, J, primed: bool = False) -> dict:
     out: dict = {}
     for perm in permutations(range(n)):
         vars_ = tuple((r + 1, J[perm[r]]) for r in range(n))
-        if primed:
-            t = weyl_term(QQ(perm_sign(perm)), beta=vars_)
-        else:
-            t = weyl_term(QQ(perm_sign(perm)), alpha=vars_)
-        axpy(out, t)
+        axpy(out, weyl_term(QQ(perm_sign(perm)), beta=vars_))
     return out
 
 
 # -- Zhu-side checks ---------------------------------------------------------
 
 
-def poly_monomials(shape, maxdeg: int):
-    """All x'-monomials of degree <= maxdeg as WeylElements, sorted: the
-    `diffalg.graded_multisets` of the variables x'[i, j]."""
-    n, m = shape
-    vars_ = sorted((i, j) for j in range(1, m + 1) for i in range(1, n + 1))
-    return [weyl_term(ONE, alpha=tuple(vars_[k] for k in tup))
-            for tup in graded_multisets([(0, 1, 0)] * len(vars_), 0, 0, maxdeg)]
-
-
-def encode_polynomial(sys, q: dict) -> State:
-    """x'^alpha -> the normally ordered product of the gamma fields, by
-    `generator_polynomial`; x'[i,j] is the coordinate i of copy j."""
+def poly_monomials(sys, maxdeg: int) -> list:
+    """The monomial states of weight 0 and degree <= maxdeg, sorted:
+    `constructions.component_monomials(sys, 0, maxdeg)`.  On a betagamma
+    system these are the gamma(-1) monomials, the x'-monomials."""
     if sys.fermionic:
-        raise ValueError("polynomial encoding needs a pure betagamma system")
-    if any(beta for _, beta in q):
-        raise ValueError("only derivative-free polynomials encode")
-    return generator_polynomial(sys, [
-        (c, [("gamma", j, i) for i, j in alpha]) for (alpha, _), c in q.items()])
+        raise ValueError("polynomial states need a pure betagamma system")
+    return [State(sys, {mono: ONE})
+            for mono in component_monomials(sys, 0, maxdeg)]
 
 
 def decode_polynomial(a: State) -> dict:
+    """The polynomial state a as a derivative-free Weyl element."""
     out: dict = {}
     sys = a.sys
     for mono, c in a.terms.items():
@@ -154,20 +142,20 @@ def decode_polynomial(a: State) -> dict:
     return out
 
 
-def zhu_zero_mode(a: State, q: dict) -> dict:
-    """Zero-mode action of a on the polynomial q: encode q as a weight-0
-    state, act by the mode a(wt-1) per weight-homogeneous component of a,
-    decode.  Output failing to be weight 0 indicates an engine bug and
-    raises."""
+def zhu_zero_mode(a: State, q: State) -> State:
+    """Zero-mode action of a on the polynomial state q: the mode a(wt-1)
+    per weight-homogeneous component of a.  On a weight-0 q the image is
+    weight 0 again; `fock._nth_mono` checks the weight of every product it
+    forms, also under python -O, so an image outside weight 0 indicates an
+    engine bug and raises there."""
     sys = a.sys
-    enc = encode_polynomial(sys, q)
     comps: dict = {}
     for mono, c in a.terms.items():
         comps.setdefault(mono_weight(sys, mono), {})[mono] = c
     total = State(sys, {})
     for w, terms in sorted(comps.items()):
-        total = total.add(nth_product(State(sys, terms), enc, w - 1))
-    return decode_polynomial(total)
+        total = total.add(nth_product(State(sys, terms), q, w - 1))
+    return total
 
 
 def zhu_star(a: State, b: State) -> State:
@@ -182,14 +170,15 @@ def zhu_star(a: State, b: State) -> State:
 
 
 def zhu_det_mismatch(sys, J, polys):
-    """The first q in polys on which the zero mode of the beta determinant
-    state D_J differs from the classical determinant of derivatives over
-    the copies J, as (q, zero-mode image, classical image); None when the
-    two agree on every q."""
+    """The first polynomial state q in polys on which the zero mode of the
+    beta determinant state D_J differs from the classical determinant of
+    derivatives over the copies J, as Weyl elements (q, zero-mode image,
+    classical image); None when the two agree on every q."""
     DJ = det_family(sys, J, side="beta")
-    dd = classical_dets(sys.bosonic, J, primed=True)
+    dd = classical_dets(sys.bosonic, J)
     for q in polys:
-        got, want = zhu_zero_mode(DJ, q), apply_weyl(dd, q)
+        qw = decode_polynomial(q)
+        got, want = decode_polynomial(zhu_zero_mode(DJ, q)), apply_weyl(dd, qw)
         if got != want:
-            return q, got, want
+            return qw, got, want
     return None

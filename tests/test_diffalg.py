@@ -11,7 +11,7 @@ from freefield.constructions import (build_system, det_family, symbol_generators
                                      theta)
 from freefield.diffalg import (
     FamilyDecl, ResourceCapError, VarSpace, _block_key, abstract_var,
-    action_matrices, apply_D, diff_add, diff_bidegree,
+    apply_D, diff_add, diff_bidegree,
     diff_mul, diff_sub, diff_to_text, enumerate_component, falling,
     _var_images, generated_span, graded_multisets, invariant_basis, jet_var, lie_jet_action,
     monomial_counts, monomial_from_factors, quantum_correct,
@@ -348,6 +348,16 @@ def test_generated_span_counts_bihomogeneous():
     assert generated_span([minor], 2, 4) == {2: 1, 4: 1}
 
 
+def test_generated_span_takes_odd_generator_once():
+    # x*x = 0 for an odd x, so only the products 1 and x are formed
+    x = monomial_from_factors([jet_var("x", 1, 1, 0, parity=1)])
+    assert generated_span([x], 0, 2, cap=2) == {0: 1, 1: 1}
+    # x + y with y even is bihomogeneous but mixes parities
+    y = monomial_from_factors([jet_var("x", 1, 2, 0)])
+    with pytest.raises(ValueError, match="bihomogeneous"):
+        generated_span([diff_add(x, y)], 0, 2)
+
+
 def _reference_span_dims(gens, weight, maxdeg):
     """Reference for generated_span: every product of D-derivatives of the
     gens with rational coefficients, multiplied by _reference_diff_mul,
@@ -521,7 +531,9 @@ def test_quantum_correct_rejects_non_relation():
 
 def test_action_matrices_roles():
     A = make_algebra("sl", 2)
-    mats = action_matrices(A, 0, {"beta": "rep", "gamma": "dual"})
+    space = VarSpace([FamilyDecl("beta", 1, 2, 0, 1, "rep"),
+                      FamilyDecl("gamma", 1, 2, 0, 0, "dual")])
+    mats = space.action_for(A, 0)
     assert set(mats) == {"beta", "gamma"}
     # sparse: nonzero entries only
     assert all(all(M.values()) for M in mats.values())
@@ -531,3 +543,5 @@ def test_action_matrices_roles():
     for r in range(2):
         for c in range(2):
             assert Md[r][c] == -M[c][r]
+    with pytest.raises(ValueError, match="unknown role"):
+        VarSpace([FamilyDecl("beta", 1, 2, 0, 1, "adjoint")])

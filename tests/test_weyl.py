@@ -1,13 +1,19 @@
+import random
+from itertools import permutations
+
 import pytest
 from conftest import generator_state
 
 from freefield.constructions import build_system, det_family
-from freefield.fock import wick
-from freefield.linalg import axpy
+from freefield.diffalg import graded_multisets
+from freefield.fock import (State, generator_polynomial, mono_weight,
+                            nth_product, vacuum, wick)
+from freefield.linalg import axpy, perm_sign
+from freefield.properties import random_monomial
 from freefield.rationals import QQ
 from freefield.weyl import (
-    apply_weyl, classical_dets, normal_form_product, poly_monomials,
-    weyl_term, zhu_star, zhu_zero_mode,
+    apply_weyl, classical_dets, decode_polynomial, normal_form_product,
+    poly_monomials, weyl_term, zhu_star, zhu_zero_mode,
 )
 
 
@@ -53,17 +59,21 @@ def test_classical_dets_guards():
 def test_zhu_zero_mode_of_determinant():
     sys = build_system(bosonic=(2, 2))
     D = det_family(sys, (1, 2), side="beta")
-    dd = classical_dets((2, 2), (1, 2), primed=True)
-    for q in poly_monomials((2, 2), 3):
-        assert zhu_zero_mode(D, q) == apply_weyl(dd, q)
+    dd = classical_dets((2, 2), (1, 2))
+    for q in poly_monomials(sys, 3):
+        got = decode_polynomial(zhu_zero_mode(D, q))
+        assert got == apply_weyl(dd, decode_polynomial(q))
 
 
 def test_zhu_zero_mode_of_gamma_determinant_multiplies():
     sys = build_system(bosonic=(2, 2))
     Dp = det_family(sys, (1, 2), side="gamma")
-    dx = classical_dets((2, 2), (1, 2), primed=False)
-    one = weyl_term(QQ(1))
-    assert zhu_zero_mode(Dp, one) == dx
+    # det x' over the copies (1, 2), expanded over permutations
+    dx: dict = {}
+    for perm in permutations(range(2)):
+        axpy(dx, weyl_term(perm_sign(perm),
+                           alpha=[(r + 1, perm[r] + 1) for r in range(2)]))
+    assert decode_polynomial(zhu_zero_mode(Dp, vacuum(sys))) == dx
 
 
 def test_star_product_functoriality_sample():
@@ -73,7 +83,60 @@ def test_star_product_functoriality_sample():
     b = wick([generator_state(sys, "beta", 1, 2),
               generator_state(sys, "gamma", 1, 1)])
     star = zhu_star(a, b)
-    for q in poly_monomials((2, 1), 2):
+    for q in poly_monomials(sys, 2):
         lhs = zhu_zero_mode(star, q)
         rhs = zhu_zero_mode(a, zhu_zero_mode(b, q))
         assert lhs == rhs
+
+
+def _reference_poly_monomials(shape, maxdeg):
+    """Reference for poly_monomials: the x'-monomials of degree <= maxdeg
+    as Weyl elements, the graded multisets of the variables x'[i, j]."""
+    n, m = shape
+    vars_ = sorted((i, j) for j in range(1, m + 1) for i in range(1, n + 1))
+    return [weyl_term(1, alpha=tuple(vars_[k] for k in tup))
+            for tup in graded_multisets([(0, 1, 0)] * len(vars_), 0, 0, maxdeg)]
+
+
+def _reference_zero_mode(a, q):
+    """Reference for zhu_zero_mode on a Weyl polynomial q: encode q as the
+    normally ordered gamma fields, act by a(wt-1) per weight component of
+    a, decode."""
+    sys = a.sys
+    enc = generator_polynomial(sys, [
+        (c, [("gamma", j, i) for i, j in alpha]) for (alpha, _), c in q.items()])
+    comps: dict = {}
+    for mono, c in a.terms.items():
+        comps.setdefault(mono_weight(sys, mono), {})[mono] = c
+    total = State(sys, {})
+    for w, terms in sorted(comps.items()):
+        total = total.add(nth_product(State(sys, terms), enc, w - 1))
+    return decode_polynomial(total)
+
+
+def _frozen(w):
+    return tuple(sorted(w.items()))
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (2, 2)])
+def test_zhu_zero_mode_matches_weyl_reference(shape):
+    sys = build_system(bosonic=shape)
+    polys = poly_monomials(sys, 3)
+    old = _reference_poly_monomials(shape, 3)
+    assert len(polys) == len(old)
+    assert {_frozen(decode_polynomial(q)) for q in polys} == set(map(_frozen, old))
+    rng = random.Random(7)
+    nonzero = 0
+    for _ in range(8):
+        # a sum of two monomials may have two weight components
+        a = random_monomial(sys, rng).add(random_monomial(sys, rng))
+        for q in polys:
+            got = decode_polynomial(zhu_zero_mode(a, q))
+            assert got == _reference_zero_mode(a, decode_polynomial(q))
+            nonzero += bool(got)
+    assert nonzero
+
+
+def test_poly_monomials_need_pure_betagamma():
+    with pytest.raises(ValueError):
+        poly_monomials(build_system(bosonic=(1, 1), fermionic=(1, 1)), 2)
