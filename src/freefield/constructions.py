@@ -5,7 +5,7 @@ Quadratic current families for a Lie algebra acting on the generators
 (left on coordinates, right on copies), conformal and charge elements,
 determinant-type states, the quadratic pairing families, and exact
 verification: affine closure with a measured level, commutant membership,
-invariant bases on the state side, and correction searches for candidate
+invariant dimensions on the state side, and correction searches for candidate
 singular vectors.
 """
 
@@ -526,13 +526,15 @@ def state_torus(F: CurrentFamily):
 def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
                           cap: int = 20000):
     """Joint kernel of all nonnegative products with the family currents
-    on the span of monomials of the given exact weight and degree <= maxdeg.
+    on the span of monomials of the given exact weight and degree <= maxdeg,
+    as its free monomials (`linalg.nullspace`) block by block: one per
+    vector of the canonical kernel basis, so their number is its dimension.
 
     Torus grading: a current whose o_0 is diagonal on the generators
     (`state_torus`) multiplies each monomial by its torus weight, so the
     kernel lies in the monomials of torus weight 0 under all such
-    currents, and solving on those columns alone gives the same canonical
-    basis (the argument of `diffalg.invariant_basis`).  Only they are
+    currents, and solving on those columns alone gives the same free
+    columns (the argument of `diffalg.invariant_basis`).  Only they are
     enumerated, their diagonal o_0 images are checked to vanish (a
     RuntimeError otherwise) instead of being written as equations, and
     the resource cap still bounds the size of the whole component, which
@@ -557,7 +559,7 @@ def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
     # products vanish beyond wt(th) + wt(v) - 1
     products = [(i, lab, th, range(0, state_weight(th) + weight))
                 for i, (lab, th) in enumerate(F.items())]
-    basis = []
+    free = []
     for key in sorted(blocks, key=lambda k: (k is not None, k)):
         cols = blocks[key]
         rows: dict = {}
@@ -575,9 +577,8 @@ def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
                         if key is not None and _copy_charge_key(sys, tm) != key:
                             raise RuntimeError("block split violated")
                         rows.setdefault((lab, nn, tm), {})[mo] = tc
-        for vec in nullspace(rows.values(), cols):
-            basis.append(State(sys, {mo: c for mo, c in vec.items()}))
-    return basis
+        free.extend(nullspace(rows.values(), cols))
+    return free
 
 
 def invariant_lift_search(F: CurrentFamily, target: State, maxdeg: int,

@@ -414,26 +414,26 @@ def _copy_orbit(space: VarSpace, key) -> tuple:
 def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
                     cap: int = 20000, pairs=None) -> list:
     """The joint kernel of g[t] on the (weight, degree <= maxdeg)
-    component, one entry (degree, number of blocks in the orbit,
-    canonical basis) per orbit of blocks, defined below.
+    component, one entry (degree, number of blocks in the orbit, free
+    monomials) per orbit of blocks, defined below.
 
     Only t^r with r <= weight can act nonzero on the component, so g[t]
     acts through g[t]/t^(weight+1).  The equations are written for the
     generating set pairs of that algebra, `current_generators(A, weight)`
     when not given: if X and Y kill v then so does [X, Y], so the
-    generators have the same joint kernel as every xi t^r, and the
-    canonical nullspace basis is the same.  Each generator's matrices are
-    scaled to integers, which keeps its kernel, so every equation row is
-    a {column index: int} dict.
+    generators have the same joint kernel as every xi t^r, and so the
+    same free columns.  Each generator's matrices are scaled to integers,
+    which keeps its kernel, so every equation row is a {column index: int}
+    dict.
 
     Torus grading: a basis element h whose matrices are diagonal acts by
     h t^0 on a monomial as the sum of its factors' diagonal entries, so
     every invariant lies in the monomials of torus weight 0 under all
-    such h (`torus_weights`).  The canonical nullspace basis has one
-    vector per free column, 1 there and 0 at the other free columns, and
-    the free columns are the last nonzero positions of kernel vectors;
-    so solving on the weight-0 columns alone gives the same vectors in
-    the same order.  Only those columns are enumerated, their h t^0
+    such h (`torus_weights`).  A column is free when it is the last
+    nonzero position of some kernel vector, so the free columns depend
+    only on the kernel and the column order, and solving on the weight-0
+    columns alone, in the same order, gives the same kernel and so the
+    same free columns.  Only those columns are enumerated, their h t^0
     images are checked to vanish (a RuntimeError otherwise) instead of
     being written as equations, and the resource cap still bounds the
     size of the whole component, which is counted, not built.
@@ -453,8 +453,10 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     of them does not have as many columns as its representative.
 
     Output order: degree ascending, then the block key of the
-    representative.  Each basis is the canonical nullspace basis of its
-    representative block, possibly empty.
+    representative.  The free monomials are the free columns of the
+    representative block (`linalg.nullspace`), possibly none; each
+    indexes one vector of its canonical kernel basis, so their number is
+    the dimension of the invariants of each block in the orbit.
     """
     gens = current_generators(A, weight) if pairs is None else pairs
     actions = {i: _integer_matrices(space.action_for(A, i))
@@ -498,9 +500,8 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
                     for tmono, c in _act_mono(mono, images).items():
                         rows.setdefault(tmono, {})[ci] = c
                 equations.extend(rows[t] for t in sorted(rows))
-            basis = [{cols[i]: c for i, c in vec.items()}
-                     for vec in nullspace(equations, list(range(len(cols))))]
-            out.append((d, len(keys), basis))
+            free = nullspace(equations, range(len(cols)))
+            out.append((d, len(keys), [cols[i] for i in free]))
     return out
 
 
@@ -560,7 +561,7 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000) -> dict:
     ech = _products_echelon([g for _, g in derived], [a for a, _ in derived],
                             weight, 0, maxdeg, cap)
     dims: dict = {}
-    for p in ech.pivots:
+    for p in ech.rows:
         dims[len(p)] = dims.get(len(p), 0) + 1
     return dims
 
@@ -617,8 +618,8 @@ def bidegree_dims(space: VarSpace, A, gens, max_weight: int, maxdeg: int,
     nonzero dimensions only.
 
     The invariant dimension of a bidegree sums, over the orbits of
-    `invariant_basis`, the orbit size times the length of its basis; the
-    generated one is the rank `generated_span` reads off its pivots.
+    `invariant_basis`, the orbit size times its number of free monomials;
+    the generated one is the rank `generated_span` reads off its pivots.
 
     The current generators are computed once, for max_weight, and weight
     w takes the pairs with r <= w, which are `current_generators(A, w)`:
@@ -633,10 +634,10 @@ def bidegree_dims(space: VarSpace, A, gens, max_weight: int, maxdeg: int,
     pairs = current_generators(A, max_weight)
     inv, gen = {}, {}
     for w in range(0, max_weight + 1):
-        for d, size, basis in invariant_basis(
+        for d, size, free in invariant_basis(
                 space, A, w, maxdeg, cap, [(i, r) for i, r in pairs if r <= w]):
-            if basis:
-                inv[f"{w},{d}"] = inv.get(f"{w},{d}", 0) + size * len(basis)
+            if free:
+                inv[f"{w},{d}"] = inv.get(f"{w},{d}", 0) + size * len(free)
         for d, dim in generated_span(gens, w, maxdeg, cap).items():
             gen[f"{w},{d}"] = dim
     return inv, gen

@@ -58,7 +58,7 @@ def _check_dims(pair, name):
     if pair is None:
         return None
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-            or not all(isinstance(v, int) and v >= 1 for v in pair)):
+            or not all(type(v) is int and v >= 1 for v in pair)):
         raise ScenarioError(f"{name} must be a pair of positive integers")
     return [pair[0], pair[1]]
 
@@ -70,9 +70,9 @@ def _check_group(group, where):
         raise ScenarioError(f"{where} must be an object with a 'kind'")
     out = {"kind": group["kind"]}
     rank = group.get("rank")
-    if isinstance(rank, int):
+    if type(rank) is int:
         out["rank"] = rank
-    elif isinstance(rank, (list, tuple)) and all(isinstance(v, int) for v in rank):
+    elif isinstance(rank, (list, tuple)) and all(type(v) is int for v in rank):
         out["rank"] = list(rank)
     else:
         raise ScenarioError(f"{where}.rank must be an integer or integer list")
@@ -129,7 +129,7 @@ def resolve_scenario(raw) -> dict:
     for key, val in extra.items():
         if key not in DEFAULT_BOUNDS:
             raise ScenarioError(f"unknown bound {key!r}")
-        if not isinstance(val, int) or (key != "seed" and val < 1):
+        if type(val) is not int or (key != "seed" and val < 1):
             raise ScenarioError(f"bound {key!r} must be a positive integer")
         bounds[key] = val
     resolved["bounds"] = bounds

@@ -1,10 +1,10 @@
 """Sparse exact linear algebra over the rationals.
 
-Vectors are dicts mapping hashable column keys to nonzero rational entries
-(QQ or int); elimination itself runs on integer rows.  All routines are
-deterministic: pivots are chosen by a fixed column order and
-rows are processed in input order, so reduced bases are canonical for a
-given input.
+Vectors are dicts mapping comparable column keys to nonzero rational
+entries (QQ or int); elimination itself runs on integer rows.  Each row
+pivots on its least key, so the stored rows are multiples of the unique
+reduced row echelon form of the span, and what `nullspace` and
+`solve_affine` return does not depend on the order of the input rows.
 """
 
 from __future__ import annotations
@@ -92,29 +92,26 @@ def _integral(vec: dict):
 class Echelon:
     """Incremental reduced row echelon structure over the integers.
 
-    Each stored row is a primitive integer vector (content 1) with a
-    positive pivot entry and zeros on every other pivot column, so it is a
-    nonzero multiple of the canonical reduced row of the span of
-    everything added so far.  Reduction is fraction-free: a row cancels
-    the entry b of a vector whose own pivot entry is a by
+    Each stored row is a primitive integer vector (content 1) whose pivot,
+    its least key, has a positive entry, and which is zero on every other
+    pivot column; so it is a nonzero multiple of the canonical reduced row
+    of the span of everything added so far.  Reduction is fraction-free:
+    a row cancels the entry b of a vector whose own pivot entry is a by
     vec = (a/g)*vec - (b/g)*row with g = gcd(a, b) (Bareiss 1968).  Inputs
     may be rational; `add` clears their denominators, and `express`
     returns QQ.  With track=True each row also carries its expression in
     terms of the original tagged vectors, which `express` uses.
     """
 
-    def __init__(self, col_rank=None, track: bool = False):
-        # col_rank: column key -> sort rank; defaults to the key itself.
-        self._col_rank = col_rank if col_rank is not None else (lambda c: c)
+    def __init__(self, track: bool = False):
         self._track = track
-        self.pivots: list = []          # pivot column keys, insertion order
-        self.rows: dict = {}            # pivot col -> primitive int row
+        self.rows: dict = {}            # pivot col -> int row, pivot order
         self.combos: dict = {}          # pivot col -> {tag: QQ}
         self._holders: dict = {}        # column -> {pivot col whose row has it}
 
     @property
     def rank(self) -> int:
-        return len(self.pivots)
+        return len(self.rows)
 
     def _reduce(self, vec: dict, combo: dict):
         """Eliminate the pivot columns of an int vector in one pass.
@@ -162,7 +159,7 @@ class Echelon:
         self._reduce(vec, combo)
         if not vec:
             return False
-        p = min(vec, key=self._col_rank)
+        p = min(vec)
         self._primitive(vec, combo, p)
         # back-substitute into the stored rows that hold p, which keeps
         # every row zero on the other pivot columns
@@ -190,7 +187,6 @@ class Echelon:
         for k in vec:
             if k != p:
                 holders.setdefault(k, {})[p] = None
-        self.pivots.append(p)
         self.rows[p] = vec
         self.combos[p] = combo
         return True
@@ -212,46 +208,38 @@ class Echelon:
 
 
 def nullspace(equations, columns) -> list:
-    """Kernel basis of a sparse equation system.
+    """Free columns of a sparse homogeneous system: equations are
+    {column key: rational} dicts meaning sum(coeff*x_col) = 0, and
+    columns lists every column key in ascending key order.
 
-    equations: iterable of {column key: rational} meaning
-    sum(coeff*x_col) = 0.
-    columns: ordered list of all column keys (fixes determinism).
-    Returns the canonical basis: one vector per free column, that column's
-    entry set to 1, in column order.
+    Returns the non-pivot columns, in column order.  Each indexes one
+    vector of the canonical kernel basis (1 there, 0 at the other free
+    columns), so their number is the dimension of the kernel.
     """
-    order = {c: i for i, c in enumerate(columns)}
-    ech = Echelon(col_rank=lambda c: order[c])
+    ech = Echelon()
     for eq in equations:
         ech.add(eq)
-    basis = {f: {f: QQ(1)} for f in columns if f not in ech.rows}
-    for p in ech.pivots:
-        row = ech.rows[p]
-        a = row[p]
-        for f, c in row.items():
-            if f != p:
-                basis[f][p] = QQ(-c, a)
-    return list(basis.values())
+    return [f for f in columns if f not in ech.rows]
 
 
 def solve_affine(equations, rhs, columns):
     """Particular solution of sum(coeff*x) = rhs per equation.
 
-    Each equation enters an `Echelon` as its row with -rhs under a private
-    constant column ranked after every unknown, so the pivots are the
+    Each equation enters an `Echelon` rekeyed to column indices, with -rhs
+    at index len(columns), after every unknown; so the pivots are the
     columns outside the span of the columns before them and the others
     are the free variables, set to 0.  Returns (solution dict, rank) or
     (None, rank) when the system is inconsistent, which is when the
     constant column becomes a pivot.  rank is the rank of the coefficient
     matrix.
     """
-    const = object()
-    order = {c: i for i, c in enumerate(columns)}
-    order[const] = len(columns)
-    ech = Echelon(col_rank=order.__getitem__)
+    index = {c: i for i, c in enumerate(columns)}
+    const = len(columns)
+    ech = Echelon()
     for eq, b in zip(equations, rhs):
-        ech.add({**eq, const: -b} if b else eq)
+        row = {index[c]: v for c, v in eq.items()}
+        ech.add({**row, const: -b} if b else row)
     if const in ech.rows:
         return None, ech.rank - 1
-    return {p: QQ(-row[const], row[p]) for p, row in ech.rows.items()
-            if const in row}, ech.rank
+    return {columns[p]: QQ(-row[const], row[p])
+            for p, row in ech.rows.items() if const in row}, ech.rank

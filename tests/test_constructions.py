@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 from conftest import generator_state
+from reference_elimination import GaussJordan, reference_nullspace
 
 from freefield.constructions import (
     bc_family, build_system, commutant_check, component_monomials,
@@ -16,7 +17,7 @@ from freefield.diffalg import ResourceCapError
 from freefield.fock import (State, derivative, gradings, nth_product, vacuum,
                             wick, zero)
 from freefield.liealg import make_algebra, split_label, sp_any
-from freefield.linalg import nullspace, perm_sign
+from freefield.linalg import perm_sign
 from freefield.rationals import QQ
 
 
@@ -192,10 +193,10 @@ def test_state_invariant_basis_heisenberg_coset():
     F = theta(make_algebra("gl", 1), sys, side="right")
     # weight 0: only the vacuum; weight 1: nothing; weight 2: the single
     # coset field of the charge boson, which must itself pass the check
-    assert len(state_invariant_basis(F, 0, 4)) == 1
-    assert len(state_invariant_basis(F, 1, 4)) == 0
-    (w2,) = state_invariant_basis(F, 2, 4)
-    ok, witness = commutant_check(w2, F)
+    dims = [len(state_invariant_basis(F, w, 4)) for w in (0, 1, 2)]
+    assert dims == [1, 0, 1]
+    (w2,) = _unfiltered_state_invariants(F, 2, 4).values()
+    ok, witness = commutant_check(State(sys, w2), F)
     assert ok, witness
 
 
@@ -209,20 +210,24 @@ def test_state_invariant_basis_trivial_for_full_gl_left():
 def test_state_invariant_basis_finds_determinant():
     sys = build_system(bosonic=(2, 2))
     F = theta(make_algebra("sl", 2), sys, side="left")
-    basis = state_invariant_basis(F, 2, 2)
     D = det_family(sys, (1, 2), side="beta")
-    from freefield.linalg import Echelon
-    ech = Echelon()
-    for b in basis:
-        ech.add(dict(b.terms))
-    # D lies in the span: adding it does not enlarge it
-    assert not ech.add(dict(D.terms))
+    kernel = _unfiltered_state_invariants(F, 2, 2)
+    assert state_invariant_basis(F, 2, 2) == list(kernel)
+    ref = GaussJordan()
+    for vec in kernel.values():
+        ref.add(vec)
+    # D lies in the span of the reference kernel: adding it does not
+    # enlarge it
+    assert not ref.add(dict(D.terms))
+    ok, witness = commutant_check(D, F)
+    assert ok, witness
 
 
 def _unfiltered_state_invariants(F, weight, maxdeg):
     """Reference for state_invariant_basis: every column of the component,
     blocks keyed by the slot strings of the generators, every product
-    written as equations, eliminated by the same nullspace call."""
+    written as equations, eliminated by the reference elimination.
+    Returns {free monomial: its canonical kernel vector}, block by block."""
     sys_ = F.sys
 
     def key_of(mono):
@@ -236,7 +241,7 @@ def _unfiltered_state_invariants(F, weight, maxdeg):
     for mo in component_monomials(sys_, weight, maxdeg):
         blocks.setdefault(key_of(mo) if F.side == "left" else None,
                           []).append(mo)
-    basis = []
+    kernel = {}
     for key in sorted(blocks, key=lambda k: (k is not None, k)):
         rows = {}
         for mo in blocks[key]:
@@ -245,9 +250,8 @@ def _unfiltered_state_invariants(F, weight, maxdeg):
                 for nn in range(gradings(th)[0] + weight):
                     for tm, tc in nth_product(th, v, nn).terms.items():
                         rows.setdefault((lab, nn, tm), {})[mo] = tc
-        for vec in nullspace(rows.values(), blocks[key]):
-            basis.append(State(sys_, vec))
-    return basis
+        kernel.update(reference_nullspace(rows.values(), blocks[key]))
+    return kernel
 
 
 @pytest.mark.parametrize("kind, n, system, side, maxdeg", [
@@ -266,7 +270,13 @@ def test_state_invariant_basis_matches_unfiltered_columns(kind, n, system,
     dims = []
     for weight in range(4):
         expected = _unfiltered_state_invariants(F, weight, maxdeg)
-        assert state_invariant_basis(F, weight, maxdeg) == expected, weight
+        assert state_invariant_basis(F, weight, maxdeg) == list(expected), weight
+        # every reference kernel vector is killed by every product
+        for vec in expected.values():
+            v = State(F.sys, vec)
+            for _, th in F.items():
+                for nn in range(gradings(th)[0] + weight):
+                    assert not nth_product(th, v, nn).terms, (weight, nn)
         dims.append(len(expected))
     # the full gl commutants are trivial (Thm 4.3); the others are not
     assert (sum(dims) == 1) == (kind == "gl" and side == "left"), dims

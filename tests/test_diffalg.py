@@ -6,6 +6,7 @@ import sys
 
 import pytest
 from conftest import generator_state
+from reference_elimination import reference_nullspace
 
 from freefield.constructions import (build_system, det_family, symbol_generators,
                                      theta)
@@ -19,7 +20,7 @@ from freefield.diffalg import (
 )
 from freefield.fock import gradings, monomial_state, nth_product
 from freefield.liealg import current_generators, make_algebra, torus_weights
-from freefield.linalg import Echelon, axpy, nullspace
+from freefield.linalg import Echelon, axpy
 from freefield.rationals import QQ
 
 
@@ -186,8 +187,9 @@ def test_lie_jet_action_matches_reference(kind, n):
 def _full_system_invariants(space, A, weight, maxdeg):
     """Reference for invariant_basis: equations for every basis xi and
     every 0 <= r <= weight from the reference action, eliminated by the
-    same nullspace call per block.  Returns {(degree, block key): the
-    canonical nullspace basis of the block}, in output order."""
+    reference elimination per block.  Returns {(degree, block key):
+    {free monomial: its canonical kernel vector}} for the blocks with a
+    kernel, in output order."""
     actions = [_dense(space.action_for(A, i), A.rep_dim) for i in range(A.dim)]
     out = {}
     for d in range(maxdeg + 1):
@@ -205,10 +207,10 @@ def _full_system_invariants(space, A, weight, maxdeg):
                         for tmono, c in img.items():
                             rows.setdefault(tmono, {})[ci] = c
                     equations.extend(rows[t] for t in sorted(rows))
-            basis = [{cols[i]: c for i, c in vec.items()}
-                     for vec in nullspace(equations, list(range(len(cols))))]
-            if basis:
-                out[(d, key)] = basis
+            kernel = reference_nullspace(equations, range(len(cols)))
+            if kernel:
+                out[(d, key)] = {cols[f]: {cols[i]: c for i, c in vec.items()}
+                                 for f, vec in kernel.items()}
     return out
 
 
@@ -262,23 +264,25 @@ def test_invariant_basis_matches_full_system(kind, dims, maxdeg, space_name):
         assert expected, (kind, dims, weight)
         # the reference's nonempty blocks, grouped by orbit in key order
         orbits: dict = {}
-        for (d, key), basis in expected.items():
-            orbits.setdefault((d, _copy_orbit(space, key)), []).append(basis)
+        for (d, key), kernel in expected.items():
+            orbits.setdefault((d, _copy_orbit(space, key)), []).append(kernel)
         got = invariant_basis(space, A, weight, maxdeg)
         assert [d for d, _, _ in got] == sorted(d for d, _, _ in got)
-        solved = [(d, size, basis) for d, size, basis in got if basis]
+        solved = [(d, size, free) for d, size, free in got if free]
         assert len(solved) == len(orbits), (kind, dims, weight)
-        for (d, size, basis), (orbit, want) in zip(solved, orbits.items()):
-            # the representative is the orbit's first block, in canonical
-            # form, and the orbit size is the reference's block count
-            assert d == orbit[0] and basis == want[0], (weight, orbit)
+        for (d, size, free), (orbit, want) in zip(solved, orbits.items()):
+            # the representative is the orbit's first block, its free
+            # monomials are the reference's free columns, and the orbit
+            # size is the reference's block count
+            assert d == orbit[0] and free == list(want[0]), (weight, orbit)
             assert size == len(want), (weight, orbit)
-        # every returned vector is killed by every x_i t^r, r <= weight
+        # every reference kernel vector is killed by every x_i t^r,
+        # r <= weight
         for i in range(A.dim):
             mats = space.action_for(A, i)
             for r in range(weight + 1):
-                for _, _, basis in got:
-                    for vec in basis:
+                for kernel in expected.values():
+                    for vec in kernel.values():
                         assert lie_jet_action(mats, r, vec) == {}, (i, r, vec)
 
 

@@ -54,6 +54,14 @@ def test_resolve_rejects_bad_configs():
         resolve_scenario(tiny_affine(
             tasks=[{"task": "verify_affine",
                     "family": {"kind": "sl", "rank": 2, "family": "wrong"}}]))
+    # JSON true and false are not integers
+    for raw in (tiny_affine(system={"bosonic": [True, 2]}),
+                tiny_affine(group={"kind": "gl", "rank": True}),
+                tiny_affine(group={"kind": "glsuper", "rank": [1, False]}),
+                tiny_affine(bounds={"max_weight": True}),
+                tiny_affine(bounds={"seed": False})):
+        with pytest.raises(ScenarioError):
+            resolve_scenario(raw)
 
 
 def test_unknown_task_fails_before_compute():
@@ -281,6 +289,12 @@ def test_cli_exit_two_on_config_error(tmp_path, capsys):
     spath = write_scenario(tmp_path, tiny_affine(tasks=["frobnicate"]))
     assert cli.main(["verify", str(spath)]) == 2
     assert "configuration error" in capsys.readouterr().err
+    # JSON true is not an integer: one line on stderr, no report
+    spath = write_scenario(tmp_path, tiny_affine(bounds={"max_weight": True}))
+    assert cli.main(["verify", str(spath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "configuration error: bound 'max_weight' must be a positive integer"]
     assert cli.main(["verify", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]", encoding="utf-8")

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from reference_elimination import GaussJordan, lin, reference_nullspace
 
 from freefield.linalg import (Echelon, axpy, koszul_insert, koszul_sort,
                               nullspace, perm_sign, solve_affine)
@@ -26,12 +27,12 @@ def test_echelon_express_recovers_combination():
 
 
 def test_nullspace_small_system():
-    # x + y = 0, y + z = 0  ->  one-dimensional kernel (1, -1, 1)
+    # x + y = 0, y + z = 0  ->  one-dimensional kernel (1, -1, 1), whose
+    # free column is z
     eqs = [{"x": QQ(1), "y": QQ(1)}, {"y": QQ(1), "z": QQ(1)}]
-    basis = nullspace(eqs, ["x", "y", "z"])
-    assert len(basis) == 1
-    v = basis[0]
-    assert v["x"] + v["y"] == 0 and v["y"] + v["z"] == 0
+    assert nullspace(eqs, ["x", "y", "z"]) == ["z"]
+    assert reference_nullspace(eqs, ["x", "y", "z"]) == {
+        "z": {"z": 1, "x": 1, "y": -1}}
 
 
 def test_solve_affine_feasible_and_not():
@@ -45,85 +46,30 @@ def test_solve_affine_feasible_and_not():
     assert sol is None and rank == 1
 
 
-def _lin(u, v, scale):
-    """u + scale*v as a new dict without zero entries."""
-    out = dict(u)
-    for k, c in v.items():
-        out[k] = out.get(k, ZERO) + scale * c
-    return {k: c for k, c in out.items() if c}
-
-
-class _GaussJordan:
-    """Reference: rational Gauss-Jordan elimination with pivot entries 1,
-    walking every stored pivot on every reduction."""
-
-    def __init__(self, col_rank=lambda c: c):
-        self.col_rank = col_rank
-        self.rows: dict = {}
-        self.combos: dict = {}
-
-    def reduce(self, vec, combo):
-        vec, combo = dict(vec), dict(combo)
-        for p in self.rows:
-            c = vec.get(p)
-            if c:
-                vec = _lin(vec, self.rows[p], -c)
-                combo = _lin(combo, self.combos[p], -c)
-        return vec, combo
-
-    def add(self, vec, tag=None):
-        vec, combo = self.reduce(vec, {} if tag is None else {tag: QQ(1)})
-        if not vec:
-            return False
-        p = min(vec, key=self.col_rank)
-        inv = 1 / vec[p]
-        vec = {k: c * inv for k, c in vec.items()}
-        combo = {t: c * inv for t, c in combo.items()}
-        for q in self.rows:
-            c = self.rows[q].get(p)
-            if c:
-                self.rows[q] = _lin(self.rows[q], vec, -c)
-                self.combos[q] = _lin(self.combos[q], combo, -c)
-        self.rows[p] = vec
-        self.combos[p] = combo
-        return True
-
-    def express(self, vec):
-        work, combo = self.reduce(vec, {})
-        return None if work else {t: -c for t, c in combo.items()}
-
-
 def _normalised_rows(ech):
-    """The rows of an Echelon with the default column order, divided by
-    their pivot entries and sorted by pivot: the canonical reduced basis
-    of its span."""
+    """The rows of an Echelon divided by their pivot entries and sorted by
+    pivot: the canonical reduced basis of its span."""
     return [{k: QQ(c, ech.rows[p][p]) for k, c in ech.rows[p].items()}
-            for p in sorted(ech.pivots)]
+            for p in sorted(ech.rows)]
 
 
 def _residual(reduced_rows, vec):
-    """vec reduced modulo the span of the canonical rows of an Echelon
-    with the default column order: each row is 1 on its pivot, the least
-    column of its support, and 0 on the other pivots, so one pass clears
-    every pivot column."""
+    """vec reduced modulo the span of the canonical rows of an Echelon:
+    each row is 1 on its pivot, the least column of its support, and 0 on
+    the other pivots, so one pass clears every pivot column."""
     for row in reduced_rows:
         p = min(row)
         if vec.get(p):
-            vec = _lin(vec, row, -vec[p])
+            vec = lin(vec, row, -vec[p])
     return vec
 
 
-def _reference_nullspace(rows, cols):
-    ref = _GaussJordan(cols.index)
-    for row in rows:
-        ref.add(row)
-    return [{f: QQ(1), **{p: -r[f] for p, r in ref.rows.items() if f in r}}
-            for f in cols if f not in ref.rows]
-
-
 def _reference_solve_affine(rows, rhs, cols):
+    """Reference: the right-hand side as an appended column under a
+    reserved key that ranks after every real column, eliminated row by
+    row; the solution is read off the reduced rows with free variables 0."""
     RHS = ("_rhs",)
-    ref = _GaussJordan(lambda c: len(cols) if c == RHS else cols.index(c))
+    ref = GaussJordan(lambda c: len(cols) if c == RHS else cols.index(c))
     for row, b in zip(rows, rhs):
         ref.add({**row, RHS: -b} if b else row)
     rank = len([p for p in ref.rows if p != RHS])
@@ -142,7 +88,7 @@ def _random_system(rng, n_rows, n_cols):
         if rows and rng.random() < 0.35:
             row: dict = {}
             for other in rng.sample(rows, min(len(rows), rng.randint(1, 3))):
-                row = _lin(row, other, rng.choice([-2, -1, 1, 3, QQ(1, 2)]))
+                row = lin(row, other, rng.choice([-2, -1, 1, 3, QQ(1, 2)]))
         else:
             cols = rng.sample(range(n_cols), rng.randint(1, 4))
             row = {k: rng.choice(coeffs) for k in cols}
@@ -176,7 +122,7 @@ def test_echelon_matches_reference_reduction(seed, track):
     probes = _random_system(rng, 6, n_cols) + [
         {k: QQ(2, 3) * c for k, c in row.items()} for row in rows[:2]]
     ech = Echelon(track=track)
-    ref = _GaussJordan()
+    ref = GaussJordan()
     got = {
         "gained": [ech.add(row, tag=i) for i, row in enumerate(rows)],
         "reduced_rows": _normalised_rows(ech),
@@ -189,7 +135,7 @@ def test_echelon_matches_reference_reduction(seed, track):
         "gained": [ref.add(row, tag=i) for i, row in enumerate(rows)],
         "residual": [ref.reduce(v, {})[0] for v in probes],
         "reduced_rows": [ref.rows[p] for p in sorted(ref.rows)],
-        "nullspace": _reference_nullspace(rows, cols),
+        "nullspace": list(reference_nullspace(rows, cols)),
         "solve_affine": [_reference_solve_affine(rows, rhs, cols)
                          for rhs in _rhs_choices(rows)],
     }
@@ -201,29 +147,13 @@ def test_echelon_matches_reference_reduction(seed, track):
             if combo is not None:
                 total: dict = {}
                 for tag, c in combo.items():
-                    total = _lin(total, rows[tag], c)
+                    total = lin(total, rows[tag], c)
                 assert total == v
     assert got == expected
     # exact values leave the module as QQ, never as int or float
-    outputs = [got["residual"], got["reduced_rows"], got["nullspace"],
+    outputs = [got["residual"], got["reduced_rows"],
                [sol for sol, _ in got["solve_affine"]], got.get("express")]
     assert {type(x) for x in _numbers(outputs)} <= {QQ}
-
-
-def _rhs_column_solve_affine(equations, rhs, columns):
-    """Reference: the right-hand side as an appended column under a
-    reserved key that ranks after every real column, eliminated row by
-    row; the solution is read off the reduced rows with free variables 0."""
-    order = {c: i for i, c in enumerate(columns)}
-    RHS = ("_rhs",)
-    ech = Echelon(col_rank=lambda c: (1, 0) if c == RHS else (0, order[c]))
-    for eq, b in zip(equations, rhs):
-        ech.add({**eq, RHS: -b} if b else dict(eq))
-    rank = sum(1 for p in ech.pivots if p != RHS)
-    if RHS in ech.rows:
-        return None, rank
-    return {p: QQ(-row[RHS], row[p]) for p, row in ech.rows.items()
-            if RHS in row}, rank
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -242,7 +172,7 @@ def test_solve_affine_matches_rhs_column_reference(seed):
         noisy = [QQ(rng.randint(-2, 2)) for _ in rows]
         for rhs in (consistent, noisy, [ZERO] * len(rows)):
             got = solve_affine(rows, rhs, cols)
-            assert got == _rhs_column_solve_affine(rows, rhs, cols)
+            assert got == _reference_solve_affine(rows, rhs, cols)
             sol, _ = got
             if rhs is not noisy:
                 assert sol is not None
@@ -250,6 +180,29 @@ def test_solve_affine_matches_rhs_column_reference(seed):
                 assert all(type(c) is QQ and c for c in sol.values())
                 assert [sum((c * sol.get(k, ZERO) for k, c in row.items()),
                             ZERO) for row in rows] == rhs
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_row_order_does_not_change_the_output(seed):
+    # the reduced row echelon form of a row space is unique, so the free
+    # columns and an affine solution are the same for the original, a
+    # shuffled and a shortest-rows-first order of the same rows
+    rng = random.Random(seed)
+    for _ in range(5):
+        n_cols = rng.randint(4, 12)
+        cols = list(range(n_cols))
+        rows = _random_system(rng, rng.randint(3, 18), n_cols)
+        shuffled = list(range(len(rows)))
+        rng.shuffle(shuffled)
+        orders = [range(len(rows)), shuffled,
+                  sorted(range(len(rows)), key=lambda i: len(rows[i]))]
+        free = [nullspace([rows[i] for i in order], cols) for order in orders]
+        assert free[1:] == free[:1] * 2
+        for rhs in _rhs_choices(rows):
+            got = [solve_affine([rows[i] for i in order],
+                                [rhs[i] for i in order], cols)
+                   for order in orders]
+            assert got[1:] == got[:1] * 2
 
 
 def _cycle_parity_sign(perm):
