@@ -13,9 +13,12 @@ under `python -O`), not assumed.
 The kernel is integral: every coefficient of the recursion is a
 generalized binomial times a +-1 contraction or Koszul sign, so
 `_apply_mode_mono`, `_nth_mono` and the per-system product cache work in
-`int`.  Rationals come back only at the public boundary: `nth_product`
-and `apply_mode` scale the integer dicts by the QQ coefficients of their
-inputs and return states whose every coefficient is QQ.
+`int`.  Rationals come back only at the public boundary.  `nth_product`
+scales each input to integers by the lcm of its denominators, sums the
+integer products, and forms one QQ per output term; `apply_mode` scales
+the integer dicts by the QQ coefficients of its input.  Both return
+states whose every coefficient is QQ.  The (weight, charge, parity) of
+each monomial is memoized on its system, next to the product cache.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import os
 from math import factorial
 
-from .linalg import axpy, koszul_insert, koszul_sort
+from .linalg import axpy, integral, koszul_insert, koszul_sort
 from .rationals import QQ, qstr, parse_qstr
 
 # family -> (parity, conformal weight, charge) of its generator fields
@@ -59,9 +62,10 @@ class GeneratorId:
 
 
 def _cache_cap() -> int:
-    """FREEFIELD_CACHE_CAP, the most products the cache of one system
-    keeps (default 1000000, 0 turns the cache off); ValueError naming the
-    variable when it is not a non-negative integer."""
+    """FREEFIELD_CACHE_CAP, the most entries the product cache and the
+    grading memo of one system each keep (default 1000000, 0 turns both
+    off); ValueError naming the variable when it is not a non-negative
+    integer."""
     raw = os.environ.get("FREEFIELD_CACHE_CAP", "1000000")
     if not raw.isdecimal():
         raise ValueError(
@@ -119,6 +123,8 @@ class SystemSpec:
                 table[(g.index, other)] = sign[g.family]
         self.contraction_table = table
         self._nth_cache: dict = {}
+        # monomial -> (weight, charge, parity), filled by `_grade`
+        self._grading: dict = {}
         self._cache_cap = _cache_cap()
 
     def gen(self, family: str, copy: int, coord: int) -> GeneratorId:
@@ -209,16 +215,30 @@ def binom(m: int, j: int) -> int:
 # -- monomial helpers -------------------------------------------------------
 
 
+def _grade(sys: SystemSpec, mono) -> tuple:
+    """(weight, charge, parity) of a monomial, computed from its modes on
+    first use and memoized on the system while the memo is under the
+    cache cap."""
+    grade = sys._grading.get(mono)
+    if grade is None:
+        grade = (sum(-m - 1 + sys.weight[gi] for gi, m in mono),
+                 sum(sys.charge[gi] for gi, m in mono),
+                 sum(sys.parity[gi] for gi, m in mono) & 1)
+        if len(sys._grading) < sys._cache_cap:
+            sys._grading[mono] = grade
+    return grade
+
+
 def mono_weight(sys: SystemSpec, mono) -> int:
-    return sum(-m - 1 + sys.weight[gi] for gi, m in mono)
+    return _grade(sys, mono)[0]
 
 
 def mono_charge(sys: SystemSpec, mono) -> int:
-    return sum(sys.charge[gi] for gi, m in mono)
+    return _grade(sys, mono)[1]
 
 
 def mono_parity(sys: SystemSpec, mono) -> int:
-    return sum(sys.parity[gi] for gi, m in mono) & 1
+    return _grade(sys, mono)[2]
 
 
 def monomial_state(sys: SystemSpec, modes, coeff=1) -> State:
@@ -303,28 +323,36 @@ def _nth_mono(sys: SystemSpec, ma, mb, n: int) -> dict:
     hit = cache.get(key)
     if hit is not None:
         return hit
-    wa, wb = mono_weight(sys, ma), mono_weight(sys, mb)
+    wa, ca, _ = _grade(sys, ma)
+    wb, cb, _ = _grade(sys, mb)
     if n >= 0 and n > wa + wb - 1:
         return {}
 
     (gi, m0), rest = ma[0], ma[1:]
-    par_phi = sys.parity[gi]
-    par_rest = mono_parity(sys, rest)
-    cross_sign = -1 if (par_phi and par_rest) else 1
+    w_rest, _, par_rest = _grade(sys, rest)
+    cross_sign = -1 if (sys.parity[gi] and par_rest) else 1
     second_sign = cross_sign if m0 & 1 else -cross_sign
 
     acc: dict = {}
+    mode_parity = sys.mode_parity
     # first sum: apply_mode(phi, m0-j, nth(rest, mb, n+j)); the inner
-    # product vanishes once n+j passes the weight cutoff
-    w_rest = mono_weight(sys, rest)
+    # product vanishes once n+j passes the weight cutoff.  phi(m0-j) is a
+    # creation mode, so it is inserted in place by the Koszul rule
     j_hi = w_rest + wb - 1 - n
     j = 0
     while j <= j_hi:
         inner = _nth_mono(sys, rest, mb, n + j)
         if inner:
             coeff = ((-1) ** (j & 1)) * binom(m0, j)
+            mode = (gi, m0 - j)
             for mono, v in inner.items():
-                axpy(acc, _apply_mode_mono(sys, gi, m0 - j, mono), coeff * v)
+                new, sign = koszul_insert(mono, mode, mode_parity)
+                if sign:
+                    s = acc.get(new, 0) + sign * coeff * v
+                    if s:
+                        acc[new] = s
+                    else:
+                        acc.pop(new, None)
         j += 1
 
     # second sum: nth(rest, apply_mode(phi, j, mb), m0+n-j); only depths
@@ -342,11 +370,10 @@ def _nth_mono(sys: SystemSpec, ma, mb, n: int) -> dict:
 
     # every monomial of a o_n b sits in weight wa+wb-n-1 and the additive
     # charge; this is the runtime homogeneity check
-    expected_w = wa + wb - n - 1
-    expected_c = mono_charge(sys, ma) + mono_charge(sys, mb)
+    expected_w, expected_c = wa + wb - n - 1, ca + cb
     for mono in acc:
-        if (mono_weight(sys, mono) != expected_w
-                or mono_charge(sys, mono) != expected_c):
+        w, c, _ = _grade(sys, mono)
+        if w != expected_w or c != expected_c:
             raise RuntimeError(
                 f"inhomogeneous product: {mono} in {ma} o_{n} {mb}")
 
@@ -356,13 +383,19 @@ def _nth_mono(sys: SystemSpec, ma, mb, n: int) -> dict:
 
 
 def nth_product(a: State, b: State, n: int) -> State:
+    """a o_n b.  Each input is scaled to integers by the lcm of its
+    denominators; the integer sum is da*db times the rational one, so a
+    term vanishes at the same step and the terms keep their order."""
     _check_same_system(a, b)
     sys = a.sys
+    ia, da = integral(a.terms)
+    ib, db = integral(b.terms)
     out: dict = {}
-    for ma, ca in a.terms.items():
-        for mb, cb in b.terms.items():
+    for ma, ca in ia.items():
+        for mb, cb in ib.items():
             axpy(out, _nth_mono(sys, ma, mb, n), ca * cb)
-    return _qq_state(sys, out)
+    den = da * db
+    return State(sys, {mono: QQ(c, den) for mono, c in out.items()})
 
 
 def wick(factors) -> State:

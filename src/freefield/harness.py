@@ -129,7 +129,10 @@ def resolve_scenario(raw) -> dict:
     for key, val in extra.items():
         if key not in DEFAULT_BOUNDS:
             raise ScenarioError(f"unknown bound {key!r}")
-        if type(val) is not int or (key != "seed" and val < 1):
+        if key == "seed":
+            if type(val) is not int:
+                raise ScenarioError("bound 'seed' must be an integer")
+        elif type(val) is not int or val < 1:
             raise ScenarioError(f"bound {key!r} must be a positive integer")
         bounds[key] = val
     resolved["bounds"] = bounds

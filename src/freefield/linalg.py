@@ -77,7 +77,7 @@ def _scale(u: dict, k) -> None:
         u[key] *= k
 
 
-def _integral(vec: dict):
+def integral(vec: dict):
     """(den*vec as an int dict, den) for the least positive den that
     clears the denominators of vec; an all-int vec is only copied."""
     if all(type(c) is int for c in vec.values()):
@@ -154,7 +154,7 @@ class Echelon:
 
     def add(self, vec: dict, tag=None) -> bool:
         """Insert vec; returns True when it enlarges the span."""
-        vec, den = _integral(vec)
+        vec, den = integral(vec)
         combo = {tag: QQ(den)} if (self._track and tag is not None) else {}
         self._reduce(vec, combo)
         if not vec:
@@ -199,7 +199,7 @@ class Echelon:
         """
         if not self._track:
             raise ValueError("express() needs track=True")
-        work, den = _integral(vec)
+        work, den = integral(vec)
         combo: dict = {}
         s = den * self._reduce(work, combo)
         if work:
@@ -214,10 +214,13 @@ def nullspace(equations, columns) -> list:
 
     Returns the non-pivot columns, in column order.  Each indexes one
     vector of the canonical kernel basis (1 there, 0 at the other free
-    columns), so their number is the dimension of the kernel.
+    columns), so their number is the dimension of the kernel.  The
+    equations are added shortest first (ties in input order); the free
+    columns do not depend on that order, and short rows are cheap pivots
+    for the long ones.
     """
     ech = Echelon()
-    for eq in equations:
+    for eq in sorted(equations, key=len):
         ech.add(eq)
     return [f for f in columns if f not in ech.rows]
 

@@ -237,28 +237,37 @@ def test_state_equality_ignores_term_order():
 
 
 def test_nth_mono_homogeneity_guard_under_optimize():
-    # a mode action that returns a monomial of the wrong weight must trip
-    # the homogeneity check, also when -O strips asserts
-    code = (
-        "from freefield import fock\n"
-        "from freefield.constructions import build_system\n"
-        "from freefield.rationals import QQ\n"
-        "sys_ = build_system(bosonic=(1, 1))\n"
-        "fock._apply_mode_mono = lambda s, gi, m, mono: {((gi, -5),): QQ(1)}\n"
-        "beta = fock.monomial_state(sys_, [(sys_.gen('beta', 1, 1).index, -1)])\n"
-        "gamma = fock.monomial_state(sys_, [(sys_.gen('gamma', 1, 1).index, -1)])\n"
-        "try:\n"
-        "    fock.nth_product(beta, gamma, -1)\n"
-        "except RuntimeError as e:\n"
-        "    print('guarded:', e)\n"
+    # a monomial of the wrong weight that reaches the accumulator must trip
+    # the homogeneity check, also when -O strips asserts: through the
+    # creation insertion of the first sum (beta o_{-1} gamma), and through
+    # the contraction of the second sum (beta o_0 gamma, whose first sum
+    # is empty)
+    cases = (
+        ("fock.koszul_insert = lambda seq, item, parity, start=0: "
+         "(((item[0], -5),), 1)", -1),
+        ("fock._apply_mode_mono = lambda s, gi, m, mono: {((gi, -5),): 1}",
+         0),
     )
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("guarded: inhomogeneous product")
+    for patch, n in cases:
+        code = (
+            "from freefield import fock\n"
+            "from freefield.constructions import build_system\n"
+            "sys_ = build_system(bosonic=(1, 1))\n"
+            "beta = fock.monomial_state(sys_, [(sys_.gen('beta', 1, 1).index, -1)])\n"
+            "gamma = fock.monomial_state(sys_, [(sys_.gen('gamma', 1, 1).index, -1)])\n"
+            f"{patch}\n"
+            "try:\n"
+            f"    fock.nth_product(beta, gamma, {n})\n"
+            "except RuntimeError as e:\n"
+            "    print('guarded:', e)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("guarded: inhomogeneous product"), patch
 
 
 # -- the integer kernel against the rational recursion ----------------------
@@ -419,3 +428,93 @@ def test_symbol_values_are_qq():
               generator_state(sys_, "c", 1, 1)])
     s = symbol(a, 3)
     assert s and all(type(c) is QQ for c in s.values())
+
+
+# -- the kernel's bookkeeping against its direct forms ----------------------
+
+
+def _rational_nth_product(a, b, n):
+    # the rational accumulation, the reference for the integer one
+    out = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            axpy(out, fock._nth_mono(a.sys, ma, mb, n), ca * cb)
+    return fock._qq_state(a.sys, out)
+
+
+def _random_state(sys_, rng):
+    terms = {}
+    for _ in range(rng.randrange(1, 5)):
+        c = QQ(rng.choice([-1, 1]) * rng.randrange(1, 6),
+               rng.choice([1, 2, 3, 6]))
+        axpy(terms, {_random_mono(sys_, rng): c})
+    return fock.State(sys_, terms)
+
+
+def _top_weight(a):
+    return max(mono_weight(a.sys, m) for m in a.terms)
+
+
+def test_integer_nth_product_matches_rational_accumulation():
+    sys_ = mixed_system()
+    rng = random.Random(1712)
+    states = [_random_state(sys_, rng) for _ in range(24)]
+    dens = {c.denominator for s in states for c in s.terms.values()}
+    assert {2, 3, 6} <= dens
+    assert any(c < 0 for s in states for c in s.terms.values())
+    checked = 0
+    for a in states:
+        for b in states[:12]:
+            if a.is_zero() or b.is_zero():
+                continue
+            hi = _top_weight(a) + _top_weight(b)
+            for n in range(-3, hi):
+                got, want = nth_product(a, b, n), _rational_nth_product(a, b, n)
+                assert got == want, (a, b, n)
+                assert list(got.terms) == list(want.terms), (a, b, n)
+                assert _all_qq(got)
+                checked += len(got.terms)
+    assert checked > 1000
+
+
+def _direct_grading(sys_, mono):
+    return (sum(-m - 1 + sys_.generators[gi].weight for gi, m in mono),
+            sum(sys_.generators[gi].charge for gi, m in mono),
+            sum(sys_.generators[gi].parity for gi, m in mono) & 1)
+
+
+def test_grading_memo_matches_generator_sums():
+    sys_ = mixed_system()
+    rng = random.Random(31)
+    monos = [_random_mono(sys_, rng) for _ in range(200)]
+    for mono in monos:
+        assert (mono_weight(sys_, mono), fock.mono_charge(sys_, mono),
+                mono_parity(sys_, mono)) == _direct_grading(sys_, mono)
+        assert sys_._grading[mono] == _direct_grading(sys_, mono)
+    # the entries the kernel adds itself, outputs of products included
+    for ma, mb in zip(monos, reversed(monos)):
+        for n in range(-2, 3):
+            fock._nth_mono(sys_, ma, mb, n)
+    assert len(sys_._grading) > len(set(monos))
+    for mono, grade in sys_._grading.items():
+        assert grade == _direct_grading(sys_, mono)
+
+
+def test_cache_cap_zero_keeps_nothing_and_changes_no_product(monkeypatch):
+    rng = random.Random(5)
+    default = mixed_system()
+    monkeypatch.setenv("FREEFIELD_CACHE_CAP", "0")
+    off = mixed_system()
+    assert off._cache_cap == 0
+    for _ in range(20):
+        a, b = _random_state(default, rng), _random_state(default, rng)
+        a_off = fock.State(off, dict(a.terms))
+        b_off = fock.State(off, dict(b.terms))
+        for n in range(-2, 3):
+            want, got = nth_product(a, b, n), nth_product(a_off, b_off, n)
+            assert state_to_text(got) == state_to_text(want)
+            assert list(got.terms) == list(want.terms)
+        for mono in a.terms:
+            mono_weight(off, mono)
+    assert default._nth_cache and default._grading
+    assert off._nth_cache == {} and off._grading == {}

@@ -301,6 +301,19 @@ def test_cli_exit_two_on_config_error(tmp_path, capsys):
     assert cli.main(["verify", str(bad)]) == 2
 
 
+def test_seed_bound_is_any_integer(tmp_path, capsys):
+    # seed may be zero or negative, but must be an integer
+    assert resolve_scenario(tiny_affine(bounds={"seed": -3}))["bounds"][
+        "seed"] == -3
+    with pytest.raises(ScenarioError, match="bound 'seed' must be an integer"):
+        resolve_scenario(tiny_affine(bounds={"seed": 1.5}))
+    spath = write_scenario(tmp_path, tiny_affine(bounds={"seed": 1.5}))
+    assert cli.main(["verify", str(spath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        "configuration error: bound 'seed' must be an integer"]
+
+
 @pytest.mark.parametrize("value", ["x", "-5", "1.5", "", " 7"])
 def test_bad_cache_cap_env_var_is_a_config_error(tmp_path, capsys,
                                                  monkeypatch, value):
