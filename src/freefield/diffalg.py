@@ -14,7 +14,7 @@ from math import factorial, lcm
 from operator import attrgetter
 from typing import NamedTuple
 
-from .liealg import current_generators, torus_weights
+from .liealg import current_generators, make_algebra, torus_weights
 from .linalg import Echelon, axpy, koszul_insert, koszul_sort, nullspace
 from .rationals import QQ, qstr
 from . import fock
@@ -369,9 +369,13 @@ def monomial_counts(items, weight: int, maxdeg: int) -> list:
 
 
 def enumerate_component(space: VarSpace, weight: int, degree: int,
-                        torus: dict | None = None) -> list:
-    """All canonical monomials of the exact bidegree, sorted: the
-    `graded_multisets` of the variables, each of degree 1.
+                        torus: dict | None = None,
+                        maxdeg: int | None = None) -> list:
+    """All canonical monomials of weight `weight` and of a degree from
+    `degree` to `maxdeg` (just `degree` when maxdeg is None), sorted: the
+    `graded_multisets` of the variables, each of degree 1.  A monomial
+    comes before its extensions, so the monomials of one degree keep, in
+    a range, the order they have alone.
 
     torus, when given, maps each variable to its integer torus weight
     vector, and only the monomials of torus weight 0 are produced, cut
@@ -380,8 +384,9 @@ def enumerate_component(space: VarSpace, weight: int, degree: int,
     vs = space.variables(weight)
     tws = [torus[v] for v in vs] if torus is not None else None
     atoms = [(v.weight, 1, v.parity) for v in vs]
+    top = degree if maxdeg is None else maxdeg
     return [tuple(vs[i] for i in tup)
-            for tup in graded_multisets(atoms, weight, degree, degree, tws)]
+            for tup in graded_multisets(atoms, weight, degree, top, tws)]
 
 
 class ResourceCapError(RuntimeError):
@@ -473,11 +478,15 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
                for v in variables} for i in diag]
     sizes = monomial_counts([(v.weight, v.parity) for v in variables],
                             weight, maxdeg)
+    for size in sizes:
+        if size > cap:
+            raise ResourceCapError(cap, size)
+    # one walk over every degree, bucketed by degree in walk order
+    by_degree: list = [[] for _ in sizes]
+    for m in enumerate_component(space, weight, 0, torus, maxdeg):
+        by_degree[len(m)].append(m)
     out = []
-    for d in range(0, maxdeg + 1):
-        if sizes[d] > cap:
-            raise ResourceCapError(cap, sizes[d])
-        monos = enumerate_component(space, weight, d, torus)
+    for d, monos in enumerate(by_degree):
         blocks: dict = {}
         for m in monos:
             if any(sum(ev[v] for v in m) for ev in checks):
@@ -630,7 +639,26 @@ def bidegree_dims(space: VarSpace, A, gens, max_weight: int, maxdeg: int,
     and its part of degree r <= w is spanned by brackets of kept elements
     whose degrees sum to r, which truncation at t^(w+1) or t^(max_weight+1)
     leaves alone; so both runs keep the same pairs with r <= w.
+
+    so(N) on a split torus: the antisymmetric basis of a `kind == "so"`
+    algebra has no rational torus, so its invariants are solved for
+    S = so_split(N) instead, which has one (`invariant_basis`).  The
+    dimensions agree.  Over Q(i) the form sum x_i^2 is equivalent to the
+    split form F of S: there is an invertible T with T^T T = F (for a
+    hyperbolic pair, columns (1, i) and (1/2, -i/2)).  Then
+    X -> T^-1 X T maps so(N) onto S, and the substitution x -> T^-1 x of
+    every copy of a 'rep' family and y -> T^T y of every copy of a 'dual'
+    one, at every jet order, is a ring automorphism that keeps weight,
+    degree, parity and blocks and turns the action of each X t^r into
+    that of (T^-1 X T) t^r.  So it maps the joint kernel of so(N)[t] at
+    each bidegree onto that of S[t] over Q(i).  Each kernel is that of a
+    matrix over Q, and rank does not change under a field extension, so
+    the two dimensions over Q are equal.  The component sizes, and so the
+    cap check, do not depend on the algebra, and the generated side never
+    reads A.
     """
+    if A.kind == "so":
+        A = make_algebra("so_split", *A.params)
     pairs = current_generators(A, max_weight)
     inv, gen = {}, {}
     for w in range(0, max_weight + 1):

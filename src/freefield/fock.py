@@ -282,10 +282,11 @@ def _apply_mode_mono(sys: SystemSpec, gi: int, m: int, mono) -> dict:
     # annihilation: push through, contracting with modes at depth -m-1
     out: dict = {}
     odd = sys.parity[gi]
+    contraction = sys.contraction_table.get
     crossing = 1
     for k, (gj, p) in enumerate(mono):
         if m + p == -1:
-            c = sys.contraction(gi, gj)
+            c = contraction((gi, gj), 0)
             if c:
                 axpy(out, {mono[:k] + mono[k + 1 :]: c}, crossing)
         if odd and sys.parity[gj]:

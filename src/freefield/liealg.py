@@ -288,12 +288,16 @@ def _so(n: int) -> LieAlgebraSpec:
     return LieAlgebraSpec("so", (n,), labels, [0] * len(labels), rep, n)
 
 
-def _block_basis(kind: str, m: int) -> LieAlgebraSpec:
-    """sp_2m (kind "sp", s = 1) or so_2m (kind "so_split", s = -1) in the
-    block basis, preserving [[0, I], [-s I, 0]].  Basis order:
-    m_{jk} = e_{j,k+m} + s e_{k,j+m} (named s_{jk} for so_2m), then
+def _block_basis(kind: str, m: int, odd: int = 0) -> LieAlgebraSpec:
+    """sp_2m (kind "sp", s = 1) or so_(2m+odd) (kind "so_split", s = -1)
+    in the block basis, preserving [[0, I, 0], [-s I, 0, 0], [0, 0, 1]],
+    whose last row and column exist only for odd = 1.  Basis order:
+    m_{jk} = e_{j,k+m} + s e_{k,j+m} (named s_{jk} for so), then
     d_{jk} = -s e_{j+m,k} - e_{k+m,j}, both for j <= k (sp) or j < k (so),
-    then h_{jk} = e_{j,k} - e_{m+k,m+j} for all j, k.  The two entries of
+    then h_{jk} = e_{j,k} - e_{m+k,m+j} for all j, k; for odd = 1, with
+    z = 2m the extra coordinate, then u_j = e_{j,z} - e_{z,m+j} and
+    v_j = e_{m+j,z} - e_{z,j}.  The diagonal h_{jj} span the torus
+    diag(h, -h), with a last entry 0 for odd = 1.  The two entries of
     m_{jj} fall on one cell, which holds 2; those of d_{jj} give -2."""
     s, up = (1, "m") if kind == "sp" else (-1, "s")
     pairs = [(j, k) for j in range(m) for k in range(j + (s < 0), m)]
@@ -308,8 +312,14 @@ def _block_basis(kind: str, m: int) -> LieAlgebraSpec:
         for k in range(m):
             labels.append(f"h[{j + 1},{k + 1}]")
             rep.append(_matrix((j, k, 1), (m + k, m + j, -1)))
-    return LieAlgebraSpec(kind, (2 * m,), labels, [0] * len(labels), rep,
-                          2 * m)
+    z = 2 * m
+    if odd:
+        for name, a, b in (("u", 0, m), ("v", m, 0)):
+            for j in range(m):
+                labels.append(f"{name}[{j + 1}]")
+                rep.append(_matrix((a + j, z, 1), (z, b + j, -1)))
+    return LieAlgebraSpec(kind, (z + odd,), labels, [0] * len(labels), rep,
+                          z + odd)
 
 
 def split_label(label: str) -> tuple:
@@ -321,7 +331,12 @@ def split_label(label: str) -> tuple:
 
 def make_algebra(kind: str, *params) -> LieAlgebraSpec:
     """Build gl(n), sl(n), so(n) [n >= 3, antisymmetric], sp(2m) [2m >= 4,
-    block basis], so_split(2m) [2m >= 2, block basis], glsuper(r, s)."""
+    block basis], so_split(N) [N >= 2, block basis, with one extra
+    coordinate for odd N; see `_block_basis`], glsuper(r, s).
+
+    so_split(N) preserves a split form, which over Q(i) is equivalent to
+    sum x_i^2, so it is so(N) over Q(i) with a rational torus of rank
+    N // 2, where the antisymmetric basis of so(N) has none."""
     if kind == "gl":
         (n,) = params
         if n < 1:
@@ -344,9 +359,9 @@ def make_algebra(kind: str, *params) -> LieAlgebraSpec:
         return _block_basis("sp", N // 2)
     if kind == "so_split":
         (N,) = params
-        if N < 2 or N % 2:
-            raise ValueError("so_split needs even dimension >= 2")
-        return _block_basis("so_split", N // 2)
+        if N < 2:
+            raise ValueError("so_split needs dimension >= 2")
+        return _block_basis("so_split", N // 2, N % 2)
     if kind == "glsuper":
         r, s = params
         if r < 0 or s < 0 or r + s < 1:

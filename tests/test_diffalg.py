@@ -12,7 +12,7 @@ from freefield.constructions import (build_system, det_family, symbol_generators
                                      theta)
 from freefield.diffalg import (
     FamilyDecl, ResourceCapError, VarSpace, _block_key, abstract_var,
-    apply_D, diff_add, diff_bidegree,
+    apply_D, bidegree_dims, diff_add, diff_bidegree,
     diff_mul, diff_sub, diff_to_text, enumerate_component, falling,
     _var_images, generated_span, graded_multisets, invariant_basis, jet_var, lie_jet_action,
     monomial_counts, monomial_from_factors, quantum_correct,
@@ -447,6 +447,53 @@ def test_enumerate_component_torus_and_counts(kind, n):
                     if all(sum(torus[v][k] for v in m) == 0
                            for k in range(len(diag)))]
             assert enumerate_component(space, weight, d, torus) == kept
+
+
+@pytest.mark.parametrize("space_name", ["even", "mixed"])
+@pytest.mark.parametrize("with_torus", [False, True])
+def test_one_walk_over_degrees_matches_each_degree(space_name, with_torus):
+    # invariant_basis enumerates a weight once over degrees 0..maxdeg and
+    # buckets by length: each bucket is the single-degree list, in order
+    A = make_algebra("so_split", 4)
+    space = (VarSpace([FamilyDecl("x", 2, 4, 0, 0, "rep"),
+                       FamilyDecl("y", 1, 4, 0, 1, "dual")])
+             if space_name == "even" else _mixed_space(4))
+    maxdeg = 3
+    for weight in range(4):
+        torus = _space_torus(space, A, weight)[1] if with_torus else None
+        walk = enumerate_component(space, weight, 0, torus, maxdeg)
+        assert walk == sorted(walk)
+        for d in range(maxdeg + 1):
+            got = [m for m in walk if len(m) == d]
+            assert got == enumerate_component(space, weight, d, torus), (
+                weight, d)
+        # a window that starts above 0 drops the lower degrees only
+        assert enumerate_component(space, weight, 2, torus, maxdeg) == [
+            m for m in walk if len(m) >= 2]
+
+
+@pytest.mark.parametrize("n, maxdeg", [(3, 4), (4, 4), (5, 3)])
+@pytest.mark.parametrize("space_name", ["plain", "system"])
+def test_so_dims_on_the_split_torus_match_the_antisymmetric_basis(
+        n, maxdeg, space_name):
+    # bidegree_dims solves the invariants of so(n) for so_split(n); the
+    # dimensions must be those of the antisymmetric basis, solved directly
+    # by invariant_basis (no torus, every column)
+    A = make_algebra("so", n)
+    space = (VarSpace([FamilyDecl("x", 2, n, 0, 0, "rep")])
+             if space_name == "plain" else
+             # rep and dual families, bosonic and fermionic
+             varspace_for_system(build_system(bosonic=(n, 1),
+                                              fermionic=(n, 1))))
+    weights = 3 if space_name == "plain" else 2
+    inv, _ = bidegree_dims(space, A, [], weights, maxdeg, 10 ** 6)
+    want: dict = {}
+    for w in range(weights + 1):
+        for d, size, free in invariant_basis(space, A, w, maxdeg, 10 ** 6):
+            if free:
+                want[f"{w},{d}"] = want.get(f"{w},{d}", 0) + size * len(free)
+    assert inv == want
+    assert inv["0,2"] and any(key.startswith(f"{weights},") for key in inv)
 
 
 def test_graded_multisets_matches_brute_force():

@@ -215,6 +215,21 @@ def test_cap_env_var(monkeypatch):
     assert run_scenario(raw)["all_pass"]
 
 
+@pytest.mark.parametrize("cap, size", [(125, 126), (126, 336), (200, 336)])
+def test_so_dims_cap_counts_the_full_component(cap, size):
+    # so(3) dims are solved on the split torus, whose weight-0 monomials
+    # are 26 of the 126 at weight 0, degree 4, and 72 of the 336 at
+    # weight 1, degree 4; the cap still bounds the whole component
+    from importlib.resources import files
+    raw = json.loads((files("freefield") / "scenarios" /
+                      "thm_3_3_so3.json").read_text(encoding="utf-8"))
+    raw["tasks"] = [dict(raw["tasks"][0], cap=cap)]
+    (task,) = run_scenario(raw)["tasks"]
+    assert task["status"] == "error"
+    assert task["detail"] == {
+        "error": f"component size {size} exceeds the configured cap {cap}"}
+
+
 def test_bad_cap_env_var_stops_before_any_task(monkeypatch):
     # the override is checked once, before the first task; a task that
     # does not use a cap must not run ahead of the configuration error

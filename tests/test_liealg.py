@@ -2,7 +2,7 @@ import pytest
 
 from freefield.liealg import (
     dual_coxeter, gram_inverse, killing_gram, make_algebra, normalized_gram,
-    sp_any, trace_gram,
+    sp_any, torus_weights, trace_gram,
 )
 from freefield.rationals import QQ
 
@@ -172,18 +172,23 @@ def _form_algebra(kind, m):
     """The algebra of a form-test case and the form F its basis matrices
     preserve, M^T F + F M = 0: the identity for so(n), n = m + 2; the
     block forms [[0, I], [-I, 0]] for sp(2m) and [[0, I], [I, 0]] for
-    so_split(2m)."""
+    so_split(2m); [[0, I, 0], [I, 0, 0], [0, 0, 1]] for so_split(2m+1)."""
     if kind == "so":
         n = m + 2
         return make_algebra("so", n), [[int(r == c) for c in range(n)]
                                        for r in range(n)]
+    if kind == "so_split_odd":
+        n = 2 * m + 1
+        return make_algebra("so_split", n), [
+            [int(abs(r - c) == m and min(r, c) < m or r == c == n - 1)
+             for c in range(n)] for r in range(n)]
     A = sp_any(m) if kind == "sp" else make_algebra("so_split", 2 * m)
     lower = -1 if kind == "sp" else 1
     return A, [[1 if c == r + m else lower if r == c + m else 0
                 for c in range(2 * m)] for r in range(2 * m)]
 
 
-@pytest.mark.parametrize("kind", ["so", "sp", "so_split"])
+@pytest.mark.parametrize("kind", ["so", "sp", "so_split", "so_split_odd"])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_basis_matrices_preserve_their_form(kind, m):
     A, F = _form_algebra(kind, m)
@@ -228,3 +233,62 @@ def test_gram_inverse_rejects_singular():
     # the Killing form of gl(2) vanishes on the identity
     with pytest.raises(ValueError):
         gram_inverse(killing_gram(make_algebra("gl", 2)))
+
+
+def _even_so_split_reference(m):
+    """Labels and dense matrices of so_split(2m) as built before odd N was
+    accepted: s[j,k] = e_{j,k+m} - e_{k,j+m} and d[j,k] = e_{j+m,k} -
+    e_{k+m,j} for j < k, then h[j,k] = e_{j,k} - e_{m+k,m+j}."""
+    n = 2 * m
+
+    def unit(*entries):
+        M = [[0] * n for _ in range(n)]
+        for r, c, v in entries:
+            M[r][c] += v
+        return M
+
+    pairs = [(j, k) for j in range(m) for k in range(j + 1, m)]
+    out = [(f"s[{j + 1},{k + 1}]", unit((j, k + m, 1), (k, j + m, -1)))
+           for j, k in pairs]
+    out += [(f"d[{j + 1},{k + 1}]", unit((j + m, k, 1), (k + m, j, -1)))
+            for j, k in pairs]
+    out += [(f"h[{j + 1},{k + 1}]", unit((j, k, 1), (m + k, m + j, -1)))
+            for j in range(m) for k in range(m)]
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_even_so_split_basis_is_unchanged(m):
+    A = make_algebra("so_split", 2 * m)
+    assert [(lab, _dense(M, A.rep_dim)) for lab, M in zip(A.labels, A.rep)] \
+        == _even_so_split_reference(m)
+    assert A.params == (2 * m,) and A.rep_dim == 2 * m
+
+
+@pytest.mark.parametrize("N", [3, 5, 7])
+def test_odd_so_split(N):
+    # its form is checked by test_basis_matrices_preserve_their_form
+    A = make_algebra("so_split", N)
+    l = (N - 1) // 2
+    assert A.dim == N * (N - 1) // 2
+    assert A.rep_dim == N and A.params == (N,)
+    # every bracket lies in the span of the basis
+    for i in range(A.dim):
+        for j in range(A.dim):
+            br = A.structure(i, j)
+            assert all(0 <= k < A.dim and c for k, c in br.items())
+    # the torus diag(h, -h, 0): the l diagonal h[j,j]
+    diag, weights = torus_weights(
+        range(A.dim), range(N),
+        lambda i, a: {r: v for (r, c), v in A.rep[i].items() if c == a})
+    assert [A.labels[i] for i in diag] == [f"h[{j},{j}]" for j in range(1, l + 1)]
+    assert weights[N - 1] == (0,) * l
+    for j in range(l):
+        assert weights[j] == tuple(int(k == j) for k in range(l))
+        assert weights[j + l] == tuple(-int(k == j) for k in range(l))
+    assert dual_coxeter(A) == N - 2
+
+
+def test_so_split_needs_dimension_two():
+    with pytest.raises(ValueError):
+        make_algebra("so_split", 1)
