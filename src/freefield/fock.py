@@ -10,20 +10,31 @@ All circle products are computed by the iterate recursion below; weight
 and charge homogeneity of every product is checked at run time (also
 under `python -O`), not assumed.
 
+The kernel knows the contraction structure: each generator contracts
+with exactly one partner, beta_i^(j) with gamma_i^(j) and b_i^(j) with
+c_i^(j), recorded in the partner table `SystemSpec.partner`.  The
+grading memo keeps, next to the (weight, charge, parity) of each
+monomial, two bitmasks: its generators and their partners.  By the zero
+lemma proved at `_nth_mono`, a product a o_n b with n >= 0 in which no
+factor of a has its partner in b is zero; one `&` of the masks finds
+it, and it is neither built nor cached.  Annihilation modes act through
+`_contractions`, which visits only the partner's modes.
+
 The kernel is integral: every coefficient of the recursion is a
 generalized binomial times a +-1 contraction or Koszul sign, so
 `_apply_mode_mono`, `_nth_mono` and the per-system product cache work in
 `int`.  Rationals come back only at the public boundary.  `nth_product`
-scales each input to integers by the lcm of its denominators, sums the
-integer products, and forms one QQ per output term; `apply_mode` scales
-the integer dicts by the QQ coefficients of its input.  Both return
-states whose every coefficient is QQ.  The (weight, charge, parity) of
-each monomial is memoized on its system, next to the product cache.
+scales each input to integers by the lcm of its denominators (kept on
+the state after first use), sums the integer products, and forms one QQ
+per output term; `apply_mode` scales the integer dicts by the QQ
+coefficients of its input.  Both return states whose every coefficient
+is QQ.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from math import factorial
 
 from .linalg import axpy, integral, koszul_insert, koszul_sort
@@ -113,17 +124,18 @@ class SystemSpec:
         self.charge = tuple(g.charge for g in gens)
         # (parity, copy) of each generator: its tensor slot as ints
         self.slots = tuple((g.parity, g.copy) for g in gens)
-        # sparse contraction table phi o_0 psi: int +-1, nonzero entries only
-        table: dict = {}
-        partner = {"beta": "gamma", "gamma": "beta", "b": "c", "c": "b"}
-        sign = {"beta": 1, "gamma": -1, "b": 1, "c": 1}
-        for g in gens:
-            other = self._lookup.get((partner[g.family], g.copy, g.coord))
-            if other is not None:
-                table[(g.index, other)] = sign[g.family]
-        self.contraction_table = table
+        # partner[gi] = (gj, phi o_0 psi): the one generator psi that phi
+        # contracts with, and the +-1 of that contraction.  Both families
+        # of a pair are built for every copy and coordinate, so every
+        # generator has its partner
+        family = {"beta": ("gamma", 1), "gamma": ("beta", -1),
+                  "b": ("c", 1), "c": ("b", 1)}
+        self.partner = tuple(
+            (self._lookup[(family[g.family][0], g.copy, g.coord)],
+             family[g.family][1]) for g in gens)
         self._nth_cache: dict = {}
-        # monomial -> (weight, charge, parity), filled by `_grade`
+        # monomial -> (weight, charge, parity, generator mask, partner
+        # mask), filled by `_grade`
         self._grading: dict = {}
         self._cache_cap = _cache_cap()
 
@@ -132,9 +144,6 @@ class SystemSpec:
         if key not in self._lookup:
             raise KeyError(f"no generator {key} in this system")
         return self.generators[self._lookup[key]]
-
-    def contraction(self, gi: int, gj: int):
-        return self.contraction_table.get((gi, gj), 0)
 
     def mode_parity(self, mode) -> int:
         """Parity of a mode (generator index, m), the `parity` argument of
@@ -149,11 +158,19 @@ class State:
     ascending by (index, m); the empty tuple is the vacuum.
     """
 
-    __slots__ = ("sys", "terms")
+    __slots__ = ("sys", "terms", "_integral")
 
     def __init__(self, sys: SystemSpec, terms: dict | None = None):
         self.sys = sys
         self.terms = terms or {}
+        self._integral = None
+
+    def integral(self):
+        """`linalg.integral` of the terms, (den*terms as an int dict, den),
+        computed on first use and kept: the terms never change."""
+        if self._integral is None:
+            self._integral = integral(self.terms)
+        return self._integral
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -216,14 +233,20 @@ def binom(m: int, j: int) -> int:
 
 
 def _grade(sys: SystemSpec, mono) -> tuple:
-    """(weight, charge, parity) of a monomial, computed from its modes on
-    first use and memoized on the system while the memo is under the
-    cache cap."""
+    """(weight, charge, parity, gens, partners) of a monomial: gens has
+    bit gi set for each generator gi among its modes, partners the bit of
+    each of their partners.  Computed from its modes on first use and
+    memoized on the system while the memo is under the cache cap."""
     grade = sys._grading.get(mono)
     if grade is None:
-        grade = (sum(-m - 1 + sys.weight[gi] for gi, m in mono),
-                 sum(sys.charge[gi] for gi, m in mono),
-                 sum(sys.parity[gi] for gi, m in mono) & 1)
+        weight = charge = parity = gens = partners = 0
+        for gi, m in mono:
+            weight += -m - 1 + sys.weight[gi]
+            charge += sys.charge[gi]
+            parity ^= sys.parity[gi]
+            gens |= 1 << gi
+            partners |= 1 << sys.partner[gi][0]
+        grade = (weight, charge, parity, gens, partners)
         if len(sys._grading) < sys._cache_cap:
             sys._grading[mono] = grade
     return grade
@@ -274,24 +297,43 @@ def generator_polynomial(sys: SystemSpec, terms) -> State:
 # -- mode action ------------------------------------------------------------
 
 
+def _contractions(sys: SystemSpec, gi: int, mono) -> list:
+    """The terms of phi(j) applied to one canonical monomial, for phi the
+    generator gi and every depth j >= 0 at once: a list of (j, mono
+    without one mode psi(-j-1), c), depth ascending.  Only modes of the
+    partner psi of phi contract, and modes sort by (index, m), so they
+    form one slice of mono, found by bisection.  c is phi o_0 psi times
+    the Koszul sign of moving phi(j) past the modes before psi(-j-1),
+    times the number of equal (bosonic) modes psi(-j-1) in mono, which
+    all leave the same monomial.  This is the one contraction routine of
+    the package."""
+    pi, sign = sys.partner[gi]
+    lo = bisect_left(mono, (pi,))
+    hi = bisect_left(mono, (pi + 1,), lo)
+    odd = sys.parity[gi]
+    if odd and sum(sys.parity[gj] for gj, _ in mono[:lo]) & 1:
+        sign = -sign
+    out = []
+    # the slice is ordered by m ascending, so depth descending: walk it
+    # from its end.  Odd modes never repeat, and each passes one more odd
+    # mode
+    k = hi - 1
+    while k >= lo:
+        first = bisect_left(mono, mono[k], lo, k)
+        c = sign * (k - first + 1)
+        if odd and (k - lo) & 1:
+            c = -c
+        out.append((-1 - mono[k][1], mono[:first] + mono[first + 1:], c))
+        k = first - 1
+    return out
+
+
 def _apply_mode_mono(sys: SystemSpec, gi: int, m: int, mono) -> dict:
     """phi(m) applied to one canonical monomial; returns {mono: int}."""
     if m <= -1:
         new, sign = koszul_insert(mono, (gi, m), sys.mode_parity)
         return {new: sign} if sign else {}
-    # annihilation: push through, contracting with modes at depth -m-1
-    out: dict = {}
-    odd = sys.parity[gi]
-    contraction = sys.contraction_table.get
-    crossing = 1
-    for k, (gj, p) in enumerate(mono):
-        if m + p == -1:
-            c = contraction((gi, gj), 0)
-            if c:
-                axpy(out, {mono[:k] + mono[k + 1 :]: c}, crossing)
-        if odd and sys.parity[gj]:
-            crossing = -crossing
-    return out
+    return {new: c for j, new, c in _contractions(sys, gi, mono) if j == m}
 
 
 def _qq_state(sys: SystemSpec, out: dict) -> State:
@@ -315,8 +357,19 @@ def apply_mode(phi: GeneratorId, m: int, s: State) -> State:
 
 def _nth_mono(sys: SystemSpec, ma, mb, n: int) -> dict:
     """nth product of two canonical monomials as {mono: int}, memoized on
-    the system.  Results past the weight cutoff are never cached, so the
-    cache is read before the weights are computed."""
+    the system.  Results past the weight cutoff and results zero by the
+    lemma below are never cached, so the cache is read before the
+    gradings are looked up.
+
+    Zero lemma: for n >= 0, if no factor of ma has its partner in mb,
+    then ma o_n mb = 0.  By induction on len(ma), from the recursion
+    alone: the base case ma = () gives {} for every n != -1; every
+    first-sum term is rest o_{n+j} mb with n+j >= 0, and no factor of
+    rest has its partner in mb, so it is zero by induction; every
+    second-sum term applies an annihilation mode phi(j), j >= 0, of the
+    first factor phi of ma to mb, and phi has no partner in mb, so it is
+    zero.  With the generator and partner masks of `_grade` the test is
+    one `&`."""
     if not ma:
         return {mb: 1} if n == -1 else {}
     key = (ma, mb, n)
@@ -324,22 +377,26 @@ def _nth_mono(sys: SystemSpec, ma, mb, n: int) -> dict:
     hit = cache.get(key)
     if hit is not None:
         return hit
-    wa, ca, _ = _grade(sys, ma)
-    wb, cb, _ = _grade(sys, mb)
-    if n >= 0 and n > wa + wb - 1:
+    wa, ca, _, gens_a, _ = _grade(sys, ma)
+    wb, cb, _, _, partners_b = _grade(sys, mb)
+    if n >= 0 and (n > wa + wb - 1 or not gens_a & partners_b):
         return {}
 
     (gi, m0), rest = ma[0], ma[1:]
-    w_rest, _, par_rest = _grade(sys, rest)
+    w_rest, _, par_rest, gens_rest, _ = _grade(sys, rest)
     cross_sign = -1 if (sys.parity[gi] and par_rest) else 1
     second_sign = cross_sign if m0 & 1 else -cross_sign
 
     acc: dict = {}
     mode_parity = sys.mode_parity
     # first sum: apply_mode(phi, m0-j, nth(rest, mb, n+j)); the inner
-    # product vanishes once n+j passes the weight cutoff.  phi(m0-j) is a
-    # creation mode, so it is inserted in place by the Koszul rule
+    # product vanishes once n+j passes the weight cutoff, and for every
+    # n+j >= 0 when no factor of rest contracts with mb (the zero lemma).
+    # phi(m0-j) is a creation mode, so it is inserted in place by the
+    # Koszul rule
     j_hi = w_rest + wb - 1 - n
+    if not gens_rest & partners_b:
+        j_hi = min(j_hi, -n - 1)
     j = 0
     while j <= j_hi:
         inner = _nth_mono(sys, rest, mb, n + j)
@@ -356,24 +413,17 @@ def _nth_mono(sys: SystemSpec, ma, mb, n: int) -> dict:
                         acc.pop(new, None)
         j += 1
 
-    # second sum: nth(rest, apply_mode(phi, j, mb), m0+n-j); only depths
-    # present in mb can contract
-    depths = sorted({-p - 1 for _, p in mb})
-    for j in depths:
-        if j < 0:
-            continue
-        hit_b = _apply_mode_mono(sys, gi, j, mb)
-        if not hit_b:
-            continue
+    # second sum: nth(rest, apply_mode(phi, j, mb), m0+n-j); only the
+    # partner modes of phi in mb contract, one monomial per depth j
+    for j, mono, v in _contractions(sys, gi, mb):
         coeff = ((-1) ** (j & 1)) * binom(m0, j) * second_sign
-        for mono, v in hit_b.items():
-            axpy(acc, _nth_mono(sys, rest, mono, m0 + n - j), coeff * v)
+        axpy(acc, _nth_mono(sys, rest, mono, m0 + n - j), coeff * v)
 
     # every monomial of a o_n b sits in weight wa+wb-n-1 and the additive
     # charge; this is the runtime homogeneity check
     expected_w, expected_c = wa + wb - n - 1, ca + cb
     for mono in acc:
-        w, c, _ = _grade(sys, mono)
+        w, c = _grade(sys, mono)[:2]
         if w != expected_w or c != expected_c:
             raise RuntimeError(
                 f"inhomogeneous product: {mono} in {ma} o_{n} {mb}")
@@ -389,8 +439,8 @@ def nth_product(a: State, b: State, n: int) -> State:
     term vanishes at the same step and the terms keep their order."""
     _check_same_system(a, b)
     sys = a.sys
-    ia, da = integral(a.terms)
-    ib, db = integral(b.terms)
+    ia, da = a.integral()
+    ib, db = b.integral()
     out: dict = {}
     for ma, ca in ia.items():
         for mb, cb in ib.items():

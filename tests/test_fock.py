@@ -245,7 +245,7 @@ def test_nth_mono_homogeneity_guard_under_optimize():
     cases = (
         ("fock.koszul_insert = lambda seq, item, parity, start=0: "
          "(((item[0], -5),), 1)", -1),
-        ("fock._apply_mode_mono = lambda s, gi, m, mono: {((gi, -5),): 1}",
+        ("fock._contractions = lambda s, gi, mono: [(0, ((gi, -5),), 1)]",
          0),
     )
     src = os.path.join(os.path.dirname(os.path.dirname(
@@ -287,6 +287,16 @@ def _reference_insert_mode(sys_, mono, gi, m):
     return mono[:pos] + (key,) + mono[pos:], sign
 
 
+def _contraction(sys_, gi, gj):
+    # phi o_0 psi from the family rules: beta o_0 gamma = 1 = b o_0 c =
+    # c o_0 b and gamma o_0 beta = -1 in one copy and coordinate, else 0
+    g, h = sys_.generators[gi], sys_.generators[gj]
+    if (g.copy, g.coord) != (h.copy, h.coord):
+        return 0
+    return {("beta", "gamma"): 1, ("gamma", "beta"): -1,
+            ("b", "c"): 1, ("c", "b"): 1}.get((g.family, h.family), 0)
+
+
 def _reference_apply_mode_mono(sys_, gi, m, mono):
     if m <= -1:
         new, sign = _reference_insert_mode(sys_, mono, gi, m)
@@ -295,7 +305,7 @@ def _reference_apply_mode_mono(sys_, gi, m, mono):
     crossing = 1
     for k, (gj, p) in enumerate(mono):
         if m + p == -1:
-            c = QQ(sys_.contraction(gi, gj))
+            c = QQ(_contraction(sys_, gi, gj))
             if c:
                 axpy(out, {mono[:k] + mono[k + 1:]: c}, crossing)
         if sys_.parity[gi] and sys_.parity[gj]:
@@ -366,6 +376,80 @@ def test_nth_mono_matches_rational_reference():
     assert checked > 100
     assert all(type(c) is int for d in sys_._nth_cache.values()
                for c in d.values())
+
+
+# -- the pruned kernel against the unpruned recursion ----------------------
+
+
+def _rich_mono(sys_, rng):
+    # up to four modes of depth up to three from at most three generators,
+    # so that boson modes repeat and derivative modes are common
+    pool = rng.sample(range(len(sys_.generators)),
+                      min(3, len(sys_.generators)))
+    while True:
+        modes = [(rng.choice(pool), -1 - rng.randrange(4))
+                 for _ in range(rng.randrange(0, 5))]
+        a = monomial_state(sys_, modes)
+        if not a.is_zero():
+            (mono,) = a.terms
+            return mono
+
+
+SHAPES = {"bosonic": dict(bosonic=(2, 1)), "fermionic": dict(fermionic=(2, 1)),
+          "mixed": dict(bosonic=(1, 2), fermionic=(1, 1))}
+
+
+@pytest.mark.parametrize("cap", ["1000000", "0"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_pruned_kernel_matches_unpruned_recursion(shape, cap, monkeypatch):
+    # values and insertion order against the rational recursion, which
+    # tries every j of the first sum up to the weight cutoff and every
+    # depth of mb in the second, each through the mode action; with the
+    # product cache on and off.  The kernel never applies a mode itself
+    monkeypatch.setenv("FREEFIELD_CACHE_CAP", cap)
+    sys_ = build_system(**SHAPES[shape])
+
+    def no_mode_action(*args):
+        raise AssertionError("_nth_mono applied a mode")
+
+    monkeypatch.setattr(fock, "_apply_mode_mono", no_mode_action)
+    rng = random.Random(19)
+    ref_cache: dict = {}
+    nonzero = repeated = 0
+    for _ in range(60):
+        ma, mb = _rich_mono(sys_, rng), _rich_mono(sys_, rng)
+        repeated += len(set(mb)) < len(mb)
+        cutoff = mono_weight(sys_, ma) + mono_weight(sys_, mb) - 1
+        for n in range(-3, cutoff + 1):
+            got = fock._nth_mono(sys_, ma, mb, n)
+            want = _reference_nth_mono(sys_, ma, mb, n, ref_cache)
+            assert list(got.items()) == list(want.items()), (ma, mb, n)
+            nonzero += bool(got)
+    assert nonzero > 150
+    assert repeated > 5 or shape == "fermionic"
+    assert (sys_._nth_cache == {}) == (cap == "0")
+
+
+def test_products_without_contractions_vanish():
+    # the zero lemma: for n >= 0, no factor of ma contracting with a factor
+    # of mb gives ma o_n mb = 0 in the rational recursion, and the kernel
+    # returns {} without caching it, also below the weight cutoff
+    rng = random.Random(4)
+    below_cutoff = 0
+    for shape in sorted(SHAPES):
+        sys_ = build_system(**SHAPES[shape])
+        ref_cache: dict = {}
+        for _ in range(150):
+            ma, mb = _rich_mono(sys_, rng), _rich_mono(sys_, rng)
+            if any(_contraction(sys_, gi, gj) for gi, _ in ma for gj, _ in mb):
+                continue
+            cutoff = mono_weight(sys_, ma) + mono_weight(sys_, mb) - 1
+            for n in range(cutoff + 3):
+                assert _reference_nth_mono(sys_, ma, mb, n, ref_cache) == {}
+                assert fock._nth_mono(sys_, ma, mb, n) == {}
+                assert (ma, mb, n) not in sys_._nth_cache
+                below_cutoff += bool(ma) and n <= cutoff
+    assert below_cutoff > 100
 
 
 def test_nth_cache_holds_ints_after_a_state_side_scenario(monkeypatch):
@@ -483,6 +567,15 @@ def _direct_grading(sys_, mono):
             sum(sys_.generators[gi].parity for gi, m in mono) & 1)
 
 
+def _direct_masks(sys_, mono):
+    # the generators of mono, and the generators that contract with one
+    # of them, each as a set of bits
+    gens = {gi for gi, _ in mono}
+    partners = {gj for gj in range(len(sys_.generators))
+                if any(_contraction(sys_, gi, gj) for gi in gens)}
+    return (sum(1 << gi for gi in gens), sum(1 << gj for gj in partners))
+
+
 def test_grading_memo_matches_generator_sums():
     sys_ = mixed_system()
     rng = random.Random(31)
@@ -490,14 +583,17 @@ def test_grading_memo_matches_generator_sums():
     for mono in monos:
         assert (mono_weight(sys_, mono), fock.mono_charge(sys_, mono),
                 mono_parity(sys_, mono)) == _direct_grading(sys_, mono)
-        assert sys_._grading[mono] == _direct_grading(sys_, mono)
+        assert sys_._grading[mono][:3] == _direct_grading(sys_, mono)
+        assert sys_._grading[mono][3:] == _direct_masks(sys_, mono)
     # the entries the kernel adds itself, outputs of products included
     for ma, mb in zip(monos, reversed(monos)):
         for n in range(-2, 3):
             fock._nth_mono(sys_, ma, mb, n)
     assert len(sys_._grading) > len(set(monos))
     for mono, grade in sys_._grading.items():
-        assert grade == _direct_grading(sys_, mono)
+        assert len(grade) == 5
+        assert grade[:3] == _direct_grading(sys_, mono)
+        assert grade[3:] == _direct_masks(sys_, mono)
 
 
 def test_cache_cap_zero_keeps_nothing_and_changes_no_product(monkeypatch):
