@@ -10,12 +10,13 @@ anticommuting.
 from __future__ import annotations
 
 from bisect import bisect_left
-from math import factorial, lcm
+from math import factorial
 from operator import attrgetter
 from typing import NamedTuple
 
 from .liealg import current_generators, make_algebra, torus_weights
-from .linalg import Echelon, axpy, koszul_insert, koszul_sort, nullspace
+from .linalg import (Echelon, axpy, integral, koszul_insert, koszul_sort,
+                     nullspace)
 from .rationals import QQ, qstr
 from . import fock
 
@@ -217,11 +218,12 @@ def _eigenvalue(v: DV, images: list) -> int:
 
 
 def _integer_matrices(mats: dict) -> dict:
-    """mats scaled by the lcm of the denominators of all their entries, as
-    int matrices: the same kernel, with integer equations."""
-    den = lcm(*[x.denominator for M in mats.values() for x in M.values()])
-    return {fam: {k: int(x * den) for k, x in M.items()}
-            for fam, M in mats.items()}
+    """mats scaled by one integer, as int matrices: the same kernel, with
+    integer equations.  The families go through one `linalg.integral`,
+    flattened into one dict, so they share that scale."""
+    flat, _ = integral({(fam, k): x for fam, M in mats.items()
+                        for k, x in M.items()})
+    return {fam: {k: flat[fam, k] for k in M} for fam, M in mats.items()}
 
 
 # -- bidegree components and invariants -------------------------------------
@@ -563,9 +565,7 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000) -> dict:
         if g and d <= maxdeg:
             par = odd.pop()
             for k in range(weight - w + 1):
-                den = lcm(*[c.denominator for c in g.values()])
-                derived.append(((w + k, d, par),
-                                {m: int(c * den) for m, c in g.items()}))
+                derived.append(((w + k, d, par), integral(g)[0]))
                 g = apply_D(g)
     ech = _products_echelon([g for _, g in derived], [a for a, _ in derived],
                             weight, 0, maxdeg, cap)

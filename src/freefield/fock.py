@@ -23,12 +23,14 @@ it, and it is neither built nor cached.  Annihilation modes act through
 The kernel is integral: every coefficient of the recursion is a
 generalized binomial times a +-1 contraction or Koszul sign, so
 `_apply_mode_mono`, `_nth_mono` and the per-system product cache work in
-`int`.  Rationals come back only at the public boundary.  `nth_product`
-scales each input to integers by the lcm of its denominators (kept on
-the state after first use), sums the integer products, and forms one QQ
-per output term; `apply_mode` scales the integer dicts by the QQ
-coefficients of its input.  Both return states whose every coefficient
-is QQ.
+`int`.  Rationals come back only at the public boundary, one integer
+pass: `State.integral` scales a state to integers by `linalg.integral`
+(kept on the state after first use), and `_product` sums the integer
+products of two such states and forms one QQ per output term.  That pass
+serves both `nth_product` and Zhu's zero mode `zhu_zero_mode`, the mode
+a(wt-1) of each monomial of a.  `apply_mode` accumulates its integer
+dicts over `State.integral` of its input the same way.  All three return
+states whose every coefficient is QQ.
 """
 
 from __future__ import annotations
@@ -336,20 +338,14 @@ def _apply_mode_mono(sys: SystemSpec, gi: int, m: int, mono) -> dict:
     return {new: c for j, new, c in _contractions(sys, gi, mono) if j == m}
 
 
-def _qq_state(sys: SystemSpec, out: dict) -> State:
-    """State from an accumulator of QQ-scaled integer dicts: a term that
-    only ever took the unit-scale path of axpy is still an int."""
-    for mono, c in out.items():
-        if type(c) is int:
-            out[mono] = QQ(c)
-    return State(sys, out)
-
-
 def apply_mode(phi: GeneratorId, m: int, s: State) -> State:
+    """phi(m) s, accumulated over `State.integral` of s like `nth_product`."""
+    sys = s.sys
+    ints, den = s.integral()
     out: dict = {}
-    for mono, c in s.terms.items():
-        axpy(out, _apply_mode_mono(s.sys, phi.index, m, mono), c)
-    return _qq_state(s.sys, out)
+    for mono, c in ints.items():
+        axpy(out, _apply_mode_mono(sys, phi.index, m, mono), c)
+    return State(sys, {mono: QQ(c, den) for mono, c in out.items()})
 
 
 # -- circle products --------------------------------------------------------
@@ -433,20 +429,38 @@ def _nth_mono(sys: SystemSpec, ma, mb, n: int) -> dict:
     return acc
 
 
-def nth_product(a: State, b: State, n: int) -> State:
-    """a o_n b.  Each input is scaled to integers by the lcm of its
-    denominators; the integer sum is da*db times the rational one, so a
-    term vanishes at the same step and the terms keep their order."""
+def _product(a: State, b: State, n) -> State:
+    """The sum of ma o_k mb over the terms ma of a and mb of b, with k = n,
+    or k = wt(ma) - 1 when n is None.  This is the one integer pass of the
+    engine: each input is scaled to integers by `State.integral`, the
+    integer sum is da*db times the rational one, so a term vanishes at the
+    same step and the terms keep their order, and one QQ is formed per
+    output term."""
     _check_same_system(a, b)
     sys = a.sys
     ia, da = a.integral()
     ib, db = b.integral()
     out: dict = {}
     for ma, ca in ia.items():
+        k = _grade(sys, ma)[0] - 1 if n is None else n
         for mb, cb in ib.items():
-            axpy(out, _nth_mono(sys, ma, mb, n), ca * cb)
+            axpy(out, _nth_mono(sys, ma, mb, k), ca * cb)
     den = da * db
     return State(sys, {mono: QQ(c, den) for mono, c in out.items()})
+
+
+def nth_product(a: State, b: State, n: int) -> State:
+    """a o_n b."""
+    return _product(a, b, n)
+
+
+def zhu_zero_mode(a: State, q: State) -> State:
+    """Zero-mode action of a on the state q: the mode a(wt-1) of each
+    monomial of a, so a(wt-1) per weight-homogeneous component.  On a
+    weight-0 q the image is weight 0 again; `_nth_mono` checks the weight
+    of every product it forms, also under python -O, so an image outside
+    weight 0 indicates an engine bug and raises there."""
+    return _product(a, q, None)
 
 
 def wick(factors) -> State:

@@ -7,9 +7,7 @@ bracket tables stay consistent with the rep by construction.
 
 from __future__ import annotations
 
-from math import lcm
-
-from .linalg import Echelon, axpy
+from .linalg import Echelon, axpy, integral
 from .rationals import QQ, ONE, ZERO
 
 
@@ -153,25 +151,22 @@ def torus_weights(indices, atoms, image) -> tuple:
     image(i, a) is the image {atom: coefficient} of the atom a under the
     basis element i.  An index counts as diagonal when it maps every atom
     to a multiple of itself; the atom's weight under it is that
-    eigenvalue, scaled for each index by the lcm of the denominators of
-    its eigenvalues, which keeps the weight-0 condition, so weights are
-    ints.  Returns (diagonal indices, {atom: tuple of weights, one per
-    diagonal index}).
+    eigenvalue, its eigenvalues for each index scaled to integers by
+    `linalg.integral`, which keeps the weight-0 condition.  Returns
+    (diagonal indices, {atom: tuple of weights, one per diagonal index}).
     """
     diag, columns = [], []
     for i in indices:
-        col = []
+        col = {}
         for a in atoms:
             img = image(i, a)
             if any(b != a for b in img):
                 break
-            col.append(QQ(img.get(a, 0)))
+            col[a] = img.get(a, 0)
         else:
-            den = lcm(*[c.denominator for c in col])
             diag.append(i)
-            columns.append([int(c * den) for c in col])
-    return diag, {a: tuple(col[k] for col in columns)
-                  for k, a in enumerate(atoms)}
+            columns.append(integral(col)[0])
+    return diag, {a: tuple(col[a] for col in columns) for a in atoms}
 
 
 def trace_gram(A: LieAlgebraSpec) -> tuple:

@@ -2,8 +2,10 @@
 Zero modes of Fock states on polynomial states, Zhu's star product, and
 their classical counterparts.  A polynomial in the variables x'[i,j] is a
 weight-0 state of a betagamma system, x'[i,j] = gamma(-1) of coordinate i
-of copy j.  Weyl algebra elements remain only for the classical
-determinant of derivatives and for witness text.
+of copy j.  The zero modes come from `fock.zhu_zero_mode`, the engine's
+one integer product pass with the mode a(wt-1) of each monomial of a.
+Weyl algebra elements remain only for the classical determinant of
+derivatives and for witness text.
 """
 
 from itertools import permutations, product as iproduct
@@ -12,7 +14,7 @@ from .constructions import component_monomials, det_family
 from .diffalg import falling
 from .linalg import axpy, perm_sign
 from .rationals import QQ, ONE, qstr
-from .fock import State, binom, nth_product, mono_weight, state_weight
+from .fock import State, binom, nth_product, state_weight, zhu_zero_mode
 
 
 # A WeylElement is a dict {(alpha, beta): QQ} where alpha and beta are
@@ -140,22 +142,6 @@ def decode_polynomial(a: State) -> dict:
             alpha.append((g.coord, g.copy))
         axpy(out, {(tuple(sorted(alpha)), ()): c})
     return out
-
-
-def zhu_zero_mode(a: State, q: State) -> State:
-    """Zero-mode action of a on the polynomial state q: the mode a(wt-1)
-    per weight-homogeneous component of a.  On a weight-0 q the image is
-    weight 0 again; `fock._nth_mono` checks the weight of every product it
-    forms, also under python -O, so an image outside weight 0 indicates an
-    engine bug and raises there."""
-    sys = a.sys
-    comps: dict = {}
-    for mono, c in a.terms.items():
-        comps.setdefault(mono_weight(sys, mono), {})[mono] = c
-    total = State(sys, {})
-    for w, terms in sorted(comps.items()):
-        total = total.add(nth_product(State(sys, terms), q, w - 1))
-    return total
 
 
 def zhu_star(a: State, b: State) -> State:

@@ -499,6 +499,7 @@ def test_engine_outputs_are_qq_also_for_unit_coefficients():
                 assert _all_qq(p)
                 seen += len(p.terms)
             assert _all_qq(wick([a, b]))
+            assert _all_qq(fock.zhu_zero_mode(a, b))
     assert seen > 1000
     # the unit path: generator states carry coefficient 1
     assert _all_qq(nth_product(gens[0], gens[2], 0))
@@ -517,13 +518,26 @@ def test_symbol_values_are_qq():
 # -- the kernel's bookkeeping against its direct forms ----------------------
 
 
+def _qq_state(sys_, out):
+    # a term that only ever took the unit-scale path of axpy is an int
+    return fock.State(sys_, {mono: QQ(c) for mono, c in out.items()})
+
+
 def _rational_nth_product(a, b, n):
     # the rational accumulation, the reference for the integer one
     out = {}
     for ma, ca in a.terms.items():
         for mb, cb in b.terms.items():
             axpy(out, fock._nth_mono(a.sys, ma, mb, n), ca * cb)
-    return fock._qq_state(a.sys, out)
+    return _qq_state(a.sys, out)
+
+
+def _rational_apply_mode(phi, m, s):
+    # the rational accumulation of the mode action over the terms of s
+    out = {}
+    for mono, c in s.terms.items():
+        axpy(out, fock._apply_mode_mono(s.sys, phi.index, m, mono), c)
+    return _qq_state(s.sys, out)
 
 
 def _random_state(sys_, rng):
@@ -559,6 +573,24 @@ def test_integer_nth_product_matches_rational_accumulation():
                 assert _all_qq(got)
                 checked += len(got.terms)
     assert checked > 1000
+
+
+def test_integer_apply_mode_matches_rational_accumulation():
+    sys_ = mixed_system()
+    rng = random.Random(2020)
+    states = [_random_state(sys_, rng) for _ in range(16)]
+    dens = {c.denominator for s in states for c in s.terms.values()}
+    assert {2, 3, 6} <= dens
+    checked = 0
+    for s in states:
+        for phi in sys_.generators:
+            for m in range(-3, 4):
+                got, want = apply_mode(phi, m, s), _rational_apply_mode(phi, m, s)
+                assert got == want, (phi, m, s)
+                assert list(got.terms) == list(want.terms), (phi, m, s)
+                assert _all_qq(got)
+                checked += len(got.terms)
+    assert checked > 500
 
 
 def _direct_grading(sys_, mono):

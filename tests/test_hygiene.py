@@ -1,7 +1,8 @@
 """Static checks on the source tree: no dead top-level definitions,
 module-level assignments or methods in the package, no unused imports in
 the package or the tests, imports only at module level, no reads of
-another module's private names, and a harness that imports no maths."""
+another module's private names, denominators cleared only in `linalg`,
+and a harness that imports no maths."""
 
 import ast
 import pathlib
@@ -134,6 +135,24 @@ def test_no_module_reads_another_modules_private_name():
                   and isinstance(node.value, ast.Name)
                   and node.value.id in modules]
     assert not reads, reads
+
+
+def test_only_linalg_clears_denominators():
+    # `linalg.integral` is the one rule that scales rationals to integers;
+    # `rationals.qstr` reads denominators only to format them
+    bad = []
+    for path, tree in _trees(PACKAGE):
+        for node in ast.walk(tree):
+            # `from math import lcm`, or `math.lcm`
+            lcm = (isinstance(node, ast.ImportFrom)
+                   and any(a.name == "lcm" for a in node.names)
+                   or isinstance(node, ast.Attribute) and node.attr == "lcm")
+            if lcm and path.name != "linalg.py":
+                bad.append(f"{path.name}:{node.lineno}: lcm")
+            if (isinstance(node, ast.Attribute) and node.attr == "denominator"
+                    and path.name not in ("linalg.py", "rationals.py")):
+                bad.append(f"{path.name}:{node.lineno}: .denominator")
+    assert not bad, bad
 
 
 # the harness validates and dispatches; the maths lives in the modules

@@ -4,10 +4,11 @@ from itertools import permutations
 import pytest
 from conftest import generator_state
 
-from freefield.constructions import build_system, det_family
+from freefield.constructions import (build_system, component_monomials,
+                                     det_family)
 from freefield.diffalg import graded_multisets
 from freefield.fock import (State, generator_polynomial, mono_weight,
-                            nth_product, vacuum, wick)
+                            monomial_state, nth_product, vacuum, wick)
 from freefield.linalg import axpy, perm_sign
 from freefield.properties import random_monomial
 from freefield.rationals import QQ
@@ -98,20 +99,26 @@ def _reference_poly_monomials(shape, maxdeg):
             for tup in graded_multisets([(0, 1, 0)] * len(vars_), 0, 0, maxdeg)]
 
 
-def _reference_zero_mode(a, q):
-    """Reference for zhu_zero_mode on a Weyl polynomial q: encode q as the
-    normally ordered gamma fields, act by a(wt-1) per weight component of
-    a, decode."""
+def _split_zero_mode(a, q):
+    """Reference for zhu_zero_mode: split a into its weight-homogeneous
+    components and sum component o_{w-1} q, each by nth_product."""
     sys = a.sys
-    enc = generator_polynomial(sys, [
-        (c, [("gamma", j, i) for i, j in alpha]) for (alpha, _), c in q.items()])
     comps: dict = {}
     for mono, c in a.terms.items():
         comps.setdefault(mono_weight(sys, mono), {})[mono] = c
     total = State(sys, {})
     for w, terms in sorted(comps.items()):
-        total = total.add(nth_product(State(sys, terms), enc, w - 1))
-    return decode_polynomial(total)
+        total = total.add(nth_product(State(sys, terms), q, w - 1))
+    return total
+
+
+def _reference_zero_mode(a, q):
+    """Reference for zhu_zero_mode on a Weyl polynomial q: encode q as the
+    normally ordered gamma fields, act by a(wt-1) per weight component of
+    a, decode."""
+    enc = generator_polynomial(a.sys, [
+        (c, [("gamma", j, i) for i, j in alpha]) for (alpha, _), c in q.items()])
+    return decode_polynomial(_split_zero_mode(a, enc))
 
 
 def _frozen(w):
@@ -135,6 +142,61 @@ def test_zhu_zero_mode_matches_weyl_reference(shape):
             assert got == _reference_zero_mode(a, decode_polynomial(q))
             nonzero += bool(got)
     assert nonzero
+
+
+def _modes_state(sys, spec):
+    """sum c * the modes (family, copy, coord, m), given in operator order,
+    over the pairs (c, modes) of spec."""
+    out = State(sys, {})
+    for c, modes in spec:
+        out = out.add(monomial_state(
+            sys, [(sys.gen(f, j, i).index, m) for f, j, i, m in modes], c))
+    return out
+
+
+@pytest.mark.parametrize("shape", [dict(bosonic=(2, 2)),
+                                   dict(bosonic=(2, 1), fermionic=(2, 1))])
+def test_zhu_zero_mode_matches_split_by_weight(shape):
+    sys = build_system(**shape)
+    half, third = QQ(1, 2), QQ(1, 3)
+    # weight components 0 (with the vacuum), 1 and 2
+    a_spec = [(half, []), (-third, [("gamma", 1, 2, -1)]),
+              (third, [("beta", 1, 1, -1), ("gamma", 1, 2, -1)]),
+              (-half, [("gamma", 1, 1, -2)]),
+              (QQ(5, 6), [("beta", 1, 1, -1), ("beta", 1, 2, -1),
+                          ("gamma", 1, 1, -1)]),
+              (2, [("beta", 1, 2, -2)])]
+    q_specs = [[(half, [("gamma", 1, 1, -1), ("gamma", 1, 2, -1)]),
+                (-third, [("gamma", 1, 1, -1), ("gamma", 1, 1, -1)]),
+                (QQ(2, 3), [])],
+               [(third, [("beta", 1, 2, -1), ("gamma", 1, 1, -1)]),
+                (half, [("gamma", 1, 2, -1)])]]
+    if sys.fermionic:
+        a_spec += [(third, [("c", 1, 1, -1)]),
+                   (half, [("b", 1, 2, -1), ("c", 1, 1, -1)]),
+                   (-third, [("b", 1, 1, -1), ("c", 1, 2, -2)])]
+        q_specs += [[(half, [("c", 1, 1, -1), ("c", 1, 2, -1)]),
+                     (third, [("c", 1, 2, -1), ("gamma", 1, 1, -1)])]]
+    a = _modes_state(sys, a_spec)
+    qs = [_modes_state(sys, spec) for spec in q_specs] + [
+        State(sys, {m: QQ(1)}) for m in component_monomials(sys, 0, 2)]
+    assert () in a.terms
+    assert {mono_weight(sys, m) for m in a.terms} == {0, 1, 2}
+    for s in (a, qs[0]):
+        assert {2, 3} <= {c.denominator for c in s.terms.values()}
+    rng = random.Random(11)
+    pairs = [(a, q) for q in qs] + [(State(sys, {}), q) for q in qs[:2]]
+    for _ in range(12):
+        ra = random_monomial(sys, rng).add(
+            random_monomial(sys, rng, max_depth=2).scale(third))
+        pairs.append((ra, qs[rng.randrange(len(qs))]))
+    nonzero = 0
+    for x, q in pairs:
+        got, want = zhu_zero_mode(x, q), _split_zero_mode(x, q)
+        assert got.terms == want.terms, (x, q)
+        assert all(type(c) is QQ for c in got.terms.values())
+        nonzero += bool(got.terms)
+    assert nonzero > len(qs)
 
 
 def test_poly_monomials_need_pure_betagamma():
