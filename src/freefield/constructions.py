@@ -12,7 +12,7 @@ singular vectors.
 from itertools import permutations
 
 from .rationals import QQ, ZERO, ONE, qstr
-from .linalg import axpy, nullspace, perm_sign, solve_affine
+from .linalg import axpy, orbit_nullspaces, perm_sign, solve_affine
 from .liealg import (LieAlgebraSpec, make_algebra, sp_any, gram_inverse,
                      normalized_gram, trace_gram, dual_coxeter, split_label,
                      torus_weights)
@@ -523,12 +523,21 @@ def state_torus(F: CurrentFamily):
     return diag, [weights[a] for a in atoms]
 
 
+def _products(F: CurrentFamily, v: State, ns):
+    """Every term of th o_n v as ((label, n, monomial), coefficient), for
+    each current th of F and each n in its entry of the list ns."""
+    for (lab, th), modes in zip(F.items(), ns):
+        for n in modes:
+            for tm, tc in nth_product(th, v, n).terms.items():
+                yield (lab, n, tm), tc
+
+
 def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
                           cap: int = 20000):
     """Joint kernel of all nonnegative products with the family currents
     on the span of monomials of the given exact weight and degree <= maxdeg,
-    as its free monomials (`linalg.nullspace`) block by block: one per
-    vector of the canonical kernel basis, so their number is its dimension.
+    as the free monomials of `linalg.orbit_nullspaces`, each block its own
+    orbit: their number is its dimension.
 
     Torus grading: a current whose o_0 is diagonal on the generators
     (`state_torus`) multiplies each monomial by its torus weight, so the
@@ -548,37 +557,28 @@ def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
     if size > cap:
         raise ResourceCapError(cap, size)
     diag, torus = state_torus(F)
-    diag = set(diag)
-    monos = component_monomials(sys, weight, maxdeg, torus=torus)
-    if F.side == "left":
-        blocks: dict = {}
-        for mo in monos:
-            blocks.setdefault(_copy_charge_key(sys, mo), []).append(mo)
-    else:
-        blocks = {None: list(monos)}
+    diag = {F.algebra.labels[i] for i in diag}
     # products vanish beyond wt(th) + wt(v) - 1
-    products = [(i, lab, th, range(0, state_weight(th) + weight))
-                for i, (lab, th) in enumerate(F.items())]
-    free = []
-    for key in sorted(blocks, key=lambda k: (k is not None, k)):
-        cols = blocks[key]
+    ns = [range(0, state_weight(th) + weight) for th in F.states]
+    block = ((lambda mo: _copy_charge_key(sys, mo)) if F.side == "left"
+             else (lambda mo: ()))
+
+    def equations(cols):
+        key = block(cols[0])
         rows: dict = {}
-        for mo in cols:
-            v = State(sys, {mo: ONE})
-            for i, lab, th, ns in products:
-                for nn in ns:
-                    p = nth_product(th, v, nn)
-                    if nn == 0 and i in diag:
-                        if p.terms:
-                            raise RuntimeError(
-                                f"torus weight of {mo} under {lab} is not 0")
-                        continue
-                    for tm, tc in p.terms.items():
-                        if key is not None and _copy_charge_key(sys, tm) != key:
-                            raise RuntimeError("block split violated")
-                        rows.setdefault((lab, nn, tm), {})[mo] = tc
-        free.extend(nullspace(rows.values(), cols))
-    return free
+        for ci, mo in enumerate(cols):
+            for (lab, n, tm), c in _products(F, State(sys, {mo: ONE}), ns):
+                if n == 0 and lab in diag:
+                    raise RuntimeError(
+                        f"torus weight of {mo} under {lab} is not 0")
+                if block(tm) != key:
+                    raise RuntimeError("block split violated")
+                rows.setdefault((lab, n, tm), {})[ci] = c
+        return rows.values()
+
+    return [mo for _, _, free in orbit_nullspaces(
+        component_monomials(sys, weight, maxdeg, torus=torus), block,
+        lambda key: key, equations) for mo in free]
 
 
 def invariant_lift_search(F: CurrentFamily, target: State, maxdeg: int,
@@ -603,29 +603,18 @@ def invariant_lift_search(F: CurrentFamily, target: State, maxdeg: int,
             cands = [mo for mo in cands if _copy_charge_key(sys, mo) == key]
     if len(cands) > cap:
         raise ResourceCapError(cap, len(cands))
-    rows: dict = {}
-    rhs_map: dict = {}
-    for lab, th in F.items():
-        for nn in modes:
-            p = nth_product(th, target, nn)
-            for tm, tc in p.terms.items():
-                rhs_map[(lab, nn, tm)] = rhs_map.get((lab, nn, tm), ZERO) - tc
+    ns = [modes] * len(F.states)
+    rows = {key: [{}, -c] for key, c in _products(F, target, ns)}
     for mo in cands:
-        v = State(sys, {mo: ONE})
-        for lab, th in F.items():
-            for nn in modes:
-                p = nth_product(th, v, nn)
-                for tm, tc in p.terms.items():
-                    rows.setdefault((lab, nn, tm), {})[mo] = tc
-    all_rows = sorted(set(rows) | set(rhs_map))
-    equations = [rows.get(rk, {}) for rk in all_rows]
-    rhs = [rhs_map.get(rk, ZERO) for rk in all_rows]
-    sol, rank = solve_affine(equations, rhs, cands)
+        for key, c in _products(F, State(sys, {mo: ONE}), ns):
+            rows.setdefault(key, [{}, ZERO])[0][mo] = c  # [equation, rhs]
+    sol, rank = solve_affine([eq for eq, _ in rows.values()],
+                             [b for _, b in rows.values()], cands)
     report = {
         "feasible": sol is not None,
         "rank": rank,
         "unknowns": len(cands),
-        "equations": len(all_rows),
+        "equations": len(rows),
     }
     if sol is not None:
         correction = State(sys, {mo: c for mo, c in sol.items() if c})

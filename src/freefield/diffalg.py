@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .liealg import current_generators, make_algebra, torus_weights
 from .linalg import (Echelon, axpy, integral, koszul_insert, koszul_sort,
-                     nullspace)
+                     orbit_nullspaces)
 from .rationals import QQ, qstr
 from . import fock
 
@@ -446,24 +446,20 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     size of the whole component, which is counted, not built.
 
     Blocks: the action never moves a factor across families or copies, so
-    the component splits into blocks by per-(family, copy) factor counts.
-    Copy symmetry: every copy of a family is acted on by the same matrix,
-    so relabelling the copies of each family, independently per family,
-    is an algebra automorphism (odd factors re-sorted with their Koszul
-    sign) that commutes with every xi t^r and maps the torus-weight-0
-    monomials of one block bijectively onto those of the block it maps
-    to; so it maps the invariants of the one onto those of the other.
-    The blocks are grouped into orbits by `_copy_orbit`, and only the
-    first block of each orbit in block-key order, its representative, is
-    solved, by exact sparse elimination.  Every other block of the orbit
-    has a kernel of the same dimension; a RuntimeError is raised when one
-    of them does not have as many columns as its representative.
+    the component splits into blocks by degree and per-(family, copy)
+    factor counts.  Copy symmetry: every copy of a family is acted on by
+    the same matrix, so relabelling the copies of each family,
+    independently per family, is an algebra automorphism (odd factors
+    re-sorted with their Koszul sign) that commutes with every xi t^r and
+    maps the torus-weight-0 monomials of one block bijectively onto those
+    of the block it maps to; so it maps the invariants of the one onto
+    those of the other.  The blocks of one degree are grouped into orbits
+    by `_copy_orbit`, and `linalg.orbit_nullspaces` solves one
+    representative block per orbit.
 
-    Output order: degree ascending, then the block key of the
-    representative.  The free monomials are the free columns of the
-    representative block (`linalg.nullspace`), possibly none; each
-    indexes one vector of its canonical kernel basis, so their number is
-    the dimension of the invariants of each block in the orbit.
+    Output order: degree, then representative block key.  The free
+    monomials, possibly none, index the canonical kernel basis of the
+    representative, so count the invariants of each block of the orbit.
     """
     gens = current_generators(A, weight) if pairs is None else pairs
     actions = {i: _integer_matrices(space.action_for(A, i))
@@ -478,42 +474,28 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     # entries of its factors, read here off the matrices themselves
     checks = [{v: _eigenvalue(v, _var_images(actions[i], 0, v))
                for v in variables} for i in diag]
-    sizes = monomial_counts([(v.weight, v.parity) for v in variables],
-                            weight, maxdeg)
-    for size in sizes:
+    for size in monomial_counts([(v.weight, v.parity) for v in variables],
+                                weight, maxdeg):
         if size > cap:
             raise ResourceCapError(cap, size)
-    # one walk over every degree, bucketed by degree in walk order
-    by_degree: list = [[] for _ in sizes]
-    for m in enumerate_component(space, weight, 0, torus, maxdeg):
-        by_degree[len(m)].append(m)
-    out = []
-    for d, monos in enumerate(by_degree):
-        blocks: dict = {}
-        for m in monos:
-            if any(sum(ev[v] for v in m) for ev in checks):
-                raise RuntimeError(f"torus weight of {m} is not 0")
-            blocks.setdefault(_block_key(m), []).append(m)
-        orbits: dict = {}  # orbit -> its block keys, in key order
-        for key in sorted(blocks):
-            orbits.setdefault(_copy_orbit(space, key), []).append(key)
-        for keys in orbits.values():
-            cols = blocks[keys[0]]
-            for key in keys[1:]:
-                if len(blocks[key]) != len(cols):
-                    raise RuntimeError(
-                        f"block {key} has {len(blocks[key])} columns, its "
-                        f"orbit representative {keys[0]} has {len(cols)}")
-            equations = []
-            for images in tables:
-                rows: dict = {}
-                for ci, mono in enumerate(cols):
-                    for tmono, c in _act_mono(mono, images).items():
-                        rows.setdefault(tmono, {})[ci] = c
-                equations.extend(rows[t] for t in sorted(rows))
-            free = nullspace(equations, range(len(cols)))
-            out.append((d, len(keys), [cols[i] for i in free]))
-    return out
+    monos = enumerate_component(space, weight, 0, torus, maxdeg)
+    for m in monos:
+        if any(sum(ev[v] for v in m) for ev in checks):
+            raise RuntimeError(f"torus weight of {m} is not 0")
+
+    def equations(cols):
+        out = []
+        for images in tables:
+            rows: dict = {}
+            for ci, mono in enumerate(cols):
+                for tmono, c in _act_mono(mono, images).items():
+                    rows.setdefault(tmono, {})[ci] = c
+            out.extend(rows[t] for t in sorted(rows))
+        return out
+
+    return [(d, size, free) for (d, _), size, free in orbit_nullspaces(
+        monos, lambda m: (len(m), _block_key(m)),
+        lambda key: (key[0], _copy_orbit(space, key[1])), equations)]
 
 
 def _products_echelon(polys, atoms, weight: int, mindeg: int, maxdeg: int,

@@ -36,7 +36,7 @@ class GaussJordan:
         if not vec:
             return False
         p = min(vec, key=self.col_rank)
-        inv = 1 / vec[p]
+        inv = QQ(1) / vec[p]
         vec = {k: c * inv for k, c in vec.items()}
         combo = {t: c * inv for t, c in combo.items()}
         for q in self.rows:
@@ -61,7 +61,9 @@ def reference_nullspace(rows, cols):
     of f in each pivot's row at that pivot."""
     order = {c: i for i, c in enumerate(cols)}
     ref = GaussJordan(order.__getitem__)
-    for row in rows:
+    # the reduced rows do not depend on the order the rows come in, and
+    # short rows are cheap pivots for the long ones
+    for row in sorted(rows, key=len):
         ref.add(row)
     return {f: {f: QQ(1), **{p: -r[f] for p, r in ref.rows.items() if f in r}}
             for f in cols if f not in ref.rows}

@@ -9,13 +9,13 @@ from reference_elimination import GaussJordan, reference_nullspace
 
 from freefield.constructions import (
     bc_family, build_system, commutant_check, component_monomials,
-    conformal_and_charge, det_family, mixed_det, mixed_psi_family,
-    quad_family, sec4_identity, state_invariant_basis, state_torus, sugawara,
-    theta, verify_affine,
+    conformal_and_charge, det_family, invariant_lift_search, mixed_det,
+    mixed_psi_family, quad_family, sec4_identity, state_invariant_basis,
+    state_torus, sugawara, theta, verify_affine,
 )
 from freefield.diffalg import ResourceCapError
-from freefield.fock import (State, derivative, gradings, nth_product, vacuum,
-                            wick, zero)
+from freefield.fock import (State, derivative, gradings, nth_product,
+                            state_to_text, vacuum, wick, zero)
 from freefield.liealg import make_algebra, split_label, sp_any
 from freefield.linalg import perm_sign
 from freefield.rationals import QQ
@@ -223,6 +223,26 @@ def test_state_invariant_basis_finds_determinant():
     assert ok, witness
 
 
+def test_invariant_lift_search_finds_a_correction():
+    # the beta determinant is invariant, so D + beta^1_1 beta^2_1 lifts
+    # with the correction -beta^1_1 beta^2_1
+    sys = build_system(bosonic=(2, 2))
+    F = theta(make_algebra("sl", 2), sys, side="left")
+    extra = wick([generator_state(sys, "beta", 1, 1),
+                  generator_state(sys, "beta", 2, 1)])
+    target = det_family(sys, (1, 2), side="beta").add(extra)
+    modes = (0, 1, 2)
+    rep = invariant_lift_search(F, target, maxdeg=2, modes=modes)
+    correction = extra.scale(QQ(-1))
+    assert rep == {"feasible": True, "rank": 3, "unknowns": 4,
+                   "equations": 8, "correction": state_to_text(correction)}
+    assert rep["correction"] == "-1 * g[b1,beta,1](-1) g[b2,beta,1](-1)"
+    lifted = target.add(correction)
+    for _, th in F.items():
+        for nn in modes:
+            assert nth_product(th, lifted, nn).is_zero(), nn
+
+
 def _unfiltered_state_invariants(F, weight, maxdeg):
     """Reference for state_invariant_basis: every column of the component,
     blocks keyed by the slot strings of the generators, every product
@@ -300,7 +320,9 @@ def test_state_resource_cap_bounds_the_full_component():
 def test_torus_guards_under_optimize():
     # a torus helper that hands out zero atom weights lets columns of
     # nonzero torus weight through; the h t^0 and o_0 guards must stop
-    # both solvers, also when -O strips asserts
+    # both solvers, also when -O strips asserts.  Then, with the torus
+    # back, a block key that puts every monomial in a block of its own
+    # must trip the state side's block split guard
     code = (
         "from freefield import constructions, diffalg, liealg\n"
         "def zero_weights(indices, atoms, image):\n"
@@ -311,8 +333,13 @@ def test_torus_guards_under_optimize():
         "space = diffalg.VarSpace([diffalg.FamilyDecl('x', 2, 2, 0, 0, 'rep')])\n"
         "sys_ = constructions.build_system(bosonic=(2, 2))\n"
         "F = constructions.theta(A, sys_, side='left')\n"
+        "def split():\n"
+        "    constructions.torus_weights = liealg.torus_weights\n"
+        "    constructions._copy_charge_key = lambda sys, mono: mono\n"
+        "    constructions.state_invariant_basis(F, 1, 2)\n"
         "for solve in (lambda: diffalg.invariant_basis(space, A, 0, 2),\n"
-        "              lambda: constructions.state_invariant_basis(F, 1, 2)):\n"
+        "              lambda: constructions.state_invariant_basis(F, 1, 2),\n"
+        "              split):\n"
         "    try:\n"
         "        solve()\n"
         "    except RuntimeError as e:\n"
@@ -325,8 +352,9 @@ def test_torus_guards_under_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 2, proc.stdout
-    assert all(ln.startswith("guarded: torus weight of") for ln in lines)
+    assert len(lines) == 3, proc.stdout
+    assert all(ln.startswith("guarded: torus weight of") for ln in lines[:2])
+    assert lines[2] == "guarded: block split violated", proc.stdout
 
 
 def test_sec4_identity_report():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -13,7 +14,7 @@ from freefield.constructions import (build_system, det_family, symbol_generators
 from freefield.diffalg import (
     FamilyDecl, ResourceCapError, VarSpace, _block_key, abstract_var,
     apply_D, bidegree_dims, diff_add, diff_bidegree,
-    diff_mul, diff_sub, diff_to_text, enumerate_component, falling,
+    diff_mul, diff_sub, diff_to_text, enumerate_component,
     _var_images, generated_span, graded_multisets, invariant_basis, jet_var, lie_jet_action,
     monomial_counts, monomial_from_factors, quantum_correct,
     symbol, symbol_var, varspace_for_system, wick_expand,
@@ -75,19 +76,25 @@ def test_invariant_basis_plain_sl2_minors():
         (0, 1, 1), (2, 6, 1), (2, 4, 0)]
 
 
+def _brute_sort(factors):
+    """A factor list sorted by brute force, with the sign (-1)^(inverted
+    pairs of odd factors); (None, 0) when an odd factor repeats."""
+    odd = [v for v in factors if v.parity]
+    if len(set(odd)) < len(odd):
+        return None, 0
+    inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1:])
+    return tuple(sorted(factors)), (-1) ** inversions
+
+
 def _reference_diff_mul(p, q):
     """Reference for diff_mul: sort every concatenated factor list by
-    brute force, with the sign (-1)^(inverted pairs of odd factors), and
-    drop it when an odd factor repeats."""
+    `_brute_sort`, and drop it when an odd factor repeats."""
     out: dict = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            odd = [v for v in m1 + m2 if v.parity]
-            if len(set(odd)) < len(odd):
-                continue
-            inversions = sum(a > b for i, a in enumerate(odd)
-                             for b in odd[i + 1:])
-            axpy(out, {tuple(sorted(m1 + m2)): c1 * c2 * (-1) ** inversions})
+            mono, sign = _brute_sort(m1 + m2)
+            if sign:
+                axpy(out, {mono: c1 * c2 * sign})
     return out
 
 
@@ -124,18 +131,23 @@ def test_diff_mul_matches_reference(rational):
 
 
 def _dense(mats, n):
-    """Dense n x n copies of a table of sparse {(row, col): QQ} matrices."""
-    return {fam: [[M.get((r, c), 0) for c in range(n)] for r in range(n)]
+    """Dense n x n copies of a table of sparse {(row, col): QQ} matrices,
+    with integral entries as ints, which keeps products with them cheap."""
+    def entry(v):
+        return int(v) if v == int(v) else v
+    return {fam: [[entry(M.get((r, c), 0)) for c in range(n)]
+                  for r in range(n)]
             for fam, M in mats.items()}
 
 
 def _reference_lie_jet_action(mats, r, p):
     """Reference for lie_jet_action on dense matrices: rebuild the factor
-    list for every matrix entry and re-sort it with monomial_from_factors."""
+    list for every matrix entry and re-sort it by `_brute_sort`; t^r
+    scales a factor of order k by k!/(k-r)!, which is `math.perm(k, r)`."""
     out: dict = {}
     for mono, c in p.items():
         for k, v in enumerate(mono):
-            lam = falling(v.order, r)
+            lam = math.perm(v.order, r)
             if not lam:
                 continue
             M = mats[v.family]
@@ -146,7 +158,9 @@ def _reference_lie_jet_action(mats, r, p):
                     continue
                 factors = list(mono)
                 factors[k] = v._replace(coord=row + 1, order=v.order - r)
-                axpy(out, monomial_from_factors(factors, c * lam * entry))
+                mono2, sign = _brute_sort(factors)
+                if sign:
+                    axpy(out, {mono2: c * lam * entry * sign})
     return out
 
 
@@ -203,7 +217,7 @@ def _full_system_invariants(space, A, weight, maxdeg):
                 for r in range(weight + 1):
                     rows: dict = {}
                     for ci, mono in enumerate(cols):
-                        img = _reference_lie_jet_action(mats, r, {mono: QQ(1)})
+                        img = _reference_lie_jet_action(mats, r, {mono: 1})
                         for tmono, c in img.items():
                             rows.setdefault(tmono, {})[ci] = c
                     equations.extend(rows[t] for t in sorted(rows))

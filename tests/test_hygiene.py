@@ -2,7 +2,8 @@
 module-level assignments or methods in the package, no unused imports in
 the package or the tests, imports only at module level, no reads of
 another module's private names, denominators cleared only in `linalg`,
-and a harness that imports no maths."""
+`nullspace` called only by `linalg`'s orbit solver, and a harness that
+imports no maths."""
 
 import ast
 import pathlib
@@ -152,6 +153,19 @@ def test_only_linalg_clears_denominators():
             if (isinstance(node, ast.Attribute) and node.attr == "denominator"
                     and path.name not in ("linalg.py", "rationals.py")):
                 bad.append(f"{path.name}:{node.lineno}: .denominator")
+    assert not bad, bad
+
+
+def test_only_linalg_reads_nullspace():
+    # both invariant solvers go through `linalg.orbit_nullspaces`, the one
+    # driver of blockwise elimination
+    bad = []
+    for path, tree in _trees(PACKAGE):
+        imports = [a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for a in node.names]
+        if path.name != "linalg.py" and "nullspace" in [
+                *_read_names(tree), *imports]:
+            bad.append(path.name)
     assert not bad, bad
 
 

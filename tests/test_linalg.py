@@ -5,7 +5,8 @@ import pytest
 from reference_elimination import GaussJordan, lin, reference_nullspace
 
 from freefield.linalg import (Echelon, axpy, koszul_insert, koszul_sort,
-                              nullspace, perm_sign, solve_affine)
+                              nullspace, orbit_nullspaces, perm_sign,
+                              solve_affine)
 from freefield.rationals import QQ, ZERO
 
 
@@ -203,6 +204,70 @@ def test_row_order_does_not_change_the_output(seed):
                                 [rhs[i] for i in order], cols)
                    for order in orders]
             assert got[1:] == got[:1] * 2
+
+
+def _block_system(rng, n_blocks, n_orbits):
+    """A random block-diagonal integer system: columns (block, j) listed
+    in a shuffled column order, block b in orbit b % n_orbits, the blocks
+    of one orbit of one size, and per block some sparse integer rows over
+    its columns, a few of them sums of earlier rows."""
+    sizes = [rng.randint(1, 6) for _ in range(n_orbits)]
+    columns = [(b, j) for b in range(n_blocks)
+               for j in range(sizes[b % n_orbits])]
+    rng.shuffle(columns)
+    rows = {}
+    for b in range(n_blocks):
+        cols = [c for c in columns if c[0] == b]
+        rows[b] = []
+        for _ in range(rng.randint(0, len(cols) + 1)):
+            if rows[b] and rng.random() < 0.3:
+                row = dict(rng.choice(rows[b]))
+                axpy(row, rng.choice(rows[b]), rng.choice([-2, 1, 3]))
+            else:
+                row = {c: rng.choice([-3, -2, -1, 1, 2, 5])
+                       for c in rng.sample(cols, rng.randint(1, len(cols)))}
+            rows[b].append(row)
+    return columns, rows
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_orbit_nullspaces_matches_reference_per_representative(seed):
+    rng = random.Random(seed)
+    n_orbits = rng.randint(1, 4)
+    n_blocks = n_orbits + rng.randint(0, 6)
+    columns, rows = _block_system(rng, n_blocks, n_orbits)
+    asked = []
+
+    def equations(cols):
+        # rows on the indices of the representative's columns
+        asked.append(cols)
+        index = {c: i for i, c in enumerate(cols)}
+        return [{index[c]: v for c, v in row.items()}
+                for row in rows[cols[0][0]]]
+
+    got = orbit_nullspaces(columns, lambda c: c[0], lambda b: b % n_orbits,
+                           equations)
+    # the representatives are the orbits' least blocks, in block order;
+    # each is solved once on its columns in column order, and its free
+    # columns are the reference's, read back through the indices
+    assert [b for b, _, _ in got] == list(range(n_orbits))
+    assert asked == [[c for c in columns if c[0] == b]
+                     for b in range(n_orbits)]
+    assert [size for _, size, _ in got] == [
+        len(range(b, n_blocks, n_orbits)) for b in range(n_orbits)]
+    for (b, _, free), cols in zip(got, asked):
+        assert free == list(reference_nullspace(rows[b], cols)), b
+    assert orbit_nullspaces([], lambda c: c[0], lambda b: b, equations) == []
+
+
+def test_orbit_nullspaces_guards_the_orbit_column_count():
+    # block 2 is in the orbit of block 0 but has one column more
+    columns = [(0, 0), (1, 0), (2, 0), (2, 1)]
+    with pytest.raises(RuntimeError) as err:
+        orbit_nullspaces(columns, lambda c: c[0], lambda b: b % 2,
+                         lambda cols: [])
+    assert str(err.value) == (
+        "block 2 has 2 columns, its orbit representative 0 has 1")
 
 
 def _cycle_parity_sign(perm):
