@@ -12,16 +12,15 @@ singular vectors.
 from itertools import permutations
 
 from .rationals import QQ, ZERO, ONE, qstr
-from .linalg import axpy, orbit_nullspaces, perm_sign, solve_affine
+from .linalg import axpy, perm_sign, solve_affine
 from .liealg import (LieAlgebraSpec, make_algebra, sp_any, gram_inverse,
-                     normalized_gram, trace_gram, dual_coxeter, split_label,
-                     torus_weights)
+                     normalized_gram, trace_gram, dual_coxeter, split_label)
 from .fock import (SystemSpec, State, vacuum, zero, generator_polynomial,
                    nth_product, derivative, gradings, state_weight,
                    state_to_text)
 from .diffalg import (ResourceCapError, abstract_var, graded_multisets,
-                      monomial_counts, monomial_from_factors, quantum_correct,
-                      symbol, wick_expand)
+                      invariant_orbits, monomial_counts, monomial_from_factors,
+                      quantum_correct, symbol, wick_expand)
 
 
 def build_system(bosonic=None, fermionic=None) -> SystemSpec:
@@ -475,12 +474,9 @@ def commutant_check(v: State, F: CurrentFamily):
 def _modes(sys: SystemSpec, weight: int) -> list:
     """The creation modes (generator index, m) of weight at most `weight`,
     sorted, each as (mode, its weight, parity, charge)."""
-    out = []
-    for mode in sorted((g.index, -1 - depth) for g in sys.generators
-                       for depth in range(0, weight - g.weight + 1)):
-        g = sys.generators[mode[0]]
-        out.append((mode, -mode[1] - 1 + g.weight, g.parity, g.charge))
-    return out
+    return [((g.index, -1 - depth), g.weight + depth, g.parity, g.charge)
+            for g in sys.generators
+            for depth in range(weight - g.weight, -1, -1)]
 
 
 def component_monomials(sys: SystemSpec, weight: int, maxdeg: int, charge=None,
@@ -489,11 +485,11 @@ def component_monomials(sys: SystemSpec, weight: int, maxdeg: int, charge=None,
     fixed total charge, in canonical sort order: the
     `diffalg.graded_multisets` of the creation modes, each of degree 1.
 
-    torus, when given, lists an integer torus weight vector per generator
-    index, and only the monomials of torus weight 0 are produced, cut
-    inside the enumeration."""
+    torus, when given, maps each creation mode to its integer torus
+    weight vector, and only the monomials of torus weight 0 are produced,
+    cut inside the enumeration."""
     modes = _modes(sys, weight)
-    tws = [torus[gi] for (gi, _), *_ in modes] if torus else None
+    tws = [torus[mode] for mode, *_ in modes] if torus else None
     atoms = [(w, 1, odd) for _, w, odd, _ in modes]
     return [tuple(modes[i][0] for i in tup)
             for tup in graded_multisets(atoms, weight, 0, maxdeg, tws)
@@ -509,24 +505,10 @@ def _copy_charge_key(sys, mono):
     return tuple(sorted((s, ch) for s, ch in counts.items() if ch))
 
 
-def state_torus(F: CurrentFamily):
-    """The label indices i whose zeroth product th_i o_0 maps every
-    generator field to a multiple of itself, and per generator index its
-    integer weight vector under them (`liealg.torus_weights`).  a o_0 is
-    a derivation of every product and commutes with T, so such an o_0
-    multiplies each monomial by the sum of its modes' weights."""
-    sys = F.sys
-    atoms = [((g.index, -1),) for g in sys.generators]
-    diag, weights = torus_weights(
-        range(len(F.states)), atoms,
-        lambda i, a: nth_product(F.states[i], State(sys, {a: ONE}), 0).terms)
-    return diag, [weights[a] for a in atoms]
-
-
-def _products(F: CurrentFamily, v: State, ns):
+def _products(F: CurrentFamily, v: State, modes):
     """Every term of th o_n v as ((label, n, monomial), coefficient), for
-    each current th of F and each n in its entry of the list ns."""
-    for (lab, th), modes in zip(F.items(), ns):
+    each current th of F and each n in modes."""
+    for lab, th in F.items():
         for n in modes:
             for tm, tc in nth_product(th, v, n).terms.items():
                 yield (lab, n, tm), tc
@@ -536,49 +518,36 @@ def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
                           cap: int = 20000):
     """Joint kernel of all nonnegative products with the family currents
     on the span of monomials of the given exact weight and degree <= maxdeg,
-    as the free monomials of `linalg.orbit_nullspaces`, each block its own
-    orbit: their number is its dimension.
+    as the free monomials of `diffalg.invariant_orbits`, each block its own
+    orbit: their number is its dimension.  A ResourceCapError when the
+    component has more than cap monomials, all degrees <= maxdeg counted
+    together and every monomial, not only the torus-weight-0 ones that
+    are solved; they are counted, not built.
 
-    Torus grading: a current whose o_0 is diagonal on the generators
-    (`state_torus`) multiplies each monomial by its torus weight, so the
-    kernel lies in the monomials of torus weight 0 under all such
-    currents, and solving on those columns alone gives the same free
-    columns (the argument of `diffalg.invariant_basis`).  Only they are
-    enumerated, their diagonal o_0 images are checked to vanish (a
-    RuntimeError otherwise) instead of being written as equations, and
-    the resource cap still bounds the size of the whole component, which
-    is counted, not built.
-
-    Left families preserve the per-copy charge, so the solve splits into
-    blocks; the split is verified on every image monomial."""
+    The atoms are the creation modes.  Products vanish beyond
+    wt(th) + weight - 1.  The torus is read off the th o_0, each a
+    derivation of every product and one of the operators.  Left families
+    preserve the per-copy charge, so the solve splits into blocks by it."""
     sys = F.sys
-    items = [(w, odd) for _, w, odd, _ in _modes(sys, weight)]
-    size = sum(monomial_counts(items, weight, maxdeg))
+    modes = _modes(sys, weight)
+    size = sum(monomial_counts([(w, odd) for _, w, odd, _ in modes],
+                               weight, maxdeg))
     if size > cap:
         raise ResourceCapError(cap, size)
-    diag, torus = state_torus(F)
-    diag = {F.algebra.labels[i] for i in diag}
-    # products vanish beyond wt(th) + wt(v) - 1
-    ns = [range(0, state_weight(th) + weight) for th in F.states]
+
+    def image(mono, ops):
+        v = State(sys, {mono: ONE})
+        return [nth_product(F.states[i], v, n).terms for i, n in ops]
+
     block = ((lambda mo: _copy_charge_key(sys, mo)) if F.side == "left"
              else (lambda mo: ()))
-
-    def equations(cols):
-        key = block(cols[0])
-        rows: dict = {}
-        for ci, mo in enumerate(cols):
-            for (lab, n, tm), c in _products(F, State(sys, {mo: ONE}), ns):
-                if n == 0 and lab in diag:
-                    raise RuntimeError(
-                        f"torus weight of {mo} under {lab} is not 0")
-                if block(tm) != key:
-                    raise RuntimeError("block split violated")
-                rows.setdefault((lab, n, tm), {})[ci] = c
-        return rows.values()
-
-    return [mo for _, _, free in orbit_nullspaces(
-        component_monomials(sys, weight, maxdeg, torus=torus), block,
-        lambda key: key, equations) for mo in free]
+    return [mo for _, _, free in invariant_orbits(
+        [mode for mode, *_ in modes],
+        lambda torus: component_monomials(sys, weight, maxdeg, torus=torus),
+        [(i, 0) for i in range(len(F.states))],
+        [(i, n) for i, th in enumerate(F.states)
+         for n in range(state_weight(th) + weight)],
+        image, block, lambda key: key) for mo in free]
 
 
 def invariant_lift_search(F: CurrentFamily, target: State, maxdeg: int,
@@ -603,10 +572,9 @@ def invariant_lift_search(F: CurrentFamily, target: State, maxdeg: int,
             cands = [mo for mo in cands if _copy_charge_key(sys, mo) == key]
     if len(cands) > cap:
         raise ResourceCapError(cap, len(cands))
-    ns = [modes] * len(F.states)
-    rows = {key: [{}, -c] for key, c in _products(F, target, ns)}
+    rows = {key: [{}, -c] for key, c in _products(F, target, modes)}
     for mo in cands:
-        for key, c in _products(F, State(sys, {mo: ONE}), ns):
+        for key, c in _products(F, State(sys, {mo: ONE}), modes):
             rows.setdefault(key, [{}, ZERO])[0][mo] = c  # [equation, rhs]
     sol, rank = solve_affine([eq for eq, _ in rows.values()],
                              [b for _, b in rows.values()], cands)

@@ -148,7 +148,8 @@ def apply_D(p: dict) -> dict:
     out: dict = {}
     for mono, c in p.items():
         for k, v in enumerate(mono):
-            new, sign = _replace_factor(mono, k, v.bump())
+            new, sign = koszul_insert(mono[:k] + mono[k + 1:], v.bump(),
+                                      _parity, k)
             if sign:
                 axpy(out, {new: c}, sign)
     return out
@@ -175,20 +176,14 @@ def _var_images(mats: dict, r: int, v: DV) -> list:
             for (row, c), x in sorted(mats[v.family].items()) if c == col]
 
 
-def _replace_factor(mono: tuple, k: int, w: DV):
-    """(canonical monomial, sign) for factor k of mono replaced by w, which
-    `koszul_insert` moves from place k to its sorted place; (None, 0) when
-    w is odd and already among the other factors."""
-    return koszul_insert(mono[:k] + mono[k + 1:], w, _parity, k)
-
-
 def _act_mono(mono: tuple, images: dict) -> dict:
     """xi t^r, an even derivation, on one monomial with coefficient 1:
-    each factor v in turn is replaced by its images[v] from _var_images."""
+    each factor v in turn is replaced by its images[v] from _var_images,
+    which `koszul_insert` moves from v's place to its sorted place."""
     out: dict = {}
     for k, v in enumerate(mono):
         for w, e in images[v]:
-            new, sign = _replace_factor(mono, k, w)
+            new, sign = koszul_insert(mono[:k] + mono[k + 1:], w, _parity, k)
             if sign:
                 axpy(out, {new: e}, sign)
     return out
@@ -207,14 +202,6 @@ def lie_jet_action(mats: dict, r: int, p: dict) -> dict:
     for mono, c in p.items():
         axpy(out, _act_mono(mono, images), c)
     return out
-
-
-def _eigenvalue(v: DV, images: list) -> int:
-    """The c with images = [(v, c)] from _var_images, 0 for no image; a
-    RuntimeError when the images leave the line of v."""
-    if any(w != v for w, _ in images):
-        raise RuntimeError(f"action on {v.token()} is not diagonal")
-    return images[0][1] if images else 0
 
 
 def _integer_matrices(mats: dict) -> dict:
@@ -401,11 +388,17 @@ class ResourceCapError(RuntimeError):
 
 
 def _block_key(mono):
-    counts: dict = {}
+    """The factor count of each (family, copy) of a canonical monomial, in
+    key order: its factors are sorted, so each (family, copy) is one run."""
+    key, run, n = [], None, 0
     for v in mono:
-        k = (v.family, v.copy)
-        counts[k] = counts.get(k, 0) + 1
-    return tuple(sorted(counts.items()))
+        k = v[:2]
+        if k != run:
+            key.append((run, n))
+            run, n = k, 0
+        n += 1
+    key.append((run, n))
+    return tuple(key[1:]) if mono else ()  # key[0] is (None, 0)
 
 
 def _copy_orbit(space: VarSpace, key) -> tuple:
@@ -418,11 +411,79 @@ def _copy_orbit(space: VarSpace, key) -> tuple:
                  for f in space.families)
 
 
+def invariant_orbits(atoms, monomials, torus_ops, ops, image, block_key,
+                     orbit_key) -> list:
+    """The joint kernel of the operators ops on a span of monomials in
+    atoms, as `linalg.orbit_nullspaces` of its columns: (representative
+    block key, orbit size, free monomials) per orbit of blocks, in key
+    order.  The free monomials, possibly none, index the canonical kernel
+    basis of the representative, so they count the invariants of each
+    block of the orbit.
+
+    image(mono, ops) lists the images {monomial: coefficient} of the
+    monomial mono, with coefficient 1, under each operator of ops in
+    turn.  monomials(torus) lists the columns in column order: the
+    monomials of torus weight 0 under torus, a map from each atom to its
+    torus weight vector.  The caller vouches that every operator of
+    torus_ops is a derivation of the product of atoms that kills the
+    joint kernel of ops, and that the blocks of one orbit have kernels of
+    one size.
+
+    Torus grading: an operator h of torus_ops that maps every atom to a
+    multiple of itself (`torus_weights` on the one-atom monomials) maps
+    a monomial to itself times the sum of its atoms' eigenvalues, so every
+    invariant lies in the monomials of torus weight 0 under all such h.
+    A column is free when it is the last nonzero position of some kernel
+    vector, so the free columns depend only on the kernel and the column
+    order, and solving on the weight-0 columns alone, in the same order,
+    gives the same kernel and so the same free columns.  Only those are
+    enumerated, and each is checked to have torus weight 0 under the
+    eigenvalues themselves, not the scaled weights the enumeration read
+    (a RuntimeError otherwise).  So every such h kills every column, and
+    those among ops are not written as equations.
+
+    Blocks: when every operator maps the monomials of a block, by
+    block_key, into the span of that block, the system is block diagonal
+    and its kernel is the direct sum of the blocks' kernels, so each
+    block is solved on its own.  Every equation row's monomial is
+    checked to lie in its column's block (a RuntimeError otherwise).
+    The rows are sorted by operator, then by monomial.
+    """
+    found: dict = {}  # (operator, one-atom monomial) -> its image
+    diag, weights = torus_weights(
+        torus_ops, [(a,) for a in atoms],
+        lambda op, mono: found.setdefault((op, mono), image(mono, [op])[0]))
+    eigen = [{a: found[op, (a,)].get((a,), 0) for a in atoms} for op in diag]
+    monos = monomials({a: w for (a,), w in weights.items()})
+    for mono in monos:
+        for ev in eigen:
+            if sum(map(ev.__getitem__, mono)):
+                raise RuntimeError(f"torus weight of {mono} is not 0")
+    ops = [op for op in ops if op not in diag]
+
+    def equations(cols):
+        key = block_key(cols[0])
+        rows = [{} for _ in ops]  # per operator: {monomial: row}
+        for ci, mono in enumerate(cols):
+            for out, img in zip(rows, image(mono, ops)):
+                for tmono, c in img.items():
+                    out.setdefault(tmono, {})[ci] = c
+        if any(block_key(t) != key for out in rows for t in out):
+            raise RuntimeError("block split violated")
+        return [out[t] for out in rows for t in sorted(out)]
+
+    return orbit_nullspaces(monos, block_key, orbit_key, equations)
+
+
 def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
                     cap: int = 20000, pairs=None) -> list:
     """The joint kernel of g[t] on the (weight, degree <= maxdeg)
     component, one entry (degree, number of blocks in the orbit, free
-    monomials) per orbit of blocks, defined below.
+    monomials) per orbit of blocks, defined below, from
+    `invariant_orbits`.  A ResourceCapError when some one degree of the
+    component has more than cap monomials, each degree counted on its own
+    and every monomial, not only the torus-weight-0 ones that are solved;
+    they are counted, not built.
 
     Only t^r with r <= weight can act nonzero on the component, so g[t]
     acts through g[t]/t^(weight+1).  The equations are written for the
@@ -431,19 +492,7 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     generators have the same joint kernel as every xi t^r, and so the
     same free columns.  Each generator's matrices are scaled to integers,
     which keeps its kernel, so every equation row is a {column index: int}
-    dict.
-
-    Torus grading: a basis element h whose matrices are diagonal acts by
-    h t^0 on a monomial as the sum of its factors' diagonal entries, so
-    every invariant lies in the monomials of torus weight 0 under all
-    such h (`torus_weights`).  A column is free when it is the last
-    nonzero position of some kernel vector, so the free columns depend
-    only on the kernel and the column order, and solving on the weight-0
-    columns alone, in the same order, gives the same kernel and so the
-    same free columns.  Only those columns are enumerated, their h t^0
-    images are checked to vanish (a RuntimeError otherwise) instead of
-    being written as equations, and the resource cap still bounds the
-    size of the whole component, which is counted, not built.
+    dict.  The torus is read off the h t^0, which lie in g[t].
 
     Blocks: the action never moves a factor across families or copies, so
     the component splits into blocks by degree and per-(family, copy)
@@ -454,48 +503,29 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     maps the torus-weight-0 monomials of one block bijectively onto those
     of the block it maps to; so it maps the invariants of the one onto
     those of the other.  The blocks of one degree are grouped into orbits
-    by `_copy_orbit`, and `linalg.orbit_nullspaces` solves one
-    representative block per orbit.
+    by `_copy_orbit`, and only one representative block per orbit is
+    solved.
 
-    Output order: degree, then representative block key.  The free
-    monomials, possibly none, index the canonical kernel basis of the
-    representative, so count the invariants of each block of the orbit.
+    Output order: degree, then representative block key.
     """
     gens = current_generators(A, weight) if pairs is None else pairs
-    actions = {i: _integer_matrices(space.action_for(A, i))
-               for i in range(A.dim)}
     variables = space.variables(weight)
-    diag, torus = torus_weights(
-        range(A.dim), variables,
-        lambda i, v: dict(_var_images(actions[i], 0, v)))
-    tables = [{v: _var_images(actions[i], r, v) for v in variables}
-              for i, r in gens if r or i not in diag]
-    # h t^0 maps a monomial to itself times the sum of the diagonal
-    # entries of its factors, read here off the matrices themselves
-    checks = [{v: _eigenvalue(v, _var_images(actions[i], 0, v))
-               for v in variables} for i in diag]
     for size in monomial_counts([(v.weight, v.parity) for v in variables],
                                 weight, maxdeg):
         if size > cap:
             raise ResourceCapError(cap, size)
-    monos = enumerate_component(space, weight, 0, torus, maxdeg)
-    for m in monos:
-        if any(sum(ev[v] for v in m) for ev in checks):
-            raise RuntimeError(f"torus weight of {m} is not 0")
-
-    def equations(cols):
-        out = []
-        for images in tables:
-            rows: dict = {}
-            for ci, mono in enumerate(cols):
-                for tmono, c in _act_mono(mono, images).items():
-                    rows.setdefault(tmono, {})[ci] = c
-            out.extend(rows[t] for t in sorted(rows))
-        return out
-
-    return [(d, size, free) for (d, _), size, free in orbit_nullspaces(
-        monos, lambda m: (len(m), _block_key(m)),
-        lambda key: (key[0], _copy_orbit(space, key[1])), equations)]
+    actions = {i: _integer_matrices(space.action_for(A, i))
+               for i in range(A.dim)}
+    torus_ops = [(i, 0) for i in range(A.dim)]
+    tables = {(i, r): {v: _var_images(actions[i], r, v) for v in variables}
+              for i, r in [*torus_ops, *gens]}
+    return [(d, size, free) for (d, _), size, free in invariant_orbits(
+        variables,
+        lambda torus: enumerate_component(space, weight, 0, torus, maxdeg),
+        torus_ops, gens,
+        lambda mono, ops: [_act_mono(mono, tables[op]) for op in ops],
+        lambda m: (len(m), _block_key(m)),
+        lambda key: (key[0], _copy_orbit(space, key[1])))]
 
 
 def _products_echelon(polys, atoms, weight: int, mindeg: int, maxdeg: int,

@@ -11,12 +11,13 @@ from freefield.constructions import (
     bc_family, build_system, commutant_check, component_monomials,
     conformal_and_charge, det_family, invariant_lift_search, mixed_det,
     mixed_psi_family, quad_family, sec4_identity, state_invariant_basis,
-    state_torus, sugawara, theta, verify_affine,
+    sugawara, theta, verify_affine,
 )
+from freefield import constructions
 from freefield.diffalg import ResourceCapError
 from freefield.fock import (State, derivative, gradings, nth_product,
                             state_to_text, vacuum, wick, zero)
-from freefield.liealg import make_algebra, split_label, sp_any
+from freefield.liealg import make_algebra, split_label, sp_any, torus_weights
 from freefield.linalg import perm_sign
 from freefield.rationals import QQ
 
@@ -274,7 +275,22 @@ def _unfiltered_state_invariants(F, weight, maxdeg):
     return kernel
 
 
-@pytest.mark.parametrize("kind, n, system, side, maxdeg", [
+def _generator_torus(F, weight):
+    """The state-side torus by the rule of the generator fields: the label
+    indices i whose th_i o_0 maps every generator field g(-1) to a
+    multiple of itself, and per creation mode of weight <= weight the
+    weight vector of its generator's g(-1) under them."""
+    sys_ = F.sys
+    atoms = [((g.index, -1),) for g in sys_.generators]
+    diag, weights = torus_weights(
+        range(len(F.states)), atoms,
+        lambda i, a: nth_product(F.states[i], State(sys_, {a: QQ(1)}), 0).terms)
+    return diag, {(g.index, -1 - depth): weights[((g.index, -1),)]
+                  for g in sys_.generators
+                  for depth in range(weight - g.weight + 1)}
+
+
+_STATE_CASES = [
     pytest.param("gl", 2, {"bosonic": (2, 1)}, "left", 4, id="gl2-left"),
     pytest.param("gl", 3, {"bosonic": (3, 1)}, "left", 3, id="gl3-left"),
     pytest.param("sl", 2, {"bosonic": (2, 1), "fermionic": (2, 1)}, "left",
@@ -282,11 +298,14 @@ def _unfiltered_state_invariants(F, weight, maxdeg):
     pytest.param("sp", 4, {"bosonic": (4, 1)}, "left", 2, id="sp4-left"),
     pytest.param("gl", 2, {"fermionic": (2, 2)}, "right", 3,
                  id="gl2-right-bc"),
-])
+]
+
+
+@pytest.mark.parametrize("kind, n, system, side, maxdeg", _STATE_CASES)
 def test_state_invariant_basis_matches_unfiltered_columns(kind, n, system,
                                                           side, maxdeg):
     F = theta(make_algebra(kind, n), build_system(**system), side=side)
-    assert state_torus(F)[0]
+    assert _generator_torus(F, 0)[0]
     dims = []
     for weight in range(4):
         expected = _unfiltered_state_invariants(F, weight, maxdeg)
@@ -302,12 +321,33 @@ def test_state_invariant_basis_matches_unfiltered_columns(kind, n, system,
     assert (sum(dims) == 1) == (kind == "gl" and side == "left"), dims
 
 
+@pytest.mark.parametrize("kind, n, system, side, maxdeg", _STATE_CASES)
+def test_state_torus_extends_the_generator_torus(kind, n, system, side,
+                                                 maxdeg, monkeypatch):
+    # the solver reads the torus off every creation mode; th o_0 commutes
+    # with the translation T, so that is the torus of the generator
+    # fields g(-1), extended to every mode of the same generator
+    F = theta(make_algebra(kind, n), build_system(**system), side=side)
+    seen = []
+
+    def spy(sys_, weight, maxdeg, charge=None, torus=None):
+        seen.append(torus)
+        return component_monomials(sys_, weight, maxdeg, charge, torus)
+
+    monkeypatch.setattr(constructions, "component_monomials", spy)
+    for weight in range(4):
+        seen.clear()
+        state_invariant_basis(F, weight, maxdeg)
+        assert seen == [_generator_torus(F, weight)[1]], weight
+
+
 def test_state_resource_cap_bounds_the_full_component():
     # the cap is checked against the whole component, not the torus-weight-0
     # columns that are solved
     F = theta(make_algebra("gl", 2), build_system(bosonic=(2, 1)), "left")
     full = len(component_monomials(F.sys, 2, 4))
-    kept = len(component_monomials(F.sys, 2, 4, torus=state_torus(F)[1]))
+    kept = len(component_monomials(F.sys, 2, 4,
+                                   torus=_generator_torus(F, 2)[1]))
     assert kept < full
     cap = (kept + full) // 2
     with pytest.raises(ResourceCapError) as err:
@@ -319,27 +359,35 @@ def test_state_resource_cap_bounds_the_full_component():
 
 def test_torus_guards_under_optimize():
     # a torus helper that hands out zero atom weights lets columns of
-    # nonzero torus weight through; the h t^0 and o_0 guards must stop
-    # both solvers, also when -O strips asserts.  Then, with the torus
+    # nonzero torus weight through; the torus weight guard, which reads
+    # the eigenvalues of the h t^0 and the o_0 themselves, must stop both
+    # solvers, also when -O strips asserts.  Then, with the torus
     # back, a block key that puts every monomial in a block of its own
-    # must trip the state side's block split guard
+    # must trip the state side's block split guard, and one that also
+    # keys by coordinate, each block its own orbit, the jet side's
     code = (
         "from freefield import constructions, diffalg, liealg\n"
         "def zero_weights(indices, atoms, image):\n"
         "    diag, weights = liealg.torus_weights(indices, atoms, image)\n"
         "    return diag, {a: (0,) * len(diag) for a in weights}\n"
-        "diffalg.torus_weights = constructions.torus_weights = zero_weights\n"
+        "diffalg.torus_weights = zero_weights\n"
         "A = liealg.make_algebra('sl', 2)\n"
         "space = diffalg.VarSpace([diffalg.FamilyDecl('x', 2, 2, 0, 0, 'rep')])\n"
         "sys_ = constructions.build_system(bosonic=(2, 2))\n"
         "F = constructions.theta(A, sys_, side='left')\n"
         "def split():\n"
-        "    constructions.torus_weights = liealg.torus_weights\n"
+        "    diffalg.torus_weights = liealg.torus_weights\n"
         "    constructions._copy_charge_key = lambda sys, mono: mono\n"
         "    constructions.state_invariant_basis(F, 1, 2)\n"
+        "def jet_split():\n"
+        "    diffalg.torus_weights = liealg.torus_weights\n"
+        "    diffalg._block_key = lambda mono: tuple(sorted(\n"
+        "        (v.family, v.copy, v.coord) for v in mono))\n"
+        "    diffalg._copy_orbit = lambda space, key: key\n"
+        "    diffalg.invariant_basis(space, A, 0, 2)\n"
         "for solve in (lambda: diffalg.invariant_basis(space, A, 0, 2),\n"
         "              lambda: constructions.state_invariant_basis(F, 1, 2),\n"
-        "              split):\n"
+        "              split, jet_split):\n"
         "    try:\n"
         "        solve()\n"
         "    except RuntimeError as e:\n"
@@ -352,9 +400,9 @@ def test_torus_guards_under_optimize():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 3, proc.stdout
+    assert len(lines) == 4, proc.stdout
     assert all(ln.startswith("guarded: torus weight of") for ln in lines[:2])
-    assert lines[2] == "guarded: block split violated", proc.stdout
+    assert lines[2:] == ["guarded: block split violated"] * 2, proc.stdout
 
 
 def test_sec4_identity_report():

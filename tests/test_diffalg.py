@@ -304,17 +304,25 @@ def test_orbit_column_guard_under_optimize():
     # three copies of the sl2 module: at degree 2 the three mixed blocks
     # have two columns each and the three squares one; an orbit map that
     # puts every block in one orbit must stop the solve, also when -O
-    # strips asserts
+    # strips asserts.  The same on the state side, whose per-copy charge
+    # blocks differ in size too
     code = (
-        "from freefield import diffalg, liealg\n"
+        "from freefield import constructions, diffalg, liealg\n"
         "A = liealg.make_algebra('sl', 2)\n"
         "space = diffalg.VarSpace([diffalg.FamilyDecl('x', 3, 2, 0, 0, 'rep')])\n"
         "print([(d, n, len(b)) for d, n, b in diffalg.invariant_basis(space, A, 0, 2)])\n"
         "diffalg._copy_orbit = lambda space, key: ()\n"
-        "try:\n"
-        "    diffalg.invariant_basis(space, A, 0, 2)\n"
-        "except RuntimeError as e:\n"
-        "    print('guarded:', e)\n"
+        "orbits = diffalg.invariant_orbits\n"
+        "constructions.invariant_orbits = (\n"
+        "    lambda *args: orbits(*args[:-1], lambda key: ()))\n"
+        "F = constructions.theta(\n"
+        "    A, constructions.build_system(bosonic=(2, 2)), side='left')\n"
+        "for solve in (lambda: diffalg.invariant_basis(space, A, 0, 2),\n"
+        "              lambda: constructions.state_invariant_basis(F, 1, 2)):\n"
+        "    try:\n"
+        "        solve()\n"
+        "    except RuntimeError as e:\n"
+        "        print('guarded:', e)\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
@@ -324,11 +332,12 @@ def test_orbit_column_guard_under_optimize():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     # the constant, the three minors and the squares without invariant,
-    # then the guard
-    assert len(lines) == 2, proc.stdout
+    # then the guard, once per side
+    assert len(lines) == 3, proc.stdout
     assert lines[0] == "[(0, 1, 1), (2, 3, 1), (2, 3, 0)]", proc.stdout
-    assert lines[1].startswith("guarded: block"), proc.stdout
-    assert "orbit representative" in lines[1], proc.stdout
+    assert all(ln.startswith("guarded: block") for ln in lines[1:]), (
+        proc.stdout)
+    assert all("orbit representative" in ln for ln in lines[1:]), proc.stdout
 
 
 def test_current_generators_sl2_and_gl2_centre():

@@ -169,6 +169,21 @@ def test_only_linalg_reads_nullspace():
     assert not bad, bad
 
 
+def test_only_diffalg_reads_the_invariant_solvers():
+    # both invariant sides go through `diffalg.invariant_orbits`, the one
+    # place that finds the torus and hands blocks to the orbit solver
+    owners = {"orbit_nullspaces": "linalg.py", "torus_weights": "liealg.py"}
+    bad = []
+    for path, tree in _trees(PACKAGE):
+        imports = [a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for a in node.names]
+        for name, owner in owners.items():
+            if path.name not in ("diffalg.py", owner) and name in [
+                    *_read_names(tree), *imports]:
+                bad.append(f"{path.name}: {name}")
+    assert not bad, bad
+
+
 # the harness validates and dispatches; the maths lives in the modules
 # that own these names
 HARNESS_FORBIDDEN_MODULES = {"linalg", "itertools", "random"}
