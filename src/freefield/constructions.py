@@ -541,13 +541,13 @@ def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
 
     block = ((lambda mo: _copy_charge_key(sys, mo)) if F.side == "left"
              else (lambda mo: ()))
-    return [mo for _, _, free in invariant_orbits(
+    return [mo for _, free in invariant_orbits(
         [mode for mode, *_ in modes],
         lambda torus: component_monomials(sys, weight, maxdeg, torus=torus),
         [(i, 0) for i in range(len(F.states))],
         [(i, n) for i, th in enumerate(F.states)
          for n in range(state_weight(th) + weight)],
-        image, block, lambda key: key) for mo in free]
+        image, block) for mo in free]
 
 
 def invariant_lift_search(F: CurrentFamily, target: State, maxdeg: int,

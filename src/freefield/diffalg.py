@@ -144,14 +144,23 @@ def diff_bidegree(p: dict):
 
 
 def apply_D(p: dict) -> dict:
-    """The total derivative: D(v^{(i)}) = v^{(i+1)}, even super-Leibniz."""
+    """The total derivative: D(v^{(i)}) = v^{(i+1)}, even super-Leibniz.
+
+    Two factors give the same term only when they are equal, which takes
+    an even factor repeated m times; its terms are one term times m,
+    formed at its first place.  So the terms of one monomial are distinct
+    monomials, collected in one dict and added with one axpy."""
     out: dict = {}
     for mono, c in p.items():
+        row = {}
         for k, v in enumerate(mono):
+            if k and v == mono[k - 1]:
+                continue
             new, sign = koszul_insert(mono[:k] + mono[k + 1:], v.bump(),
                                       _parity, k)
             if sign:
-                axpy(out, {new: c}, sign)
+                row[new] = sign * mono.count(v)
+        axpy(out, row, c)
     return out
 
 
@@ -162,30 +171,72 @@ def falling(i: int, r: int) -> int:
     return factorial(i) // factorial(i - r)
 
 
-def _var_images(mats: dict, r: int, v: DV) -> list:
+def _by_column(mats: dict) -> dict:
+    """Each family's sparse matrix {(row, col): x} as {col: [(row, x),
+    ...]}, rows ascending: the index `_var_images` reads."""
+    out: dict = {}
+    for family, M in mats.items():
+        cols = out[family] = {}
+        for (row, col), x in sorted(M.items()):
+            cols.setdefault(col, []).append((row, x))
+    return out
+
+
+def _var_images(columns: dict, r: int, v: DV) -> list:
     """xi t^r on one variable: v^(i) -> [(w, lambda^r_i * M[row, col])] over
-    the nonzero entries of the column of v in its family's sparse matrix
-    M, rows ascending."""
+    the nonzero entries of the column of v in its family's matrix M, given
+    by `_by_column`, rows ascending."""
     lam = falling(v.order, r)
     if not lam:
         return []
-    if v.family not in mats:
+    if v.family not in columns:
         raise KeyError(f"no action matrix for family {v.family!r}")
-    col = v.coord - 1
     return [(v._replace(coord=row + 1, order=v.order - r), lam * x)
-            for (row, c), x in sorted(mats[v.family].items()) if c == col]
+            for row, x in columns[v.family].get(v.coord - 1, ())]
+
+
+class _Images(dict):
+    """variable -> its `_var_images` under one xi t^r, each built when it
+    is first read."""
+
+    def __init__(self, columns: dict, r: int):
+        super().__init__()
+        self._columns, self._r = columns, r
+
+    def __missing__(self, v):
+        out = self[v] = _var_images(self._columns, self._r, v)
+        return out
 
 
 def _act_mono(mono: tuple, images: dict) -> dict:
     """xi t^r, an even derivation, on one monomial with coefficient 1:
     each factor v in turn is replaced by its images[v] from _var_images,
-    which `koszul_insert` moves from v's place to its sorted place."""
+    which `koszul_insert` moves from v's place to its sorted place.
+
+    The terms are distinct monomials but for two coincidences, so they
+    are collected in one dict, none added to another.  An even factor
+    repeated m times gives each of its terms m times, formed once at its
+    first place.  Replacing v by w and, for a factor u != v, u by w' gives
+    one monomial only when w = v and w' = u: the diagonal images, each of
+    which gives mono itself (in place, sign 1), so their coefficients are
+    summed into it."""
     out: dict = {}
+    diag = 0
     for k, v in enumerate(mono):
-        for w, e in images[v]:
-            new, sign = koszul_insert(mono[:k] + mono[k + 1:], w, _parity, k)
+        imgs = images[v]
+        if not imgs or k and v == mono[k - 1]:
+            continue
+        m = mono.count(v)
+        rest = mono[:k] + mono[k + 1:]
+        for w, e in imgs:
+            if w == v:
+                diag += m * e
+                continue
+            new, sign = koszul_insert(rest, w, _parity, k)
             if sign:
-                axpy(out, {new: e}, sign)
+                out[new] = sign * m * e
+    if diag:
+        out[mono] = diag
     return out
 
 
@@ -197,7 +248,8 @@ def lie_jet_action(mats: dict, r: int, p: dict) -> dict:
     """
     if r < 0:
         raise ValueError("need r >= 0")
-    images = {v: _var_images(mats, r, v) for mono in p for v in mono}
+    columns = _by_column(mats)
+    images = {v: _var_images(columns, r, v) for mono in p for v in mono}
     out: dict = {}
     for mono, c in p.items():
         axpy(out, _act_mono(mono, images), c)
@@ -269,7 +321,7 @@ def varspace_for_system(sys: fock.SystemSpec) -> VarSpace:
 
 
 def graded_multisets(atoms, weight: int, mindeg: int, maxdeg: int,
-                     torus=None) -> list:
+                     torus=None, copies=None) -> list:
     """Index tuples i1 <= i2 <= ... into atoms, given as (weight, degree,
     parity) with degree >= 1, that take an odd atom at most once, whose
     weights sum to `weight` and whose degrees sum to a value in
@@ -283,6 +335,14 @@ def graded_multisets(atoms, weight: int, mindeg: int, maxdeg: int,
     lo*r <= -t <= hi*r in every coordinate, with (lo, hi) the coordinatewise
     bounds over atoms[s:] and the zero vector.  Where at most one more atom
     fits, it is looked up by the weight and torus weight it must have.
+
+    copies, when given, lists per atom its (family, copy), ascending along
+    the atoms, and only the tuples whose block (count per (family, copy))
+    is the representative of its copy orbit are produced: in each family
+    the copies taken are 1, 2, ..., k, with non-decreasing counts
+    (`_orbit_size`).  A run, the atoms of one (family, copy), that skips a
+    copy is cut where it would start, and one shorter than the run before
+    it where the next run starts or the tuple ends.
     """
     if any(d < 1 for _, d, _ in atoms):
         raise ValueError("every atom needs degree >= 1")
@@ -300,6 +360,15 @@ def graded_multisets(atoms, weight: int, mindeg: int, maxdeg: int,
     last: dict = {}
     for i, w in enumerate(ws):
         last.setdefault((w, tuple(torus[i]) if cut else ()), []).append(i)
+    # per atom: the index of its run, and that of the run it must follow
+    # in its family (None for a copy 1, -1 when that run has no atoms)
+    orbit = bool(copies)
+    if orbit:
+        index = {fc: n for n, fc in enumerate(dict.fromkeys(copies))}
+        run = [index[fc] for fc in copies]
+        after = [None if c == 1 else index.get((f, c - 1), -1)
+                 for f, c in copies]
+        taken = [0] * len(index)  # atoms taken per run
     out: list = []
     acc: list = []
 
@@ -311,17 +380,34 @@ def graded_multisets(atoms, weight: int, mindeg: int, maxdeg: int,
             for x, a, b in zip(t, lo, hi):
                 if not a * r <= -x <= b * r:
                     return
-        if w_left == 0 and deg >= mindeg and not any(t):
+        # the last run, cur, may end here when it is as long as the run
+        # before it in its family
+        cur, ends = None, True
+        if orbit and acc:
+            cur, before = run[acc[-1]], after[acc[-1]]
+            ends = before is None or taken[cur] >= taken[before]
+        if ends and w_left == 0 and deg >= mindeg and not any(t):
             out.append(tuple(acc))
         if room < 2 * dmin:  # at most one more atom fits
             cands = last.get((w_left, tuple(-x for x in t)), ())
             for i in cands[bisect_left(cands, start):]:
-                if mindeg <= deg + ds[i] <= maxdeg:
+                if mindeg <= deg + ds[i] <= maxdeg and (not orbit or (
+                        ends or taken[cur] + 1 >= taken[before]
+                        if run[i] == cur else ends and (
+                            after[i] is None
+                            or after[i] == cur and taken[cur] <= 1))):
                     out.append(tuple(acc) + (i,))
             return
         for i in range(start, len(ws)):
             if ws[i] > w_left or ds[i] > room:
                 continue
+            if orbit:
+                if run[i] != cur:
+                    if not ends:  # only cur may grow; its atoms are behind
+                        break
+                    if after[i] is not None and after[i] != cur:
+                        continue
+                taken[run[i]] += 1
             acc.append(i)
             if cut:
                 for c, x in enumerate(torus[i]):
@@ -332,6 +418,8 @@ def graded_multisets(atoms, weight: int, mindeg: int, maxdeg: int,
                 for c, x in enumerate(torus[i]):
                     t[c] -= x
             acc.pop()
+            if orbit:
+                taken[run[i]] -= 1
 
     rec(0, weight, 0)
     return out
@@ -359,7 +447,8 @@ def monomial_counts(items, weight: int, maxdeg: int) -> list:
 
 def enumerate_component(space: VarSpace, weight: int, degree: int,
                         torus: dict | None = None,
-                        maxdeg: int | None = None) -> list:
+                        maxdeg: int | None = None,
+                        representatives: bool = False) -> list:
     """All canonical monomials of weight `weight` and of a degree from
     `degree` to `maxdeg` (just `degree` when maxdeg is None), sorted: the
     `graded_multisets` of the variables, each of degree 1.  A monomial
@@ -368,14 +457,17 @@ def enumerate_component(space: VarSpace, weight: int, degree: int,
 
     torus, when given, maps each variable to its integer torus weight
     vector, and only the monomials of torus weight 0 are produced, cut
-    inside the enumeration.
+    inside the enumeration.  With representatives=True only the monomials
+    of blocks that are the representatives of their copy orbits are
+    produced, cut inside the enumeration too (`graded_multisets`).
     """
     vs = space.variables(weight)
     tws = [torus[v] for v in vs] if torus is not None else None
     atoms = [(v.weight, 1, v.parity) for v in vs]
     top = degree if maxdeg is None else maxdeg
-    return [tuple(vs[i] for i in tup)
-            for tup in graded_multisets(atoms, weight, degree, top, tws)]
+    copies = [v[:2] for v in vs] if representatives else None
+    return [tuple(vs[i] for i in tup) for tup in
+            graded_multisets(atoms, weight, degree, top, tws, copies)]
 
 
 class ResourceCapError(RuntimeError):
@@ -401,33 +493,49 @@ def _block_key(mono):
     return tuple(key[1:]) if mono else ()  # key[0] is (None, 0)
 
 
-def _copy_orbit(space: VarSpace, key) -> tuple:
-    """Per family, the sorted factor counts of its copies 1, 2, ... in a
-    block key, zeros included: the orbit of the block under relabelling
-    the copies of each family."""
-    got = dict(key)
-    return tuple(tuple(sorted(got.get((f.family, j), 0)
-                              for j in range(1, f.copies + 1)))
-                 for f in space.families)
+def _orbit_size(copies: dict, key) -> int:
+    """The number of blocks in the copy orbit of the block `key`, a
+    `_block_key`, when the block is the orbit's representative, else 0;
+    copies maps each family of the key to its number of copies.  The orbit
+    is that under relabelling the copies of each family on its own.
+
+    The representative is the orbit's first block in key order: the key is
+    family-major, and a family has one entry per copy with a nonzero count
+    in every block of the orbit, so that block puts each family's nonzero
+    counts on its copies 1, 2, ..., k in non-decreasing order.  The size
+    is the product over families of copies! / prod_c m_c!, with m_c the
+    number of copies with count c, zeros included.
+    """
+    counts: dict = {}  # family -> its counts on copies 1, 2, ...
+    for (family, copy), n in key:
+        got = counts.setdefault(family, [])
+        if copy != len(got) + 1 or got and n < got[-1]:
+            return 0
+        got.append(n)
+    size = 1
+    for family, got in counts.items():
+        k = copies[family]
+        size *= factorial(k) // factorial(k - len(got))
+        for n in set(got):
+            size //= factorial(got.count(n))
+    return size
 
 
-def invariant_orbits(atoms, monomials, torus_ops, ops, image, block_key,
-                     orbit_key) -> list:
+def invariant_orbits(atoms, monomials, torus_ops, ops, image,
+                     block_key) -> list:
     """The joint kernel of the operators ops on a span of monomials in
-    atoms, as `linalg.orbit_nullspaces` of its columns: (representative
-    block key, orbit size, free monomials) per orbit of blocks, in key
-    order.  The free monomials, possibly none, index the canonical kernel
-    basis of the representative, so they count the invariants of each
-    block of the orbit.
+    atoms, as `linalg.orbit_nullspaces` of its columns: (block key, free
+    monomials) per block, in key order, each block standing for its
+    orbit.  The free monomials, possibly none, index the canonical kernel
+    basis of the block, so they count its invariants.
 
     image(mono, ops) lists the images {monomial: coefficient} of the
     monomial mono, with coefficient 1, under each operator of ops in
     turn.  monomials(torus) lists the columns in column order: the
     monomials of torus weight 0 under torus, a map from each atom to its
-    torus weight vector.  The caller vouches that every operator of
-    torus_ops is a derivation of the product of atoms that kills the
-    joint kernel of ops, and that the blocks of one orbit have kernels of
-    one size.
+    torus weight vector, of one block per orbit.  The caller vouches that
+    every operator of torus_ops is a derivation of the product of atoms
+    that kills the joint kernel of ops.
 
     Torus grading: an operator h of torus_ops that maps every atom to a
     multiple of itself (`torus_weights` on the one-atom monomials) maps
@@ -472,7 +580,7 @@ def invariant_orbits(atoms, monomials, torus_ops, ops, image, block_key,
             raise RuntimeError("block split violated")
         return [out[t] for out in rows for t in sorted(out)]
 
-    return orbit_nullspaces(monos, block_key, orbit_key, equations)
+    return orbit_nullspaces(monos, block_key, equations)
 
 
 def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
@@ -480,9 +588,10 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     """The joint kernel of g[t] on the (weight, degree <= maxdeg)
     component, one entry (degree, number of blocks in the orbit, free
     monomials) per orbit of blocks, defined below, from
-    `invariant_orbits`.  A ResourceCapError when some one degree of the
-    component has more than cap monomials, each degree counted on its own
-    and every monomial, not only the torus-weight-0 ones that are solved;
+    `invariant_orbits` on the orbits' representative blocks.  A
+    ResourceCapError when some one degree of the component has more than
+    cap monomials, each degree counted on its own and every monomial, not
+    only the torus-weight-0 ones of representative blocks that are solved;
     they are counted, not built.
 
     Only t^r with r <= weight can act nonzero on the component, so g[t]
@@ -492,19 +601,30 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     generators have the same joint kernel as every xi t^r, and so the
     same free columns.  Each generator's matrices are scaled to integers,
     which keeps its kernel, so every equation row is a {column index: int}
-    dict.  The torus is read off the h t^0, which lie in g[t].
+    dict.  The torus is read off the h t^0, which lie in g[t]; only the
+    images the torus search reads are built for the h t^0 that are not
+    generators.
 
     Blocks: the action never moves a factor across families or copies, so
     the component splits into blocks by degree and per-(family, copy)
     factor counts.  Copy symmetry: every copy of a family is acted on by
-    the same matrix, so relabelling the copies of each family,
-    independently per family, is an algebra automorphism (odd factors
-    re-sorted with their Koszul sign) that commutes with every xi t^r and
-    maps the torus-weight-0 monomials of one block bijectively onto those
-    of the block it maps to; so it maps the invariants of the one onto
-    those of the other.  The blocks of one degree are grouped into orbits
-    by `_copy_orbit`, and only one representative block per orbit is
-    solved.
+    the same matrix, so relabelling the copies of each family on its own
+    is an algebra automorphism (odd factors re-sorted with their Koszul
+    sign) that commutes with every xi t^r, and maps the invariants of a
+    block onto those of its image.  So only each orbit's representative
+    is enumerated, pruned inside the walk (`enumerate_component` with
+    representatives=True), and solved: its first block in key order, which
+    puts each family's nonzero counts on its copies 1, 2, ..., k in
+    non-decreasing order.  Its orbit size is read off its key
+    (`_orbit_size`): the product over families of copies! / prod_c m_c!,
+    with m_c the number of copies with count c, zeros included.
+
+    Orbit column guard: every variable is checked to have the torus weight
+    of its copy-1 twin (a RuntimeError naming the orbit representative
+    otherwise).  Then relabelling keeps every torus weight, so it maps the
+    torus-weight-0 columns of a block bijectively onto those of its image,
+    and every block of an orbit has as many columns as its representative,
+    though only the representative is built.
 
     Output order: degree, then representative block key.
     """
@@ -514,26 +634,36 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
                                 weight, maxdeg):
         if size > cap:
             raise ResourceCapError(cap, size)
-    actions = {i: _integer_matrices(space.action_for(A, i))
-               for i in range(A.dim)}
+    columns = [_by_column(_integer_matrices(space.action_for(A, i)))
+               for i in range(A.dim)]
     torus_ops = [(i, 0) for i in range(A.dim)]
-    tables = {(i, r): {v: _var_images(actions[i], r, v) for v in variables}
-              for i, r in [*torus_ops, *gens]}
-    return [(d, size, free) for (d, _), size, free in invariant_orbits(
-        variables,
-        lambda torus: enumerate_component(space, weight, 0, torus, maxdeg),
-        torus_ops, gens,
-        lambda mono, ops: [_act_mono(mono, tables[op]) for op in ops],
-        lambda m: (len(m), _block_key(m)),
-        lambda key: (key[0], _copy_orbit(space, key[1])))]
+    tables = {(i, r): _Images(columns[i], r) for i, r in [*torus_ops, *gens]}
+    copies = {f.family: f.copies for f in space.families}
+
+    def representatives(torus):
+        for v in variables:
+            if torus[v] != torus[v._replace(copy=1)]:
+                raise RuntimeError(
+                    f"torus weight of {v.token()} is not that of its copy 1: "
+                    "a block may have more columns than its orbit "
+                    "representative")
+        return enumerate_component(space, weight, 0, torus, maxdeg,
+                                   representatives=True)
+
+    return [(d, _orbit_size(copies, key), free) for (d, key), free in
+            invariant_orbits(
+                variables, representatives, torus_ops, gens,
+                lambda mono, ops: [_act_mono(mono, tables[op]) for op in ops],
+                lambda m: (len(m), _block_key(m)))]
 
 
 def _products_echelon(polys, atoms, weight: int, mindeg: int, maxdeg: int,
-                      cap: int, track: bool = False) -> Echelon:
+                      cap: int, track: bool = False, keep=None) -> Echelon:
     """The `Echelon` of the nonzero products of polys over the index
-    tuples `graded_multisets(atoms, weight, mindeg, maxdeg)`, each tagged
-    by its tuple (kept when track=True); a ResourceCapError once more
-    than cap tuples come.  Each product is its prefix's times one poly,
+    tuples `graded_multisets(atoms, weight, mindeg, maxdeg)`, only those
+    that keep(tuple) accepts when keep is given, each tagged by its tuple
+    (kept when track=True); a ResourceCapError once more than cap tuples
+    come, accepted or not.  Each product is its prefix's times one poly,
     and the products of the proper prefixes are each built once."""
     prefix = {(): {(): 1}}
 
@@ -547,6 +677,8 @@ def _products_echelon(polys, atoms, weight: int, mindeg: int, maxdeg: int,
             graded_multisets(atoms, weight, mindeg, maxdeg), 1):
         if count > cap:
             raise ResourceCapError(cap, count)
+        if keep is not None and not keep(prod):
+            continue
         poly = (diff_mul(product(prod[:-1]), polys[prod[-1]]) if prod
                 else prefix[()])
         if poly:
@@ -554,36 +686,130 @@ def _products_echelon(polys, atoms, weight: int, mindeg: int, maxdeg: int,
     return ech
 
 
+def _ray(p: dict) -> frozenset:
+    """p up to a nonzero scalar: p over its entry at its least monomial."""
+    c = p[min(p)]
+    return frozenset((m, QQ(x) / c) for m, x in p.items())
+
+
+def _swap_copies(p: dict, family: str, c: int) -> dict:
+    """p with copies c and c + 1 of family swapped, each monomial re-sorted
+    with its Koszul sign; the swap is a bijection on monomials."""
+    out: dict = {}
+    for mono, x in p.items():
+        new, sign = koszul_sort(
+            [v._replace(copy=2 * c + 1 - v.copy)
+             if v.family == family and v.copy in (c, c + 1) else v
+             for v in mono], _parity)
+        out[new] = sign * x
+    return out
+
+
+def _copy_orbits(gens):
+    """The orbit size of a block by its `_block_key` in the split of
+    `generated_span`, 0 off the representatives (`_orbit_size`), as a
+    function.  A family has as many copies as the largest its gens use.
+    Where a generator spans blocks every key counts as (), one block; where
+    the gens are not closed, up to nonzero scalars, under swapping adjacent
+    copies of a family, each (family, copy) counts as a family of one copy,
+    so each block is its own orbit."""
+    blocks = [{_block_key(m) for m in g} for g in gens]
+    keys = [k for b in blocks for k in b]
+    homogeneous = all(len(b) == 1 for b in blocks)
+
+    def top(keys) -> dict:
+        copies: dict = {}
+        for key in keys:
+            for (family, copy), _ in key:
+                copies[family] = max(copies.get(family, 0), copy)
+        return copies
+
+    rays = {_ray(g) for g in gens}
+    # a swap moves only the gens that use one of its two copies; when
+    # homogeneous, keys holds one key per generator
+    closed = homogeneous and all(
+        _ray(_swap_copies(g, f, c)) in rays
+        for f, k in top(keys).items() for c in range(1, k)
+        for g, key in zip(gens, keys)
+        if any(fc in ((f, c), (f, c + 1)) for fc, _ in key))
+
+    def split(key):
+        if closed:
+            return key
+        if homogeneous:
+            return tuple((((f, c), 1), n) for (f, c), n in key)
+        return ()
+
+    copies = top(map(split, keys))
+    return lambda key: _orbit_size(copies, split(key))
+
+
 def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000) -> dict:
     """{degree: dimension} of the span of all products of D-derivatives of
     the gens at bidegree (weight, degree <= maxdeg), nonzero dimensions
     only.
 
-    Each derived generator is scaled to integer coefficients once, which
-    leaves the span unchanged, so the products are int polynomials, and
-    an odd one enters a product at most once (its square vanishes).  All
+    Each generator is scaled to integer coefficients once, before D,
+    which has integer coefficients, is applied; that leaves the span
+    unchanged, so the products are int polynomials.  An odd derived
+    generator enters a product at most once (its square vanishes).  All
     have the given weight, and those of degree d lie in the monomials of
-    length d; so the integer echelon form splits by degree, every pivot is
-    a monomial of the degree of its row, and the dimension at degree d is
-    the number of pivots of length d.
+    length d; so the integer echelon form splits by degree, and every
+    pivot is a monomial of the degree of its row.
+
+    Blocks: D and the product never move a factor across families or
+    copies, so when each generator lies in one block (one `_block_key`),
+    each product lies in the block of the sum of its factors' keys.
+    Products in distinct blocks have disjoint monomials, so the rank is
+    the sum of the blocks' ranks, and each echelon row lies in its pivot's
+    block.  Relabelling the copies of a family is an automorphism (odd
+    factors re-sorted with their Koszul sign) that commutes with D; when
+    it maps each generator to a nonzero multiple of a generator, it maps
+    the products of a block into the span of those of its image block,
+    and its inverse maps them back, so the blocks of an orbit have one
+    rank.  Adjacent swaps generate every relabelling, so closure is
+    checked on them (`_copy_orbits`).  So only the products of
+    representative blocks enter the echelon: each orbit's first block in
+    key order, which puts each family's nonzero counts on its copies 1, 2,
+    ..., k in non-decreasing order.  The dimension at degree d sums, over
+    the pivots of length d, the orbit size of the pivot's block
+    (`_orbit_size`): the product over families of copies! / prod_c m_c!,
+    with m_c the number of copies with count c, zeros included.  Where a
+    generator spans blocks, all products count as one block, and where
+    the set is not closed, each block as its own orbit: the same code with
+    those keys.  The cap counts every tuple, kept or not.
     """
-    # derivative closure D^k g while the weight fits, as (atom, polynomial)
-    derived = []
+    # derivative closure D^k g while the weight fits, as (atom, block key
+    # of g, polynomial)
+    used, derived = [], []
     for g in gens:
         w, d = diff_bidegree(g)
         odd = {sum(v.parity for v in m) & 1 for m in g}
         if w is None or d is None or len(odd) > 1:
             raise ValueError("generated_span needs bihomogeneous generators")
-        if g and d <= maxdeg:
-            par = odd.pop()
+        if g and d <= maxdeg and w <= weight:
+            g = integral(g)[0]
+            used.append(g)
+            key, par = _block_key(min(g)), odd.pop()
             for k in range(weight - w + 1):
-                derived.append(((w + k, d, par), integral(g)[0]))
+                derived.append(((w + k, d, par), key, g))
                 g = apply_D(g)
-    ech = _products_echelon([g for _, g in derived], [a for a, _ in derived],
-                            weight, 0, maxdeg, cap)
+    orbit = _copy_orbits(used)
+    keys = [key for _, key, _ in derived]
+
+    def representative(tup) -> bool:
+        counts: dict = {}
+        for i in tup:
+            for fc, n in keys[i]:
+                counts[fc] = counts.get(fc, 0) + n
+        return orbit(sorted(counts.items())) > 0
+
+    ech = _products_echelon([g for _, _, g in derived],
+                            [a for a, _, _ in derived],
+                            weight, 0, maxdeg, cap, keep=representative)
     dims: dict = {}
     for p in ech.rows:
-        dims[len(p)] = dims.get(len(p), 0) + 1
+        dims[len(p)] = dims.get(len(p), 0) + orbit(_block_key(p))
     return dims
 
 
@@ -641,6 +867,18 @@ def bidegree_dims(space: VarSpace, A, gens, max_weight: int, maxdeg: int,
     The invariant dimension of a bidegree sums, over the orbits of
     `invariant_basis`, the orbit size times its number of free monomials;
     the generated one is the rank `generated_span` reads off its pivots.
+
+    Copy orbits: relabelling the copies of each family permutes the
+    blocks of a bidegree, its monomials by factor count per (family,
+    copy).  Both sides form only each orbit's representative block, its
+    first in key order, which puts each family's nonzero counts on its
+    copies 1, 2, ..., k in non-decreasing order, and multiply by the orbit
+    size, the product over families of copies! / prod_c m_c! with m_c the
+    number of copies with count c, zeros included (`_orbit_size`).  The
+    split proofs: relabelling commutes with g[t], so the blocks of an
+    orbit have one invariant dimension (`invariant_basis`); for
+    block-homogeneous generators closed under relabelling, the rank adds
+    over blocks and is one on an orbit (`generated_span`).
 
     The current generators are computed once, for max_weight, and weight
     w takes the pairs with r <= w, which are `current_generators(A, w)`:

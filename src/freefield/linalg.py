@@ -225,32 +225,19 @@ def nullspace(equations, columns) -> list:
     return [f for f in columns if f not in ech.rows]
 
 
-def orbit_nullspaces(columns, block_key, orbit_key, equations) -> list:
+def orbit_nullspaces(columns, block_key, equations) -> list:
     """Free columns of a system split into blocks of the columns (given in
-    column order) by block_key, and the blocks into orbits by orbit_key of
-    their keys, in key order.  Only each orbit's first block is solved:
-    `nullspace` of equations(cols), rows keyed by index into its columns.
-    The caller vouches that an orbit's blocks have kernels of one size; a
-    RuntimeError is raised when a block has not as many columns as its
-    orbit's representative.  Returns (representative key, orbit size, free
-    columns) per orbit, in key order."""
+    column order) by block_key, each block standing for its orbit: the
+    caller passes one block per orbit, or makes each block its own orbit.
+    Each block is solved once, as `nullspace` of equations(cols) with the
+    rows keyed by index into its columns.  Returns (block key, free
+    columns) per block, in key order."""
     blocks: dict = {}
     for c in columns:
         blocks.setdefault(block_key(c), []).append(c)
-    orbits: dict = {}  # orbit -> its block keys, in key order
-    for key in sorted(blocks):
-        orbits.setdefault(orbit_key(key), []).append(key)
-    out = []
-    for keys in orbits.values():
-        cols = blocks[keys[0]]
-        for key in keys[1:]:
-            if len(blocks[key]) != len(cols):
-                raise RuntimeError(
-                    f"block {key} has {len(blocks[key])} columns, its "
-                    f"orbit representative {keys[0]} has {len(cols)}")
-        free = nullspace(equations(cols), range(len(cols)))
-        out.append((keys[0], len(keys), [cols[i] for i in free]))
-    return out
+    return [(key, [cols[i] for i in nullspace(equations(cols),
+                                              range(len(cols)))])
+            for key, cols in sorted(blocks.items())]
 
 
 def solve_affine(equations, rhs, columns):

@@ -364,7 +364,7 @@ def test_torus_guards_under_optimize():
     # solvers, also when -O strips asserts.  Then, with the torus
     # back, a block key that puts every monomial in a block of its own
     # must trip the state side's block split guard, and one that also
-    # keys by coordinate, each block its own orbit, the jet side's
+    # keys by coordinate the jet side's
     code = (
         "from freefield import constructions, diffalg, liealg\n"
         "def zero_weights(indices, atoms, image):\n"
@@ -383,7 +383,6 @@ def test_torus_guards_under_optimize():
         "    diffalg.torus_weights = liealg.torus_weights\n"
         "    diffalg._block_key = lambda mono: tuple(sorted(\n"
         "        (v.family, v.copy, v.coord) for v in mono))\n"
-        "    diffalg._copy_orbit = lambda space, key: key\n"
         "    diffalg.invariant_basis(space, A, 0, 2)\n"
         "for solve in (lambda: diffalg.invariant_basis(space, A, 0, 2),\n"
         "              lambda: constructions.state_invariant_basis(F, 1, 2),\n"

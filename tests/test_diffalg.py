@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import os
@@ -12,11 +13,11 @@ from reference_elimination import reference_nullspace
 from freefield.constructions import (build_system, det_family, symbol_generators,
                                      theta)
 from freefield.diffalg import (
-    FamilyDecl, ResourceCapError, VarSpace, _block_key, abstract_var,
-    apply_D, bidegree_dims, diff_add, diff_bidegree,
-    diff_mul, diff_sub, diff_to_text, enumerate_component,
+    FamilyDecl, ResourceCapError, VarSpace, _block_key, _by_column,
+    _copy_orbits, _orbit_size, abstract_var, apply_D, bidegree_dims, diff_add,
+    diff_bidegree, diff_mul, diff_sub, diff_to_text, enumerate_component,
     _var_images, generated_span, graded_multisets, invariant_basis, jet_var, lie_jet_action,
-    monomial_counts, monomial_from_factors, quantum_correct,
+    monomial_counts, monomial_from_factors, plain_quadrics, quantum_correct,
     symbol, symbol_var, varspace_for_system, wick_expand,
 )
 from freefield.fock import gradings, monomial_state, nth_product
@@ -46,6 +47,10 @@ def test_apply_D_leibniz_and_weight():
     w0, d0 = diff_bidegree(diff_mul(x, y))
     w1, d1 = diff_bidegree(lhs)
     assert (w1, d1) == (w0 + 1, d0)
+    # a repeated factor: D(x^3) = 3 x^2 Dx
+    cube = diff_mul(x, diff_mul(x, x))
+    assert apply_D(cube) == {k: 3 * c for k, c in diff_mul(
+        diff_mul(x, x), apply_D(x)).items()}
 
 
 def test_lie_jet_action_matches_engine_symbol():
@@ -302,27 +307,26 @@ def test_invariant_basis_matches_full_system(kind, dims, maxdeg, space_name):
 
 def test_orbit_column_guard_under_optimize():
     # three copies of the sl2 module: at degree 2 the three mixed blocks
-    # have two columns each and the three squares one; an orbit map that
-    # puts every block in one orbit must stop the solve, also when -O
-    # strips asserts.  The same on the state side, whose per-copy charge
-    # blocks differ in size too
+    # have two columns each and the three squares one.  Only the
+    # representatives are built, so the guard checks its premise, every
+    # variable's torus weight that of its copy-1 twin.  A torus helper that
+    # scales each weight by the copy breaks it (the mixed blocks would keep
+    # neither of their two columns, and the minors would go missing) and
+    # must stop the solve, also when -O strips asserts
     code = (
-        "from freefield import constructions, diffalg, liealg\n"
+        "from freefield import diffalg, liealg\n"
         "A = liealg.make_algebra('sl', 2)\n"
         "space = diffalg.VarSpace([diffalg.FamilyDecl('x', 3, 2, 0, 0, 'rep')])\n"
         "print([(d, n, len(b)) for d, n, b in diffalg.invariant_basis(space, A, 0, 2)])\n"
-        "diffalg._copy_orbit = lambda space, key: ()\n"
-        "orbits = diffalg.invariant_orbits\n"
-        "constructions.invariant_orbits = (\n"
-        "    lambda *args: orbits(*args[:-1], lambda key: ()))\n"
-        "F = constructions.theta(\n"
-        "    A, constructions.build_system(bosonic=(2, 2)), side='left')\n"
-        "for solve in (lambda: diffalg.invariant_basis(space, A, 0, 2),\n"
-        "              lambda: constructions.state_invariant_basis(F, 1, 2)):\n"
-        "    try:\n"
-        "        solve()\n"
-        "    except RuntimeError as e:\n"
-        "        print('guarded:', e)\n"
+        "def copy_weights(indices, atoms, image):\n"
+        "    diag, weights = liealg.torus_weights(indices, atoms, image)\n"
+        "    return diag, {a: tuple(a[0].copy * x for x in w)\n"
+        "                  for a, w in weights.items()}\n"
+        "diffalg.torus_weights = copy_weights\n"
+        "try:\n"
+        "    diffalg.invariant_basis(space, A, 0, 2)\n"
+        "except RuntimeError as e:\n"
+        "    print('guarded:', e)\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
@@ -332,12 +336,12 @@ def test_orbit_column_guard_under_optimize():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     # the constant, the three minors and the squares without invariant,
-    # then the guard, once per side
-    assert len(lines) == 3, proc.stdout
+    # then the guard
+    assert len(lines) == 2, proc.stdout
     assert lines[0] == "[(0, 1, 1), (2, 3, 1), (2, 3, 0)]", proc.stdout
-    assert all(ln.startswith("guarded: block") for ln in lines[1:]), (
+    assert lines[1].startswith("guarded: torus weight of x1[2]^(0)"), (
         proc.stdout)
-    assert all("orbit representative" in ln for ln in lines[1:]), proc.stdout
+    assert "orbit representative" in lines[1], proc.stdout
 
 
 def test_current_generators_sl2_and_gl2_centre():
@@ -435,6 +439,50 @@ def test_generated_span_matches_rational_products(system, name):
     assert products
 
 
+def _plain_quadrics(pairs):
+    """The dot products of the copy pairs (j, k) of x on two copies of
+    two coordinates."""
+    space = VarSpace([FamilyDecl("x", 2, 2, 0, 0, "rep")])
+    quadrics = dict(zip([(1, 1), (1, 2), (2, 2)], plain_quadrics(space)))
+    return [quadrics[pair] for pair in pairs]
+
+
+def _two_copies_sum():
+    """x_1[1] + x_1[2], which lies in no one block, beside the quadrics."""
+    return [diff_add(monomial_from_factors([jet_var("x", 1, 1, 0)]),
+                     monomial_from_factors([jet_var("x", 2, 1, 0)])),
+            *_plain_quadrics([(1, 1), (1, 2), (2, 2)])]
+
+
+@pytest.mark.parametrize("gens, maxdeg, sizes", [
+    # closed under swapping the copies of b and of c: orbits of blocks
+    pytest.param(lambda: symbol_generators(build_system(fermionic=(2, 2)),
+                                           "bc_psi_dets"),
+                 4, {(("b", 1), 1): 2, (("b", 2), 1): 0}, id="bc_psi_dets"),
+    pytest.param(lambda: symbol_generators(
+        build_system(bosonic=(2, 1), fermionic=(2, 1)), "mixed_all"),
+                 4, {(("b", 1), 1): 1}, id="mixed_all"),
+    # x[2].x[2] is missing, so swapping the copies leaves the set: each
+    # block is its own orbit
+    pytest.param(lambda: _plain_quadrics([(1, 1), (1, 2)]),
+                 4, {(("x", 1), 2): 1, (("x", 2), 2): 1},
+                 id="quadrics-not-closed"),
+    # a generator in two blocks: everything in one block
+    pytest.param(_two_copies_sum, 3, {(("x", 1), 2): 1, (("x", 2), 2): 1},
+                 id="not-block-homogeneous"),
+])
+def test_generated_span_matches_unsplit_rank(gens, maxdeg, sizes):
+    # the block split, with orbits or with degenerate keys, against the
+    # rank of every product in one Echelon; sizes pins which split runs,
+    # by the orbit size it gives some one-entry block keys
+    gens = gens()
+    orbit = _copy_orbits(gens)
+    assert {entry: orbit((entry,)) for entry in sizes} == sizes
+    for weight in range(4):
+        want = _reference_span_dims(gens, weight, maxdeg)
+        assert generated_span(gens, weight, maxdeg) == want, weight
+
+
 def test_enumerate_component_counts():
     space = VarSpace([FamilyDecl("x", 1, 1, 0, 0, "rep")])
     # exact bidegree components in x, Dx, D^2x, ...
@@ -446,7 +494,7 @@ def test_enumerate_component_counts():
 
 
 def _space_torus(space, A, weight):
-    actions = [space.action_for(A, i) for i in range(A.dim)]
+    actions = [_by_column(space.action_for(A, i)) for i in range(A.dim)]
     return torus_weights(range(A.dim), space.variables(weight),
                          lambda i, v: dict(_var_images(actions[i], 0, v)))
 
@@ -522,7 +570,8 @@ def test_so_dims_on_the_split_torus_match_the_antisymmetric_basis(
 def test_graded_multisets_matches_brute_force():
     # seeded random atoms against a filter over every multiset: the same
     # tuples in the same (sorted) order, odd atoms at most once, degrees
-    # in the window, and the torus cut equal to filtering the uncut output
+    # in the window, and the torus and copy cuts equal to filtering the
+    # uncut output
     rng = random.Random(7)
     for trial in range(300):
         n = rng.randint(0, 6)
@@ -546,6 +595,21 @@ def test_graded_multisets_matches_brute_force():
                     if not any(map(sum, zip(*(torus[i] for i in tup))))]
         got = graded_multisets(atoms, weight, mindeg, maxdeg, torus)
         assert got == balanced, (trial, atoms, torus, weight, mindeg, maxdeg)
+        # the copy cut keeps the tuples of representative blocks, by the
+        # rule of _orbit_size on their counts per (family, copy)
+        copies = sorted(rng.choice([("a", 1), ("a", 2), ("a", 3), ("b", 1),
+                                    ("b", 2)]) for _ in range(n))
+        kept = [tup for tup in balanced if _orbit_size(
+            {"a": 3, "b": 2},
+            sorted(collections.Counter(copies[i] for i in tup).items()))]
+        got = graded_multisets(atoms, weight, mindeg, maxdeg, torus, copies)
+        assert got == kept, (trial, atoms, torus, copies, weight)
+    # a run shorter than the one before it is cut also where the last atom
+    # is looked up: at degree 5, counts (2, 3) and (1, 4) stay, (4, 1) and
+    # (3, 2) go, and so does (0, 5), which skips copy 1
+    assert graded_multisets([(0, 1, 0)] * 2, 0, 5, 5, None,
+                            [("a", 1), ("a", 2)]) == [
+        (0, 0, 0, 0, 0), (0, 0, 1, 1, 1), (0, 1, 1, 1, 1)]
     with pytest.raises(ValueError):
         graded_multisets([(1, 0, 0)], 1, 0, 1)
 
