@@ -15,8 +15,8 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .liealg import current_generators, make_algebra, torus_weights
-from .linalg import (Echelon, axpy, integral, koszul_insert, koszul_sort,
-                     orbit_nullspaces)
+from .linalg import (Echelon, axpy, block_nullspaces, integral,
+                     koszul_insert, koszul_sort)
 from .rationals import QQ, qstr
 from . import fock
 
@@ -171,21 +171,10 @@ def falling(i: int, r: int) -> int:
     return factorial(i) // factorial(i - r)
 
 
-def _by_column(mats: dict) -> dict:
-    """Each family's sparse matrix {(row, col): x} as {col: [(row, x),
-    ...]}, rows ascending: the index `_var_images` reads."""
-    out: dict = {}
-    for family, M in mats.items():
-        cols = out[family] = {}
-        for (row, col), x in sorted(M.items()):
-            cols.setdefault(col, []).append((row, x))
-    return out
-
-
 def _var_images(columns: dict, r: int, v: DV) -> list:
     """xi t^r on one variable: v^(i) -> [(w, lambda^r_i * M[row, col])] over
-    the nonzero entries of the column of v in its family's matrix M, given
-    by `_by_column`, rows ascending."""
+    the nonzero entries of the column of v in its family's matrix M, as
+    `VarSpace.action_for` indexes it, rows ascending."""
     lam = falling(v.order, r)
     if not lam:
         return []
@@ -244,12 +233,12 @@ def lie_jet_action(mats: dict, r: int, p: dict) -> dict:
     """xi t^r acting as an even derivation: v^{(i)} -> lambda^r_i (M v)^{(i-r)}.
 
     mats maps each variable family to the matrix of xi on that family's
-    coordinate labels (column index = source coordinate, 1-based shift).
+    coordinate labels (column index = source coordinate, 1-based shift),
+    indexed by column as `VarSpace.action_for` gives it.
     """
     if r < 0:
         raise ValueError("need r >= 0")
-    columns = _by_column(mats)
-    images = {v: _var_images(columns, r, v) for mono in p for v in mono}
+    images = {v: _var_images(mats, r, v) for mono in p for v in mono}
     out: dict = {}
     for mono, c in p.items():
         axpy(out, _act_mono(mono, images), c)
@@ -257,12 +246,14 @@ def lie_jet_action(mats: dict, r: int, p: dict) -> dict:
 
 
 def _integer_matrices(mats: dict) -> dict:
-    """mats scaled by one integer, as int matrices: the same kernel, with
-    integer equations.  The families go through one `linalg.integral`,
-    flattened into one dict, so they share that scale."""
-    flat, _ = integral({(fam, k): x for fam, M in mats.items()
-                        for k, x in M.items()})
-    return {fam: {k: flat[fam, k] for k in M} for fam, M in mats.items()}
+    """mats, from `VarSpace.action_for`, scaled by one integer, as int
+    matrices: the same kernel, with integer equations.  The families go
+    through one `linalg.integral`, flattened into one dict, so they share
+    that scale."""
+    flat, _ = integral({(fam, col, row): x for fam, M in mats.items()
+                        for col, entries in M.items() for row, x in entries})
+    return {fam: {col: [(row, flat[fam, col, row]) for row, _ in entries]
+                  for col, entries in M.items()} for fam, M in mats.items()}
 
 
 # -- bidegree components and invariants -------------------------------------
@@ -302,10 +293,16 @@ class VarSpace:
         return sorted(out)
 
     def action_for(self, A, xi) -> dict:
-        """Family -> sparse matrix of xi for lie_jet_action: rho(xi) on a
-        'rep' family, -rho(xi)^T on a 'dual' one."""
-        return {f.family: A.matrix_for(xi) if f.role == "rep"
-                else A.dual_matrix(xi) for f in self.families}
+        """Family -> matrix of xi for lie_jet_action: rho(xi) on a 'rep'
+        family, -rho(xi)^T on a 'dual' one, its nonzero entries indexed by
+        column, {col: [(row, x), ...]} with rows ascending."""
+        out: dict = {}
+        for f in self.families:
+            M = A.matrix_for(xi) if f.role == "rep" else A.dual_matrix(xi)
+            cols = out[f.family] = {}
+            for (row, col), x in sorted(M.items()):
+                cols.setdefault(col, []).append((row, x))
+        return out
 
 
 def varspace_for_system(sys: fock.SystemSpec) -> VarSpace:
@@ -447,27 +444,26 @@ def monomial_counts(items, weight: int, maxdeg: int) -> list:
 
 def enumerate_component(space: VarSpace, weight: int, degree: int,
                         torus: dict | None = None,
-                        maxdeg: int | None = None,
-                        representatives: bool = False) -> list:
-    """All canonical monomials of weight `weight` and of a degree from
-    `degree` to `maxdeg` (just `degree` when maxdeg is None), sorted: the
-    `graded_multisets` of the variables, each of degree 1.  A monomial
-    comes before its extensions, so the monomials of one degree keep, in
-    a range, the order they have alone.
+                        maxdeg: int | None = None) -> list:
+    """The canonical monomials of weight `weight` and of a degree from
+    `degree` to `maxdeg` (just `degree` when maxdeg is None) that lie in
+    the representative block of their copy orbit, sorted: the
+    `graded_multisets` of the variables, each of degree 1, given their
+    (family, copy), so the cut is made inside the walk.  A monomial comes
+    before its extensions, so the monomials of one degree keep, in a
+    range, the order they have alone.  A space with one copy per family
+    has every block its own representative.
 
     torus, when given, maps each variable to its integer torus weight
     vector, and only the monomials of torus weight 0 are produced, cut
-    inside the enumeration.  With representatives=True only the monomials
-    of blocks that are the representatives of their copy orbits are
-    produced, cut inside the enumeration too (`graded_multisets`).
+    inside the enumeration too.
     """
     vs = space.variables(weight)
     tws = [torus[v] for v in vs] if torus is not None else None
     atoms = [(v.weight, 1, v.parity) for v in vs]
     top = degree if maxdeg is None else maxdeg
-    copies = [v[:2] for v in vs] if representatives else None
-    return [tuple(vs[i] for i in tup) for tup in
-            graded_multisets(atoms, weight, degree, top, tws, copies)]
+    return [tuple(vs[i] for i in tup) for tup in graded_multisets(
+        atoms, weight, degree, top, tws, [v[:2] for v in vs])]
 
 
 class ResourceCapError(RuntimeError):
@@ -514,8 +510,7 @@ def _orbit_size(copies: dict, key) -> int:
         got.append(n)
     size = 1
     for family, got in counts.items():
-        k = copies[family]
-        size *= factorial(k) // factorial(k - len(got))
+        size *= falling(copies[family], len(got))  # the zeros' m_0! cancels
         for n in set(got):
             size //= factorial(got.count(n))
     return size
@@ -524,10 +519,10 @@ def _orbit_size(copies: dict, key) -> int:
 def invariant_orbits(atoms, monomials, torus_ops, ops, image,
                      block_key) -> list:
     """The joint kernel of the operators ops on a span of monomials in
-    atoms, as `linalg.orbit_nullspaces` of its columns: (block key, free
-    monomials) per block, in key order, each block standing for its
-    orbit.  The free monomials, possibly none, index the canonical kernel
-    basis of the block, so they count its invariants.
+    atoms, as `linalg.block_nullspaces` of its columns: (block key, free
+    monomials) per block, in key order.  The free monomials, possibly
+    none, index the canonical kernel basis of the block, so they count its
+    invariants.
 
     image(mono, ops) lists the images {monomial: coefficient} of the
     monomial mono, with coefficient 1, under each operator of ops in
@@ -580,7 +575,7 @@ def invariant_orbits(atoms, monomials, torus_ops, ops, image,
             raise RuntimeError("block split violated")
         return [out[t] for out in rows for t in sorted(out)]
 
-    return orbit_nullspaces(monos, block_key, equations)
+    return block_nullspaces(monos, block_key, equations)
 
 
 def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
@@ -612,12 +607,12 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     is an algebra automorphism (odd factors re-sorted with their Koszul
     sign) that commutes with every xi t^r, and maps the invariants of a
     block onto those of its image.  So only each orbit's representative
-    is enumerated, pruned inside the walk (`enumerate_component` with
-    representatives=True), and solved: its first block in key order, which
-    puts each family's nonzero counts on its copies 1, 2, ..., k in
-    non-decreasing order.  Its orbit size is read off its key
-    (`_orbit_size`): the product over families of copies! / prod_c m_c!,
-    with m_c the number of copies with count c, zeros included.
+    is enumerated, pruned inside the walk (`enumerate_component`), and
+    solved: its first block in key order, which puts each family's
+    nonzero counts on its copies 1, 2, ..., k in non-decreasing order.
+    Its orbit size is read off its key (`_orbit_size`): the product over
+    families of copies! / prod_c m_c!, with m_c the number of copies with
+    count c, zeros included.
 
     Orbit column guard: every variable is checked to have the torus weight
     of its copy-1 twin (a RuntimeError naming the orbit representative
@@ -634,25 +629,24 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
                                 weight, maxdeg):
         if size > cap:
             raise ResourceCapError(cap, size)
-    columns = [_by_column(_integer_matrices(space.action_for(A, i)))
+    columns = [_integer_matrices(space.action_for(A, i))
                for i in range(A.dim)]
     torus_ops = [(i, 0) for i in range(A.dim)]
     tables = {(i, r): _Images(columns[i], r) for i, r in [*torus_ops, *gens]}
     copies = {f.family: f.copies for f in space.families}
 
-    def representatives(torus):
+    def monomials(torus):
         for v in variables:
             if torus[v] != torus[v._replace(copy=1)]:
                 raise RuntimeError(
                     f"torus weight of {v.token()} is not that of its copy 1: "
                     "a block may have more columns than its orbit "
                     "representative")
-        return enumerate_component(space, weight, 0, torus, maxdeg,
-                                   representatives=True)
+        return enumerate_component(space, weight, 0, torus, maxdeg)
 
     return [(d, _orbit_size(copies, key), free) for (d, key), free in
             invariant_orbits(
-                variables, representatives, torus_ops, gens,
+                variables, monomials, torus_ops, gens,
                 lambda mono, ops: [_act_mono(mono, tables[op]) for op in ops],
                 lambda m: (len(m), _block_key(m)))]
 
@@ -708,43 +702,26 @@ def _swap_copies(p: dict, family: str, c: int) -> dict:
 def _copy_orbits(gens):
     """The orbit size of a block by its `_block_key` in the split of
     `generated_span`, 0 off the representatives (`_orbit_size`), as a
-    function.  A family has as many copies as the largest its gens use.
-    Where a generator spans blocks every key counts as (), one block; where
-    the gens are not closed, up to nonzero scalars, under swapping adjacent
-    copies of a family, each (family, copy) counts as a family of one copy,
-    so each block is its own orbit."""
-    blocks = [{_block_key(m) for m in g} for g in gens]
-    keys = [k for b in blocks for k in b]
-    homogeneous = all(len(b) == 1 for b in blocks)
-
-    def top(keys) -> dict:
-        copies: dict = {}
-        for key in keys:
-            for (family, copy), _ in key:
-                copies[family] = max(copies.get(family, 0), copy)
-        return copies
-
+    function; a family has as many copies as the largest its gens use.
+    Where a generator spans blocks, or the gens are not closed, up to
+    nonzero scalars, under swapping adjacent copies of a family, every
+    block counts as its own orbit (size 1): every product is kept and
+    each pivot counts once, the unsplit rank."""
+    keys = [{_block_key(m) for m in g} for g in gens]
+    copies: dict = {}
+    for key in set().union(*keys):
+        for (family, copy), _ in key:
+            copies[family] = max(copies.get(family, 0), copy)
     rays = {_ray(g) for g in gens}
-    # a swap moves only the gens that use one of its two copies; when
-    # homogeneous, keys holds one key per generator
-    closed = homogeneous and all(
-        _ray(_swap_copies(g, f, c)) in rays
-        for f, k in top(keys).items() for c in range(1, k)
-        for g, key in zip(gens, keys)
-        if any(fc in ((f, c), (f, c + 1)) for fc, _ in key))
-
-    def split(key):
-        if closed:
-            return key
-        if homogeneous:
-            return tuple((((f, c), 1), n) for (f, c), n in key)
-        return ()
-
-    copies = top(map(split, keys))
-    return lambda key: _orbit_size(copies, split(key))
+    if all(len(k) == 1 for k in keys) and all(
+            _ray(_swap_copies(g, f, c)) in rays
+            for f, k in copies.items() for c in range(1, k) for g in gens):
+        return lambda key: _orbit_size(copies, key)
+    return lambda key: 1
 
 
-def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000) -> dict:
+def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000,
+                   orbit=None) -> dict:
     """{degree: dimension} of the span of all products of D-derivatives of
     the gens at bidegree (weight, degree <= maxdeg), nonzero dimensions
     only.
@@ -775,13 +752,20 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000) -> dict:
     the pivots of length d, the orbit size of the pivot's block
     (`_orbit_size`): the product over families of copies! / prod_c m_c!,
     with m_c the number of copies with count c, zeros included.  Where a
-    generator spans blocks, all products count as one block, and where
-    the set is not closed, each block as its own orbit: the same code with
-    those keys.  The cap counts every tuple, kept or not.
+    generator spans blocks or the set is not closed, every block counts
+    as its own orbit, of size 1: the same code then keeps every product
+    and counts each pivot once, the unsplit rank.  The cap counts every
+    tuple, kept or not.
+
+    orbit is `_copy_orbits` of the nonzero gens, computed here when not
+    given; `bidegree_dims` computes it once for all weights.  It holds for
+    the gens this call uses, those up to (weight, maxdeg): a swap keeps
+    weight and degree, so they are closed when all are, and they use, in
+    each family they use, all its copies.
     """
     # derivative closure D^k g while the weight fits, as (atom, block key
     # of g, polynomial)
-    used, derived = [], []
+    derived = []
     for g in gens:
         w, d = diff_bidegree(g)
         odd = {sum(v.parity for v in m) & 1 for m in g}
@@ -789,12 +773,12 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000) -> dict:
             raise ValueError("generated_span needs bihomogeneous generators")
         if g and d <= maxdeg and w <= weight:
             g = integral(g)[0]
-            used.append(g)
             key, par = _block_key(min(g)), odd.pop()
             for k in range(weight - w + 1):
                 derived.append(((w + k, d, par), key, g))
                 g = apply_D(g)
-    orbit = _copy_orbits(used)
+    if orbit is None:
+        orbit = _copy_orbits([g for g in gens if g])
     keys = [key for _, key, _ in derived]
 
     def representative(tup) -> bool:
@@ -878,7 +862,8 @@ def bidegree_dims(space: VarSpace, A, gens, max_weight: int, maxdeg: int,
     split proofs: relabelling commutes with g[t], so the blocks of an
     orbit have one invariant dimension (`invariant_basis`); for
     block-homogeneous generators closed under relabelling, the rank adds
-    over blocks and is one on an orbit (`generated_span`).
+    over blocks and is one on an orbit (`generated_span`, with the orbit
+    sizes of `_copy_orbits` computed once for all weights).
 
     The current generators are computed once, for max_weight, and weight
     w takes the pairs with r <= w, which are `current_generators(A, w)`:
@@ -910,13 +895,14 @@ def bidegree_dims(space: VarSpace, A, gens, max_weight: int, maxdeg: int,
     if A.kind == "so":
         A = make_algebra("so_split", *A.params)
     pairs = current_generators(A, max_weight)
+    orbit = _copy_orbits([g for g in gens if g])
     inv, gen = {}, {}
     for w in range(0, max_weight + 1):
         for d, size, free in invariant_basis(
                 space, A, w, maxdeg, cap, [(i, r) for i, r in pairs if r <= w]):
             if free:
                 inv[f"{w},{d}"] = inv.get(f"{w},{d}", 0) + size * len(free)
-        for d, dim in generated_span(gens, w, maxdeg, cap).items():
+        for d, dim in generated_span(gens, w, maxdeg, cap, orbit).items():
             gen[f"{w},{d}"] = dim
     return inv, gen
 

@@ -225,13 +225,12 @@ def nullspace(equations, columns) -> list:
     return [f for f in columns if f not in ech.rows]
 
 
-def orbit_nullspaces(columns, block_key, equations) -> list:
-    """Free columns of a system split into blocks of the columns (given in
-    column order) by block_key, each block standing for its orbit: the
-    caller passes one block per orbit, or makes each block its own orbit.
-    Each block is solved once, as `nullspace` of equations(cols) with the
-    rows keyed by index into its columns.  Returns (block key, free
-    columns) per block, in key order."""
+def block_nullspaces(columns, block_key, equations) -> list:
+    """Free columns of a block-diagonal system, its columns (given in
+    column order) split into blocks by block_key.  Each block is solved
+    once, as `nullspace` of equations(cols) with the rows keyed by index
+    into its columns.  Returns (block key, free columns) per block, in key
+    order."""
     blocks: dict = {}
     for c in columns:
         blocks.setdefault(block_key(c), []).append(c)

@@ -13,7 +13,7 @@ from reference_elimination import reference_nullspace
 from freefield.constructions import (build_system, det_family, symbol_generators,
                                      theta)
 from freefield.diffalg import (
-    FamilyDecl, ResourceCapError, VarSpace, _block_key, _by_column,
+    FamilyDecl, ResourceCapError, VarSpace, _block_key,
     _copy_orbits, _orbit_size, abstract_var, apply_D, bidegree_dims, diff_add,
     diff_bidegree, diff_mul, diff_sub, diff_to_text, enumerate_component,
     _var_images, generated_span, graded_multisets, invariant_basis, jet_var, lie_jet_action,
@@ -136,13 +136,18 @@ def test_diff_mul_matches_reference(rational):
 
 
 def _dense(mats, n):
-    """Dense n x n copies of a table of sparse {(row, col): QQ} matrices,
-    with integral entries as ints, which keeps products with them cheap."""
+    """Dense n x n copies of a table of sparse matrices indexed by column,
+    {col: [(row, QQ), ...]}, with integral entries as ints, which keeps
+    products with them cheap."""
     def entry(v):
         return int(v) if v == int(v) else v
-    return {fam: [[entry(M.get((r, c), 0)) for c in range(n)]
-                  for r in range(n)]
-            for fam, M in mats.items()}
+    out = {}
+    for fam, M in mats.items():
+        dense = out[fam] = [[0] * n for _ in range(n)]
+        for c, entries in M.items():
+            for r, v in entries:
+                dense[r][c] = entry(v)
+    return out
 
 
 def _reference_lie_jet_action(mats, r, p):
@@ -203,6 +208,16 @@ def test_lie_jet_action_matches_reference(kind, n):
                 _dense(mats, n), r, p), (idx, r, diff_to_text(p))
 
 
+def _whole_component(space, weight, degree, torus=None):
+    """Every canonical monomial of the (weight, degree) component, of
+    torus weight 0 when torus is given, every block of a copy orbit
+    included: `graded_multisets` of the variables without their copies."""
+    vs = space.variables(weight)
+    tws = [torus[v] for v in vs] if torus is not None else None
+    return [tuple(vs[i] for i in tup) for tup in graded_multisets(
+        [(v.weight, 1, v.parity) for v in vs], weight, degree, degree, tws)]
+
+
 def _full_system_invariants(space, A, weight, maxdeg):
     """Reference for invariant_basis: equations for every basis xi and
     every 0 <= r <= weight from the reference action, eliminated by the
@@ -213,7 +228,7 @@ def _full_system_invariants(space, A, weight, maxdeg):
     out = {}
     for d in range(maxdeg + 1):
         blocks: dict = {}
-        for m in enumerate_component(space, weight, d):
+        for m in _whole_component(space, weight, d):
             blocks.setdefault(_block_key(m), []).append(m)
         for key in sorted(blocks):
             cols = sorted(blocks[key])
@@ -467,13 +482,13 @@ def _two_copies_sum():
     pytest.param(lambda: _plain_quadrics([(1, 1), (1, 2)]),
                  4, {(("x", 1), 2): 1, (("x", 2), 2): 1},
                  id="quadrics-not-closed"),
-    # a generator in two blocks: everything in one block
+    # a generator in two blocks: each block its own orbit too
     pytest.param(_two_copies_sum, 3, {(("x", 1), 2): 1, (("x", 2), 2): 1},
                  id="not-block-homogeneous"),
 ])
 def test_generated_span_matches_unsplit_rank(gens, maxdeg, sizes):
-    # the block split, with orbits or with degenerate keys, against the
-    # rank of every product in one Echelon; sizes pins which split runs,
+    # the block split, with orbits or with every orbit of size 1, against
+    # the rank of every product in one Echelon; sizes pins which split runs,
     # by the orbit size it gives some one-entry block keys
     gens = gens()
     orbit = _copy_orbits(gens)
@@ -494,7 +509,7 @@ def test_enumerate_component_counts():
 
 
 def _space_torus(space, A, weight):
-    actions = [_by_column(space.action_for(A, i)) for i in range(A.dim)]
+    actions = [space.action_for(A, i) for i in range(A.dim)]
     return torus_weights(range(A.dim), space.variables(weight),
                          lambda i, v: dict(_var_images(actions[i], 0, v)))
 
@@ -502,19 +517,27 @@ def _space_torus(space, A, weight):
 @pytest.mark.parametrize("kind, n", [("sl", 2), ("gl", 2), ("sl", 3),
                                      ("sp", 4), ("so_split", 4), ("so", 3)])
 def test_enumerate_component_torus_and_counts(kind, n):
-    # the pruned enumeration is the torus-weight-0 part of the full one,
-    # and the counting pass gives the full sizes without building them
+    # the pruned enumeration is the torus-weight-0 part of the full one in
+    # the representative blocks, and the counting pass gives the full
+    # sizes without building them
     A = make_algebra(kind, n)
     space = _mixed_space(n)
+    copies = {f.family: f.copies for f in space.families}
     for weight in range(4):
         diag, torus = _space_torus(space, A, weight)
         assert bool(diag) == (kind != "so"), diag
         sizes = monomial_counts([(v.weight, v.parity)
                                  for v in space.variables(weight)], weight, 3)
         for d in range(4):
-            full = enumerate_component(space, weight, d)
+            full = _whole_component(space, weight, d)
             assert len(full) == sizes[d], (weight, d)
-            kept = [m for m in full
+            assert _whole_component(space, weight, d, torus) == [
+                m for m in full if all(sum(torus[v][k] for v in m) == 0
+                                       for k in range(len(diag)))]
+            representatives = [m for m in full
+                               if _orbit_size(copies, _block_key(m))]
+            assert enumerate_component(space, weight, d) == representatives
+            kept = [m for m in representatives
                     if all(sum(torus[v][k] for v in m) == 0
                            for k in range(len(diag)))]
             assert enumerate_component(space, weight, d, torus) == kept
@@ -673,8 +696,11 @@ def test_action_matrices_roles():
                       FamilyDecl("gamma", 1, 2, 0, 0, "dual")])
     mats = space.action_for(A, 0)
     assert set(mats) == {"beta", "gamma"}
-    # sparse: nonzero entries only
-    assert all(all(M.values()) for M in mats.values())
+    # sparse: nonzero entries only, indexed by column, rows ascending
+    for M in mats.values():
+        for entries in M.values():
+            assert all(x for _, x in entries)
+            assert [r for r, _ in entries] == sorted({r for r, _ in entries})
     dense = _dense(mats, 2)
     M, Md = dense["beta"], dense["gamma"]
     # dual action is minus transpose

@@ -2,7 +2,7 @@
 module-level assignments or methods in the package, no unused imports in
 the package or the tests, imports only at module level, no reads of
 another module's private names, denominators cleared only in `linalg`,
-`nullspace` called only by `linalg`'s orbit solver, and a harness that
+`nullspace` called only by `linalg`'s block solver, and a harness that
 imports no maths."""
 
 import ast
@@ -157,7 +157,7 @@ def test_only_linalg_clears_denominators():
 
 
 def test_only_linalg_reads_nullspace():
-    # both invariant solvers go through `linalg.orbit_nullspaces`, the one
+    # both invariant solvers go through `linalg.block_nullspaces`, the one
     # driver of blockwise elimination
     bad = []
     for path, tree in _trees(PACKAGE):
@@ -171,8 +171,8 @@ def test_only_linalg_reads_nullspace():
 
 def test_only_diffalg_reads_the_invariant_solvers():
     # both invariant sides go through `diffalg.invariant_orbits`, the one
-    # place that finds the torus and hands blocks to the orbit solver
-    owners = {"orbit_nullspaces": "linalg.py", "torus_weights": "liealg.py"}
+    # place that finds the torus and hands blocks to the block solver
+    owners = {"block_nullspaces": "linalg.py", "torus_weights": "liealg.py"}
     bad = []
     for path, tree in _trees(PACKAGE):
         imports = [a.name for node in ast.walk(tree)

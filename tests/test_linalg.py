@@ -4,9 +4,8 @@ import random
 import pytest
 from reference_elimination import GaussJordan, lin, reference_nullspace
 
-from freefield.linalg import (Echelon, axpy, koszul_insert, koszul_sort,
-                              nullspace, orbit_nullspaces, perm_sign,
-                              solve_affine)
+from freefield.linalg import (Echelon, axpy, block_nullspaces, koszul_insert,
+                              koszul_sort, nullspace, perm_sign, solve_affine)
 from freefield.rationals import QQ, ZERO
 
 
@@ -230,8 +229,9 @@ def _block_system(rng, n_blocks):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_orbit_nullspaces_matches_reference_per_representative(seed):
-    # the caller hands over the columns of one representative block per
-    # orbit; each block is solved once, on its columns in column order
+    # block_nullspaces, the solver behind both invariant sides, which
+    # hand over the columns of one representative block per orbit: each
+    # block is solved once, on its columns in column order
     rng = random.Random(seed)
     n_blocks = rng.randint(1, 7)
     columns, rows = _block_system(rng, n_blocks)
@@ -244,7 +244,7 @@ def test_orbit_nullspaces_matches_reference_per_representative(seed):
         return [{index[c]: v for c, v in row.items()}
                 for row in rows[cols[0][0]]]
 
-    got = orbit_nullspaces(columns, lambda c: c[0], equations)
+    got = block_nullspaces(columns, lambda c: c[0], equations)
     # the blocks come in key order, each solved once on its columns in
     # column order, and its free columns are the reference's, read back
     # through the indices
@@ -253,7 +253,7 @@ def test_orbit_nullspaces_matches_reference_per_representative(seed):
                      for b in range(n_blocks)]
     for (b, free), cols in zip(got, asked):
         assert free == list(reference_nullspace(rows[b], cols)), b
-    assert orbit_nullspaces([], lambda c: c[0], equations) == []
+    assert block_nullspaces([], lambda c: c[0], equations) == []
 
 
 def _cycle_parity_sign(perm):
