@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .liealg import current_generators, make_algebra, torus_weights
 from .linalg import (Echelon, axpy, block_nullspaces, integral,
-                     koszul_insert, koszul_sort)
+                     koszul_insert, koszul_sort, pivots)
 from .rationals import QQ, qstr
 from . import fock
 
@@ -114,20 +114,21 @@ def symbol(a: fock.State, r: int) -> dict:
     symbol variables; monomials shorter than r map to 0.  It inverts the
     state <-> field dictionary of `fock.generator_polynomial` on top
     degree: k! g(-k-1) becomes the symbol variable of g of order k."""
+    gens = a.sys.generators
     out: dict = {}
     for mono, c in a.terms.items():
         if len(mono) > r:
             raise ValueError(f"degree {len(mono)} exceeds symbol degree {r}")
         if len(mono) < r:
             continue
-        coeff = c
+        den = 1
         factors = []
         for gi, m in mono:
-            g = a.sys.generators[gi]
+            g = gens[gi]
             k = -m - 1
-            coeff /= factorial(k)
+            den *= factorial(k)
             factors.append(symbol_var(g.family, g.copy, g.coord, k))
-        axpy(out, monomial_from_factors(factors, coeff))
+        axpy(out, monomial_from_factors(factors, c / den if den > 1 else c))
     return out
 
 
@@ -184,11 +185,17 @@ def _var_images(columns: dict, r: int, v: DV) -> list:
             for row, x in columns[v.family].get(v.coord - 1, ())]
 
 
-class _Images(dict):
-    """variable -> its `_var_images` under one xi t^r, each built when it
-    is first read."""
+class JetImages(dict):
+    """The table `lie_jet_action` reads for one xi t^r: variable -> its
+    `_var_images`, each built when it is first read.  columns maps each
+    variable family to the matrix of xi on that family's coordinate
+    labels (column index = source coordinate, 1-based shift), indexed by
+    column as `VarSpace.action_for` gives it.  Build one per xi t^r and
+    let every call for it read the same table."""
 
     def __init__(self, columns: dict, r: int):
+        if r < 0:
+            raise ValueError("need r >= 0")
         super().__init__()
         self._columns, self._r = columns, r
 
@@ -229,16 +236,9 @@ def _act_mono(mono: tuple, images: dict) -> dict:
     return out
 
 
-def lie_jet_action(mats: dict, r: int, p: dict) -> dict:
-    """xi t^r acting as an even derivation: v^{(i)} -> lambda^r_i (M v)^{(i-r)}.
-
-    mats maps each variable family to the matrix of xi on that family's
-    coordinate labels (column index = source coordinate, 1-based shift),
-    indexed by column as `VarSpace.action_for` gives it.
-    """
-    if r < 0:
-        raise ValueError("need r >= 0")
-    images = {v: _var_images(mats, r, v) for mono in p for v in mono}
+def lie_jet_action(images: JetImages, p: dict) -> dict:
+    """xi t^r acting as an even derivation: v^{(i)} -> lambda^r_i (M v)^{(i-r)},
+    with images the `JetImages` of xi t^r."""
     out: dict = {}
     for mono, c in p.items():
         axpy(out, _act_mono(mono, images), c)
@@ -570,7 +570,11 @@ def invariant_orbits(atoms, monomials, torus_ops, ops, image,
         for ci, mono in enumerate(cols):
             for out, img in zip(rows, image(mono, ops)):
                 for tmono, c in img.items():
-                    out.setdefault(tmono, {})[ci] = c
+                    row = out.get(tmono)
+                    if row is None:
+                        out[tmono] = {ci: c}
+                    else:
+                        row[ci] = c
         if any(block_key(t) != key for out in rows for t in out):
             raise RuntimeError("block split violated")
         return [out[t] for out in rows for t in sorted(out)]
@@ -632,7 +636,7 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     columns = [_integer_matrices(space.action_for(A, i))
                for i in range(A.dim)]
     torus_ops = [(i, 0) for i in range(A.dim)]
-    tables = {(i, r): _Images(columns[i], r) for i, r in [*torus_ops, *gens]}
+    tables = {(i, r): JetImages(columns[i], r) for i, r in [*torus_ops, *gens]}
     copies = {f.family: f.copies for f in space.families}
 
     def monomials(torus):
@@ -651,14 +655,18 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
                 lambda m: (len(m), _block_key(m)))]
 
 
-def _products_echelon(polys, atoms, weight: int, mindeg: int, maxdeg: int,
-                      cap: int, track: bool = False, keep=None) -> Echelon:
-    """The `Echelon` of the nonzero products of polys over the index
-    tuples `graded_multisets(atoms, weight, mindeg, maxdeg)`, only those
-    that keep(tuple) accepts when keep is given, each tagged by its tuple
-    (kept when track=True); a ResourceCapError once more than cap tuples
-    come, accepted or not.  Each product is its prefix's times one poly,
-    and the products of the proper prefixes are each built once."""
+def _capped(tuples, cap: int):
+    """The tuples one by one; a ResourceCapError once more than cap come."""
+    for count, tup in enumerate(tuples, 1):
+        if count > cap:
+            raise ResourceCapError(cap, count)
+        yield tup
+
+
+def _products(polys, tuples):
+    """(tuple, product) for each index tuple of tuples whose product of
+    polys is nonzero.  Each product is its prefix's times one poly, and
+    the products of the proper prefixes are each built once."""
     prefix = {(): {(): 1}}
 
     def product(tup):
@@ -666,18 +674,11 @@ def _products_echelon(polys, atoms, weight: int, mindeg: int, maxdeg: int,
             prefix[tup] = diff_mul(product(tup[:-1]), polys[tup[-1]])
         return prefix[tup]
 
-    ech = Echelon(track=track)
-    for count, prod in enumerate(
-            graded_multisets(atoms, weight, mindeg, maxdeg), 1):
-        if count > cap:
-            raise ResourceCapError(cap, count)
-        if keep is not None and not keep(prod):
-            continue
-        poly = (diff_mul(product(prod[:-1]), polys[prod[-1]]) if prod
+    for tup in tuples:
+        poly = (diff_mul(product(tup[:-1]), polys[tup[-1]]) if tup
                 else prefix[()])
         if poly:
-            ech.add(poly, tag=prod)
-    return ech
+            yield tup, poly
 
 
 def _ray(p: dict) -> frozenset:
@@ -731,31 +732,34 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000,
     unchanged, so the products are int polynomials.  An odd derived
     generator enters a product at most once (its square vanishes).  All
     have the given weight, and those of degree d lie in the monomials of
-    length d; so the integer echelon form splits by degree, and every
-    pivot is a monomial of the degree of its row.
+    length d; so the span splits by degree, and every pivot, a monomial,
+    has the degree of the products it comes from.  Only the rank is
+    needed, so the products go to `linalg.pivots`, forward elimination
+    with no back-substitution, and the dimensions are read off its pivot
+    set, which depends only on the span.
 
     Blocks: D and the product never move a factor across families or
     copies, so when each generator lies in one block (one `_block_key`),
     each product lies in the block of the sum of its factors' keys.
     Products in distinct blocks have disjoint monomials, so the rank is
-    the sum of the blocks' ranks, and each echelon row lies in its pivot's
-    block.  Relabelling the copies of a family is an automorphism (odd
-    factors re-sorted with their Koszul sign) that commutes with D; when
-    it maps each generator to a nonzero multiple of a generator, it maps
-    the products of a block into the span of those of its image block,
-    and its inverse maps them back, so the blocks of an orbit have one
-    rank.  Adjacent swaps generate every relabelling, so closure is
-    checked on them (`_copy_orbits`).  So only the products of
-    representative blocks enter the echelon: each orbit's first block in
-    key order, which puts each family's nonzero counts on its copies 1, 2,
+    the sum of the blocks' ranks, and each pivot lies in the block of the
+    span it is the least monomial of.  Relabelling the copies of a family
+    is an automorphism (odd factors re-sorted with their Koszul sign) that
+    commutes with D; when it maps each generator to a nonzero multiple of
+    a generator, it maps the products of a block into the span of those of
+    its image block, and its inverse maps them back, so the blocks of an
+    orbit have one rank.  Adjacent swaps generate every relabelling, so
+    closure is checked on them (`_copy_orbits`).  So only the products of
+    representative blocks are ranked: each orbit's first block in key
+    order, which puts each family's nonzero counts on its copies 1, 2,
     ..., k in non-decreasing order.  The dimension at degree d sums, over
     the pivots of length d, the orbit size of the pivot's block
     (`_orbit_size`): the product over families of copies! / prod_c m_c!,
     with m_c the number of copies with count c, zeros included.  Where a
-    generator spans blocks or the set is not closed, every block counts
-    as its own orbit, of size 1: the same code then keeps every product
-    and counts each pivot once, the unsplit rank.  The cap counts every
-    tuple, kept or not.
+    generator spans blocks or the set is not closed, every block counts as
+    its own orbit, of size 1: the same code then keeps every product and
+    counts each pivot once, the unsplit rank.  The cap counts every tuple,
+    kept or not.
 
     orbit is `_copy_orbits` of the nonzero gens, computed here when not
     given; `bidegree_dims` computes it once for all weights.  It holds for
@@ -788,11 +792,12 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000,
                 counts[fc] = counts.get(fc, 0) + n
         return orbit(sorted(counts.items())) > 0
 
-    ech = _products_echelon([g for _, _, g in derived],
-                            [a for a, _, _ in derived],
-                            weight, 0, maxdeg, cap, keep=representative)
+    tuples = _capped(graded_multisets([a for a, _, _ in derived], weight, 0,
+                                      maxdeg), cap)
+    products = _products([g for _, _, g in derived],
+                         filter(representative, tuples))
     dims: dict = {}
-    for p in ech.rows:
+    for p in pivots(poly for _, poly in products):
         dims[len(p)] = dims.get(len(p), 0) + orbit(_block_key(p))
     return dims
 
@@ -807,12 +812,14 @@ def noninvariant_generator(space: VarSpace, A, gens):
     dimensions per bidegree of `bidegree_dims` then prove the span the
     generators give equal to the invariants, though neither is built.
     """
-    actions = [space.action_for(A, i) for i in range(A.dim)]
+    most = max((mono_weight(m) for g in gens for m in g), default=0)
+    tables = [[JetImages(mats, r) for r in range(most + 1)]
+              for mats in (space.action_for(A, i) for i in range(A.dim))]
     for g in gens:
         w = max(map(mono_weight, g), default=0)
-        for i, mats in enumerate(actions):
+        for i, images in enumerate(tables):
             for r in range(w + 1):
-                if lie_jet_action(mats, r, g):
+                if lie_jet_action(images[r], g):
                     return g, i, r
     return None
 
@@ -1011,7 +1018,10 @@ def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QC
                 f"descent did not lower the degree: {dq} after {prev_deg}")
         prev_deg = dq
         s = symbol(q, dq)
-        ech = _products_echelon(polys, atoms, w_total, dq, dq, cap, track=True)
+        ech = Echelon(track=True)
+        for prod, poly in _products(polys, _capped(
+                graded_multisets(atoms, w_total, dq, dq), cap)):
+            ech.add(poly, tag=prod)
         combo = ech.express(dict(s))
         if combo is None:
             return QCResult("failed", total, tuple(corrections), dq, s)

@@ -1,15 +1,30 @@
 """Sparse exact linear algebra over the rationals.
 
 Vectors are dicts mapping comparable column keys to nonzero rational
-entries (QQ or int); elimination itself runs on integer rows.  Each row
-pivots on its least key, so the stored rows are multiples of the unique
-reduced row echelon form of the span, and what `nullspace` and
-`solve_affine` return does not depend on the order of the input rows.
+entries (QQ or int); elimination itself runs on integer rows, by one
+fraction-free step (`_eliminate`).  Each row pivots on its least key, and
+the pivot set, the least keys of the nonzero vectors of the span, depends
+only on the span.  Two routines eliminate:
+
+- `Echelon` keeps the reduced row echelon form: it back-substitutes every
+  new row into the stored rows that hold its pivot, so they are multiples
+  of the unique reduced rows of the span, and every vector reduces in one
+  pass over its keys.  `nullspace`, `solve_affine` and `express` read
+  those rows.  On the largest invariant systems `nullspace` solves, it
+  was faster than forward elimination under every row order tried.
+- `pivots` only ranks: forward elimination, no back-substitution, no
+  index of the rows holding a key.  `diffalg.generated_span` reads its
+  dimensions from it: it needs the pivot set alone, and back-substitution
+  would keep reduced rows that it never reads.
+
+So what `nullspace` and `solve_affine` return, and what `pivots`
+returns, does not depend on the order of the input rows.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from math import gcd, lcm
 
 from .rationals import QQ
@@ -89,29 +104,105 @@ def integral(vec: dict):
             for k, c in vec.items()}, den
 
 
+def _eliminate(vec: dict, row: dict, p) -> tuple:
+    """The fraction-free step (Bareiss 1968): vec = a*vec - b*row in
+    place, with a = row[p]/g and b = vec[p]/g for g = gcd(row[p], vec[p]),
+    which cancels vec's entry at p; a pivot entry row[p] = 1 needs no gcd.
+    Returns (a, b), so that the caller can apply the same step to what vec
+    stands for."""
+    a, b = row[p], vec[p]
+    if a != 1:
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            _scale(vec, a)
+    axpy(vec, row, -b)
+    return a, b
+
+
+def _primitive(row: dict, p) -> int:
+    """Divide the int row in place by its content, signed so that its
+    entry at p is positive; returns that signed content."""
+    g = gcd(*row.values())
+    if row[p] < 0:
+        g = -g
+    if g != 1:
+        for k in row:
+            row[k] //= g
+    return g
+
+
+def pivots(vectors) -> set:
+    """The pivot set of the span of vectors: the least keys of its nonzero
+    vectors, whose number is its rank.
+
+    Forward elimination: each vector, cleared of denominators, has its
+    least key cancelled by the stored row pivoting there while one does;
+    then it is zero, or it is stored, made primitive, pivoting on its least
+    key.  Nothing is back-substituted.
+
+    Canonical: every stored row lies in the span, the rows have distinct
+    least keys, and every vector reduces to zero modulo them or is stored,
+    so they are a basis of the span.  A nonzero combination of rows with
+    distinct least keys has for its least key the least of the rows it
+    uses; so the least keys of the nonzero vectors of the span are exactly
+    the rows' pivots, whatever order the vectors come in.  These are also
+    the pivots of `Echelon` on the same vectors.
+    """
+    rows: dict = {}
+    for vec in vectors:
+        vec = integral(vec)[0]
+        while vec:
+            p = min(vec)
+            row = rows.get(p)
+            if row is None:
+                _primitive(vec, p)
+                rows[p] = vec
+                break
+            _eliminate(vec, row, p)
+    return set(rows)
+
+
 class Echelon:
     """Incremental reduced row echelon structure over the integers.
 
     Each stored row is a primitive integer vector (content 1) whose pivot,
     its least key, has a positive entry, and which is zero on every other
     pivot column; so it is a nonzero multiple of the canonical reduced row
-    of the span of everything added so far.  Reduction is fraction-free:
-    a row cancels the entry b of a vector whose own pivot entry is a by
-    vec = (a/g)*vec - (b/g)*row with g = gcd(a, b) (Bareiss 1968).  Inputs
-    may be rational; `add` clears their denominators, and `express`
-    returns QQ.  With track=True each row also carries its expression in
-    terms of the original tagged vectors, which `express` uses.
+    of the span of everything added so far.  Reduction is fraction-free
+    (`_eliminate`).  Inputs may be rational; `add` clears their
+    denominators, and `express` returns QQ.  With track=True each row also
+    carries its expression in terms of the original tagged vectors, which
+    `express` uses.
     """
 
     def __init__(self, track: bool = False):
         self._track = track
         self.rows: dict = {}            # pivot col -> int row, pivot order
         self.combos: dict = {}          # pivot col -> {tag: QQ}
-        self._holders: dict = {}        # column -> {pivot col whose row has it}
+        # column -> {pivot col whose row has held it}; an entry whose row
+        # has lost the column since is stale and skipped where it is read
+        self._holders = defaultdict(dict)
 
     @property
     def rank(self) -> int:
         return len(self.rows)
+
+    def _track_step(self, combo: dict, a: int, b: int, p) -> None:
+        """combo = a*combo - b*(the combo of the row of pivot p): what
+        `_eliminate` did to a row, done to its combo."""
+        if a != 1:
+            _scale(combo, a)
+        axpy(combo, self.combos[p], -b)
+
+    def _make_primitive(self, p) -> None:
+        """Divide the row of pivot p and its combo by the row's content,
+        signed so that the pivot entry is positive."""
+        g = _primitive(self.rows[p], p)
+        if g != 1:
+            combo = self.combos[p]
+            for t in combo:
+                combo[t] /= g
 
     def _reduce(self, vec: dict, combo: dict):
         """Eliminate the pivot columns of an int vector in one pass.
@@ -125,32 +216,11 @@ class Echelon:
         rows = self.rows
         s = 1
         for p in [k for k in vec if k in rows]:
-            row = rows[p]
-            a, b = row[p], vec[p]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            if a != 1:
-                _scale(vec, a)
-                s *= a
-            axpy(vec, row, -b)
+            a, b = _eliminate(vec, rows[p], p)
+            s *= a
             if self._track:
-                if a != 1:
-                    _scale(combo, a)
-                axpy(combo, self.combos[p], -b)
+                self._track_step(combo, a, b, p)
         return s
-
-    @staticmethod
-    def _primitive(row: dict, combo: dict, p) -> None:
-        """Divide row and combo in place by the content of row, signed so
-        that the pivot entry row[p] is positive."""
-        g = gcd(*row.values())
-        if row[p] < 0:
-            g = -g
-        if g != 1:
-            for k in row:
-                row[k] //= g
-            for t in combo:
-                combo[t] /= g
 
     def add(self, vec: dict, tag=None) -> bool:
         """Insert vec; returns True when it enlarges the span."""
@@ -160,35 +230,27 @@ class Echelon:
         if not vec:
             return False
         p = min(vec)
-        self._primitive(vec, combo, p)
+        rows, holders = self.rows, self._holders
+        rows[p], self.combos[p] = vec, combo
+        self._make_primitive(p)
         # back-substitute into the stored rows that hold p, which keeps
         # every row zero on the other pivot columns
-        a = vec[p]
-        holders = self._holders
         for q in holders.pop(p, ()):
-            row = self.rows[q]
-            g = gcd(a, row[p])
-            m, c = a // g, row[p] // g
-            if m != 1:
-                _scale(row, m)
-            axpy(row, vec, -c)
+            row = rows[q]
+            if p not in row:
+                continue
+            a, b = _eliminate(row, vec, p)
             if self._track:
-                if m != 1:
-                    _scale(self.combos[q], m)
-                axpy(self.combos[q], combo, -c)
+                self._track_step(self.combos[q], a, b, p)
             for k in vec:
                 if k in row:
-                    holders.setdefault(k, {})[q] = None
-                else:
-                    holders.get(k, {}).pop(q, None)
+                    holders[k][q] = None
             # the content of a row divides its pivot entry
             if row[q] != 1:
-                self._primitive(row, self.combos[q], q)
+                self._make_primitive(q)
         for k in vec:
             if k != p:
-                holders.setdefault(k, {})[p] = None
-        self.rows[p] = vec
-        self.combos[p] = combo
+                holders[k][p] = None
         return True
 
     def express(self, vec: dict):

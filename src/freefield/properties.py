@@ -18,7 +18,7 @@ from .fock import (State, apply_mode, binom, derivative, gradings,
                    monomial_state, nth_product, parity_of, state_to_text,
                    state_weight, vacuum)
 from .constructions import build_system
-from .diffalg import lie_jet_action, symbol, varspace_for_system
+from .diffalg import JetImages, lie_jet_action, symbol, varspace_for_system
 from .weyl import zhu_star, zhu_zero_mode
 
 
@@ -224,16 +224,18 @@ def jet_equivariance(F, seed: int, samples: int) -> tuple:
     None)."""
     space = varspace_for_system(F.sys)
     rng = random.Random(seed)
-    actions = [space.action_for(F.algebra, idx) for idx in range(F.algebra.dim)]
+    # one table per (basis element, r), read by every sample
+    actions = [[JetImages(space.action_for(F.algebra, idx), r)
+                for r in range(3)] for idx in range(F.algebra.dim)]
     failures, witness = 0, None
     for _ in range(samples):
         v = random_monomial(F.sys, rng, max_len=3, max_depth=2)
         _, _, dv = gradings(v)
         sym_v = symbol(v, dv)
-        for (lab, th), mats in zip(F.items(), actions):
-            for r in range(0, 3):
+        for (lab, th), tables in zip(F.items(), actions):
+            for r, images in enumerate(tables):
                 lhs = symbol(nth_product(th, v, r), dv)
-                rhs = lie_jet_action(mats, r, sym_v)
+                rhs = lie_jet_action(images, sym_v)
                 if lhs != rhs:
                     failures += 1
                     if witness is None:

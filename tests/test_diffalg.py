@@ -13,7 +13,7 @@ from reference_elimination import reference_nullspace
 from freefield.constructions import (build_system, det_family, symbol_generators,
                                      theta)
 from freefield.diffalg import (
-    FamilyDecl, ResourceCapError, VarSpace, _block_key,
+    FamilyDecl, JetImages, ResourceCapError, VarSpace, _block_key,
     _copy_orbits, _orbit_size, abstract_var, apply_D, bidegree_dims, diff_add,
     diff_bidegree, diff_mul, diff_sub, diff_to_text, enumerate_component,
     _var_images, generated_span, graded_multisets, invariant_basis, jet_var, lie_jet_action,
@@ -65,7 +65,7 @@ def test_lie_jet_action_matches_engine_symbol():
     for idx in range(A.dim):
         for r in (0, 1, 2):
             lhs = symbol(nth_product(F.states[idx], v, r), dv)
-            rhs = lie_jet_action(space.action_for(A, idx), r, sv)
+            rhs = lie_jet_action(JetImages(space.action_for(A, idx), r), sv)
             assert lhs == rhs, (idx, r)
 
 
@@ -204,8 +204,9 @@ def test_lie_jet_action_matches_reference(kind, n):
         idx = rng.randrange(A.dim)
         mats = space.action_for(A, idx)
         for r in range(4):
-            assert lie_jet_action(mats, r, p) == _reference_lie_jet_action(
-                _dense(mats, n), r, p), (idx, r, diff_to_text(p))
+            assert lie_jet_action(JetImages(mats, r), p) == (
+                _reference_lie_jet_action(_dense(mats, n), r, p)), (
+                    idx, r, diff_to_text(p))
 
 
 def _whole_component(space, weight, degree, torus=None):
@@ -317,7 +318,8 @@ def test_invariant_basis_matches_full_system(kind, dims, maxdeg, space_name):
             for r in range(weight + 1):
                 for kernel in expected.values():
                     for vec in kernel.values():
-                        assert lie_jet_action(mats, r, vec) == {}, (i, r, vec)
+                        assert lie_jet_action(JetImages(mats, r),
+                                              vec) == {}, (i, r, vec)
 
 
 def test_orbit_column_guard_under_optimize():

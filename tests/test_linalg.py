@@ -4,8 +4,10 @@ import random
 import pytest
 from reference_elimination import GaussJordan, lin, reference_nullspace
 
+from freefield.diffalg import jet_var
 from freefield.linalg import (Echelon, axpy, block_nullspaces, koszul_insert,
-                              koszul_sort, nullspace, perm_sign, solve_affine)
+                              koszul_sort, nullspace, perm_sign, pivots,
+                              solve_affine)
 from freefield.rationals import QQ, ZERO
 
 
@@ -154,6 +156,47 @@ def test_echelon_matches_reference_reduction(seed, track):
     outputs = [got["residual"], got["reduced_rows"],
                [sol for sol, _ in got["solve_affine"]], got.get("express")]
     assert {type(x) for x in _numbers(outputs)} <= {QQ}
+
+
+def _relabelled(rng, kind, n_cols):
+    """n_cols distinct column keys of the kind, in random order, so that
+    their key order is not the order of the int columns they replace:
+    ints, pairs of ints, or monomials (sorted tuples of jet variables) of
+    lengths 0 to 3, whose order compares variables and lengths."""
+    if kind == "int":
+        keys = range(20)
+    elif kind == "tuple":
+        keys = [(a, b) for a in range(-2, 3) for b in range(4)]
+    else:
+        variables = [jet_var("x", c, i, k)
+                     for c in (1, 2) for i in (1, 2) for k in (0, 1)]
+        keys = [mono for d in range(4) for mono in
+                itertools.combinations_with_replacement(variables, d)]
+    return rng.sample(list(keys), n_cols)
+
+
+@pytest.mark.parametrize("kind", ["int", "tuple", "monomial"])
+@pytest.mark.parametrize("seed", range(8))
+def test_pivots_match_echelon_and_reference(seed, kind):
+    # rational rows, a third of them combinations of earlier ones, with
+    # repeated rows and zero vectors, on relabelled columns: forward
+    # elimination finds the pivots of Echelon's reduced form and of the
+    # rational reference, given in either order
+    rng = random.Random(f"{seed}{kind}")
+    for _ in range(10):
+        n_cols = rng.randint(4, 14)
+        keys = _relabelled(rng, kind, n_cols)
+        rows = _random_system(rng, rng.randint(1, 18), n_cols)
+        rows += [dict(rng.choice(rows)) for _ in range(2)] + [{}, {}]
+        rng.shuffle(rows)
+        rows = [{keys[k]: c for k, c in row.items()} for row in rows]
+        ech, ref = Echelon(), GaussJordan()
+        for row in rows:
+            ech.add(row)
+            ref.add(row)
+        got = pivots(rows)
+        assert got == set(ech.rows) == set(ref.rows)
+        assert pivots(reversed(rows)) == got
 
 
 @pytest.mark.parametrize("seed", range(8))
