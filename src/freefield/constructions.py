@@ -527,7 +527,11 @@ def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
     The atoms are the creation modes.  Products vanish beyond
     wt(th) + weight - 1.  The torus is read off the th o_0, each a
     derivation of every product and one of the operators.  Left families
-    preserve the per-copy charge, so the solve splits into blocks by it."""
+    preserve the per-copy charge, so the solve splits into blocks by it.
+    The images are the int forms of the products (`State.integral`),
+    each operator's scaled by its current's den alone: that keeps its
+    kernel and the zero sums of its torus eigenvalues, while a scale per
+    monomial would change the eigenvalue ratios the torus is read off."""
     sys = F.sys
     modes = _modes(sys, weight)
     size = sum(monomial_counts([(w, odd) for _, w, odd, _ in modes],
@@ -537,7 +541,7 @@ def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
 
     def image(mono, ops):
         v = State(sys, {mono: ONE})
-        return [nth_product(F.states[i], v, n).terms for i, n in ops]
+        return [nth_product(F.states[i], v, n).integral()[0] for i, n in ops]
 
     block = ((lambda mo: _copy_charge_key(sys, mo)) if F.side == "left"
              else (lambda mo: ()))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from math import factorial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .liealg import current_generators, make_algebra, torus_weights
@@ -34,9 +34,6 @@ class DV(NamedTuple):
     @property
     def weight(self) -> int:
         return self.order + self.offset
-
-    def bump(self, r: int = 1) -> "DV":
-        return self._replace(order=self.order + r)
 
     def token(self) -> str:
         return f"{self.family}{self.coord}[{self.copy}]^({self.order})"
@@ -61,13 +58,10 @@ def abstract_var(name: str, order: int, parity: int, weight: int) -> DV:
 
 # -- polynomial arithmetic --------------------------------------------------
 
-# the parity argument of the Koszul rule on monomials of variables
+# a variable's parity, for the Koszul rule, and its (family, copy), for
+# `_block_key`; `_coding` gives both as lookups by int code
 _parity = attrgetter("parity")
-
-
-def diff_const(c) -> dict:
-    c = QQ(c)
-    return {(): c} if c else {}
+_run = itemgetter(0, 1)
 
 
 def monomial_from_factors(factors, coeff=1) -> dict:
@@ -88,7 +82,7 @@ def diff_sub(p: dict, q: dict) -> dict:
     return diff_add(p, q, -1)
 
 
-def diff_mul(p: dict, q: dict) -> dict:
+def diff_mul(p: dict, q: dict, parity=_parity) -> dict:
     """p*q, with the coefficient type of the inputs.  Two canonical
     monomials multiply to the Koszul sort of m1 into m2, which is 0 when
     they share an odd factor.  For one m1 the products with distinct m2
@@ -98,7 +92,7 @@ def diff_mul(p: dict, q: dict) -> dict:
     for m1, c1 in p.items():
         row = {}
         for m2, c2 in q.items():
-            mono, sign = koszul_sort(m1, _parity, m2)
+            mono, sign = koszul_sort(m1, parity, m2)
             if sign:
                 row[mono] = sign * c2
         axpy(out, row, c1)
@@ -157,8 +151,8 @@ def apply_D(p: dict) -> dict:
         for k, v in enumerate(mono):
             if k and v == mono[k - 1]:
                 continue
-            new, sign = koszul_insert(mono[:k] + mono[k + 1:], v.bump(),
-                                      _parity, k)
+            new, sign = koszul_insert(mono[:k] + mono[k + 1:],
+                                      v._replace(order=v.order + 1), _parity, k)
             if sign:
                 row[new] = sign * mono.count(v)
         axpy(out, row, c)
@@ -191,23 +185,32 @@ class JetImages(dict):
     variable family to the matrix of xi on that family's coordinate
     labels (column index = source coordinate, 1-based shift), indexed by
     column as `VarSpace.action_for` gives it.  Build one per xi t^r and
-    let every call for it read the same table."""
+    let every call for it read the same table.  Given variables, a sorted
+    list, it is keyed by int code instead, a variable's index there
+    (`_coding`), and the images are coded too."""
 
-    def __init__(self, columns: dict, r: int):
+    def __init__(self, columns: dict, r: int, variables=None):
         if r < 0:
             raise ValueError("need r >= 0")
         super().__init__()
-        self._columns, self._r = columns, r
+        self._columns, self._r, self._vars = columns, r, variables
 
     def __missing__(self, v):
-        out = self[v] = _var_images(self._columns, self._r, v)
+        vs = self._vars
+        if vs is None:
+            out = _var_images(self._columns, self._r, v)
+        else:
+            out = [(bisect_left(vs, w), e)
+                   for w, e in _var_images(self._columns, self._r, vs[v])]
+        self[v] = out
         return out
 
 
-def _act_mono(mono: tuple, images: dict) -> dict:
+def _act_mono(mono: tuple, images, parity=_parity) -> dict:
     """xi t^r, an even derivation, on one monomial with coefficient 1:
     each factor v in turn is replaced by its images[v] from _var_images,
-    which `koszul_insert` moves from v's place to its sorted place.
+    which `koszul_insert` moves from v's place to its sorted place.  The
+    factors may be the codes of `_coding`, with images and parity by code.
 
     The terms are distinct monomials but for two coincidences, so they
     are collected in one dict, none added to another.  An even factor
@@ -228,7 +231,7 @@ def _act_mono(mono: tuple, images: dict) -> dict:
             if w == v:
                 diag += m * e
                 continue
-            new, sign = koszul_insert(rest, w, _parity, k)
+            new, sign = koszul_insert(rest, w, parity, k)
             if sign:
                 out[new] = sign * m * e
     if diag:
@@ -475,17 +478,27 @@ class ResourceCapError(RuntimeError):
         self.size = size
 
 
-def _block_key(mono):
+def _coding(variables) -> tuple:
+    """(code, parity, run) for the sorted list variables: code maps each to
+    its index, its int code, and parity and run look up a code's parity and
+    (family, copy).  Codes compare as their variables do, so routines on
+    coded monomials give what they give on the variables."""
+    return ({v: i for i, v in enumerate(variables)},
+            [v.parity for v in variables].__getitem__,
+            list(map(_run, variables)).__getitem__)
+
+
+def _block_key(mono, run=_run):
     """The factor count of each (family, copy) of a canonical monomial, in
-    key order: its factors are sorted, so each (family, copy) is one run."""
-    key, run, n = [], None, 0
-    for v in mono:
-        k = v[:2]
-        if k != run:
-            key.append((run, n))
-            run, n = k, 0
+    key order: its factors are sorted, so each (family, copy) is one run.
+    run maps a factor to its (family, copy)."""
+    key, last, n = [], None, 0
+    for k in map(run, mono):
+        if k != last:
+            key.append((last, n))
+            last, n = k, 0
         n += 1
-    key.append((run, n))
+    key.append((last, n))
     return tuple(key[1:]) if mono else ()  # key[0] is (None, 0)
 
 
@@ -602,7 +615,10 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     which keeps its kernel, so every equation row is a {column index: int}
     dict.  The torus is read off the h t^0, which lie in g[t]; only the
     images the torus search reads are built for the h t^0 that are not
-    generators.
+    generators.  The solve runs on int codes (`_coding` of the variables):
+    the columns, the `JetImages` tables keyed by code, the rows and the
+    block keys.  Codes compare as their variables do, so everything comes
+    in the same order, and the free monomials, decoded, are the same.
 
     Blocks: the action never moves a factor across families or copies, so
     the component splits into blocks by degree and per-(family, copy)
@@ -636,23 +652,29 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     columns = [_integer_matrices(space.action_for(A, i))
                for i in range(A.dim)]
     torus_ops = [(i, 0) for i in range(A.dim)]
-    tables = {(i, r): JetImages(columns[i], r) for i, r in [*torus_ops, *gens]}
+    code, parity, run = _coding(variables)
+    tables = {(i, r): JetImages(columns[i], r, variables)
+              for i, r in [*torus_ops, *gens]}
     copies = {f.family: f.copies for f in space.families}
 
     def monomials(torus):
+        torus = {v: torus[i] for i, v in enumerate(variables)}
         for v in variables:
             if torus[v] != torus[v._replace(copy=1)]:
                 raise RuntimeError(
                     f"torus weight of {v.token()} is not that of its copy 1: "
                     "a block may have more columns than its orbit "
                     "representative")
-        return enumerate_component(space, weight, 0, torus, maxdeg)
+        return [tuple(map(code.__getitem__, m)) for m in
+                enumerate_component(space, weight, 0, torus, maxdeg)]
 
-    return [(d, _orbit_size(copies, key), free) for (d, key), free in
-            invariant_orbits(
-                variables, monomials, torus_ops, gens,
-                lambda mono, ops: [_act_mono(mono, tables[op]) for op in ops],
-                lambda m: (len(m), _block_key(m)))]
+    return [(d, _orbit_size(copies, key),
+             [tuple(map(variables.__getitem__, m)) for m in free])
+            for (d, key), free in invariant_orbits(
+                range(len(variables)), monomials, torus_ops, gens,
+                lambda mono, ops: [_act_mono(mono, tables[op], parity)
+                                   for op in ops],
+                lambda m: (len(m), _block_key(m, run)))]
 
 
 def _capped(tuples, cap: int):
@@ -663,19 +685,19 @@ def _capped(tuples, cap: int):
         yield tup
 
 
-def _products(polys, tuples):
+def _products(polys, tuples, parity=_parity):
     """(tuple, product) for each index tuple of tuples whose product of
-    polys is nonzero.  Each product is its prefix's times one poly, and
-    the products of the proper prefixes are each built once."""
+    polys (`diff_mul` with parity) is nonzero.  Each product is its prefix's
+    times one poly, and the products of proper prefixes are built once."""
     prefix = {(): {(): 1}}
 
     def product(tup):
         if tup not in prefix:
-            prefix[tup] = diff_mul(product(tup[:-1]), polys[tup[-1]])
+            prefix[tup] = diff_mul(product(tup[:-1]), polys[tup[-1]], parity)
         return prefix[tup]
 
     for tup in tuples:
-        poly = (diff_mul(product(tup[:-1]), polys[tup[-1]]) if tup
+        poly = (diff_mul(product(tup[:-1]), polys[tup[-1]], parity) if tup
                 else prefix[()])
         if poly:
             yield tup, poly
@@ -736,7 +758,9 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000,
     has the degree of the products it comes from.  Only the rank is
     needed, so the products go to `linalg.pivots`, forward elimination
     with no back-substitution, and the dimensions are read off its pivot
-    set, which depends only on the span.
+    set, which depends only on the span.  The derived generators are coded
+    once (`_coding` of the variables they use) and multiplied and ranked
+    as int monomials; codes keep the order, so the pivots are the same.
 
     Blocks: D and the product never move a factor across families or
     copies, so when each generator lies in one block (one `_block_key`),
@@ -792,13 +816,16 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000,
                 counts[fc] = counts.get(fc, 0) + n
         return orbit(sorted(counts.items())) > 0
 
+    code, parity, run = _coding(sorted({v for _, _, g in derived
+                                        for m in g for v in m}))
+    polys = [{tuple(map(code.__getitem__, m)): c for m, c in g.items()}
+             for _, _, g in derived]
     tuples = _capped(graded_multisets([a for a, _, _ in derived], weight, 0,
                                       maxdeg), cap)
-    products = _products([g for _, _, g in derived],
-                         filter(representative, tuples))
+    products = _products(polys, filter(representative, tuples), parity)
     dims: dict = {}
     for p in pivots(poly for _, poly in products):
-        dims[len(p)] = dims.get(len(p), 0) + orbit(_block_key(p))
+        dims[len(p)] = dims.get(len(p), 0) + orbit(_block_key(p, run))
     return dims
 
 
@@ -969,7 +996,7 @@ def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QC
     def substitute(poly: dict) -> dict:
         out: dict = {}
         for mono, c in poly.items():
-            term = diff_const(c)
+            term = {(): c}
             for v in mono:
                 term = diff_mul(term, derived(v.family, v.order))
             axpy(out, term)

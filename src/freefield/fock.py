@@ -26,11 +26,12 @@ generalized binomial times a +-1 contraction or Koszul sign, so
 `int`.  Rationals come back only at the public boundary, one integer
 pass: `State.integral` scales a state to integers by `linalg.integral`
 (kept on the state after first use), and `_product` sums the integer
-products of two such states and forms one QQ per output term.  That pass
-serves both `nth_product` and Zhu's zero mode `zhu_zero_mode`, the mode
-a(wt-1) of each monomial of a.  `apply_mode` accumulates its integer
-dicts over `State.integral` of its input the same way.  All three return
-states whose every coefficient is QQ.
+products of two such states, forms one QQ per output term and keeps the
+integer sum as the product's `State.integral`.  That pass serves both
+`nth_product` and Zhu's zero mode `zhu_zero_mode`, the mode a(wt-1) of
+each monomial of a.  `apply_mode` accumulates its integer dicts over
+`State.integral` of its input the same way.  All three return states
+whose every coefficient is QQ.
 """
 
 from __future__ import annotations
@@ -168,8 +169,10 @@ class State:
         self._integral = None
 
     def integral(self):
-        """`linalg.integral` of the terms, (den*terms as an int dict, den),
-        computed on first use and kept: the terms never change."""
+        """(den*terms as an int dict, den) for a positive int den: that of
+        `linalg.integral` of the terms, computed on first use and kept (the
+        terms never change), or da*db on the output of `_product`, which
+        keeps the integer sum it formed the terms from."""
         if self._integral is None:
             self._integral = integral(self.terms)
         return self._integral
@@ -435,18 +438,25 @@ def _product(a: State, b: State, n) -> State:
     engine: each input is scaled to integers by `State.integral`, the
     integer sum is da*db times the rational one, so a term vanishes at the
     same step and the terms keep their order, and one QQ is formed per
-    output term."""
+    output term.  A pair with k >= 0 past the weight cutoff or zero by the
+    zero lemma (`_nth_mono`) adds nothing and is skipped before the call,
+    each term's `_grade` looked up once."""
     _check_same_system(a, b)
     sys = a.sys
     ia, da = a.integral()
     ib, db = b.integral()
+    right = [(mb, cb, _grade(sys, mb)) for mb, cb in ib.items()]
     out: dict = {}
     for ma, ca in ia.items():
-        k = _grade(sys, ma)[0] - 1 if n is None else n
-        for mb, cb in ib.items():
-            axpy(out, _nth_mono(sys, ma, mb, k), ca * cb)
+        wa, _, _, gens_a, _ = _grade(sys, ma)
+        k = wa - 1 if n is None else n
+        for mb, cb, (wb, _, _, _, partners_b) in right:
+            if k < 0 or k < wa + wb and gens_a & partners_b:
+                axpy(out, _nth_mono(sys, ma, mb, k), ca * cb)
     den = da * db
-    return State(sys, {mono: QQ(c, den) for mono, c in out.items()})
+    st = State(sys, {mono: QQ(c, den) for mono, c in out.items()})
+    st._integral = out, den
+    return st
 
 
 def nth_product(a: State, b: State, n: int) -> State:

@@ -381,8 +381,10 @@ def test_torus_guards_under_optimize():
         "    constructions.state_invariant_basis(F, 1, 2)\n"
         "def jet_split():\n"
         "    diffalg.torus_weights = liealg.torus_weights\n"
-        "    diffalg._block_key = lambda mono: tuple(sorted(\n"
-        "        (v.family, v.copy, v.coord) for v in mono))\n"
+        "    # the jet side keys int codes, each the index of its variable\n"
+        "    vs = space.variables(0)\n"
+        "    diffalg._block_key = lambda mono, run: tuple(sorted(\n"
+        "        (vs[v].family, vs[v].copy, vs[v].coord) for v in mono))\n"
         "    diffalg.invariant_basis(space, A, 0, 2)\n"
         "for solve in (lambda: diffalg.invariant_basis(space, A, 0, 2),\n"
         "              lambda: constructions.state_invariant_basis(F, 1, 2),\n"

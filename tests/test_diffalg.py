@@ -13,16 +13,18 @@ from reference_elimination import reference_nullspace
 from freefield.constructions import (build_system, det_family, symbol_generators,
                                      theta)
 from freefield.diffalg import (
-    FamilyDecl, JetImages, ResourceCapError, VarSpace, _block_key,
-    _copy_orbits, _orbit_size, abstract_var, apply_D, bidegree_dims, diff_add,
+    FamilyDecl, JetImages, ResourceCapError, VarSpace, _act_mono, _block_key,
+    _coding, _copy_orbits, _integer_matrices, _orbit_size, _products,
+    abstract_var, apply_D, bidegree_dims, diff_add,
     diff_bidegree, diff_mul, diff_sub, diff_to_text, enumerate_component,
-    _var_images, generated_span, graded_multisets, invariant_basis, jet_var, lie_jet_action,
+    _var_images, generated_span, graded_multisets, invariant_basis,
+    invariant_orbits, jet_var, lie_jet_action,
     monomial_counts, monomial_from_factors, plain_quadrics, quantum_correct,
     symbol, symbol_var, varspace_for_system, wick_expand,
 )
 from freefield.fock import gradings, monomial_state, nth_product
 from freefield.liealg import current_generators, make_algebra, torus_weights
-from freefield.linalg import Echelon, axpy
+from freefield.linalg import Echelon, axpy, koszul_sort, pivots
 from freefield.rationals import QQ
 
 
@@ -337,7 +339,9 @@ def test_orbit_column_guard_under_optimize():
         "print([(d, n, len(b)) for d, n, b in diffalg.invariant_basis(space, A, 0, 2)])\n"
         "def copy_weights(indices, atoms, image):\n"
         "    diag, weights = liealg.torus_weights(indices, atoms, image)\n"
-        "    return diag, {a: tuple(a[0].copy * x for x in w)\n"
+        "    # the atoms are int codes, each the index of its variable\n"
+        "    variables = space.variables(0)\n"
+        "    return diag, {a: tuple(variables[a[0]].copy * x for x in w)\n"
         "                  for a, w in weights.items()}\n"
         "diffalg.torus_weights = copy_weights\n"
         "try:\n"
@@ -498,6 +502,114 @@ def test_generated_span_matches_unsplit_rank(gens, maxdeg, sizes):
     for weight in range(4):
         want = _reference_span_dims(gens, weight, maxdeg)
         assert generated_span(gens, weight, maxdeg) == want, weight
+
+
+def _dv_invariant_basis(space, A, weight, maxdeg):
+    """invariant_basis on the variables themselves, uncoded: the same
+    driver fed DV columns, DV image tables and DV block keys."""
+    gens = current_generators(A, weight)
+    columns = [_integer_matrices(space.action_for(A, i)) for i in range(A.dim)]
+    torus_ops = [(i, 0) for i in range(A.dim)]
+    tables = {op: JetImages(columns[op[0]], op[1]) for op in torus_ops + gens}
+    copies = {f.family: f.copies for f in space.families}
+    return [(d, _orbit_size(copies, key), free) for (d, key), free in
+            invariant_orbits(
+                space.variables(weight),
+                lambda torus: enumerate_component(space, weight, 0, torus,
+                                                  maxdeg),
+                torus_ops, gens,
+                lambda mono, ops: [_act_mono(mono, tables[op]) for op in ops],
+                lambda m: (len(m), _block_key(m)))]
+
+
+def _dv_generated_span(gens, weight, maxdeg):
+    """generated_span on the variables themselves, uncoded: the derived
+    generators' DV products of representative blocks into `pivots`, each
+    pivot counted by its DV block's orbit size."""
+    orbit = _copy_orbits([g for g in gens if g])
+    derived = []
+    for g in gens:
+        w, d = diff_bidegree(g)
+        if g and d <= maxdeg and w <= weight:
+            odd = sum(v.parity for v in min(g)) & 1
+            for k in range(weight - w + 1):
+                derived.append(((w + k, d, odd), _block_key(min(g)), g))
+                g = apply_D(g)
+
+    def representative(tup):
+        counts = collections.Counter()
+        for i in tup:
+            counts.update(dict(derived[i][1]))
+        return orbit(tuple(sorted(counts.items()))) > 0
+
+    tuples = graded_multisets([a for a, _, _ in derived], weight, 0, maxdeg)
+    products = _products([g for _, _, g in derived],
+                         filter(representative, tuples))
+    dims: dict = {}
+    for p in pivots(poly for _, poly in products):
+        dims[len(p)] = dims.get(len(p), 0) + orbit(_block_key(p))
+    return dims
+
+
+@pytest.mark.parametrize("kind, n, space_name", [
+    ("sl", 2, "plain-4"), ("sl", 2, "bc-2"), ("sl", 2, "mixed"),
+    ("so_split", 4, "mixed"), ("glsuper", (1, 1), "mixed"),
+])
+def test_coded_invariant_basis_matches_dv_reference(kind, n, space_name):
+    # even, fermionic and mixed spaces: the same orbits, sizes and free
+    # monomials, in the same order, as the uncoded solve
+    A = make_algebra(kind, *(n if isinstance(n, tuple) else (n,)))
+    space = _SPACES[space_name](A)
+    for weight in range(4):
+        want = _dv_invariant_basis(space, A, weight, 3)
+        assert any(free for _, _, free in want), weight
+        assert invariant_basis(space, A, weight, 3) == want, weight
+
+
+@pytest.mark.parametrize("gens", [
+    # fermionic and mixed sets closed under copies, an even set closed
+    # and one not closed, and a generator spanning two blocks
+    pytest.param(lambda: symbol_generators(build_system(fermionic=(2, 2)),
+                                           "bc_psi_dets"), id="bc_psi_dets"),
+    pytest.param(lambda: symbol_generators(
+        build_system(bosonic=(2, 1), fermionic=(2, 1)), "mixed_all"),
+                 id="mixed_all"),
+    pytest.param(lambda: _plain_quadrics([(1, 1), (1, 2), (2, 2)]),
+                 id="quadrics"),
+    pytest.param(lambda: _plain_quadrics([(1, 1), (1, 2)]),
+                 id="quadrics-not-closed"),
+    pytest.param(_two_copies_sum, id="not-block-homogeneous"),
+])
+def test_coded_generated_span_matches_dv_reference(gens):
+    gens = gens()
+    for weight in range(4):
+        want = _dv_generated_span(gens, weight, 4)
+        assert generated_span(gens, weight, 4) == want, weight
+    assert want
+
+
+def test_coding_keeps_monomial_order():
+    # codes sort, Koszul-sort and key blocks as their variables do, on
+    # random monomials of a mixed space, odd repeats included
+    rng = random.Random(11)
+    vs = _mixed_space(2).variables(2)
+    code, parity, run = _coding(vs)
+    assert [code[v] for v in vs] == list(range(len(vs)))
+    monos = [tuple(rng.choice(vs) for _ in range(rng.randint(0, 4)))
+             for _ in range(300)]
+
+    def encode(m):
+        return tuple(code[v] for v in m)
+
+    for m in monos:
+        dv, sign = koszul_sort(m, lambda v: v.parity)
+        coded, coded_sign = koszul_sort(encode(m), parity)
+        assert coded_sign == sign
+        if sign:
+            assert coded == encode(dv)
+            assert _block_key(coded, run) == _block_key(dv)
+    canonical = sorted({tuple(sorted(m)) for m in monos})
+    assert sorted(map(encode, canonical)) == list(map(encode, canonical))
 
 
 def test_enumerate_component_counts():
