@@ -35,15 +35,15 @@ def main(argv=None) -> int:
         print("configuration error: scenario must be a JSON object",
               file=sys.stderr)
         return 2
-    bounds = dict(raw.get("bounds") or {})
-    for key, val in (("max_weight", args.max_weight),
-                     ("max_degree", args.max_degree),
-                     ("seed", args.seed)):
-        if val is not None:
-            bounds[key] = val
-    if bounds:
-        raw = dict(raw)
-        raw["bounds"] = bounds
+    overrides = {key: val for key, val in (("max_weight", args.max_weight),
+                                           ("max_degree", args.max_degree),
+                                           ("seed", args.seed))
+                 if val is not None}
+    # bounds that are not an object go on unchanged, for resolve_scenario
+    # to reject
+    bounds = raw.get("bounds") or {}
+    if overrides and isinstance(bounds, dict):
+        raw = dict(raw, bounds={**bounds, **overrides})
 
     try:
         report = run_scenario(raw, timings=args.timings)

@@ -515,18 +515,20 @@ def _products(F: CurrentFamily, v: State, modes):
 
 
 def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
-                          cap: int = 20000):
-    """Joint kernel of all nonnegative products with the family currents
-    on the span of monomials of the given exact weight and degree <= maxdeg,
-    as the free monomials of `diffalg.invariant_orbits`, each block its own
-    orbit: their number is its dimension.  A ResourceCapError when the
-    component has more than cap monomials, all degrees <= maxdeg counted
-    together and every monomial, not only the torus-weight-0 ones that
-    are solved; they are counted, not built.
+                          cap: int = 20000) -> int:
+    """Dimension of the joint kernel of all nonnegative products with the
+    family currents on the span of monomials of the given exact weight and
+    degree <= maxdeg: the sum over blocks of the dimensions
+    `diffalg.invariant_orbits` returns, each block its own orbit.  A
+    ResourceCapError when the component has more than cap monomials, all
+    degrees <= maxdeg counted together and every monomial, not only the
+    torus-weight-0 ones that are solved; they are counted, not built.
 
     The atoms are the creation modes.  Products vanish beyond
     wt(th) + weight - 1.  The torus is read off the th o_0, each a
-    derivation of every product and one of the operators.  Left families
+    derivation of every product and one of the operators, so the kernel
+    lies in the span of the torus-weight-0 monomials, and its dimension
+    depends on neither the row order nor the column order.  Left families
     preserve the per-copy charge, so the solve splits into blocks by it.
     The images are the int forms of the products (`State.integral`),
     each operator's scaled by its current's den alone: that keeps its
@@ -545,13 +547,13 @@ def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
 
     block = ((lambda mo: _copy_charge_key(sys, mo)) if F.side == "left"
              else (lambda mo: ()))
-    return [mo for _, free in invariant_orbits(
+    return sum(dim for _, dim in invariant_orbits(
         [mode for mode, *_ in modes],
         lambda torus: component_monomials(sys, weight, maxdeg, torus=torus),
         [(i, 0) for i in range(len(F.states))],
         [(i, n) for i, th in enumerate(F.states)
          for n in range(state_weight(th) + weight)],
-        image, block) for mo in free]
+        image, block))
 
 
 def invariant_lift_search(F: CurrentFamily, target: State, maxdeg: int,

@@ -450,23 +450,23 @@ def enumerate_component(space: VarSpace, weight: int, degree: int,
                         maxdeg: int | None = None) -> list:
     """The canonical monomials of weight `weight` and of a degree from
     `degree` to `maxdeg` (just `degree` when maxdeg is None) that lie in
-    the representative block of their copy orbit, sorted: the
-    `graded_multisets` of the variables, each of degree 1, given their
-    (family, copy), so the cut is made inside the walk.  A monomial comes
-    before its extensions, so the monomials of one degree keep, in a
-    range, the order they have alone.  A space with one copy per family
-    has every block its own representative.
+    the representative block of their copy orbit, sorted, as index tuples
+    into `space.variables(weight)` (`_coding`): the `graded_multisets` of
+    the variables, each of degree 1, given their (family, copy), so the
+    cut is made inside the walk.  A monomial comes before its extensions,
+    so the monomials of one degree keep, in a range, the order they have
+    alone.  A space with one copy per family has every block its own
+    representative.
 
-    torus, when given, maps each variable to its integer torus weight
-    vector, and only the monomials of torus weight 0 are produced, cut
-    inside the enumeration too.
+    torus, when given, maps each index to its variable's integer torus
+    weight vector, and only the monomials of torus weight 0 are produced,
+    cut inside the enumeration too.
     """
     vs = space.variables(weight)
-    tws = [torus[v] for v in vs] if torus is not None else None
-    atoms = [(v.weight, 1, v.parity) for v in vs]
+    tws = [torus[i] for i in range(len(vs))] if torus is not None else None
     top = degree if maxdeg is None else maxdeg
-    return [tuple(vs[i] for i in tup) for tup in graded_multisets(
-        atoms, weight, degree, top, tws, [v[:2] for v in vs])]
+    return graded_multisets([(v.weight, 1, v.parity) for v in vs], weight,
+                            degree, top, tws, [v[:2] for v in vs])
 
 
 class ResourceCapError(RuntimeError):
@@ -531,11 +531,9 @@ def _orbit_size(copies: dict, key) -> int:
 
 def invariant_orbits(atoms, monomials, torus_ops, ops, image,
                      block_key) -> list:
-    """The joint kernel of the operators ops on a span of monomials in
-    atoms, as `linalg.block_nullspaces` of its columns: (block key, free
-    monomials) per block, in key order.  The free monomials, possibly
-    none, index the canonical kernel basis of the block, so they count its
-    invariants.
+    """The dimension of the joint kernel of the operators ops on a span of
+    monomials in atoms, per block, as `linalg.block_nullspaces` of its
+    columns: (block key, kernel dimension) per block, in key order.
 
     image(mono, ops) lists the images {monomial: coefficient} of the
     monomial mono, with coefficient 1, under each operator of ops in
@@ -547,16 +545,14 @@ def invariant_orbits(atoms, monomials, torus_ops, ops, image,
 
     Torus grading: an operator h of torus_ops that maps every atom to a
     multiple of itself (`torus_weights` on the one-atom monomials) maps
-    a monomial to itself times the sum of its atoms' eigenvalues, so every
-    invariant lies in the monomials of torus weight 0 under all such h.
-    A column is free when it is the last nonzero position of some kernel
-    vector, so the free columns depend only on the kernel and the column
-    order, and solving on the weight-0 columns alone, in the same order,
-    gives the same kernel and so the same free columns.  Only those are
-    enumerated, and each is checked to have torus weight 0 under the
-    eigenvalues themselves, not the scaled weights the enumeration read
-    (a RuntimeError otherwise).  So every such h kills every column, and
-    those among ops are not written as equations.
+    a monomial to itself times the sum of its atoms' eigenvalues, so the
+    kernel lies in the span of the monomials of torus weight 0 under all
+    such h, and its dimension, columns minus rank, is that of the system
+    on those columns alone, in any row and column order.  Only those
+    columns are enumerated, and each is checked to have torus weight 0
+    under the eigenvalues themselves, not the scaled weights the
+    enumeration read (a RuntimeError otherwise).  So every such h kills
+    every column, and those among ops are not written as equations.
 
     Blocks: when every operator maps the monomials of a block, by
     block_key, into the span of that block, the system is block diagonal
@@ -597,9 +593,9 @@ def invariant_orbits(atoms, monomials, torus_ops, ops, image,
 
 def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
                     cap: int = 20000, pairs=None) -> list:
-    """The joint kernel of g[t] on the (weight, degree <= maxdeg)
-    component, one entry (degree, number of blocks in the orbit, free
-    monomials) per orbit of blocks, defined below, from
+    """The dimension of the joint kernel of g[t] on the (weight, degree <=
+    maxdeg) component, one entry (degree, number of blocks in the orbit,
+    dimension of a block) per orbit of blocks, defined below, from
     `invariant_orbits` on the orbits' representative blocks.  A
     ResourceCapError when some one degree of the component has more than
     cap monomials, each degree counted on its own and every monomial, not
@@ -610,15 +606,15 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     acts through g[t]/t^(weight+1).  The equations are written for the
     generating set pairs of that algebra, `current_generators(A, weight)`
     when not given: if X and Y kill v then so does [X, Y], so the
-    generators have the same joint kernel as every xi t^r, and so the
-    same free columns.  Each generator's matrices are scaled to integers,
-    which keeps its kernel, so every equation row is a {column index: int}
-    dict.  The torus is read off the h t^0, which lie in g[t]; only the
-    images the torus search reads are built for the h t^0 that are not
-    generators.  The solve runs on int codes (`_coding` of the variables):
-    the columns, the `JetImages` tables keyed by code, the rows and the
-    block keys.  Codes compare as their variables do, so everything comes
-    in the same order, and the free monomials, decoded, are the same.
+    generators have the same joint kernel as every xi t^r.  Each
+    generator's matrices are scaled to integers, which keeps its kernel,
+    so every equation row is a {column index: int} dict.  The torus is
+    read off the h t^0, which lie in g[t]; only the images the torus
+    search reads are built for the h t^0 that are not generators.  The
+    solve runs on int codes (`_coding` of the variables): the columns,
+    which `enumerate_component` gives as codes, the `JetImages` tables
+    keyed by code, the rows and the block keys.  Codes compare as their
+    variables do, so every block keeps its key order.
 
     Blocks: the action never moves a factor across families or copies, so
     the component splits into blocks by degree and per-(family, copy)
@@ -626,13 +622,13 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     the same matrix, so relabelling the copies of each family on its own
     is an algebra automorphism (odd factors re-sorted with their Koszul
     sign) that commutes with every xi t^r, and maps the invariants of a
-    block onto those of its image.  So only each orbit's representative
-    is enumerated, pruned inside the walk (`enumerate_component`), and
-    solved: its first block in key order, which puts each family's
-    nonzero counts on its copies 1, 2, ..., k in non-decreasing order.
-    Its orbit size is read off its key (`_orbit_size`): the product over
-    families of copies! / prod_c m_c!, with m_c the number of copies with
-    count c, zeros included.
+    block onto those of its image, so the blocks of an orbit have one
+    dimension.  So only each orbit's representative is enumerated, pruned
+    inside the walk (`enumerate_component`), and solved: its first block
+    in key order, which puts each family's nonzero counts on its copies
+    1, 2, ..., k in non-decreasing order.  Its orbit size is read off its
+    key (`_orbit_size`): the product over families of copies! / prod_c
+    m_c!, with m_c the number of copies with count c, zeros included.
 
     Orbit column guard: every variable is checked to have the torus weight
     of its copy-1 twin (a RuntimeError naming the orbit representative
@@ -658,19 +654,16 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     copies = {f.family: f.copies for f in space.families}
 
     def monomials(torus):
-        torus = {v: torus[i] for i, v in enumerate(variables)}
-        for v in variables:
-            if torus[v] != torus[v._replace(copy=1)]:
+        for i, v in enumerate(variables):
+            if torus[i] != torus[code[v._replace(copy=1)]]:
                 raise RuntimeError(
                     f"torus weight of {v.token()} is not that of its copy 1: "
                     "a block may have more columns than its orbit "
                     "representative")
-        return [tuple(map(code.__getitem__, m)) for m in
-                enumerate_component(space, weight, 0, torus, maxdeg)]
+        return enumerate_component(space, weight, 0, torus, maxdeg)
 
-    return [(d, _orbit_size(copies, key),
-             [tuple(map(variables.__getitem__, m)) for m in free])
-            for (d, key), free in invariant_orbits(
+    return [(d, _orbit_size(copies, key), dim)
+            for (d, key), dim in invariant_orbits(
                 range(len(variables)), monomials, torus_ops, gens,
                 lambda mono, ops: [_act_mono(mono, tables[op], parity)
                                    for op in ops],
@@ -883,7 +876,7 @@ def bidegree_dims(space: VarSpace, A, gens, max_weight: int, maxdeg: int,
     nonzero dimensions only.
 
     The invariant dimension of a bidegree sums, over the orbits of
-    `invariant_basis`, the orbit size times its number of free monomials;
+    `invariant_basis`, the orbit size times the dimension of a block;
     the generated one is the rank `generated_span` reads off its pivots.
 
     Copy orbits: relabelling the copies of each family permutes the
@@ -932,10 +925,10 @@ def bidegree_dims(space: VarSpace, A, gens, max_weight: int, maxdeg: int,
     orbit = _copy_orbits([g for g in gens if g])
     inv, gen = {}, {}
     for w in range(0, max_weight + 1):
-        for d, size, free in invariant_basis(
+        for d, size, dim in invariant_basis(
                 space, A, w, maxdeg, cap, [(i, r) for i, r in pairs if r <= w]):
-            if free:
-                inv[f"{w},{d}"] = inv.get(f"{w},{d}", 0) + size * len(free)
+            if dim:
+                inv[f"{w},{d}"] = inv.get(f"{w},{d}", 0) + size * dim
         for d, dim in generated_span(gens, w, maxdeg, cap, orbit).items():
             gen[f"{w},{d}"] = dim
     return inv, gen

@@ -97,6 +97,8 @@ def resolve_scenario(raw) -> dict:
     if not isinstance(raw, dict):
         raise ScenarioError("scenario must be a JSON object")
     system = raw.get("system") or {}
+    if not isinstance(system, dict):
+        raise ScenarioError("system must be an object")
     resolved = {
         "system": {
             "bosonic": _check_dims(system.get("bosonic"), "system.bosonic"),
@@ -115,7 +117,7 @@ def resolve_scenario(raw) -> dict:
             t = {"task": t}
         if not isinstance(t, dict) or "task" not in t:
             raise ScenarioError("each task must be a name or an object with 'task'")
-        if t["task"] not in TASK_FUNCTIONS:
+        if not isinstance(t["task"], str) or t["task"] not in TASK_FUNCTIONS:
             raise ScenarioError(f"unknown task {t['task']!r}")
         if "family" in t:
             t = dict(t)
@@ -137,7 +139,9 @@ def resolve_scenario(raw) -> dict:
         bounds[key] = val
     resolved["bounds"] = bounds
     if raw.get("output") is not None:
-        resolved["output"] = str(raw["output"])
+        if not isinstance(raw["output"], str):
+            raise ScenarioError("output must be a string")
+        resolved["output"] = raw["output"]
     return resolved
 
 
@@ -343,7 +347,7 @@ def task_jet_compare(sys, group, opts, bounds):
         return ("pass" if failures == 0 else "fail"), detail
     if mode == "state_dims":
         fam = build_family(sys, opts.get("family") or group)
-        dims = [len(state_invariant_basis(fam, w, D, cap=cap))
+        dims = [state_invariant_basis(fam, w, D, cap=cap)
                 for w in range(0, W + 1)]
         expected = [1] + [0] * W
         ok = dims == expected

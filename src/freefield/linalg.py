@@ -18,7 +18,9 @@ only on the span.  Two routines eliminate:
   would keep reduced rows that it never reads.
 
 So what `nullspace` and `solve_affine` return, and what `pivots`
-returns, does not depend on the order of the input rows.
+returns, does not depend on the order of the input rows.  The invariant
+solver, `block_nullspaces`, returns dimensions only: per block, the
+number of `nullspace`'s free columns, columns minus rank.
 """
 
 from __future__ import annotations
@@ -288,16 +290,14 @@ def nullspace(equations, columns) -> list:
 
 
 def block_nullspaces(columns, block_key, equations) -> list:
-    """Free columns of a block-diagonal system, its columns (given in
-    column order) split into blocks by block_key.  Each block is solved
-    once, as `nullspace` of equations(cols) with the rows keyed by index
-    into its columns.  Returns (block key, free columns) per block, in key
-    order."""
+    """Kernel dimensions of a block-diagonal system, its columns split
+    into blocks by block_key.  Each block is solved once, as `nullspace`
+    of equations(cols) with the rows keyed by index into its columns.
+    Returns (block key, kernel dimension) per block, in key order."""
     blocks: dict = {}
     for c in columns:
         blocks.setdefault(block_key(c), []).append(c)
-    return [(key, [cols[i] for i in nullspace(equations(cols),
-                                              range(len(cols)))])
+    return [(key, len(nullspace(equations(cols), range(len(cols)))))
             for key, cols in sorted(blocks.items())]
 
 

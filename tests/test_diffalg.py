@@ -79,8 +79,7 @@ def test_invariant_basis_plain_sl2_minors():
     inv0 = invariant_basis(space, A, 0, 2)
     # one orbit of six blocks, each with one minor; the squares of copies
     # have no invariant
-    assert [(d, size, len(basis)) for d, size, basis in inv0] == [
-        (0, 1, 1), (2, 6, 1), (2, 4, 0)]
+    assert inv0 == [(0, 1, 1), (2, 6, 1), (2, 4, 0)]
 
 
 def _brute_sort(factors):
@@ -305,14 +304,19 @@ def test_invariant_basis_matches_full_system(kind, dims, maxdeg, space_name):
             orbits.setdefault((d, _copy_orbit(space, key)), []).append(kernel)
         got = invariant_basis(space, A, weight, maxdeg)
         assert [d for d, _, _ in got] == sorted(d for d, _, _ in got)
-        solved = [(d, size, free) for d, size, free in got if free]
+        solved = [(d, size, dim) for d, size, dim in got if dim]
         assert len(solved) == len(orbits), (kind, dims, weight)
-        for (d, size, free), (orbit, want) in zip(solved, orbits.items()):
-            # the representative is the orbit's first block, its free
-            # monomials are the reference's free columns, and the orbit
-            # size is the reference's block count
-            assert d == orbit[0] and free == list(want[0]), (weight, orbit)
+        for (d, size, dim), (orbit, want) in zip(solved, orbits.items()):
+            # the degree and dimension are those of the orbit's first
+            # block in the reference, and the orbit size is its count of
+            # blocks with a kernel
+            assert d == orbit[0] and dim == len(want[0]), (weight, orbit)
             assert size == len(want), (weight, orbit)
+            # every block of the orbit has the representative's
+            # dimension, which multiplying by the orbit size takes for
+            # granted
+            assert [len(kernel) for kernel in want] == [dim] * size, (
+                weight, orbit)
         # every reference kernel vector is killed by every x_i t^r,
         # r <= weight
         for i in range(A.dim):
@@ -336,7 +340,7 @@ def test_orbit_column_guard_under_optimize():
         "from freefield import diffalg, liealg\n"
         "A = liealg.make_algebra('sl', 2)\n"
         "space = diffalg.VarSpace([diffalg.FamilyDecl('x', 3, 2, 0, 0, 'rep')])\n"
-        "print([(d, n, len(b)) for d, n, b in diffalg.invariant_basis(space, A, 0, 2)])\n"
+        "print(diffalg.invariant_basis(space, A, 0, 2))\n"
         "def copy_weights(indices, atoms, image):\n"
         "    diag, weights = liealg.torus_weights(indices, atoms, image)\n"
         "    # the atoms are int codes, each the index of its variable\n"
@@ -512,11 +516,10 @@ def _dv_invariant_basis(space, A, weight, maxdeg):
     torus_ops = [(i, 0) for i in range(A.dim)]
     tables = {op: JetImages(columns[op[0]], op[1]) for op in torus_ops + gens}
     copies = {f.family: f.copies for f in space.families}
-    return [(d, _orbit_size(copies, key), free) for (d, key), free in
+    return [(d, _orbit_size(copies, key), dim) for (d, key), dim in
             invariant_orbits(
                 space.variables(weight),
-                lambda torus: enumerate_component(space, weight, 0, torus,
-                                                  maxdeg),
+                lambda torus: _decoded(space, weight, 0, torus, maxdeg),
                 torus_ops, gens,
                 lambda mono, ops: [_act_mono(mono, tables[op]) for op in ops],
                 lambda m: (len(m), _block_key(m)))]
@@ -556,13 +559,13 @@ def _dv_generated_span(gens, weight, maxdeg):
     ("so_split", 4, "mixed"), ("glsuper", (1, 1), "mixed"),
 ])
 def test_coded_invariant_basis_matches_dv_reference(kind, n, space_name):
-    # even, fermionic and mixed spaces: the same orbits, sizes and free
-    # monomials, in the same order, as the uncoded solve
+    # even, fermionic and mixed spaces: the same orbits, sizes and
+    # dimensions, in the same order, as the uncoded solve
     A = make_algebra(kind, *(n if isinstance(n, tuple) else (n,)))
     space = _SPACES[space_name](A)
     for weight in range(4):
         want = _dv_invariant_basis(space, A, weight, 3)
-        assert any(free for _, _, free in want), weight
+        assert any(dim for _, _, dim in want), weight
         assert invariant_basis(space, A, weight, 3) == want, weight
 
 
@@ -615,11 +618,20 @@ def test_coding_keeps_monomial_order():
 def test_enumerate_component_counts():
     space = VarSpace([FamilyDecl("x", 1, 1, 0, 0, "rep")])
     # exact bidegree components in x, Dx, D^2x, ...
-    assert len(enumerate_component(space, 0, 3)) == 1  # x^3 only
-    comp = enumerate_component(space, 2, 2)
-    assert len(comp) == 2  # x D^2x and (Dx)^2
-    for mono in comp:
-        assert sum(v.order for v in mono) == 2 and len(mono) == 2
+    assert enumerate_component(space, 0, 3) == [(0, 0, 0)]  # x^3 only
+    # x D^2x and (Dx)^2, as indices into the variables x, Dx, D^2x
+    assert enumerate_component(space, 2, 2) == [(0, 2), (1, 1)]
+    vs = space.variables(2)
+    assert [v.order for v in vs] == [0, 1, 2]
+
+
+def _decoded(space, weight, degree, torus=None, maxdeg=None):
+    """enumerate_component with torus a map from each variable to its
+    torus weight, its index tuples read back as tuples of variables."""
+    vs = space.variables(weight)
+    coded = None if torus is None else [torus[v] for v in vs]
+    return [tuple(vs[i] for i in m) for m in
+            enumerate_component(space, weight, degree, coded, maxdeg)]
 
 
 def _space_torus(space, A, weight):
@@ -650,11 +662,11 @@ def test_enumerate_component_torus_and_counts(kind, n):
                                        for k in range(len(diag)))]
             representatives = [m for m in full
                                if _orbit_size(copies, _block_key(m))]
-            assert enumerate_component(space, weight, d) == representatives
+            assert _decoded(space, weight, d) == representatives
             kept = [m for m in representatives
                     if all(sum(torus[v][k] for v in m) == 0
                            for k in range(len(diag)))]
-            assert enumerate_component(space, weight, d, torus) == kept
+            assert _decoded(space, weight, d, torus) == kept
 
 
 @pytest.mark.parametrize("space_name", ["even", "mixed"])
@@ -669,14 +681,13 @@ def test_one_walk_over_degrees_matches_each_degree(space_name, with_torus):
     maxdeg = 3
     for weight in range(4):
         torus = _space_torus(space, A, weight)[1] if with_torus else None
-        walk = enumerate_component(space, weight, 0, torus, maxdeg)
+        walk = _decoded(space, weight, 0, torus, maxdeg)
         assert walk == sorted(walk)
         for d in range(maxdeg + 1):
             got = [m for m in walk if len(m) == d]
-            assert got == enumerate_component(space, weight, d, torus), (
-                weight, d)
+            assert got == _decoded(space, weight, d, torus), (weight, d)
         # a window that starts above 0 drops the lower degrees only
-        assert enumerate_component(space, weight, 2, torus, maxdeg) == [
+        assert _decoded(space, weight, 2, torus, maxdeg) == [
             m for m in walk if len(m) >= 2]
 
 
@@ -697,9 +708,9 @@ def test_so_dims_on_the_split_torus_match_the_antisymmetric_basis(
     inv, _ = bidegree_dims(space, A, [], weights, maxdeg, 10 ** 6)
     want: dict = {}
     for w in range(weights + 1):
-        for d, size, free in invariant_basis(space, A, w, maxdeg, 10 ** 6):
-            if free:
-                want[f"{w},{d}"] = want.get(f"{w},{d}", 0) + size * len(free)
+        for d, size, dim in invariant_basis(space, A, w, maxdeg, 10 ** 6):
+            if dim:
+                want[f"{w},{d}"] = want.get(f"{w},{d}", 0) + size * dim
     assert inv == want
     assert inv["0,2"] and any(key.startswith(f"{weights},") for key in inv)
 

@@ -62,6 +62,15 @@ def test_resolve_rejects_bad_configs():
                 tiny_affine(bounds={"seed": False})):
         with pytest.raises(ScenarioError):
             resolve_scenario(raw)
+    # a system that is no object, a task name that is no string, and an
+    # output path that is no string
+    for raw, message in (
+            (tiny_affine(system=[2, 1]), "system must be an object"),
+            (tiny_affine(tasks=[{"task": ["a"]}]), r"unknown task \['a'\]"),
+            (tiny_affine(output={"a": 1}), "output must be a string"),
+            (tiny_affine(output=3), "output must be a string")):
+        with pytest.raises(ScenarioError, match=message):
+            resolve_scenario(raw)
 
 
 def test_unknown_task_fails_before_compute():
@@ -300,7 +309,7 @@ def test_cli_exit_one_on_failure(tmp_path):
     assert report["tasks"][0]["status"] == "fail"
 
 
-def test_cli_exit_two_on_config_error(tmp_path, capsys):
+def test_cli_exit_two_on_config_error(tmp_path, capsys, monkeypatch):
     spath = write_scenario(tmp_path, tiny_affine(tasks=["frobnicate"]))
     assert cli.main(["verify", str(spath)]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -314,6 +323,26 @@ def test_cli_exit_two_on_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]", encoding="utf-8")
     assert cli.main(["verify", str(bad)]) == 2
+    capsys.readouterr()
+    # bounds that are no object reach resolve_scenario unchanged, with or
+    # without the overrides, and so do the other malformed fields: one
+    # stderr line, no report, no file written
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    cases = [(tiny_affine(bounds=b), "bounds must be an object")
+             for b in (5, "x", [1, 2], True)] + [
+        (tiny_affine(system=[2, 1]), "system must be an object"),
+        (tiny_affine(tasks=[{"task": ["a"]}]), "unknown task ['a']"),
+        (tiny_affine(output={"a": 1}), "output must be a string")]
+    for raw, message in cases:
+        spath = write_scenario(tmp_path, raw)
+        for extra in ([], ["--max-weight", "2", "--max-degree", "2",
+                           "--seed", "1"]):
+            assert cli.main(["verify", str(spath), *extra]) == 2, raw
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.splitlines() == [
+                f"configuration error: {message}"], raw
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_seed_bound_is_any_integer(tmp_path, capsys):

@@ -274,7 +274,8 @@ def _block_system(rng, n_blocks):
 def test_orbit_nullspaces_matches_reference_per_representative(seed):
     # block_nullspaces, the solver behind both invariant sides, which
     # hand over the columns of one representative block per orbit: each
-    # block is solved once, on its columns in column order
+    # block is solved once, on its columns in column order, and its
+    # kernel dimension returned
     rng = random.Random(seed)
     n_blocks = rng.randint(1, 7)
     columns, rows = _block_system(rng, n_blocks)
@@ -289,13 +290,13 @@ def test_orbit_nullspaces_matches_reference_per_representative(seed):
 
     got = block_nullspaces(columns, lambda c: c[0], equations)
     # the blocks come in key order, each solved once on its columns in
-    # column order, and its free columns are the reference's, read back
-    # through the indices
+    # column order, and its dimension is the reference's number of free
+    # columns
     assert [b for b, _ in got] == list(range(n_blocks))
     assert asked == [[c for c in columns if c[0] == b]
                      for b in range(n_blocks)]
-    for (b, free), cols in zip(got, asked):
-        assert free == list(reference_nullspace(rows[b], cols)), b
+    for (b, dim), cols in zip(got, asked):
+        assert dim == len(reference_nullspace(rows[b], cols)), b
     assert block_nullspaces([], lambda c: c[0], equations) == []
 
 
