@@ -15,8 +15,8 @@ from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .liealg import current_generators, make_algebra, torus_weights
-from .linalg import (Echelon, axpy, block_nullspaces, integral,
-                     koszul_insert, koszul_sort, pivots)
+from .linalg import (Echelon, Images, apply_derivation, axpy,
+                     block_nullspaces, derive, integral, koszul_sort, pivots)
 from .rationals import QQ, qstr
 from . import fock
 
@@ -139,23 +139,17 @@ def diff_bidegree(p: dict):
 
 
 def apply_D(p: dict) -> dict:
-    """The total derivative: D(v^{(i)}) = v^{(i+1)}, even super-Leibniz.
+    """The total derivative: the even derivation v^(i) -> v^(i+1), applied
+    by `linalg.derive`; its coefficients are 1, so int ones stay int."""
+    return apply_derivation(
+        p, Images(lambda v: [(v._replace(order=v.order + 1), 1)]), _parity)
 
-    Two factors give the same term only when they are equal, which takes
-    an even factor repeated m times; its terms are one term times m,
-    formed at its first place.  So the terms of one monomial are distinct
-    monomials, collected in one dict and added with one axpy."""
-    out: dict = {}
-    for mono, c in p.items():
-        row = {}
-        for k, v in enumerate(mono):
-            if k and v == mono[k - 1]:
-                continue
-            new, sign = koszul_insert(mono[:k] + mono[k + 1:],
-                                      v._replace(order=v.order + 1), _parity, k)
-            if sign:
-                row[new] = sign * mono.count(v)
-        axpy(out, row, c)
+
+def _d_powers(g: dict, n: int) -> list:
+    """[g, D g, ..., D^n g]."""
+    out = [g]
+    for _ in range(n):
+        out.append(apply_D(out[-1]))
     return out
 
 
@@ -179,73 +173,29 @@ def _var_images(columns: dict, r: int, v: DV) -> list:
             for row, x in columns[v.family].get(v.coord - 1, ())]
 
 
-class JetImages(dict):
-    """The table `lie_jet_action` reads for one xi t^r: variable -> its
-    `_var_images`, each built when it is first read.  columns maps each
-    variable family to the matrix of xi on that family's coordinate
-    labels (column index = source coordinate, 1-based shift), indexed by
-    column as `VarSpace.action_for` gives it.  Build one per xi t^r and
-    let every call for it read the same table.  Given variables, a sorted
-    list, it is keyed by int code instead, a variable's index there
-    (`_coding`), and the images are coded too."""
+class JetImages(Images):
+    """The `linalg.Images` of one xi t^r: variable -> its `_var_images`.
+    columns maps each variable family to the matrix of xi on that family's
+    coordinate labels (column index = source coordinate, 1-based shift),
+    indexed by column as `VarSpace.action_for` gives it.  Given variables,
+    a sorted list, it is keyed by int code instead, a variable's index
+    there (`_coding`), and the images are coded too."""
 
     def __init__(self, columns: dict, r: int, variables=None):
         if r < 0:
             raise ValueError("need r >= 0")
-        super().__init__()
-        self._columns, self._r, self._vars = columns, r, variables
-
-    def __missing__(self, v):
-        vs = self._vars
-        if vs is None:
-            out = _var_images(self._columns, self._r, v)
+        if variables is None:
+            super().__init__(lambda v: _var_images(columns, r, v))
         else:
-            out = [(bisect_left(vs, w), e)
-                   for w, e in _var_images(self._columns, self._r, vs[v])]
-        self[v] = out
-        return out
-
-
-def _act_mono(mono: tuple, images, parity=_parity) -> dict:
-    """xi t^r, an even derivation, on one monomial with coefficient 1:
-    each factor v in turn is replaced by its images[v] from _var_images,
-    which `koszul_insert` moves from v's place to its sorted place.  The
-    factors may be the codes of `_coding`, with images and parity by code.
-
-    The terms are distinct monomials but for two coincidences, so they
-    are collected in one dict, none added to another.  An even factor
-    repeated m times gives each of its terms m times, formed once at its
-    first place.  Replacing v by w and, for a factor u != v, u by w' gives
-    one monomial only when w = v and w' = u: the diagonal images, each of
-    which gives mono itself (in place, sign 1), so their coefficients are
-    summed into it."""
-    out: dict = {}
-    diag = 0
-    for k, v in enumerate(mono):
-        imgs = images[v]
-        if not imgs or k and v == mono[k - 1]:
-            continue
-        m = mono.count(v)
-        rest = mono[:k] + mono[k + 1:]
-        for w, e in imgs:
-            if w == v:
-                diag += m * e
-                continue
-            new, sign = koszul_insert(rest, w, parity, k)
-            if sign:
-                out[new] = sign * m * e
-    if diag:
-        out[mono] = diag
-    return out
+            super().__init__(lambda i: [
+                (bisect_left(variables, w), e)
+                for w, e in _var_images(columns, r, variables[i])])
 
 
 def lie_jet_action(images: JetImages, p: dict) -> dict:
     """xi t^r acting as an even derivation: v^{(i)} -> lambda^r_i (M v)^{(i-r)},
     with images the `JetImages` of xi t^r."""
-    out: dict = {}
-    for mono, c in p.items():
-        axpy(out, _act_mono(mono, images), c)
-    return out
+    return apply_derivation(p, images, _parity)
 
 
 def _integer_matrices(mats: dict) -> dict:
@@ -665,7 +615,7 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     return [(d, _orbit_size(copies, key), dim)
             for (d, key), dim in invariant_orbits(
                 range(len(variables)), monomials, torus_ops, gens,
-                lambda mono, ops: [_act_mono(mono, tables[op], parity)
+                lambda mono, ops: [derive(mono, tables[op], parity)
                                    for op in ops],
                 lambda m: (len(m), _block_key(m, run)))]
 
@@ -795,9 +745,8 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000,
         if g and d <= maxdeg and w <= weight:
             g = integral(g)[0]
             key, par = _block_key(min(g)), odd.pop()
-            for k in range(weight - w + 1):
-                derived.append(((w + k, d, par), key, g))
-                g = apply_D(g)
+            derived += [((w + k, d, par), key, dg)
+                        for k, dg in enumerate(_d_powers(g, weight - w))]
     if orbit is None:
         orbit = _copy_orbits([g for g in gens if g])
     keys = [key for _, key, _ in derived]
@@ -980,40 +929,28 @@ def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QC
             raise ValueError(f"generator {name!r} must be bihomogeneous")
         by_name[name] = (sym, st, w, d, par)
 
-    def derived(name: str, k: int) -> dict:
-        sym = by_name[name][0]
-        for _ in range(k):
-            sym = apply_D(sym)
-        return sym
-
-    def substitute(poly: dict) -> dict:
-        out: dict = {}
-        for mono, c in poly.items():
-            term = {(): c}
-            for v in mono:
-                term = diff_mul(term, derived(v.family, v.order))
-            axpy(out, term)
-        return out
-
-    def engine_bidegree(poly: dict):
-        ws, ds = set(), set()
-        for mono in poly:
-            ws.add(sum(v.weight for v in mono))
-            ds.add(sum(by_name[v.family][3] for v in mono))
-        if len(ws) != 1 or len(ds) != 1:
-            raise ValueError("relation must be bihomogeneous over the generators")
-        return ws.pop(), ds.pop()
-
     def base(v):
         return by_name[v.family][1]
 
     if not p:
         return QCResult("ok", {}, (), None, None)
 
-    check = substitute(p)
+    ws = {sum(by_name[v.family][2] + v.order for v in mono) for mono in p}
+    ds = {sum(by_name[v.family][3] for v in mono) for mono in p}
+    if len(ws) != 1 or len(ds) != 1:
+        raise ValueError("relation must be bihomogeneous over the generators")
+    (w_total,), (d_total,) = ws, ds
+    # a factor D^k of a generator of weight w >= 0 weighs w + k <= w_total
+    powers = {name: _d_powers(sym, w_total - w)
+              for name, (sym, _, w, _, _) in by_name.items()}
+    check: dict = {}
+    for mono, c in p.items():
+        term = {(): c}
+        for v in mono:
+            term = diff_mul(term, powers[v.family][v.order])
+        axpy(check, term)
     if check:
         raise ValueError("p is not a classical relation: symbols do not cancel")
-    w_total, d_total = engine_bidegree(p)
 
     # the D^k-generators of weight <= w_total, as atoms (engine weight,
     # engine degree, parity) of the products that may express a symbol
@@ -1021,7 +958,7 @@ def quantum_correct(p: dict, gens, sys: fock.SystemSpec, cap: int = 20000) -> QC
              for k in range(w_total - by_name[name][2] + 1)]
     atoms = [(by_name[name][2] + k, by_name[name][3], by_name[name][4])
              for name, k in items]
-    polys = [derived(name, k) for name, k in items]
+    polys = [powers[name][k] for name, k in items]
 
     corrections = []
     total = dict(p)

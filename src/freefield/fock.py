@@ -29,9 +29,9 @@ pass: `State.integral` scales a state to integers by `linalg.integral`
 products of two such states, forms one QQ per output term and keeps the
 integer sum as the product's `State.integral`.  That pass serves both
 `nth_product` and Zhu's zero mode `zhu_zero_mode`, the mode a(wt-1) of
-each monomial of a.  `apply_mode` accumulates its integer dicts over
-`State.integral` of its input the same way.  All three return states
-whose every coefficient is QQ.
+each monomial of a.  `apply_mode` and `derivative` accumulate their
+integer dicts over `State.integral` of their input the same way.  All
+four return states whose every coefficient is QQ.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ import os
 from bisect import bisect_left
 from math import factorial
 
-from .linalg import axpy, integral, koszul_insert, koszul_sort
+from .linalg import (Images, apply_derivation, axpy, integral, koszul_insert,
+                     koszul_sort)
 from .rationals import QQ, qstr, parse_qstr
 
 # family -> (parity, conformal weight, charge) of its generator fields
@@ -136,6 +137,8 @@ class SystemSpec:
         self.partner = tuple(
             (self._lookup[(family[g.family][0], g.copy, g.coord)],
              family[g.family][1]) for g in gens)
+        # the translation's table of mode images, phi(m) -> -m phi(m-1)
+        self.translation = Images(lambda md: [((md[0], md[1] - 1), -md[1])])
         self._nth_cache: dict = {}
         # monomial -> (weight, charge, parity, generator mask, partner
         # mask), filled by `_grade`
@@ -485,21 +488,15 @@ def wick(factors) -> State:
 
 
 def derivative(a: State) -> State:
-    """Translation operator; mode-raising derivation phi(m) -> -m phi(m-1).
+    """Translation operator; the even derivation phi(m) -> -m phi(m-1),
+    applied by `linalg.derive` with the system's table `translation`, over
+    `State.integral` of a like `apply_mode`.
 
     Must agree with nth_product(a, vacuum, -2); the test suite checks both
-    implementations against each other.  The raised mode moves from its
-    place to its sorted one by `koszul_insert`.
-    """
-    sys = a.sys
-    out: dict = {}
-    for mono, c in a.terms.items():
-        for k, (gi, m) in enumerate(mono):
-            new, sign = koszul_insert(mono[:k] + mono[k + 1:], (gi, m - 1),
-                                      sys.mode_parity, k)
-            if sign:
-                axpy(out, {new: c}, -m * sign)
-    return State(sys, out)
+    implementations against each other."""
+    ints, den = a.integral()
+    out = apply_derivation(ints, a.sys.translation, a.sys.mode_parity)
+    return State(a.sys, {mono: QQ(c, den) for mono, c in out.items()})
 
 
 def gradings(a: State):

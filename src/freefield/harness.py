@@ -80,7 +80,7 @@ def _check_group(group, where):
     if out["side"] not in ("left", "right"):
         raise ScenarioError(f"{where}.side must be 'left' or 'right'")
     fam = group.get("family", "theta")
-    if fam in FAMILY_ALIASES:
+    if isinstance(fam, str) and fam in FAMILY_ALIASES:
         canonical, needed_kind = FAMILY_ALIASES[fam]
         if needed_kind is not None and out["kind"] != needed_kind:
             raise ScenarioError(
@@ -119,6 +119,10 @@ def resolve_scenario(raw) -> dict:
             raise ScenarioError("each task must be a name or an object with 'task'")
         if not isinstance(t["task"], str) or t["task"] not in TASK_FUNCTIONS:
             raise ScenarioError(f"unknown task {t['task']!r}")
+        for key in ("samples", "max_weight", "max_degree", "cap"):
+            if key in t and (type(t[key]) is not int or t[key] < 1):
+                raise ScenarioError(
+                    f"{t['task']} option {key!r} must be a positive integer")
         if "family" in t:
             t = dict(t)
             t["family"] = _check_group(t["family"], "task.family")

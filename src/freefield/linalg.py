@@ -21,6 +21,11 @@ So what `nullspace` and `solve_affine` return, and what `pivots`
 returns, does not depend on the order of the input rows.  The invariant
 solver, `block_nullspaces`, returns dimensions only: per block, the
 number of `nullspace`'s free columns, columns minus rank.
+
+On sorted monomials, `koszul_insert` is the one Koszul rule and `derive`
+the one even-derivation kernel: it applies a table of factor images
+(`Images`), such as those of D, each x t^r and the Fock translation, to a
+monomial, and `apply_derivation` to a polynomial.
 """
 
 from __future__ import annotations
@@ -80,6 +85,62 @@ def koszul_sort(items, parity, seq: tuple = ()):
             return None, 0
         sign *= s
     return seq, sign
+
+
+def derive(mono: tuple, images, parity) -> dict:
+    """An even derivation on one sorted monomial with coefficient 1, given
+    by its table images: images[v] lists the (w, e) of v -> sum e*w.  Each
+    factor v in turn is replaced by each image w, which `koszul_insert`,
+    with parity, moves from v's place to its sorted place.
+
+    The terms are distinct monomials but for two coincidences, so they
+    are collected in one dict, none added to another.  An even factor
+    repeated m times gives each of its terms m times, formed once at its
+    first place.  Replacing v by w and, for a factor u != v, u by w' gives
+    one monomial only when w = v and w' = u: the diagonal images, each of
+    which gives mono itself (in place, sign 1), so their coefficients are
+    summed into it."""
+    out: dict = {}
+    diag = 0
+    for k, v in enumerate(mono):
+        imgs = images[v]
+        if not imgs or k and v == mono[k - 1]:
+            continue
+        m = mono.count(v)
+        rest = mono[:k] + mono[k + 1:]
+        for w, e in imgs:
+            if w == v:
+                diag += m * e
+                continue
+            new, sign = koszul_insert(rest, w, parity, k)
+            if sign:
+                out[new] = sign * m * e
+    if diag:
+        out[mono] = diag
+    return out
+
+
+def apply_derivation(p: dict, images, parity) -> dict:
+    """The even derivation of `derive` on the polynomial p: each
+    monomial's terms, times its coefficient, added by one axpy."""
+    out: dict = {}
+    for mono, c in p.items():
+        axpy(out, derive(mono, images, parity), c)
+    return out
+
+
+class Images(dict):
+    """A table of factor images for `derive`: factor -> [(image,
+    coefficient)], each computed by image(factor) when first read and
+    kept, so that every call for one derivation reads one table."""
+
+    def __init__(self, image):
+        super().__init__()
+        self._image = image
+
+    def __missing__(self, v):
+        out = self[v] = self._image(v)
+        return out
 
 
 def perm_sign(perm) -> int:

@@ -13,7 +13,7 @@ from reference_elimination import reference_nullspace
 from freefield.constructions import (build_system, det_family, symbol_generators,
                                      theta)
 from freefield.diffalg import (
-    FamilyDecl, JetImages, ResourceCapError, VarSpace, _act_mono, _block_key,
+    FamilyDecl, JetImages, ResourceCapError, VarSpace, _block_key, _parity,
     _coding, _copy_orbits, _integer_matrices, _orbit_size, _products,
     abstract_var, apply_D, bidegree_dims, diff_add,
     diff_bidegree, diff_mul, diff_sub, diff_to_text, enumerate_component,
@@ -24,7 +24,7 @@ from freefield.diffalg import (
 )
 from freefield.fock import gradings, monomial_state, nth_product
 from freefield.liealg import current_generators, make_algebra, torus_weights
-from freefield.linalg import Echelon, axpy, koszul_sort, pivots
+from freefield.linalg import Echelon, axpy, derive, koszul_sort, pivots
 from freefield.rationals import QQ
 
 
@@ -53,6 +53,39 @@ def test_apply_D_leibniz_and_weight():
     cube = diff_mul(x, diff_mul(x, x))
     assert apply_D(cube) == {k: 3 * c for k, c in diff_mul(
         diff_mul(x, x), apply_D(x)).items()}
+
+
+def _reference_D(p):
+    """D factor by factor: each factor of each monomial raised in its
+    place, and the product re-sorted with its Koszul sign."""
+    out: dict = {}
+    for mono, c in p.items():
+        for k, v in enumerate(mono):
+            axpy(out, monomial_from_factors(
+                [*mono[:k], v._replace(order=v.order + 1), *mono[k + 1:]], c))
+    return out
+
+
+def test_apply_D_on_odd_and_mixed_monomials():
+    t = [jet_var("t", c, i, o, parity=1)
+         for c in (1, 2) for i in (1, 2) for o in (0, 1, 2)]
+    x = [jet_var("x", c, 1, o) for c in (1, 2) for o in (0, 1)]
+    # D(t^(0) t^(1)) = t^(0) t^(2): the other term repeats t^(1)
+    assert apply_D(monomial_from_factors([t[0], t[1]])) == (
+        monomial_from_factors([t[0], t[2]]))
+    rng = random.Random(11)
+    for pool in (t, t + x):
+        for _ in range(150):
+            p: dict = {}
+            for _ in range(rng.randrange(1, 4)):
+                factors = [rng.choice(pool) for _ in range(rng.randrange(1, 6))]
+                axpy(p, monomial_from_factors(
+                    factors, rng.choice([1, -2, QQ(3, 5)])))
+            assert apply_D(p) == _reference_D(p), p
+            # int coefficients stay int
+            ints = {m: 2 * c for m, c in p.items() if c.denominator == 1}
+            assert all(type(c) is int for c in apply_D(
+                {m: int(c) for m, c in ints.items()}).values())
 
 
 def test_lie_jet_action_matches_engine_symbol():
@@ -521,7 +554,8 @@ def _dv_invariant_basis(space, A, weight, maxdeg):
                 space.variables(weight),
                 lambda torus: _decoded(space, weight, 0, torus, maxdeg),
                 torus_ops, gens,
-                lambda mono, ops: [_act_mono(mono, tables[op]) for op in ops],
+                lambda mono, ops: [derive(mono, tables[op], _parity)
+                                   for op in ops],
                 lambda m: (len(m), _block_key(m)))]
 
 

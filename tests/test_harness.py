@@ -54,6 +54,16 @@ def test_resolve_rejects_bad_configs():
         resolve_scenario(tiny_affine(
             tasks=[{"task": "verify_affine",
                     "family": {"kind": "sl", "rank": 2, "family": "wrong"}}]))
+    # a current family that is a list or an object is unknown, in the
+    # group and in a task
+    for fam in ([1, 2], {"a": 1}):
+        for raw in (tiny_affine(group={"kind": "sl", "rank": 2,
+                                       "family": fam}),
+                    tiny_affine(tasks=[{"task": "verify_affine", "family": {
+                        "kind": "sl", "rank": 2, "family": fam}}])):
+            with pytest.raises(ScenarioError,
+                               match="unknown current family"):
+                resolve_scenario(raw)
     # JSON true and false are not integers
     for raw in (tiny_affine(system={"bosonic": [True, 2]}),
                 tiny_affine(group={"kind": "gl", "rank": True}),
@@ -333,7 +343,12 @@ def test_cli_exit_two_on_config_error(tmp_path, capsys, monkeypatch):
              for b in (5, "x", [1, 2], True)] + [
         (tiny_affine(system=[2, 1]), "system must be an object"),
         (tiny_affine(tasks=[{"task": ["a"]}]), "unknown task ['a']"),
-        (tiny_affine(output={"a": 1}), "output must be a string")]
+        (tiny_affine(output={"a": 1}), "output must be a string"),
+        (tiny_affine(group={"kind": "sl", "rank": 2, "family": [1, 2]}),
+         "unknown current family [1, 2]"),
+        (tiny_affine(tasks=[{"task": "verify_affine", "family": {
+            "kind": "sl", "rank": 2, "family": {"a": 1}}}]),
+         "unknown current family {'a': 1}")]
     for raw, message in cases:
         spath = write_scenario(tmp_path, raw)
         for extra in ([], ["--max-weight", "2", "--max-degree", "2",
@@ -426,9 +441,53 @@ MALFORMED_TASKS = [
      "KeyError"),
     ({"bosonic": [2, 2]}, None,
      {"task": "counterexample_sec4", "indices": [1, 5]}, "KeyError"),
-    ({"bosonic": [2, 1]}, {"kind": "sl", "rank": 2},
-     {"task": "jet_compare", "max_weight": "x"}, "TypeError"),
 ]
+
+# task options that count samples or bound a search: each case passed
+# while checking nothing, or failed only when its task ran
+SL2 = {"kind": "sl", "rank": 2}
+BAD_COUNT_OPTIONS = {
+    "property_suite-samples-0": (
+        {"bosonic": [1, 1]}, None, {"task": "property_suite", "samples": 0}),
+    "property_suite-samples--5": (
+        {"bosonic": [1, 1]}, None, {"task": "property_suite", "samples": -5}),
+    "zhu_check-samples--1": (
+        {"bosonic": [2, 2]}, None, {"task": "zhu_check", "samples": -1}),
+    "jet_compare-samples-0": (
+        {"bosonic": [2, 1]}, SL2,
+        {"task": "jet_compare", "mode": "equivariance", "samples": 0}),
+    "jet_compare-max_weight--2": (
+        {"bosonic": [2, 1]}, SL2, {"task": "jet_compare", "max_weight": -2}),
+    "jet_compare-max_weight-x": (
+        {"bosonic": [2, 1]}, SL2, {"task": "jet_compare", "max_weight": "x"}),
+    "jet_compare-cap-0": (
+        {"bosonic": [2, 1]}, SL2, {"task": "jet_compare", "cap": 0}),
+    "counterexample_so4-max_degree--1": (
+        {"bosonic": [4, 2]}, {"kind": "so", "rank": 4},
+        {"task": "counterexample_so4", "max_degree": -1}),
+    "counterexample_so4-max_degree-true": (
+        {"bosonic": [4, 2]}, {"kind": "so", "rank": 4},
+        {"task": "counterexample_so4", "max_degree": True}),
+}
+
+
+@pytest.mark.parametrize("system,group,task", BAD_COUNT_OPTIONS.values(),
+                         ids=BAD_COUNT_OPTIONS)
+def test_count_task_options_are_config_errors(system, group, task, tmp_path,
+                                              capsys):
+    key = next(k for k in ("samples", "max_weight", "max_degree", "cap")
+               if k in task)
+    message = f"{task['task']} option {key!r} must be a positive integer"
+    raw = {"system": system, "group": group,
+           "tasks": [{"task": "property_suite", "samples": 2}, task]}
+    with pytest.raises(ScenarioError, match=message):
+        resolve_scenario(raw)
+    # through the CLI: exit 2, one stderr line, no report
+    spath = write_scenario(tmp_path, raw)
+    assert cli.main(["verify", str(spath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        f"configuration error: {message}"]
 
 
 @pytest.mark.parametrize("system,group,task,exc_name", MALFORMED_TASKS)

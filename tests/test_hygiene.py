@@ -2,8 +2,8 @@
 module-level assignments or methods in the package, no unused imports in
 the package or the tests, imports only at module level, no reads of
 another module's private names, denominators cleared only in `linalg`,
-`nullspace` called only by `linalg`'s block solver, and a harness that
-imports no maths."""
+`koszul_insert` called only by `linalg` and `fock`, `nullspace` called
+only by `linalg`'s block solver, and a harness that imports no maths."""
 
 import ast
 import pathlib
@@ -153,6 +153,20 @@ def test_only_linalg_clears_denominators():
             if (isinstance(node, ast.Attribute) and node.attr == "denominator"
                     and path.name not in ("linalg.py", "rationals.py")):
                 bad.append(f"{path.name}:{node.lineno}: .denominator")
+    assert not bad, bad
+
+
+def test_only_linalg_and_fock_call_koszul_insert():
+    # every derivation, D, each x t^r and the Fock translation, goes
+    # through `linalg.derive`; the creation-mode inserts of `fock` are the
+    # only other callers of the Koszul rule
+    bad = []
+    for path, tree in _trees(PACKAGE):
+        imports = [a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) for a in node.names]
+        if path.name not in ("linalg.py", "fock.py") and "koszul_insert" in [
+                *_read_names(tree), *imports]:
+            bad.append(path.name)
     assert not bad, bad
 
 
