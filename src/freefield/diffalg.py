@@ -14,9 +14,11 @@ from math import factorial
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
-from .liealg import current_generators, make_algebra, torus_weights
+from .liealg import (current_generators, make_algebra, simple_root_vectors,
+                     torus_weights)
 from .linalg import (Echelon, Images, apply_derivation, axpy,
-                     block_nullspaces, derive, integral, koszul_sort, pivots)
+                     block_nullspaces, derive, integral, koszul_sort,
+                     pivot_columns)
 from .rationals import QQ, qstr
 from . import fock
 
@@ -483,7 +485,8 @@ def invariant_orbits(atoms, monomials, torus_ops, ops, image,
                      block_key) -> list:
     """The dimension of the joint kernel of the operators ops on a span of
     monomials in atoms, per block, as `linalg.block_nullspaces` of its
-    columns: (block key, kernel dimension) per block, in key order.
+    columns: (block key, kernel dimension) per block, in key order, each
+    columns minus the rank of the block's rows under `pivot_columns`.
 
     image(mono, ops) lists the images {monomial: coefficient} of the
     monomial mono, with coefficient 1, under each operator of ops in
@@ -560,8 +563,28 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     generator's matrices are scaled to integers, which keeps its kernel,
     so every equation row is a {column index: int} dict.  The torus is
     read off the h t^0, which lie in g[t]; only the images the torus
-    search reads are built for the h t^0 that are not generators.  The
-    solve runs on int codes (`_coding` of the variables): the columns,
+    search reads are built for the h t^0 that are not generators.
+
+    Cut to simple root vectors: where `liealg.simple_root_vectors` finds
+    A reductive, with a Cartan subalgebra t spanned by its diagonal basis
+    elements, the pairs with r = 0 are replaced by the simple root vectors
+    e_i t^0 and those with r >= 1 are kept; any other algebra keeps every
+    pair.  The joint kernel is the same.  Each h of t has a diagonal
+    matrix on every family, so it maps each variable to a multiple of
+    itself and lies in the torus: the kernel, like every column, has
+    torus weight 0.  Let v of weight 0 be killed by the e_i and the kept
+    pairs.  A kernel is closed under brackets, so the span n+ of the
+    positive root vectors, which the e_i generate, kills v.  The
+    component is a finite-dimensional g-module (g t^0 keeps weight and
+    degree) on which t acts diagonally, and the centre of g has root 0,
+    so it lies in t (for gl, the identity); so the module is completely
+    reducible (Weyl).  Its submodule U(g)v = U(n-)v has highest weight 0
+    and one generator, so it is indecomposable, hence irreducible: the
+    trivial module.  So g t^0 kills v, and with the kept pairs every
+    given pair.  The kernel of the given pairs is killed by the e_i, which
+    lie in g t^0, so the two kernels are equal.
+
+    The solve runs on int codes (`_coding` of the variables): the columns,
     which `enumerate_component` gives as codes, the `JetImages` tables
     keyed by code, the rows and the block keys.  Codes compare as their
     variables do, so every block keeps its key order.
@@ -577,8 +600,7 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     inside the walk (`enumerate_component`), and solved: its first block
     in key order, which puts each family's nonzero counts on its copies
     1, 2, ..., k in non-decreasing order.  Its orbit size is read off its
-    key (`_orbit_size`): the product over families of copies! / prod_c
-    m_c!, with m_c the number of copies with count c, zeros included.
+    key (`_orbit_size`).
 
     Orbit column guard: every variable is checked to have the torus weight
     of its copy-1 twin (a RuntimeError naming the orbit representative
@@ -590,6 +612,9 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     Output order: degree, then representative block key.
     """
     gens = current_generators(A, weight) if pairs is None else pairs
+    simple = simple_root_vectors(A)
+    if simple is not None:
+        gens = [(i, 0) for i in simple] + [(i, r) for i, r in gens if r]
     variables = space.variables(weight)
     for size in monomial_counts([(v.weight, v.parity) for v in variables],
                                 weight, maxdeg):
@@ -672,7 +697,7 @@ def _copy_orbits(gens):
     Where a generator spans blocks, or the gens are not closed, up to
     nonzero scalars, under swapping adjacent copies of a family, every
     block counts as its own orbit (size 1): every product is kept and
-    each pivot counts once, the unsplit rank."""
+    each rank counts once."""
     keys = [{_block_key(m) for m in g} for g in gens]
     copies: dict = {}
     for key in set().union(*keys):
@@ -697,20 +722,16 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000,
     unchanged, so the products are int polynomials.  An odd derived
     generator enters a product at most once (its square vanishes).  All
     have the given weight, and those of degree d lie in the monomials of
-    length d; so the span splits by degree, and every pivot, a monomial,
-    has the degree of the products it comes from.  Only the rank is
-    needed, so the products go to `linalg.pivots`, forward elimination
-    with no back-substitution, and the dimensions are read off its pivot
-    set, which depends only on the span.  The derived generators are coded
-    once (`_coding` of the variables they use) and multiplied and ranked
-    as int monomials; codes keep the order, so the pivots are the same.
+    length d; so the span splits by degree.  Only the rank is needed, so
+    the products go to `linalg.pivot_columns`, per degree and block.  The
+    derived generators are coded once (`_coding` of the variables they
+    use) and multiplied and ranked as int monomials.
 
     Blocks: D and the product never move a factor across families or
     copies, so when each generator lies in one block (one `_block_key`),
     each product lies in the block of the sum of its factors' keys.
     Products in distinct blocks have disjoint monomials, so the rank is
-    the sum of the blocks' ranks, and each pivot lies in the block of the
-    span it is the least monomial of.  Relabelling the copies of a family
+    the sum of the blocks' ranks.  Relabelling the copies of a family
     is an automorphism (odd factors re-sorted with their Koszul sign) that
     commutes with D; when it maps each generator to a nonzero multiple of
     a generator, it maps the products of a block into the span of those of
@@ -720,13 +741,12 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000,
     representative blocks are ranked: each orbit's first block in key
     order, which puts each family's nonzero counts on its copies 1, 2,
     ..., k in non-decreasing order.  The dimension at degree d sums, over
-    the pivots of length d, the orbit size of the pivot's block
-    (`_orbit_size`): the product over families of copies! / prod_c m_c!,
-    with m_c the number of copies with count c, zeros included.  Where a
-    generator spans blocks or the set is not closed, every block counts as
-    its own orbit, of size 1: the same code then keeps every product and
-    counts each pivot once, the unsplit rank.  The cap counts every tuple,
-    kept or not.
+    the representative blocks, the orbit size (`_orbit_size`) times the
+    rank of the block's products of degree d.  Where the set is not
+    closed, every block counts as its own orbit, of size 1, and every
+    product is kept; where a generator spans blocks, the products of each
+    degree are also ranked together, the unsplit rank.  The cap counts
+    every tuple, kept or not.
 
     orbit is `_copy_orbits` of the nonzero gens, computed here when not
     given; `bidegree_dims` computes it once for all weights.  It holds for
@@ -735,7 +755,7 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000,
     each family they use, all its copies.
     """
     # derivative closure D^k g while the weight fits, as (atom, block key
-    # of g, polynomial)
+    # of g or None when g spans blocks, polynomial)
     derived = []
     for g in gens:
         w, d = diff_bidegree(g)
@@ -744,30 +764,41 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000,
             raise ValueError("generated_span needs bihomogeneous generators")
         if g and d <= maxdeg and w <= weight:
             g = integral(g)[0]
-            key, par = _block_key(min(g)), odd.pop()
+            keys, par = {_block_key(m) for m in g}, odd.pop()
+            key = keys.pop() if len(keys) == 1 else None
             derived += [((w + k, d, par), key, dg)
                         for k, dg in enumerate(_d_powers(g, weight - w))]
     if orbit is None:
         orbit = _copy_orbits([g for g in gens if g])
     keys = [key for _, key, _ in derived]
+    split = None not in keys
 
-    def representative(tup) -> bool:
+    def block(tup) -> tuple:
+        if not split:
+            return ()
         counts: dict = {}
         for i in tup:
             for fc, n in keys[i]:
                 counts[fc] = counts.get(fc, 0) + n
-        return orbit(sorted(counts.items())) > 0
+        return tuple(sorted(counts.items()))
 
-    code, parity, run = _coding(sorted({v for _, _, g in derived
-                                        for m in g for v in m}))
+    code, parity, _ = _coding(sorted({v for _, _, g in derived
+                                      for m in g for v in m}))
     polys = [{tuple(map(code.__getitem__, m)): c for m, c in g.items()}
              for _, _, g in derived]
     tuples = _capped(graded_multisets([a for a, _, _ in derived], weight, 0,
                                       maxdeg), cap)
-    products = _products(polys, filter(representative, tuples), parity)
+    kept = {}  # each tuple of a representative block -> that block
+    for tup in tuples:
+        key = block(tup)
+        if orbit(key):
+            kept[tup] = key
+    groups: dict = {}  # (degree, block) -> its products
+    for tup, poly in _products(polys, kept, parity):
+        groups.setdefault((len(next(iter(poly))), kept[tup]), []).append(poly)
     dims: dict = {}
-    for p in pivots(poly for _, poly in products):
-        dims[len(p)] = dims.get(len(p), 0) + orbit(_block_key(p, run))
+    for (d, key), group in groups.items():
+        dims[d] = dims.get(d, 0) + orbit(key) * len(pivot_columns(group))
     return dims
 
 
@@ -824,22 +855,13 @@ def bidegree_dims(space: VarSpace, A, gens, max_weight: int, maxdeg: int,
     generated by gens, over weights 0..max_weight and degrees <= maxdeg,
     nonzero dimensions only.
 
-    The invariant dimension of a bidegree sums, over the orbits of
-    `invariant_basis`, the orbit size times the dimension of a block;
-    the generated one is the rank `generated_span` reads off its pivots.
-
     Copy orbits: relabelling the copies of each family permutes the
-    blocks of a bidegree, its monomials by factor count per (family,
-    copy).  Both sides form only each orbit's representative block, its
-    first in key order, which puts each family's nonzero counts on its
-    copies 1, 2, ..., k in non-decreasing order, and multiply by the orbit
-    size, the product over families of copies! / prod_c m_c! with m_c the
-    number of copies with count c, zeros included (`_orbit_size`).  The
-    split proofs: relabelling commutes with g[t], so the blocks of an
-    orbit have one invariant dimension (`invariant_basis`); for
-    block-homogeneous generators closed under relabelling, the rank adds
-    over blocks and is one on an orbit (`generated_span`, with the orbit
-    sizes of `_copy_orbits` computed once for all weights).
+    blocks of a bidegree.  Both sides form only each orbit's
+    representative block and multiply by its orbit size (`_orbit_size`):
+    the blocks of an orbit have one invariant dimension (`invariant_basis`)
+    and, for block-homogeneous generators closed under relabelling, one
+    rank (`generated_span`, with the orbit sizes of `_copy_orbits`
+    computed once for all weights).
 
     The current generators are computed once, for max_weight, and weight
     w takes the pairs with r <= w, which are `current_generators(A, w)`:

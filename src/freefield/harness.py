@@ -123,6 +123,12 @@ def resolve_scenario(raw) -> dict:
             if key in t and (type(t[key]) is not int or t[key] < 1):
                 raise ScenarioError(
                     f"{t['task']} option {key!r} must be a positive integer")
+        if t["task"] == "counterexample_so4" and "modes" in t:
+            modes = t["modes"]
+            if (not isinstance(modes, list) or not modes
+                    or any(type(n) is not int or n < 0 for n in modes)):
+                raise ScenarioError(f"{t['task']} option 'modes' must be a "
+                                    "non-empty list of non-negative integers")
         if "family" in t:
             t = dict(t)
             t["family"] = _check_group(t["family"], "task.family")

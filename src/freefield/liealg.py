@@ -7,7 +7,7 @@ bracket tables stay consistent with the rep by construction.
 
 from __future__ import annotations
 
-from .linalg import Echelon, axpy, integral
+from .linalg import Echelon, axpy, integral, pivot_columns
 from .rationals import QQ, ONE, ZERO
 
 
@@ -143,6 +143,46 @@ def current_generators(A: LieAlgebraSpec, weight: int) -> list:
                 if z and span.add(z):
                     pending.append(z)
     return kept
+
+
+def simple_root_vectors(A: LieAlgebraSpec):
+    """The basis indices of the simple root vectors of A, in index order,
+    or None where A is not shown to be reductive with a Cartan subalgebra
+    spanned by basis elements and the other basis elements root vectors.
+
+    The torus t is spanned by the basis elements with diagonal matrices.
+    A qualifies when it has no odd element, every other basis element x
+    is an ad-eigenvector, [h, x] = alpha(h) x for each h of the torus,
+    with a nonzero root alpha (its eigenvalues under the diagonal basis
+    elements, in index order), and the trace form tr(rho(x) rho(y)) of
+    the defining module, which is faithful, is nondegenerate, so that A
+    is reductive (Bourbaki, Lie I, 6.4, Prop. 5).  Then t is abelian,
+    acts semisimply and is its own centraliser, so it is a Cartan
+    subalgebra, the root spaces are the lines of the other basis
+    elements, and the roots positive in lexicographic order form a
+    positive system.  Its simple roots, the positive roots that are not
+    the sum of two positive roots, form a base, and their root vectors
+    generate as a Lie algebra the span n+ of the positive root vectors.
+    """
+    if any(A.parity):
+        return None
+    torus = [i for i, M in enumerate(A.rep) if all(r == c for r, c in M)]
+    roots = {}
+    for j in range(A.dim):
+        if j not in torus:
+            brackets = [A.structure(h, j) for h in torus]
+            roots[j] = tuple(br.get(j, 0) for br in brackets)
+            if not any(roots[j]) or any(br.keys() - {j} for br in brackets):
+                return None
+    gram = [{j: t for j, Y in enumerate(A.rep)
+             if (t := sum(x * Y[c, r] for (r, c), x in X.items()
+                          if (c, r) in Y))}
+            for X in A.rep]
+    if len(pivot_columns(gram)) < A.dim:
+        return None
+    positive = {a for a in roots.values() if a > (0,) * len(a)}
+    return [j for j, a in roots.items() if a in positive and not any(
+        tuple(x - y for x, y in zip(a, b)) in positive for b in positive)]
 
 
 def torus_weights(indices, atoms, image) -> tuple:

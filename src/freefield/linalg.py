@@ -2,25 +2,22 @@
 
 Vectors are dicts mapping comparable column keys to nonzero rational
 entries (QQ or int); elimination itself runs on integer rows, by one
-fraction-free step (`_eliminate`).  Each row pivots on its least key, and
-the pivot set, the least keys of the nonzero vectors of the span, depends
-only on the span.  Two routines eliminate:
+fraction-free step (`_eliminate`).  Two routines eliminate:
 
-- `Echelon` keeps the reduced row echelon form: it back-substitutes every
-  new row into the stored rows that hold its pivot, so they are multiples
-  of the unique reduced rows of the span, and every vector reduces in one
-  pass over its keys.  `nullspace`, `solve_affine` and `express` read
-  those rows.  On the largest invariant systems `nullspace` solves, it
-  was faster than forward elimination under every row order tried.
-- `pivots` only ranks: forward elimination, no back-substitution, no
-  index of the rows holding a key.  `diffalg.generated_span` reads its
-  dimensions from it: it needs the pivot set alone, and back-substitution
-  would keep reduced rows that it never reads.
-
-So what `nullspace` and `solve_affine` return, and what `pivots`
-returns, does not depend on the order of the input rows.  The invariant
-solver, `block_nullspaces`, returns dimensions only: per block, the
-number of `nullspace`'s free columns, columns minus rank.
+- `Echelon` keeps the reduced row echelon form.  Each row pivots on its
+  least key, and every new row is back-substituted into the stored rows
+  that hold its pivot, so they are multiples of the unique reduced rows
+  of the span, and every vector reduces in one pass over its keys.
+  `solve_affine`, `express` and the spans of `liealg` read those rows, so
+  what they return does not depend on the order of the input rows.
+- `pivot_columns` only ranks, by right-looking elimination with dynamic
+  pivots (Markowitz's rule): a shortest live row, on its column in the
+  fewest live rows.  Rank does not depend on the pivot order, and on the
+  large, nearly full-rank invariant blocks these pivots keep the fill
+  that back-substitution causes low.  `nullspace` returns the columns it
+  does not pivot on; the invariant solver, `block_nullspaces`, counts
+  them per block, columns minus rank; `diffalg.generated_span` ranks its
+  products with it.
 
 On sorted monomials, `koszul_insert` is the one Koszul rule and `derive`
 the one even-derivation kernel: it applies a table of factor images
@@ -32,6 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .rationals import QQ
@@ -183,11 +181,11 @@ def _eliminate(vec: dict, row: dict, p) -> tuple:
     return a, b
 
 
-def _primitive(row: dict, p) -> int:
+def _primitive(row: dict, p=None) -> int:
     """Divide the int row in place by its content, signed so that its
-    entry at p is positive; returns that signed content."""
+    entry at p, if given, is positive; returns that signed content."""
     g = gcd(*row.values())
-    if row[p] < 0:
+    if p is not None and row[p] < 0:
         g = -g
     if g != 1:
         for k in row:
@@ -195,35 +193,54 @@ def _primitive(row: dict, p) -> int:
     return g
 
 
-def pivots(vectors) -> set:
-    """The pivot set of the span of vectors: the least keys of its nonzero
-    vectors, whose number is its rank.
+def pivot_columns(vectors) -> set:
+    """Columns to pivot on, one per unit of rank of the span of vectors,
+    so their number is its rank.
 
-    Forward elimination: each vector, cleared of denominators, has its
-    least key cancelled by the stored row pivoting there while one does;
-    then it is zero, or it is stored, made primitive, pivoting on its least
-    key.  Nothing is back-substituted.
-
-    Canonical: every stored row lies in the span, the rows have distinct
-    least keys, and every vector reduces to zero modulo them or is stored,
-    so they are a basis of the span.  A nonzero combination of rows with
-    distinct least keys has for its least key the least of the rows it
-    uses; so the least keys of the nonzero vectors of the span are exactly
-    the rows' pivots, whatever order the vectors come in.  These are also
-    the pivots of `Echelon` on the same vectors.
+    Right-looking elimination on the vectors cleared of denominators
+    (Markowitz's rule, which limits fill): each step takes a shortest
+    live row, ties in input order, and pivots on its column held by the
+    fewest live rows, the least such column.  It cancels that column in
+    every other live row holding it by the fraction-free step, divides
+    each of them by its content, drops those that become zero, and
+    retires the pivot row.  A step keeps the span of the retired and the
+    live rows, and each retired row is zero on the pivots of the rows
+    retired before it, so the retired rows are independent: a basis of
+    the span.  Which columns pivot depends on the rows' order, their
+    number does not.
     """
-    rows: dict = {}
-    for vec in vectors:
-        vec = integral(vec)[0]
-        while vec:
-            p = min(vec)
-            row = rows.get(p)
-            if row is None:
-                _primitive(vec, p)
-                rows[p] = vec
-                break
-            _eliminate(vec, row, p)
-    return set(rows)
+    rows = [row for row in (integral(vec)[0] for vec in vectors) if row]
+    holders = defaultdict(set)  # column -> the live rows holding it
+    for i, row in enumerate(rows):
+        for k in row:
+            holders[k].add(i)
+    heap = [(len(row), i) for i, row in enumerate(rows)]
+    heapify(heap)
+    out = set()
+    while heap:
+        n, i = heappop(heap)
+        row = rows[i]
+        if row is None or len(row) != n:
+            continue  # retired, or pushed again since with another length
+        rows[i] = None
+        p = min(zip(map(len, map(holders.__getitem__, row)), row))[1]
+        out.add(p)
+        for k in row:
+            holders[k].discard(i)
+        for j in holders.pop(p):
+            other = rows[j]
+            _eliminate(other, row, p)
+            for k in row:
+                if k in other:
+                    holders[k].add(j)
+                else:
+                    holders[k].discard(j)  # p too: no live row holds it now
+            if other:
+                _primitive(other)
+                heappush(heap, (len(other), j))
+            else:
+                rows[j] = None
+    return out
 
 
 class Echelon:
@@ -337,17 +354,14 @@ def nullspace(equations, columns) -> list:
     {column key: rational} dicts meaning sum(coeff*x_col) = 0, and
     columns lists every column key in ascending key order.
 
-    Returns the non-pivot columns, in column order.  Each indexes one
-    vector of the canonical kernel basis (1 there, 0 at the other free
-    columns), so their number is the dimension of the kernel.  The
-    equations are added shortest first (ties in input order); the free
-    columns do not depend on that order, and short rows are cheap pivots
-    for the long ones.
+    Returns the columns that `pivot_columns` does not pivot on, in column
+    order: each indexes one vector of a kernel basis (1 there, 0 at the
+    other free columns), so their number is the dimension of the kernel,
+    columns minus rank.  Which columns are free depends on the pivots
+    chosen, and so on the order of the equations; their number does not.
     """
-    ech = Echelon()
-    for eq in sorted(equations, key=len):
-        ech.add(eq)
-    return [f for f in columns if f not in ech.rows]
+    pivoted = pivot_columns(equations)
+    return [f for f in columns if f not in pivoted]
 
 
 def block_nullspaces(columns, block_key, equations) -> list:

@@ -23,8 +23,9 @@ from freefield.diffalg import (
     symbol, symbol_var, varspace_for_system, wick_expand,
 )
 from freefield.fock import gradings, monomial_state, nth_product
-from freefield.liealg import current_generators, make_algebra, torus_weights
-from freefield.linalg import Echelon, axpy, derive, koszul_sort, pivots
+from freefield.liealg import (LieAlgebraSpec, current_generators, make_algebra,
+                              simple_root_vectors, torus_weights)
+from freefield.linalg import Echelon, axpy, derive, koszul_sort
 from freefield.rationals import QQ
 
 
@@ -560,9 +561,10 @@ def _dv_invariant_basis(space, A, weight, maxdeg):
 
 
 def _dv_generated_span(gens, weight, maxdeg):
-    """generated_span on the variables themselves, uncoded: the derived
-    generators' DV products of representative blocks into `pivots`, each
-    pivot counted by its DV block's orbit size."""
+    """generated_span on the variables themselves, uncoded and unsplit:
+    the derived generators' DV products of representative blocks into one
+    `Echelon`, each of its pivots, the least monomials of the span,
+    counted by its DV block's orbit size."""
     orbit = _copy_orbits([g for g in gens if g])
     derived = []
     for g in gens:
@@ -582,8 +584,11 @@ def _dv_generated_span(gens, weight, maxdeg):
     tuples = graded_multisets([a for a, _, _ in derived], weight, 0, maxdeg)
     products = _products([g for _, _, g in derived],
                          filter(representative, tuples))
+    ech = Echelon()
+    for _, poly in products:
+        ech.add(poly)
     dims: dict = {}
-    for p in pivots(poly for _, poly in products):
+    for p in ech.rows:
         dims[len(p)] = dims.get(len(p), 0) + orbit(_block_key(p))
     return dims
 
@@ -601,6 +606,60 @@ def test_coded_invariant_basis_matches_dv_reference(kind, n, space_name):
         want = _dv_invariant_basis(space, A, weight, 3)
         assert any(dim for _, _, dim in want), weight
         assert invariant_basis(space, A, weight, 3) == want, weight
+
+
+def _affine_sl2():
+    """sl2 + C^2, the affine algebra of the plane, on C^3: x, y, h of sl2
+    on the first two coordinates, and v1, v2 mapping the third to the
+    first and the second.  Every basis element but h is a root vector,
+    of root 2, -2, 1 and -1 under h, but the algebra is not reductive:
+    the v's are an abelian ideal, and the trace form vanishes on them."""
+    def unit(*cells):
+        return {(r, c): QQ(x) for r, c, x in cells}
+    rep = [unit((0, 1, 1)), unit((1, 0, 1)), unit((0, 0, 1), (1, 1, -1)),
+           unit((0, 2, 1)), unit((1, 2, 1))]
+    return LieAlgebraSpec("aff", (2,), ["x", "y", "h", "v1", "v2"],
+                          [0] * 5, rep, 3)
+
+
+@pytest.mark.parametrize("kind, dims, maxdeg, simple", [
+    pytest.param(kind, dims, maxdeg, simple,
+                 id="-".join(map(str, (kind, *dims, maxdeg))))
+    for kind, dims, maxdeg, simple in [
+        ("sl", (2,), 4, ["x"]), ("so_split", (3,), 4, ["u[1]"]),
+        ("sl", (3,), 4, ["e[1,3]", "e[3,2]"]), ("gl", (2,), 4, ["e[1,2]"]),
+        ("gl", (3,), 4, ["e[1,2]", "e[2,3]"]),
+        ("sp", (4,), 4, ["m[2,2]", "h[1,2]"])]])
+def test_invariant_basis_cut_to_simple_root_vectors(kind, dims, maxdeg, simple):
+    # on a mixed bosonic and fermionic space, the g t^0 rows cut to the
+    # simple root vectors give the dimensions of every current generator
+    A = make_algebra(kind, *dims)
+    assert [A.labels[i] for i in simple_root_vectors(A)] == simple
+    space = _mixed_space(A.rep_dim)
+    for weight in range(4):
+        want = _dv_invariant_basis(space, A, weight, maxdeg)
+        assert any(dim for _, _, dim in want), weight
+        assert invariant_basis(space, A, weight, maxdeg, 10**6) == want, (
+            weight)
+
+
+def test_invariant_basis_keeps_every_pair_off_reductive_root_bases():
+    # an odd element, basis elements that are no root vectors (the
+    # antisymmetric so(3) has no diagonal element), and a root basis of
+    # an algebra that is not reductive: no cut, so every current
+    # generator is kept
+    aff = _affine_sl2()
+    for A in (make_algebra("glsuper", 1, 1), make_algebra("so", 3), aff):
+        assert simple_root_vectors(A) is None, A.kind
+    space = VarSpace([FamilyDecl("x", 2, 3, 0, 0, "rep")])
+    for weight in range(3):
+        want = _dv_invariant_basis(space, aff, weight, 3)
+        assert invariant_basis(space, aff, weight, 3) == want, weight
+    # the cut there would be wrong: the lexicographically simple root is
+    # that of v1 alone, whose kernel holds x[1] x[2] at weight 0, which x
+    # does not kill
+    assert invariant_basis(space, aff, 0, 2, pairs=[(3, 0)]) != (
+        _dv_invariant_basis(space, aff, 0, 2))
 
 
 @pytest.mark.parametrize("gens", [

@@ -64,6 +64,11 @@ def test_resolve_rejects_bad_configs():
             with pytest.raises(ScenarioError,
                                match="unknown current family"):
                 resolve_scenario(raw)
+    # counterexample_so4's modes: a non-empty list of non-negative ints
+    for modes in ([-3], [], "x", [0, True]):
+        with pytest.raises(ScenarioError, match="option 'modes' must be"):
+            resolve_scenario(tiny_affine(tasks=[
+                {"task": "counterexample_so4", "modes": modes}]))
     # JSON true and false are not integers
     for raw in (tiny_affine(system={"bosonic": [True, 2]}),
                 tiny_affine(group={"kind": "gl", "rank": True}),
@@ -348,7 +353,10 @@ def test_cli_exit_two_on_config_error(tmp_path, capsys, monkeypatch):
          "unknown current family [1, 2]"),
         (tiny_affine(tasks=[{"task": "verify_affine", "family": {
             "kind": "sl", "rank": 2, "family": {"a": 1}}}]),
-         "unknown current family {'a': 1}")]
+         "unknown current family {'a': 1}")] + [
+        (tiny_affine(tasks=[{"task": "counterexample_so4", "modes": modes}]),
+         "counterexample_so4 option 'modes' must be a non-empty list of "
+         "non-negative integers") for modes in ([-3], [], "x", [0, True])]
     for raw, message in cases:
         spath = write_scenario(tmp_path, raw)
         for extra in ([], ["--max-weight", "2", "--max-degree", "2",

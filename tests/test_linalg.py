@@ -6,7 +6,7 @@ from reference_elimination import GaussJordan, lin, reference_nullspace
 
 from freefield.diffalg import jet_var
 from freefield.linalg import (Echelon, axpy, block_nullspaces, koszul_insert,
-                              koszul_sort, nullspace, perm_sign, pivots,
+                              koszul_sort, nullspace, perm_sign, pivot_columns,
                               solve_affine)
 from freefield.rationals import QQ, ZERO
 
@@ -28,13 +28,44 @@ def test_echelon_express_recovers_combination():
     assert ech.express({"c": QQ(1), "d": QQ(1)}) is None
 
 
+def _check_pivots(rows, pivoted):
+    """pivoted, a set of columns from `pivot_columns`, against the
+    reference: as many columns as the rank of the rows, and the rows
+    restricted to them of full column rank, so that they can be the
+    pivots of an elimination of the rows."""
+    full, restricted = GaussJordan(), GaussJordan()
+    for row in rows:
+        full.add(row)
+        restricted.add({k: c for k, c in row.items() if k in pivoted})
+    assert len(pivoted) == len(full.rows) == len(restricted.rows)
+
+
+def _check_free_columns(rows, cols, free):
+    """free, from `nullspace`, against the reference: a sublist of cols in
+    column order with as many columns as the reference's canonical free
+    columns, and the other columns valid pivots (`_check_pivots`), so that
+    the kernel projects isomorphically onto the free columns.  Which
+    columns are free depends on the pivot order."""
+    assert free == [c for c in cols if c in free]
+    assert len(free) == len(reference_nullspace(rows, cols))
+    _check_pivots(rows, {c for c in cols if c not in free})
+
+
 def test_nullspace_small_system():
-    # x + y = 0, y + z = 0  ->  one-dimensional kernel (1, -1, 1), whose
-    # free column is z
+    # x + y = 0, y + z = 0  ->  one-dimensional kernel (1, -1, 1): one
+    # free column, and the canonical one is z
     eqs = [{"x": QQ(1), "y": QQ(1)}, {"y": QQ(1), "z": QQ(1)}]
-    assert nullspace(eqs, ["x", "y", "z"]) == ["z"]
+    free = nullspace(eqs, ["x", "y", "z"])
+    assert len(free) == 1
+    _check_free_columns(eqs, ["x", "y", "z"], free)
     assert reference_nullspace(eqs, ["x", "y", "z"]) == {
         "z": {"z": 1, "x": 1, "y": -1}}
+    # 2x + 2y = 0 repeats x + y = 0, and z is in no equation: z is free,
+    # and so is one of x and y
+    eqs = [{"x": QQ(1), "y": QQ(1)}, {"x": QQ(2), "y": QQ(2)}]
+    free = nullspace(eqs, ["x", "y", "z"])
+    assert len(free) == 2 and "z" in free
+    _check_free_columns(eqs, ["x", "y", "z"], free)
 
 
 def test_solve_affine_feasible_and_not():
@@ -128,16 +159,15 @@ def test_echelon_matches_reference_reduction(seed, track):
     got = {
         "gained": [ech.add(row, tag=i) for i, row in enumerate(rows)],
         "reduced_rows": _normalised_rows(ech),
-        "nullspace": nullspace(rows, cols),
         "solve_affine": [solve_affine(rows, rhs, cols)
                          for rhs in _rhs_choices(rows)],
     }
+    _check_free_columns(rows, cols, nullspace(rows, cols))
     got["residual"] = [_residual(got["reduced_rows"], v) for v in probes]
     expected = {
         "gained": [ref.add(row, tag=i) for i, row in enumerate(rows)],
         "residual": [ref.reduce(v, {})[0] for v in probes],
         "reduced_rows": [ref.rows[p] for p in sorted(ref.rows)],
-        "nullspace": list(reference_nullspace(rows, cols)),
         "solve_affine": [_reference_solve_affine(rows, rhs, cols)
                          for rhs in _rhs_choices(rows)],
     }
@@ -179,9 +209,9 @@ def _relabelled(rng, kind, n_cols):
 @pytest.mark.parametrize("seed", range(8))
 def test_pivots_match_echelon_and_reference(seed, kind):
     # rational rows, a third of them combinations of earlier ones, with
-    # repeated rows and zero vectors, on relabelled columns: forward
-    # elimination finds the pivots of Echelon's reduced form and of the
-    # rational reference, given in either order
+    # repeated rows and zero vectors, on relabelled columns: pivot_columns
+    # finds as many pivots as Echelon's reduced form and the rational
+    # reference, valid ones, with the rows given in either order
     rng = random.Random(f"{seed}{kind}")
     for _ in range(10):
         n_cols = rng.randint(4, 14)
@@ -194,9 +224,55 @@ def test_pivots_match_echelon_and_reference(seed, kind):
         for row in rows:
             ech.add(row)
             ref.add(row)
-        got = pivots(rows)
-        assert got == set(ech.rows) == set(ref.rows)
-        assert pivots(reversed(rows)) == got
+        assert ech.rank == len(ref.rows)
+        for order in (rows, rows[::-1]):
+            _check_pivots(rows, pivot_columns(order))
+
+
+def _low_rank_system(rng, n_rows, n_cols, rank, kind, density):
+    """n_rows rows of rank at most rank: combinations of rank random base
+    rows with entries in -3..3 on about density of the columns, integer
+    or, for kind "QQ", rational with denominators up to 3; then a
+    repeated row, a scaled one and a zero row, shuffled in."""
+    def number():
+        x = rng.randint(-3, 3)
+        return x if kind == "int" else QQ(x, rng.randint(1, 3))
+
+    base = [{k: number() for k in range(n_cols) if rng.random() < density}
+            for _ in range(rank)]
+    rows = []
+    for _ in range(n_rows):
+        row: dict = {}
+        for b in base:
+            axpy(row, b, number())
+        rows.append(row)
+    if rows:
+        rows += [dict(rng.choice(rows)),
+                 {k: 5 * c for k, c in rng.choice(rows).items()}, {}]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["int", "QQ"])
+@pytest.mark.parametrize("seed", range(6))
+def test_pivot_columns_rank_oracle(seed, kind):
+    # rank-deficient sparse systems, empty ones and dense fill-heavy ones
+    # (every row a combination of the same dense base rows): as many
+    # pivots as the reference's rank, and valid ones; nullspace frees the
+    # other columns
+    rng = random.Random(f"{seed}{kind}")
+    assert pivot_columns([]) == pivot_columns([{}, {}]) == set()
+    for density in (0.2, 0.4, 1.0):
+        for _ in range(6):
+            n_cols = rng.randint(1, 14)
+            rows = _low_rank_system(rng, rng.randint(0, 16), n_cols,
+                                    rng.randint(0, min(n_cols, 8)), kind,
+                                    density)
+            assert {type(c) for row in rows for c in row.values()} <= (
+                {int} if kind == "int" else {int, QQ})
+            _check_pivots(rows, pivot_columns(rows))
+            _check_free_columns(rows, list(range(n_cols)),
+                                nullspace(rows, range(n_cols)))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -227,9 +303,10 @@ def test_solve_affine_matches_rhs_column_reference(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_row_order_does_not_change_the_output(seed):
-    # the reduced row echelon form of a row space is unique, so the free
-    # columns and an affine solution are the same for the original, a
-    # shuffled and a shortest-rows-first order of the same rows
+    # the reduced row echelon form of a row space is unique, so an affine
+    # solution is the same for the original, a shuffled and a
+    # shortest-rows-first order of the same rows; the free columns may
+    # differ with the pivots chosen, but their number may not
     rng = random.Random(seed)
     for _ in range(5):
         n_cols = rng.randint(4, 12)
@@ -239,8 +316,9 @@ def test_row_order_does_not_change_the_output(seed):
         rng.shuffle(shuffled)
         orders = [range(len(rows)), shuffled,
                   sorted(range(len(rows)), key=lambda i: len(rows[i]))]
-        free = [nullspace([rows[i] for i in order], cols) for order in orders]
-        assert free[1:] == free[:1] * 2
+        for order in orders:
+            _check_free_columns(rows, cols,
+                                nullspace([rows[i] for i in order], cols))
         for rhs in _rhs_choices(rows):
             got = [solve_affine([rows[i] for i in order],
                                 [rhs[i] for i in order], cols)
