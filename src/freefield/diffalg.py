@@ -544,6 +544,33 @@ def invariant_orbits(atoms, monomials, torus_ops, ops, image,
     return block_nullspaces(monos, block_key, equations)
 
 
+def root_cut(A, pairs) -> list:
+    """The generating set pairs (i, r) of g[t]/t^(w+1), cut to simple
+    root vectors: where `liealg.simple_root_vectors` finds A reductive,
+    with a Cartan subalgebra t spanned by its diagonal basis elements, the
+    pairs with r = 0 are replaced by the simple root vectors e_i t^0 and
+    those with r >= 1 are kept in order; any other algebra keeps every
+    pair.  The joint kernel on each component of `invariant_basis` is the
+    same.  Each h of t has a diagonal matrix on every family, so it maps
+    each variable to a multiple of itself and lies in the torus: the
+    kernel, like every column, has torus weight 0.  Let v of weight 0 be
+    killed by the e_i and the kept pairs.  A kernel is closed under
+    brackets, so the span n+ of the positive root vectors, which the e_i
+    generate, kills v.  The component is a finite-dimensional g-module
+    (g t^0 keeps weight and degree) on which t acts diagonally, and the
+    centre of g has root 0, so it lies in t (for gl, the identity); so
+    the module is completely reducible (Weyl).  Its submodule U(g)v =
+    U(n-)v has highest weight 0 and one generator, so it is
+    indecomposable, hence irreducible: the trivial module.  So g t^0 kills
+    v, and with the kept pairs every given pair.  The kernel of the given
+    pairs is killed by the e_i, which lie in g t^0, so the two kernels
+    are equal."""
+    simple = simple_root_vectors(A)
+    if simple is None:
+        return pairs
+    return [(i, 0) for i in simple] + [(i, r) for i, r in pairs if r]
+
+
 def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
                     cap: int = 20000, pairs=None) -> list:
     """The dimension of the joint kernel of g[t] on the (weight, degree <=
@@ -558,31 +585,13 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     Only t^r with r <= weight can act nonzero on the component, so g[t]
     acts through g[t]/t^(weight+1).  The equations are written for the
     generating set pairs of that algebra, `current_generators(A, weight)`
-    when not given: if X and Y kill v then so does [X, Y], so the
-    generators have the same joint kernel as every xi t^r.  Each
+    cut to simple root vectors (`root_cut`) when not given: if X and Y
+    kill v then so does [X, Y], so the generators have the same joint
+    kernel as every xi t^r.  Given pairs are used as they are.  Each
     generator's matrices are scaled to integers, which keeps its kernel,
     so every equation row is a {column index: int} dict.  The torus is
     read off the h t^0, which lie in g[t]; only the images the torus
     search reads are built for the h t^0 that are not generators.
-
-    Cut to simple root vectors: where `liealg.simple_root_vectors` finds
-    A reductive, with a Cartan subalgebra t spanned by its diagonal basis
-    elements, the pairs with r = 0 are replaced by the simple root vectors
-    e_i t^0 and those with r >= 1 are kept; any other algebra keeps every
-    pair.  The joint kernel is the same.  Each h of t has a diagonal
-    matrix on every family, so it maps each variable to a multiple of
-    itself and lies in the torus: the kernel, like every column, has
-    torus weight 0.  Let v of weight 0 be killed by the e_i and the kept
-    pairs.  A kernel is closed under brackets, so the span n+ of the
-    positive root vectors, which the e_i generate, kills v.  The
-    component is a finite-dimensional g-module (g t^0 keeps weight and
-    degree) on which t acts diagonally, and the centre of g has root 0,
-    so it lies in t (for gl, the identity); so the module is completely
-    reducible (Weyl).  Its submodule U(g)v = U(n-)v has highest weight 0
-    and one generator, so it is indecomposable, hence irreducible: the
-    trivial module.  So g t^0 kills v, and with the kept pairs every
-    given pair.  The kernel of the given pairs is killed by the e_i, which
-    lie in g t^0, so the two kernels are equal.
 
     The solve runs on int codes (`_coding` of the variables): the columns,
     which `enumerate_component` gives as codes, the `JetImages` tables
@@ -611,10 +620,8 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
 
     Output order: degree, then representative block key.
     """
-    gens = current_generators(A, weight) if pairs is None else pairs
-    simple = simple_root_vectors(A)
-    if simple is not None:
-        gens = [(i, 0) for i in simple] + [(i, r) for i, r in gens if r]
+    gens = (root_cut(A, current_generators(A, weight)) if pairs is None
+            else pairs)
     variables = space.variables(weight)
     for size in monomial_counts([(v.weight, v.parity) for v in variables],
                                 weight, maxdeg):
@@ -863,15 +870,19 @@ def bidegree_dims(space: VarSpace, A, gens, max_weight: int, maxdeg: int,
     rank (`generated_span`, with the orbit sizes of `_copy_orbits`
     computed once for all weights).
 
-    The current generators are computed once, for max_weight, and weight
-    w takes the pairs with r <= w, which are `current_generators(A, w)`:
-    that greedy walks the pairs in (r, index) order, so both runs see the
-    same pairs before any r <= w, and keeps a pair when x t^r lies
-    outside the subalgebra generated by the pairs kept so far.  A
-    subalgebra generated by t-homogeneous elements is graded by t-degree,
-    and its part of degree r <= w is spanned by brackets of kept elements
-    whose degrees sum to r, which truncation at t^(w+1) or t^(max_weight+1)
-    leaves alone; so both runs keep the same pairs with r <= w.
+    The current generators are computed and cut (`root_cut`) once, for
+    max_weight, and weight w takes the pairs with r <= w, which are
+    `root_cut(A, current_generators(A, w))`.  The cut puts the same simple
+    root vectors first and keeps the pairs with r >= 1 in order, so it
+    commutes with taking r <= w; and the uncut pairs with r <= w are
+    `current_generators(A, w)`: that greedy walks the pairs in (r, index)
+    order, so both runs see the same pairs before any r <= w, and keeps a
+    pair when x t^r lies outside the subalgebra generated by the pairs
+    kept so far.  A subalgebra generated by t-homogeneous elements is
+    graded by t-degree, and its part of degree r <= w is spanned by
+    brackets of kept elements whose degrees sum to r, which truncation at
+    t^(w+1) or t^(max_weight+1) leaves alone; so both runs keep the same
+    pairs with r <= w.
 
     so(N) on a split torus: the antisymmetric basis of a `kind == "so"`
     algebra has no rational torus, so its invariants are solved for
@@ -892,7 +903,7 @@ def bidegree_dims(space: VarSpace, A, gens, max_weight: int, maxdeg: int,
     """
     if A.kind == "so":
         A = make_algebra("so_split", *A.params)
-    pairs = current_generators(A, max_weight)
+    pairs = root_cut(A, current_generators(A, max_weight))
     orbit = _copy_orbits([g for g in gens if g])
     inv, gen = {}, {}
     for w in range(0, max_weight + 1):

@@ -6,7 +6,8 @@ one Koszul rule, `linalg.koszul_insert`.  The state <-> field dictionary
 :d^{k1}phi_1 ... d^{kr}phi_r:  <->  k1!...kr! phi_1(-k1-1)...phi_r(-kr-1)|0>
 lives in `generator_polynomial`, the one builder of normally ordered
 generator fields; `diffalg.symbol` is its inverse on top degree.
-All circle products are computed by the iterate recursion below; weight
+All circle products are computed by the iterate recursion below, a
+one-mode first factor in closed form; weight
 and charge homogeneity of every product is checked at run time (also
 under `python -O`), not assumed.
 
@@ -23,25 +24,25 @@ it, and it is neither built nor cached.  Annihilation modes act through
 The kernel is integral: every coefficient of the recursion is a
 generalized binomial times a +-1 contraction or Koszul sign, so
 `_apply_mode_mono`, `_nth_mono` and the per-system product cache work in
-`int`.  Rationals come back only at the public boundary, one integer
-pass: `State.integral` scales a state to integers by `linalg.integral`
-(kept on the state after first use), and `_product` sums the integer
-products of two such states, forms one QQ per output term and keeps the
-integer sum as the product's `State.integral`.  That pass serves both
-`nth_product` and Zhu's zero mode `zhu_zero_mode`, the mode a(wt-1) of
-each monomial of a.  `apply_mode` and `derivative` accumulate their
-integer dicts over `State.integral` of their input the same way.  All
-four return states whose every coefficient is QQ.
+`int`.  So does state arithmetic.  A `State` holds an integer form
+(ints, den), its terms being ints/den.  `_product` (behind `nth_product`
+and Zhu's zero mode `zhu_zero_mode`, the mode a(wt-1) of each monomial
+of a), `apply_mode` and `derivative` run over `State.integral` of their
+inputs and return states built from their integer sums.  `scale`, `add`
+and `sub` combine integer forms over a common denominator
+(`linalg.common_denominator`); `is_zero`, `==`, `gradings` and
+`parity_of` read either form.  Rationals are formed only when
+`State.terms` is read, one QQ per term, kept on the state.
 """
 
 from __future__ import annotations
 
 import os
 from bisect import bisect_left
-from math import factorial
+from math import comb, factorial
 
-from .linalg import (Images, apply_derivation, axpy, integral, koszul_insert,
-                     koszul_sort)
+from .linalg import (Images, apply_derivation, axpy, common_denominator,
+                     integral, koszul_insert, koszul_sort)
 from .rationals import QQ, qstr, parse_qstr
 
 # family -> (parity, conformal weight, charge) of its generator fields
@@ -162,49 +163,76 @@ class State:
 
     A monomial is a tuple of modes (generator index, m <= -1) sorted
     ascending by (index, m); the empty tuple is the vacuum.
+
+    A state is given by its terms, State(sys, {mono: QQ}), or by an
+    integer form, State(sys, integral=(ints, den)), terms = ints/den for a
+    positive int den.  Each form is built from the other on first use and
+    kept; arithmetic runs on the integer forms.
     """
 
-    __slots__ = ("sys", "terms", "_integral")
+    __slots__ = ("sys", "_terms", "_integral")
 
-    def __init__(self, sys: SystemSpec, terms: dict | None = None):
+    def __init__(self, sys: SystemSpec, terms: dict | None = None,
+                 integral=None):
         self.sys = sys
-        self.terms = terms or {}
-        self._integral = None
+        self._terms = None if integral else terms or {}
+        self._integral = integral
+
+    @property
+    def terms(self) -> dict:
+        """monomial -> QQ, read-only: formed from the integer form, one QQ
+        per term, when the state was built from one."""
+        if self._terms is None:
+            ints, den = self._integral
+            self._terms = ({m: QQ(c) for m, c in ints.items()} if den == 1
+                           else {m: QQ(c, den) for m, c in ints.items()})
+        return self._terms
 
     def integral(self):
-        """(den*terms as an int dict, den) for a positive int den: that of
-        `linalg.integral` of the terms, computed on first use and kept (the
-        terms never change), or da*db on the output of `_product`, which
-        keeps the integer sum it formed the terms from."""
+        """(den*terms as an int dict, den) for a positive int den: the
+        integer form the state was built from, or `linalg.integral` of its
+        terms, computed on first use and kept.  den need not be least."""
         if self._integral is None:
-            self._integral = integral(self.terms)
+            self._integral = integral(self._terms)
         return self._integral
 
+    def _support(self) -> dict:
+        """A dict keyed by the monomials of the state: either form."""
+        return self._terms if self._integral is None else self._integral[0]
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._support()
 
     def scale(self, c) -> "State":
-        c = QQ(c)
-        if not c:
+        ints, den = self.integral()
+        _, k, den = common_denominator(1, den, c)
+        if not k:
             return State(self.sys)
-        return State(self.sys, {m: c * v for m, v in self.terms.items()})
+        return State(self.sys, integral=(
+            {m: k * v for m, v in ints.items()}, den))
 
     def add(self, other: "State", scale=1) -> "State":
-        """self + scale*other."""
+        """self + scale*other, over the common denominator of the two
+        integer forms."""
         _check_same_system(self, other)
-        out = dict(self.terms)
-        axpy(out, other.terms, scale)
-        return State(self.sys, out)
+        ia, da = self.integral()
+        ib, db = other.integral()
+        ka, kb, den = common_denominator(da, db, scale)
+        out = dict(ia) if ka == 1 else {m: ka * v for m, v in ia.items()}
+        if kb:
+            axpy(out, ib, kb)
+        return State(self.sys, integral=(out, den))
 
     def sub(self, other: "State") -> "State":
         return self.add(other, -1)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, State)
-            and self.sys is other.sys
-            and self.terms == other.terms
-        )
+        if not (isinstance(other, State) and self.sys is other.sys):
+            return False
+        ia, da = self.integral()
+        ib, db = other.integral()
+        return ia.keys() == ib.keys() and all(
+            c * db == ib[m] * da for m, c in ia.items())
 
     def __hash__(self):
         raise TypeError("states are not hashable")
@@ -227,14 +255,14 @@ def zero(sys: SystemSpec) -> State:
 
 
 def binom(m: int, j: int) -> int:
-    """Generalized binomial m(m-1)...(m-j+1)/j!, any integer m, j >= 0;
-    an exact int, since j! divides any j consecutive integers."""
+    """Generalized binomial m(m-1)...(m-j+1)/j!, any integer m, j >= 0:
+    C(m, j) for m >= 0, and (-1)^j C(j-m-1, j) for m < 0, since then
+    m(m-1)...(m-j+1) = (-1)^j (j-m-1)(j-m-2)...(-m)."""
     if j < 0:
         raise ValueError("binom needs j >= 0")
-    num = 1
-    for t in range(j):
-        num *= m - t
-    return num // factorial(j)
+    if m >= 0:
+        return comb(m, j)
+    return -comb(j - m - 1, j) if j & 1 else comb(j - m - 1, j)
 
 
 # -- monomial helpers -------------------------------------------------------
@@ -351,7 +379,7 @@ def apply_mode(phi: GeneratorId, m: int, s: State) -> State:
     out: dict = {}
     for mono, c in ints.items():
         axpy(out, _apply_mode_mono(sys, phi.index, m, mono), c)
-    return State(sys, {mono: QQ(c, den) for mono, c in out.items()})
+    return State(sys, integral=(out, den))
 
 
 # -- circle products --------------------------------------------------------
@@ -363,6 +391,9 @@ def _nth_mono(sys: SystemSpec, ma, mb, n: int) -> dict:
     lemma below are never cached, so the cache is read before the
     gradings are looked up.
 
+    The recursion strips the first factor phi(m0) of ma = phi(m0) rest;
+    its coefficients (-1)^j binom(m0, j) are comb(j-m0-1, j), as m0 < 0.
+
     Zero lemma: for n >= 0, if no factor of ma has its partner in mb,
     then ma o_n mb = 0.  By induction on len(ma), from the recursion
     alone: the base case ma = () gives {} for every n != -1; every
@@ -371,7 +402,16 @@ def _nth_mono(sys: SystemSpec, ma, mb, n: int) -> dict:
     second-sum term applies an annihilation mode phi(j), j >= 0, of the
     first factor phi of ma to mb, and phi has no partner in mb, so it is
     zero.  With the generator and partner masks of `_grade` the test is
-    one `&`."""
+    one `&`.
+
+    One-mode closed form: for ma = (phi(m0),), rest is the vacuum, and
+    |0> o_k v is v for k = -1 and 0 otherwise.  So the first sum keeps
+    only j = -1-n, which needs n <= -1: phi(m0+n+1) inserted into mb by
+    the Koszul rule.  The second sum keeps only the depth j = m0+n+1,
+    which needs j >= 0, so n >= -1-m0 >= 0 as m0 <= -1: the one
+    contraction of that depth.  The two cases exclude each other, so the
+    product has at most one term, and the recursion never reaches
+    ma = (), which stays for callers with a vacuum first factor."""
     if not ma:
         return {mb: 1} if n == -1 else {}
     key = (ma, mb, n)
@@ -379,53 +419,65 @@ def _nth_mono(sys: SystemSpec, ma, mb, n: int) -> dict:
     hit = cache.get(key)
     if hit is not None:
         return hit
-    wa, ca, _, gens_a, _ = _grade(sys, ma)
-    wb, cb, _, _, partners_b = _grade(sys, mb)
+    grading = sys._grading
+    wa, ca, _, gens_a, _ = grading.get(ma) or _grade(sys, ma)
+    wb, cb, _, _, partners_b = grading.get(mb) or _grade(sys, mb)
     if n >= 0 and (n > wa + wb - 1 or not gens_a & partners_b):
         return {}
 
     (gi, m0), rest = ma[0], ma[1:]
-    w_rest, _, par_rest, gens_rest, _ = _grade(sys, rest)
-    cross_sign = -1 if (sys.parity[gi] and par_rest) else 1
-    second_sign = cross_sign if m0 & 1 else -cross_sign
-
-    acc: dict = {}
     mode_parity = sys.mode_parity
-    # first sum: apply_mode(phi, m0-j, nth(rest, mb, n+j)); the inner
-    # product vanishes once n+j passes the weight cutoff, and for every
-    # n+j >= 0 when no factor of rest contracts with mb (the zero lemma).
-    # phi(m0-j) is a creation mode, so it is inserted in place by the
-    # Koszul rule
-    j_hi = w_rest + wb - 1 - n
-    if not gens_rest & partners_b:
-        j_hi = min(j_hi, -n - 1)
-    j = 0
-    while j <= j_hi:
-        inner = _nth_mono(sys, rest, mb, n + j)
-        if inner:
-            coeff = ((-1) ** (j & 1)) * binom(m0, j)
-            mode = (gi, m0 - j)
-            for mono, v in inner.items():
-                new, sign = koszul_insert(mono, mode, mode_parity)
-                if sign:
-                    s = acc.get(new, 0) + sign * coeff * v
-                    if s:
-                        acc[new] = s
-                    else:
-                        acc.pop(new, None)
-        j += 1
+    if not rest and n < 0:
+        j = -1 - n
+        new, sign = koszul_insert(mb, (gi, m0 - j), mode_parity)
+        acc = {new: sign * comb(j - m0 - 1, j)} if sign else {}
+    elif not rest:
+        # comb(j-m0-1, j) = comb(n, j), and second_sign is +1 for odd m0
+        # and -1 for even m0, rest being even
+        acc = {mono: v * comb(n, j) if m0 & 1 else -v * comb(n, j)
+               for j, mono, v in _contractions(sys, gi, mb)
+               if j == m0 + n + 1}
+    else:
+        w_rest, _, par_rest, gens_rest, _ = (grading.get(rest)
+                                             or _grade(sys, rest))
+        cross_sign = -1 if (sys.parity[gi] and par_rest) else 1
+        second_sign = cross_sign if m0 & 1 else -cross_sign
+        acc = {}
+        # first sum: apply_mode(phi, m0-j, nth(rest, mb, n+j)); the inner
+        # product vanishes once n+j passes the weight cutoff, and for every
+        # n+j >= 0 when no factor of rest contracts with mb (the zero
+        # lemma).  phi(m0-j) is a creation mode, so it is inserted in place
+        # by the Koszul rule
+        j_hi = w_rest + wb - 1 - n
+        if not gens_rest & partners_b:
+            j_hi = min(j_hi, -n - 1)
+        j = 0
+        while j <= j_hi:
+            inner = _nth_mono(sys, rest, mb, n + j)
+            if inner:
+                coeff = comb(j - m0 - 1, j)
+                mode = (gi, m0 - j)
+                for mono, v in inner.items():
+                    new, sign = koszul_insert(mono, mode, mode_parity)
+                    if sign:
+                        s = acc.get(new, 0) + sign * coeff * v
+                        if s:
+                            acc[new] = s
+                        else:
+                            acc.pop(new, None)
+            j += 1
 
-    # second sum: nth(rest, apply_mode(phi, j, mb), m0+n-j); only the
-    # partner modes of phi in mb contract, one monomial per depth j
-    for j, mono, v in _contractions(sys, gi, mb):
-        coeff = ((-1) ** (j & 1)) * binom(m0, j) * second_sign
-        axpy(acc, _nth_mono(sys, rest, mono, m0 + n - j), coeff * v)
+        # second sum: nth(rest, apply_mode(phi, j, mb), m0+n-j); only the
+        # partner modes of phi in mb contract, one monomial per depth j
+        for j, mono, v in _contractions(sys, gi, mb):
+            axpy(acc, _nth_mono(sys, rest, mono, m0 + n - j),
+                 comb(j - m0 - 1, j) * second_sign * v)
 
     # every monomial of a o_n b sits in weight wa+wb-n-1 and the additive
     # charge; this is the runtime homogeneity check
     expected_w, expected_c = wa + wb - n - 1, ca + cb
     for mono in acc:
-        w, c = _grade(sys, mono)[:2]
+        w, c = (grading.get(mono) or _grade(sys, mono))[:2]
         if w != expected_w or c != expected_c:
             raise RuntimeError(
                 f"inhomogeneous product: {mono} in {ma} o_{n} {mb}")
@@ -438,12 +490,12 @@ def _nth_mono(sys: SystemSpec, ma, mb, n: int) -> dict:
 def _product(a: State, b: State, n) -> State:
     """The sum of ma o_k mb over the terms ma of a and mb of b, with k = n,
     or k = wt(ma) - 1 when n is None.  This is the one integer pass of the
-    engine: each input is scaled to integers by `State.integral`, the
-    integer sum is da*db times the rational one, so a term vanishes at the
-    same step and the terms keep their order, and one QQ is formed per
-    output term.  A pair with k >= 0 past the weight cutoff or zero by the
-    zero lemma (`_nth_mono`) adds nothing and is skipped before the call,
-    each term's `_grade` looked up once."""
+    engine: it reads the integer forms (ia, da) and (ib, db) of its inputs
+    (`State.integral`), and the sum of ca*cb times the kernel's products
+    is da*db times the rational product, so it returns the state of that
+    integer form and forms no QQ.  A pair with k >= 0 past the weight
+    cutoff or zero by the zero lemma (`_nth_mono`) adds nothing and is
+    skipped before the call, each term's `_grade` looked up once."""
     _check_same_system(a, b)
     sys = a.sys
     ia, da = a.integral()
@@ -456,10 +508,7 @@ def _product(a: State, b: State, n) -> State:
         for mb, cb, (wb, _, _, _, partners_b) in right:
             if k < 0 or k < wa + wb and gens_a & partners_b:
                 axpy(out, _nth_mono(sys, ma, mb, k), ca * cb)
-    den = da * db
-    st = State(sys, {mono: QQ(c, den) for mono, c in out.items()})
-    st._integral = out, den
-    return st
+    return State(sys, integral=(out, da * db))
 
 
 def nth_product(a: State, b: State, n: int) -> State:
@@ -496,7 +545,7 @@ def derivative(a: State) -> State:
     implementations against each other."""
     ints, den = a.integral()
     out = apply_derivation(ints, a.sys.translation, a.sys.mode_parity)
-    return State(a.sys, {mono: QQ(c, den) for mono, c in out.items()})
+    return State(a.sys, integral=(out, den))
 
 
 def gradings(a: State):
@@ -504,9 +553,10 @@ def gradings(a: State):
     if a.is_zero():
         return 0, 0, 0
     sys = a.sys
-    weights = {mono_weight(sys, m) for m in a.terms}
-    charges = {mono_charge(sys, m) for m in a.terms}
-    degree = max(len(m) for m in a.terms)
+    monos = a._support()
+    weights = {mono_weight(sys, m) for m in monos}
+    charges = {mono_charge(sys, m) for m in monos}
+    degree = max(map(len, monos))
     w = weights.pop() if len(weights) == 1 else None
     c = charges.pop() if len(charges) == 1 else None
     return w, c, degree
@@ -523,7 +573,7 @@ def parity_of(a: State):
     """0/1 for parity-homogeneous states, None otherwise."""
     if a.is_zero():
         return 0
-    ps = {mono_parity(a.sys, m) for m in a.terms}
+    ps = {mono_parity(a.sys, m) for m in a._support()}
     return ps.pop() if len(ps) == 1 else None
 
 

@@ -92,6 +92,26 @@ def _check_group(group, where):
     return out
 
 
+# task options that list n distinct copies of the bosonic sector
+INDEX_OPTIONS = {"zhu_check": ("indices",),
+                 "counterexample_sec4": ("indices", "indices_primed")}
+
+
+def _check_indices(task, key, bosonic):
+    """task[key] must be a list of n distinct ints in 1..m, for (n, m)
+    the bosonic shape; a system without a bosonic sector takes none."""
+    name = f"{task['task']} option {key!r}"
+    if bosonic is None:
+        raise ScenarioError(f"{name} needs a bosonic sector")
+    n, m = bosonic
+    val = task[key]
+    if (not isinstance(val, list)
+            or any(type(i) is not int or not 1 <= i <= m for i in val)
+            or len(set(val)) != len(val) or len(val) != n):
+        raise ScenarioError(
+            f"{name} must be a list of {n} distinct integers in 1..{m}")
+
+
 def resolve_scenario(raw) -> dict:
     """Validate and fill defaults; raises ScenarioError on any problem."""
     if not isinstance(raw, dict):
@@ -129,6 +149,9 @@ def resolve_scenario(raw) -> dict:
                     or any(type(n) is not int or n < 0 for n in modes)):
                 raise ScenarioError(f"{t['task']} option 'modes' must be a "
                                     "non-empty list of non-negative integers")
+        for key in INDEX_OPTIONS.get(t["task"], ()):
+            if key in t:
+                _check_indices(t, key, resolved["system"]["bosonic"])
         if "family" in t:
             t = dict(t)
             t["family"] = _check_group(t["family"], "task.family")

@@ -165,6 +165,22 @@ def integral(vec: dict):
             for k, c in vec.items()}, den
 
 
+def common_denominator(da: int, db: int, scale=1) -> tuple:
+    """(ka, kb, den) with x/da + scale*y/db = (ka*x + kb*y)/den for every
+    x and y, for positive int da and db and an int or rational scale =
+    p/q in lowest terms: den = lcm(da, q*db), ka = den/da and kb =
+    p*den/(q*db), all ints.  This is `integral`'s rule for the sum of two
+    integer forms."""
+    if type(scale) is int:
+        p, q = scale, 1
+    else:
+        scale = QQ(scale)
+        p, q = int(scale.numerator), int(scale.denominator)
+    qdb = q * db
+    den = lcm(da, qdb)
+    return den // da, p * (den // qdb), den
+
+
 def _eliminate(vec: dict, row: dict, p) -> tuple:
     """The fraction-free step (Bareiss 1968): vec = a*vec - b*row in
     place, with a = row[p]/g and b = vec[p]/g for g = gcd(row[p], vec[p]),

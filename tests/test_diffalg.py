@@ -10,6 +10,7 @@ import pytest
 from conftest import generator_state
 from reference_elimination import reference_nullspace
 
+from freefield import diffalg
 from freefield.constructions import (build_system, det_family, symbol_generators,
                                      theta)
 from freefield.diffalg import (
@@ -782,6 +783,29 @@ def test_one_walk_over_degrees_matches_each_degree(space_name, with_torus):
         # a window that starts above 0 drops the lower degrees only
         assert _decoded(space, weight, 2, torus, maxdeg) == [
             m for m in walk if len(m) >= 2]
+
+
+@pytest.mark.parametrize("kind, dims", [("sl", (2,)), ("so", (3,)),
+                                        ("gl", (2,))])
+def test_bidegree_dims_finds_simple_root_vectors_once(kind, dims,
+                                                      monkeypatch):
+    # one root cut per call, not one per weight, with the dimensions of
+    # invariant_basis cutting its own pairs at each weight
+    A = make_algebra(kind, *dims)
+    space = varspace_for_system(build_system(bosonic=(A.rep_dim, 1)))
+    want: dict = {}
+    for w in range(4):
+        solved = make_algebra("so_split", *dims) if kind == "so" else A
+        for d, size, dim in invariant_basis(space, solved, w, 4, 10 ** 6):
+            if dim:
+                want[f"{w},{d}"] = want.get(f"{w},{d}", 0) + size * dim
+    calls = []
+    real = diffalg.simple_root_vectors
+    monkeypatch.setattr(diffalg, "simple_root_vectors",
+                        lambda B: calls.append(B.kind) or real(B))
+    inv, _ = bidegree_dims(space, A, [], 3, 4, 10 ** 6)
+    assert calls == ["so_split" if kind == "so" else kind]
+    assert inv == want and any(key.startswith("3,") for key in inv)
 
 
 @pytest.mark.parametrize("n, maxdeg", [(3, 4), (4, 4), (5, 3)])

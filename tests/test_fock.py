@@ -19,6 +19,7 @@ from freefield.fock import (
 )
 from freefield.diffalg import symbol
 from freefield.linalg import axpy
+from freefield.properties import run_property_suite
 from freefield.rationals import QQ
 
 
@@ -646,3 +647,95 @@ def test_cache_cap_zero_keeps_nothing_and_changes_no_product(monkeypatch):
             mono_weight(off, mono)
     assert default._nth_cache and default._grading
     assert off._nth_cache == {} and off._grading == {}
+
+
+# -- state arithmetic on integer forms against QQ dicts -----------------------
+
+
+def _dict_add(u, v, scale=1):
+    # u + scale*v over plain QQ dicts, zeros dropped
+    out = dict(u)
+    for mono, c in v.items():
+        out[mono] = out.get(mono, QQ(0)) + QQ(scale) * c
+    return {mono: c for mono, c in out.items() if c}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_state_arithmetic_matches_qq_dicts(shape):
+    sys_ = build_system(**SHAPES[shape])
+    rng = random.Random(2929)
+    given = [_random_state(sys_, rng) for _ in range(8)]
+    # states built from integer forms: products, their derivatives and
+    # mode images, with dens > 1 from the inputs
+    built = [nth_product(a, b, n) for a, b, n in zip(given, reversed(given),
+                                                     (-1, -2, 0, -1))]
+    built += [derivative(built[0]), apply_mode(sys_.generators[0], -1,
+                                               given[1])]
+    states = [s for s in given + built if not s.is_zero()]
+    assert len(states) > 10 and any(s.integral()[1] > 1 for s in built)
+    scales = [0, 1, -1, 3, QQ(1, 2), QQ(-5, 6), QQ(7, 3), QQ(-4)]
+    for a in states:
+        for b in states[:6]:
+            for c in scales:
+                for got, want in ((a.add(b, c), _dict_add(a.terms, b.terms, c)),
+                                  (a.sub(b), _dict_add(a.terms, b.terms, -1)),
+                                  (a.scale(c), _dict_add({}, a.terms, c))):
+                    assert got.terms == want, (a, b, c)
+                    assert all(type(v) is QQ for v in got.terms.values())
+                    assert got.is_zero() == (not want)
+                    ref = fock.State(sys_, want)
+                    assert got == ref and ref == got
+                    assert (got == a) == (want == a.terms)
+                    # the round trip through the integer form
+                    ints, den = got.integral()
+                    assert den > 0 and all(type(v) is int for v in ints.values())
+                    assert {m: QQ(v, den) for m, v in ints.items()} == want
+                    assert fock.State(sys_, integral=(ints, den)) == got
+        assert a.sub(a).is_zero() and a.sub(a) == zero(sys_)
+        assert a.scale(0).is_zero() and a.scale(0).terms == {}
+    # chained sums that cancel to zero, in another order
+    coeffs = [rng.choice(scales[1:]) for _ in states]
+    total = zero(sys_)
+    for s, c in zip(states, coeffs):
+        total = total.add(s, c)
+    assert not total.is_zero()
+    for s, c in reversed(list(zip(states, coeffs))):
+        total = total.sub(s.scale(c))
+    assert total.is_zero() and total == zero(sys_) and total.terms == {}
+    with pytest.raises(AttributeError):
+        total.terms = {}
+
+
+def test_nth_mono_never_gets_an_empty_first_factor(monkeypatch):
+    # one-mode first factors are in closed form, so the recursion never
+    # reaches ma = (); a vacuum first factor reaches the kernel only from
+    # a caller, as in the property suite's pull-off check
+    real = fock._nth_mono
+    calls = []
+    depth = [0]
+
+    def spy(sys_, ma, mb, n):
+        calls.append((depth[0], ma))
+        depth[0] += 1
+        try:
+            return real(sys_, ma, mb, n)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(fock, "_nth_mono", spy)
+    sys_ = mixed_system()
+    rng = random.Random(88)
+    states = [s for s in (_random_state(sys_, rng) for _ in range(30))
+              if () not in s.terms][:12]
+    for a in states:
+        for b in states:
+            for n in range(-3, _top_weight(a) + _top_weight(b)):
+                nth_product(a, b, n)
+    assert all(ma for _, ma in calls)
+    assert {len(ma) for _, ma in calls} >= {1, 2, 3}
+    assert any(d and len(ma) == 1 for d, ma in calls)
+    calls.clear()
+    report = run_property_suite(seed=3, instances=60)
+    assert not any(entry["failures"] for entry in report.values())
+    assert any(not ma for d, ma in calls if not d)
+    assert all(ma for d, ma in calls if d)

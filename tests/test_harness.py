@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -28,6 +29,22 @@ def test_resolve_fills_defaults():
     assert res["bounds"] == DEFAULT_BOUNDS
     assert res["system"]["fermionic"] is None
     assert res["group"]["family"] == "theta"
+
+
+# copy-index options that are no list of n distinct ints in 1..m, for
+# (n, m) = system.bosonic, and one on a system without a bosonic sector
+BAD_INDEX_OPTIONS = [
+    (tiny_affine(system={"bosonic": [2, 2]}, tasks=[
+        {"task": task, key: value}]),
+     f"{task} option {key!r} must be a list of 2 distinct integers in 1..2")
+    for task, key in (("zhu_check", "indices"),
+                      ("counterexample_sec4", "indices"),
+                      ("counterexample_sec4", "indices_primed"))
+    for value in ([1, 5], [0, 1], [], "x", [1, True], [1, 1], [1, 2, 1],
+                  [1], [1.0, 2], {"1": 2})] + [
+    (tiny_affine(system={"fermionic": [1, 1]}, tasks=[
+        {"task": "zhu_check", "indices": [1]}]),
+     "zhu_check option 'indices' needs a bosonic sector")]
 
 
 def test_resolve_rejects_bad_configs():
@@ -69,6 +86,18 @@ def test_resolve_rejects_bad_configs():
         with pytest.raises(ScenarioError, match="option 'modes' must be"):
             resolve_scenario(tiny_affine(tasks=[
                 {"task": "counterexample_so4", "modes": modes}]))
+    # copy indices: a list of n distinct ints in 1..m for the bosonic
+    # shape (n, m); [1, 5] and [0, 1] ended as KeyError task errors after
+    # compute, "x" as a ValueError one, and counterexample_sec4 took []
+    # for the default
+    for raw, message in BAD_INDEX_OPTIONS:
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            resolve_scenario(raw)
+    for task in ({"task": "zhu_check", "indices": [2, 1]},
+                 {"task": "counterexample_sec4", "indices": [2, 1],
+                  "indices_primed": [1, 2]}):
+        resolve_scenario(tiny_affine(system={"bosonic": [2, 3]},
+                                     tasks=[task]))
     # JSON true and false are not integers
     for raw in (tiny_affine(system={"bosonic": [True, 2]}),
                 tiny_affine(group={"kind": "gl", "rank": True}),
@@ -356,7 +385,9 @@ def test_cli_exit_two_on_config_error(tmp_path, capsys, monkeypatch):
          "unknown current family {'a': 1}")] + [
         (tiny_affine(tasks=[{"task": "counterexample_so4", "modes": modes}]),
          "counterexample_so4 option 'modes' must be a non-empty list of "
-         "non-negative integers") for modes in ([-3], [], "x", [0, True])]
+         "non-negative integers") for modes in ([-3], [], "x", [0, True])] + [
+        case for case in BAD_INDEX_OPTIONS
+        if case[0]["tasks"][0].get("indices") in ([1, 5], "x", [1])]
     for raw, message in cases:
         spath = write_scenario(tmp_path, raw)
         for extra in ([], ["--max-weight", "2", "--max-degree", "2",
@@ -447,8 +478,6 @@ MALFORMED_TASKS = [
     ({"bosonic": [1, 1]}, {"kind": "gl", "rank": 1, "side": "right"},
      {"task": "commutant_check", "candidates": [{"kind": "state"}]},
      "KeyError"),
-    ({"bosonic": [2, 2]}, None,
-     {"task": "counterexample_sec4", "indices": [1, 5]}, "KeyError"),
 ]
 
 # task options that count samples or bound a search: each case passed
