@@ -478,6 +478,12 @@ MALFORMED_TASKS = [
     ({"bosonic": [1, 1]}, {"kind": "gl", "rank": 1, "side": "right"},
      {"task": "commutant_check", "candidates": [{"kind": "state"}]},
      "KeyError"),
+    # candidate copy indices are not checked at resolve time: one out of
+    # range ends as a task error when the candidate is built
+    ({"bosonic": [2, 2]}, None,
+     {"task": "commutant_check",
+      "family": {"kind": "gl", "rank": 2, "side": "right"},
+      "candidates": [{"kind": "det", "indices": [1, 5]}]}, "KeyError"),
 ]
 
 # task options that count samples or bound a search: each case passed
