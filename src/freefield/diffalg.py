@@ -61,7 +61,7 @@ def abstract_var(name: str, order: int, parity: int, weight: int) -> DV:
 # -- polynomial arithmetic --------------------------------------------------
 
 # a variable's parity, for the Koszul rule, and its (family, copy), for
-# `_block_key`; `_coding` gives both as lookups by int code
+# `_block_key`; `coding` gives both as lookups by int code
 _parity = attrgetter("parity")
 _run = itemgetter(0, 1)
 
@@ -179,36 +179,40 @@ class JetImages(Images):
     """The `linalg.Images` of one xi t^r: variable -> its `_var_images`.
     columns maps each variable family to the matrix of xi on that family's
     coordinate labels (column index = source coordinate, 1-based shift),
-    indexed by column as `VarSpace.action_for` gives it.  Given variables,
-    a sorted list, it is keyed by int code instead, a variable's index
-    there (`_coding`), and the images are coded too."""
+    indexed by column as `VarSpace.action_for` gives it.  Given code, the
+    `coding` map of a sorted variable list, it is keyed by int code
+    instead, and the images are coded too: a KeyError for an image outside
+    that list."""
 
-    def __init__(self, columns: dict, r: int, variables=None):
+    def __init__(self, columns: dict, r: int, code=None):
         if r < 0:
             raise ValueError("need r >= 0")
-        if variables is None:
+        if code is None:
             super().__init__(lambda v: _var_images(columns, r, v))
         else:
+            variables = list(code)
             super().__init__(lambda i: [
-                (bisect_left(variables, w), e)
-                for w, e in _var_images(columns, r, variables[i])])
+                (code[w], e) for w, e in _var_images(columns, r, variables[i])])
 
 
-def lie_jet_action(images: JetImages, p: dict) -> dict:
+def lie_jet_action(images: JetImages, p: dict, parity=_parity) -> dict:
     """xi t^r acting as an even derivation: v^{(i)} -> lambda^r_i (M v)^{(i-r)},
-    with images the `JetImages` of xi t^r."""
-    return apply_derivation(p, images, _parity)
+    with images the `JetImages` of xi t^r and parity that of a variable,
+    or of an int code (`coding`) for coded tables."""
+    return apply_derivation(p, images, parity)
 
 
-def _integer_matrices(mats: dict) -> dict:
-    """mats, from `VarSpace.action_for`, scaled by one integer, as int
-    matrices: the same kernel, with integer equations.  The families go
-    through one `linalg.integral`, flattened into one dict, so they share
-    that scale."""
-    flat, _ = integral({(fam, col, row): x for fam, M in mats.items()
-                        for col, entries in M.items() for row, x in entries})
+def integer_matrices(mats: dict) -> tuple:
+    """(int matrices, scale): mats, from `VarSpace.action_for`, times the
+    one positive integer scale that clears their denominators, so the same
+    kernel, with integer equations.  The families go through one
+    `linalg.integral`, flattened into one dict, so they share that scale."""
+    flat, scale = integral({(fam, col, row): x for fam, M in mats.items()
+                            for col, entries in M.items()
+                            for row, x in entries})
     return {fam: {col: [(row, flat[fam, col, row]) for row, _ in entries]
-                  for col, entries in M.items()} for fam, M in mats.items()}
+                  for col, entries in M.items()}
+            for fam, M in mats.items()}, scale
 
 
 # -- bidegree components and invariants -------------------------------------
@@ -403,7 +407,7 @@ def enumerate_component(space: VarSpace, weight: int, degree: int,
     """The canonical monomials of weight `weight` and of a degree from
     `degree` to `maxdeg` (just `degree` when maxdeg is None) that lie in
     the representative block of their copy orbit, sorted, as index tuples
-    into `space.variables(weight)` (`_coding`): the `graded_multisets` of
+    into `space.variables(weight)` (`coding`): the `graded_multisets` of
     the variables, each of degree 1, given their (family, copy), so the
     cut is made inside the walk.  A monomial comes before its extensions,
     so the monomials of one degree keep, in a range, the order they have
@@ -430,7 +434,7 @@ class ResourceCapError(RuntimeError):
         self.size = size
 
 
-def _coding(variables) -> tuple:
+def coding(variables) -> tuple:
     """(code, parity, run) for the sorted list variables: code maps each to
     its index, its int code, and parity and run look up a code's parity and
     (family, copy).  Codes compare as their variables do, so routines on
@@ -593,7 +597,7 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     read off the h t^0, which lie in g[t]; only the images the torus
     search reads are built for the h t^0 that are not generators.
 
-    The solve runs on int codes (`_coding` of the variables): the columns,
+    The solve runs on int codes (`coding` of the variables): the columns,
     which `enumerate_component` gives as codes, the `JetImages` tables
     keyed by code, the rows and the block keys.  Codes compare as their
     variables do, so every block keeps its key order.
@@ -627,11 +631,11 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
                                 weight, maxdeg):
         if size > cap:
             raise ResourceCapError(cap, size)
-    columns = [_integer_matrices(space.action_for(A, i))
+    columns = [integer_matrices(space.action_for(A, i))[0]
                for i in range(A.dim)]
     torus_ops = [(i, 0) for i in range(A.dim)]
-    code, parity, run = _coding(variables)
-    tables = {(i, r): JetImages(columns[i], r, variables)
+    code, parity, run = coding(variables)
+    tables = {(i, r): JetImages(columns[i], r, code)
               for i, r in [*torus_ops, *gens]}
     copies = {f.family: f.copies for f in space.families}
 
@@ -731,7 +735,7 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000,
     have the given weight, and those of degree d lie in the monomials of
     length d; so the span splits by degree.  Only the rank is needed, so
     the products go to `linalg.pivot_columns`, per degree and block.  The
-    derived generators are coded once (`_coding` of the variables they
+    derived generators are coded once (`coding` of the variables they
     use) and multiplied and ranked as int monomials.
 
     Blocks: D and the product never move a factor across families or
@@ -789,8 +793,8 @@ def generated_span(gens, weight: int, maxdeg: int, cap: int = 20000,
                 counts[fc] = counts.get(fc, 0) + n
         return tuple(sorted(counts.items()))
 
-    code, parity, _ = _coding(sorted({v for _, _, g in derived
-                                      for m in g for v in m}))
+    code, parity, _ = coding(sorted({v for _, _, g in derived
+                                     for m in g for v in m}))
     polys = [{tuple(map(code.__getitem__, m)): c for m, c in g.items()}
              for _, _, g in derived]
     tuples = _capped(graded_multisets([a for a, _, _ in derived], weight, 0,

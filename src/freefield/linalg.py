@@ -171,11 +171,8 @@ def common_denominator(da: int, db: int, scale=1) -> tuple:
     p/q in lowest terms: den = lcm(da, q*db), ka = den/da and kb =
     p*den/(q*db), all ints.  This is `integral`'s rule for the sum of two
     integer forms."""
-    if type(scale) is int:
-        p, q = scale, 1
-    else:
-        scale = QQ(scale)
-        p, q = int(scale.numerator), int(scale.denominator)
+    p, q = ((scale, 1) if type(scale) is int
+            else (int(scale.numerator), int(scale.denominator)))
     qdb = q * db
     den = lcm(da, qdb)
     return den // da, p * (den // qdb), den

@@ -6,19 +6,22 @@ product recursion, derivation laws for the translation operator,
 weight/charge additivity, and filtration degree bounds.  Every check
 returns (ok, witness); run_property_suite drives all six from one seed
 and is shared by the test suite and the verification harness.  Two more
-seeded checks tie the engine to the jet action (jet_equivariance) and to
-Zhu's algebra (zhu_star_check).
+seeded checks tie the engine to the jet action (jet_equivariance, on
+integers, once per distinct sampled monomial, both sides scaled by the k!
+of each monomial's factors) and to Zhu's algebra (zhu_star_check).
 """
 
 import random
-from math import factorial
+from math import factorial, prod
 
 from .rationals import QQ
 from .fock import (State, apply_mode, binom, derivative, gradings,
                    monomial_state, nth_product, parity_of, state_to_text,
                    state_weight, vacuum)
 from .constructions import build_system
-from .diffalg import JetImages, lie_jet_action, symbol, varspace_for_system
+from .diffalg import (JetImages, coding, integer_matrices, lie_jet_action,
+                      symbol, symbol_var, varspace_for_system)
+from .linalg import koszul_sort
 from .weyl import zhu_star, zhu_zero_mode
 
 
@@ -221,25 +224,68 @@ def jet_equivariance(F, seed: int, samples: int) -> tuple:
     symbol(v, deg v) for every basis xi of the left family F, r = 0, 1, 2
     and `samples` random monomials v drawn from the seed.  Returns (number
     of failures, the first as (label, r, v, engine side, jet side) or
-    None)."""
-    space = varspace_for_system(F.sys)
+    None).
+
+    Both sides are linear in v, so v = c*m passes where its unit monomial
+    m does: each distinct m is checked once, and its failures count again
+    for each sample that repeats it.  The symbol of m is sign/P(m) times
+    its sorted variables, P the product of the k! of the factors' orders
+    k.  Scaling each monomial K by P(K), a bijection on polynomials, takes
+    the engine side, ints/den = theta o_r m, to lhs[K]/den at the K of
+    each top-degree m', lhs[K] = sign*ints[m'], and the jet side to
+    rhs[K]*P(K)/(s*P(m)), rhs the tables of s times xi t^r
+    (`integer_matrices`) applied to sign times m's sorted variables.  So
+    the sides agree when they have the same monomials and
+    lhs*P(m)*s == rhs*den*P(K) on each.  The variables are int codes
+    (`coding`) of the symbol variables of orders 0..2, the sampler's, and
+    of their images under each xi t^r, which for a left family are among
+    them."""
+    sys, A = F.sys, F.algebra
+    space = varspace_for_system(sys)
+    mats = [integer_matrices(space.action_for(A, i)) for i in range(A.dim)]
+    base = {(g.index, -k - 1): symbol_var(g.family, g.copy, g.coord, k)
+            for g in sys.generators for k in range(3)}
+    code, parity, _ = coding(sorted(set(base.values()).union(
+        w for cols, _ in mats for r in range(3) for v in base.values()
+        for w, _ in JetImages(cols, r)[v])))
+    mode_code = {md: code[v] for md, v in base.items()}.__getitem__
+    fact = [factorial(v.order) for v in code].__getitem__
+    checks = [(i, th, s, r, JetImages(cols, r, code))
+              for i, (th, (cols, s)) in enumerate(zip(F.states, mats))
+              for r in range(3)]
     rng = random.Random(seed)
-    # one table per (basis element, r), read by every sample
-    actions = [[JetImages(space.action_for(F.algebra, idx), r)
-                for r in range(3)] for idx in range(F.algebra.dim)]
+    memo: dict = {}  # monomial -> its failing (current index, r)
     failures, witness = 0, None
     for _ in range(samples):
-        v = random_monomial(F.sys, rng, max_len=3, max_depth=2)
-        _, _, dv = gradings(v)
-        sym_v = symbol(v, dv)
-        for (lab, th), tables in zip(F.items(), actions):
-            for r, images in enumerate(tables):
-                lhs = symbol(nth_product(th, v, r), dv)
-                rhs = lie_jet_action(images, sym_v)
-                if lhs != rhs:
-                    failures += 1
-                    if witness is None:
-                        witness = (lab, r, v, lhs, rhs)
+        v = random_monomial(sys, rng, max_len=3, max_depth=2)
+        (mono,) = v.terms
+        dv, bad = len(mono), memo.get(mono)
+        if bad is None:
+            bad = memo[mono] = []
+            km, sign = koszul_sort(list(map(mode_code, mono)), parity)
+            pm, unit = prod(map(fact, km)), State(sys, integral=({mono: 1}, 1))
+            for i, th, s, r, images in checks:
+                ints, den = nth_product(th, unit, r).integral()
+                lhs = {}
+                for m, c in ints.items():
+                    if len(m) > dv:
+                        raise ValueError(
+                            f"degree {len(m)} exceeds symbol degree {dv}")
+                    if len(m) == dv:
+                        k, sk = koszul_sort(list(map(mode_code, m)), parity)
+                        lhs[k] = sk * c * pm * s
+                rhs = lie_jet_action(images, {km: sign}, parity)
+                if lhs.keys() != rhs.keys() or any(
+                        c != rhs[k] * den * prod(map(fact, k))
+                        for k, c in lhs.items()):
+                    bad.append((i, r))
+        failures += len(bad)
+        if bad and witness is None:  # the report shows it over QQ
+            i, r = bad[0]
+            witness = (A.labels[i], r, v,
+                       symbol(nth_product(F.states[i], v, r), dv),
+                       lie_jet_action(JetImages(space.action_for(A, i), r),
+                                      symbol(v, dv)))
     return failures, witness
 
 

@@ -15,7 +15,7 @@ from freefield.constructions import (build_system, det_family, symbol_generators
                                      theta)
 from freefield.diffalg import (
     FamilyDecl, JetImages, ResourceCapError, VarSpace, _block_key, _parity,
-    _coding, _copy_orbits, _integer_matrices, _orbit_size, _products,
+    coding, _copy_orbits, integer_matrices, _orbit_size, _products,
     abstract_var, apply_D, bidegree_dims, diff_add,
     diff_bidegree, diff_mul, diff_sub, diff_to_text, enumerate_component,
     _var_images, generated_span, graded_multisets, invariant_basis,
@@ -104,6 +104,45 @@ def test_lie_jet_action_matches_engine_symbol():
             lhs = symbol(nth_product(F.states[idx], v, r), dv)
             rhs = lie_jet_action(JetImages(space.action_for(A, idx), r), sv)
             assert lhs == rhs, (idx, r)
+
+
+@pytest.mark.parametrize("shape", [
+    {"bosonic": (2, 2)}, {"fermionic": (2, 2)},
+    {"bosonic": (2, 1), "fermionic": (2, 1)}],
+    ids=["bosonic", "fermionic", "mixed"])
+def test_lie_jet_action_on_int_codes_matches_variables(shape):
+    # coded tables with a parity list, decoded, give the DV result; on the
+    # integer matrices they give it times their scale
+    space = varspace_for_system(build_system(**shape))
+    A = make_algebra("sl", 2)
+    variables = space.variables(3)
+    code, parity, _ = coding(variables)
+    rng = random.Random(5)
+    polys = []
+    for _ in range(12):
+        p: dict = {}
+        for _ in range(3):
+            factors = rng.sample(variables, rng.randrange(1, 4))
+            axpy(p, monomial_from_factors(factors, QQ(rng.randrange(1, 9), 3)))
+        polys.append(p)
+    for idx in range(A.dim):
+        mats = space.action_for(A, idx)
+        ints, scale = integer_matrices(mats)
+        assert scale >= 1 and all(
+            type(x) is int for M in ints.values()
+            for entries in M.values() for _, x in entries)
+        for r in (0, 1, 2):
+            coded = JetImages(mats, r, code)
+            coded_int = JetImages(ints, r, code)
+            for p in polys:
+                want = lie_jet_action(JetImages(mats, r), p)
+                cp = {tuple(map(code.__getitem__, m)): c for m, c in p.items()}
+                got = lie_jet_action(coded, cp, parity)
+                assert {tuple(variables[i] for i in m): c
+                        for m, c in got.items()} == want, (idx, r)
+                got = lie_jet_action(coded_int, cp, parity)
+                assert {tuple(variables[i] for i in m): QQ(c, scale)
+                        for m, c in got.items()} == want, (idx, r)
 
 
 def test_invariant_basis_plain_sl2_minors():
@@ -547,7 +586,8 @@ def _dv_invariant_basis(space, A, weight, maxdeg):
     """invariant_basis on the variables themselves, uncoded: the same
     driver fed DV columns, DV image tables and DV block keys."""
     gens = current_generators(A, weight)
-    columns = [_integer_matrices(space.action_for(A, i)) for i in range(A.dim)]
+    columns = [integer_matrices(space.action_for(A, i))[0]
+               for i in range(A.dim)]
     torus_ops = [(i, 0) for i in range(A.dim)]
     tables = {op: JetImages(columns[op[0]], op[1]) for op in torus_ops + gens}
     copies = {f.family: f.copies for f in space.families}
@@ -690,7 +730,7 @@ def test_coding_keeps_monomial_order():
     # random monomials of a mixed space, odd repeats included
     rng = random.Random(11)
     vs = _mixed_space(2).variables(2)
-    code, parity, run = _coding(vs)
+    code, parity, run = coding(vs)
     assert [code[v] for v in vs] == list(range(len(vs)))
     monos = [tuple(rng.choice(vs) for _ in range(rng.randint(0, 4)))
              for _ in range(300)]
