@@ -31,17 +31,13 @@ def main(argv=None) -> int:
         print(f"configuration error: cannot read scenario: {e}",
               file=sys.stderr)
         return 2
-    if not isinstance(raw, dict):
-        print("configuration error: scenario must be a JSON object",
-              file=sys.stderr)
-        return 2
     overrides = {key: val for key, val in (("max_weight", args.max_weight),
                                            ("max_degree", args.max_degree),
                                            ("seed", args.seed))
                  if val is not None}
-    # bounds that are not an object go on unchanged, for resolve_scenario
-    # to reject
-    bounds = raw.get("bounds") or {}
+    # a scenario or bounds that is not an object goes on unchanged, for
+    # resolve_scenario to reject
+    bounds = (raw.get("bounds") or {}) if isinstance(raw, dict) else None
     if overrides and isinstance(bounds, dict):
         raw = dict(raw, bounds={**bounds, **overrides})
 

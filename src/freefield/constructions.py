@@ -506,12 +506,14 @@ def _copy_charge_key(sys, mono):
 
 
 def _products(F: CurrentFamily, v: State, modes):
-    """Every term of th o_n v as ((label, n, monomial), coefficient), for
-    each current th of F and each n in modes."""
+    """Every term of th o_n v as ((label, n, monomial), c), for each
+    current th of F and each n in modes: c is an int of the product's
+    integer form (`State.integral`), whose den is th's den times v's, so
+    c is den(th) den(v) times the coefficient."""
     for lab, th in F.items():
         for n in modes:
-            for tm, tc in nth_product(th, v, n).terms.items():
-                yield (lab, n, tm), tc
+            for tm, c in nth_product(th, v, n).integral()[0].items():
+                yield (lab, n, tm), c
 
 
 def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
@@ -542,7 +544,7 @@ def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
         raise ResourceCapError(cap, size)
 
     def image(mono, ops):
-        v = State(sys, {mono: ONE})
+        v = State(sys, {mono: 1})
         return [nth_product(F.states[i], v, n).integral()[0] for i, n in ops]
 
     block = ((lambda mo: _copy_charge_key(sys, mo)) if F.side == "left"
@@ -565,6 +567,11 @@ def invariant_lift_search(F: CurrentFamily, target: State, maxdeg: int,
     the target's charge block without losing solutions; corrections outside
     the block satisfy a homogeneous system on their own.  Returns a report
     with feasibility, the coefficient rank and the system size.
+
+    The rows are those of `_products`: each belongs to one current th and
+    is scaled by den(th), so a unit monomial's entry is an int and the
+    right-hand side is -c/den(target).  Scaling rows keeps the reduced
+    echelon rows, and so the solution and the rank.
     """
     sys = F.sys
     w, ch, _ = gradings(target)
@@ -572,16 +579,17 @@ def invariant_lift_search(F: CurrentFamily, target: State, maxdeg: int,
         raise ValueError("target must be weight and charge homogeneous")
     cands = component_monomials(sys, w, maxdeg, charge=ch)
     if F.side == "left":
-        keys = {_copy_charge_key(sys, mo) for mo in target.terms}
+        keys = {_copy_charge_key(sys, mo) for mo in target.integral()[0]}
         if len(keys) == 1:
             key = keys.pop()
             cands = [mo for mo in cands if _copy_charge_key(sys, mo) == key]
     if len(cands) > cap:
         raise ResourceCapError(cap, len(cands))
-    rows = {key: [{}, -c] for key, c in _products(F, target, modes)}
+    den = target.integral()[1]
+    rows = {key: [{}, QQ(-c, den)] for key, c in _products(F, target, modes)}
     for mo in cands:
-        for key, c in _products(F, State(sys, {mo: ONE}), modes):
-            rows.setdefault(key, [{}, ZERO])[0][mo] = c  # [equation, rhs]
+        for key, c in _products(F, State(sys, {mo: 1}), modes):
+            rows.setdefault(key, [{}, 0])[0][mo] = c  # [equation, rhs]
     sol, rank = solve_affine([eq for eq, _ in rows.values()],
                              [b for _, b in rows.values()], cands)
     report = {

@@ -927,7 +927,7 @@ def wick_expand(p: dict, base, sys: fock.SystemSpec) -> fock.State:
     """Replace each monomial of p by the right-nested Wick product of its
     factors in canonical order, the factor v becoming d^(v.order) applied
     to the state base(v); the empty monomial becomes the vacuum."""
-    out: dict = {}
+    out = fock.zero(sys)
     for mono, c in p.items():
         factors = []
         for v in mono:
@@ -936,8 +936,8 @@ def wick_expand(p: dict, base, sys: fock.SystemSpec) -> fock.State:
                 st = fock.derivative(st)
             factors.append(st)
         term = fock.wick(factors) if factors else fock.vacuum(sys)
-        axpy(out, term.terms, c)
-    return fock.State(sys, out)
+        out = out.add(term, c)
+    return out
 
 
 class QCResult(NamedTuple):

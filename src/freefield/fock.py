@@ -24,15 +24,15 @@ it, and it is neither built nor cached.  Annihilation modes act through
 The kernel is integral: every coefficient of the recursion is a
 generalized binomial times a +-1 contraction or Koszul sign, so
 `_apply_mode_mono`, `_nth_mono` and the per-system product cache work in
-`int`.  So does state arithmetic.  A `State` holds an integer form
-(ints, den), its terms being ints/den.  `_product` (behind `nth_product`
-and Zhu's zero mode `zhu_zero_mode`, the mode a(wt-1) of each monomial
-of a), `apply_mode` and `derivative` run over `State.integral` of their
-inputs and return states built from their integer sums.  `scale`, `add`
-and `sub` combine integer forms over a common denominator
-(`linalg.common_denominator`); `is_zero`, `==`, `gradings` and
-`parity_of` read either form.  Rationals are formed only when
-`State.terms` is read, one QQ per term, kept on the state.
+`int`.  So does state arithmetic.  A `State` stores one form, its
+integer form (ints, den), its terms being ints/den.  `_product` (behind
+`nth_product` and Zhu's zero mode `zhu_zero_mode`, the mode a(wt-1) of
+each monomial of a), `apply_mode` and `derivative` run over
+`State.integral` of their inputs and return states built from their
+integer sums.  `scale`, `add` and `sub` combine integer forms over a
+common denominator (`linalg.common_denominator`).  Rationals are formed
+only when `State.terms` is read, one QQ per term, kept on the state:
+for text, symbols and levels.
 """
 
 from __future__ import annotations
@@ -41,8 +41,9 @@ import os
 from bisect import bisect_left
 from math import comb, factorial
 
+from . import linalg
 from .linalg import (Images, apply_derivation, axpy, common_denominator,
-                     integral, koszul_insert, koszul_sort)
+                     koszul_insert, koszul_sort)
 from .rationals import QQ, qstr, parse_qstr
 
 # family -> (parity, conformal weight, charge) of its generator fields
@@ -77,15 +78,16 @@ class GeneratorId:
         return self.token()
 
 
-def _cache_cap() -> int:
-    """FREEFIELD_CACHE_CAP, the most entries the product cache and the
-    grading memo of one system each keep (default 1000000, 0 turns both
-    off); ValueError naming the variable when it is not a non-negative
-    integer."""
-    raw = os.environ.get("FREEFIELD_CACHE_CAP", "1000000")
-    if not raw.isdecimal():
-        raise ValueError(
-            f"FREEFIELD_CACHE_CAP must be a non-negative integer, got {raw!r}")
+def env_int(name: str, default, expected: str):
+    """The environment variable name as an int, default when it is unset.
+    Its value must be ASCII decimal digits only, so no sign, space,
+    underscore or other script's digit; ValueError "{name} must be
+    {expected}, got {value!r}" otherwise."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    if not (raw.isascii() and raw.isdecimal()):
+        raise ValueError(f"{name} must be {expected}, got {raw!r}")
     return int(raw)
 
 
@@ -144,7 +146,10 @@ class SystemSpec:
         # monomial -> (weight, charge, parity, generator mask, partner
         # mask), filled by `_grade`
         self._grading: dict = {}
-        self._cache_cap = _cache_cap()
+        # the most entries the product cache and the grading memo each
+        # keep; 0 turns both off
+        self._cache_cap = env_int("FREEFIELD_CACHE_CAP", 1000000,
+                                  "a non-negative integer")
 
     def gen(self, family: str, copy: int, coord: int) -> GeneratorId:
         key = (family, copy, coord)
@@ -164,24 +169,25 @@ class State:
     A monomial is a tuple of modes (generator index, m <= -1) sorted
     ascending by (index, m); the empty tuple is the vacuum.
 
-    A state is given by its terms, State(sys, {mono: QQ}), or by an
-    integer form, State(sys, integral=(ints, den)), terms = ints/den for a
-    positive int den.  Each form is built from the other on first use and
-    kept; arithmetic runs on the integer forms.
+    A state stores one form, its integer form (ints, den): an int per
+    monomial and a positive int den, the terms being ints/den.
+    State(sys, {mono: QQ}) clears the denominators of its terms once
+    (`linalg.integral`); State(sys, integral=(ints, den)) takes the form
+    as it is.  `terms` is a read-only QQ view of it.
     """
 
-    __slots__ = ("sys", "_terms", "_integral")
+    __slots__ = ("sys", "_integral", "_terms")
 
     def __init__(self, sys: SystemSpec, terms: dict | None = None,
                  integral=None):
         self.sys = sys
-        self._terms = None if integral else terms or {}
-        self._integral = integral
+        self._integral = integral or linalg.integral(terms or {})
+        self._terms = None
 
     @property
     def terms(self) -> dict:
         """monomial -> QQ, read-only: formed from the integer form, one QQ
-        per term, when the state was built from one."""
+        per term, on first read and kept."""
         if self._terms is None:
             ints, den = self._integral
             self._terms = ({m: QQ(c) for m, c in ints.items()} if den == 1
@@ -189,19 +195,12 @@ class State:
         return self._terms
 
     def integral(self):
-        """(den*terms as an int dict, den) for a positive int den: the
-        integer form the state was built from, or `linalg.integral` of its
-        terms, computed on first use and kept.  den need not be least."""
-        if self._integral is None:
-            self._integral = integral(self._terms)
+        """The stored integer form (ints, den): den*terms as an int dict
+        and a positive int den, not necessarily least."""
         return self._integral
 
-    def _support(self) -> dict:
-        """A dict keyed by the monomials of the state: either form."""
-        return self._terms if self._integral is None else self._integral[0]
-
     def is_zero(self) -> bool:
-        return not self._support()
+        return not self._integral[0]
 
     def scale(self, c) -> "State":
         ints, den = self.integral()
@@ -247,7 +246,7 @@ def _check_same_system(a: State, b: State):
 
 
 def vacuum(sys: SystemSpec) -> State:
-    return State(sys, {(): QQ(1)})
+    return State(sys, integral=({(): 1}, 1))
 
 
 def zero(sys: SystemSpec) -> State:
@@ -317,7 +316,8 @@ def generator_polynomial(sys: SystemSpec, terms) -> State:
     fields, over terms (c, [(family, copy, coord[, k]), ...]) given in
     operator order, k = 0 when left out.  This is the one place of the
     state <-> field dictionary; `diffalg.symbol` inverts it.  Each
-    monomial is canonicalized with its Koszul sign by `monomial_state`."""
+    product is canonicalized with its Koszul sign by `koszul_sort`, as in
+    `monomial_state`."""
     out: dict = {}
     for c, gens in terms:
         modes = []
@@ -326,7 +326,9 @@ def generator_polynomial(sys: SystemSpec, terms) -> State:
             modes.append((sys.gen(*g[:3]).index, -k - 1))
             if k:
                 c *= factorial(k)
-        axpy(out, monomial_state(sys, modes, c).terms)
+        mono, sign = koszul_sort(modes, sys.mode_parity)
+        if sign:
+            axpy(out, {mono: sign * c})
     return State(sys, out)
 
 
@@ -553,7 +555,7 @@ def gradings(a: State):
     if a.is_zero():
         return 0, 0, 0
     sys = a.sys
-    monos = a._support()
+    monos = a.integral()[0]
     weights = {mono_weight(sys, m) for m in monos}
     charges = {mono_charge(sys, m) for m in monos}
     degree = max(map(len, monos))
@@ -573,7 +575,7 @@ def parity_of(a: State):
     """0/1 for parity-homogeneous states, None otherwise."""
     if a.is_zero():
         return 0
-    ps = {mono_parity(a.sys, m) for m in a._support()}
+    ps = {mono_parity(a.sys, m) for m in a.integral()[0]}
     return ps.pop() if len(ps) == 1 else None
 
 

@@ -12,12 +12,11 @@ single task and the run continues.
 """
 
 import json
-import os
 import time
 
 from . import __version__
 from .rationals import qstr, parse_qstr
-from .fock import state_from_text, state_to_text
+from .fock import env_int, state_from_text, state_to_text
 from .liealg import make_algebra
 from .constructions import (GENERATOR_SETS, PAIR_FAMILIES, bc_family,
                             build_system, commutant_check, conformal_and_charge,
@@ -254,14 +253,11 @@ def expand_candidates(sys, specs):
 
 def _env_cap():
     """The FREEFIELD_CAP override as a positive int, or None when unset."""
-    raw = os.environ.get(CAP_ENV)
-    if raw is None:
-        return None
     try:
-        val = int(raw)
-    except ValueError:
-        raise ScenarioError(f"{CAP_ENV} must be an integer, got {raw!r}")
-    if val < 1:
+        val = env_int(CAP_ENV, None, "an integer")
+    except ValueError as e:
+        raise ScenarioError(str(e))
+    if val is not None and val < 1:
         raise ScenarioError(f"{CAP_ENV} must be positive")
     return val
 

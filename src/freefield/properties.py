@@ -111,7 +111,8 @@ def one_step_product(phi, m0, u, b, n):
         out = out.add(apply_mode(phi, m0 - j, inner).scale(coeff))
     cross = -1 if (sys.parity[phi.index] and parity_of(u)) else 1
     second = QQ(-((-1) ** (m0 & 1)) * cross)
-    depth = max((-p - 1 for mono in b.terms for _, p in mono), default=-1)
+    depth = max((-p - 1 for mono in b.integral()[0] for _, p in mono),
+                default=-1)
     for j in range(0, depth + 1):
         hit = apply_mode(phi, j, b)
         if hit.is_zero():
@@ -258,7 +259,7 @@ def jet_equivariance(F, seed: int, samples: int) -> tuple:
     failures, witness = 0, None
     for _ in range(samples):
         v = random_monomial(sys, rng, max_len=3, max_depth=2)
-        (mono,) = v.terms
+        (mono,) = v.integral()[0]
         dv, bad = len(mono), memo.get(mono)
         if bad is None:
             bad = memo[mono] = []

@@ -8,7 +8,7 @@ from conftest import generator_state
 from reference_elimination import GaussJordan, reference_nullspace
 
 from freefield.constructions import (
-    bc_family, build_system, commutant_check, component_monomials,
+    CurrentFamily, bc_family, build_system, commutant_check, component_monomials,
     conformal_and_charge, det_family, invariant_lift_search, mixed_det,
     mixed_psi_family, quad_family, sec4_identity, state_invariant_basis,
     sugawara, theta, verify_affine,
@@ -18,7 +18,7 @@ from freefield.diffalg import ResourceCapError
 from freefield.fock import (State, derivative, gradings, nth_product,
                             state_to_text, vacuum, wick, zero)
 from freefield.liealg import make_algebra, split_label, sp_any, torus_weights
-from freefield.linalg import perm_sign
+from freefield.linalg import perm_sign, solve_affine
 from freefield.rationals import QQ
 
 
@@ -242,6 +242,105 @@ def test_invariant_lift_search_finds_a_correction():
     for _, th in F.items():
         for nn in modes:
             assert nth_product(th, lifted, nn).is_zero(), nn
+
+
+def _qq_lift_search(F, target, maxdeg, modes):
+    """Reference for invariant_lift_search: its rows read as QQ from
+    State.terms of every product, the right-hand side from the target's."""
+    sys_ = F.sys
+    w, ch, _ = gradings(target)
+    cands = component_monomials(sys_, w, maxdeg, charge=ch)
+    if F.side == "left":
+        keys = {constructions._copy_charge_key(sys_, mo)
+                for mo in target.terms}
+        if len(keys) == 1:
+            key = keys.pop()
+            cands = [mo for mo in cands
+                     if constructions._copy_charge_key(sys_, mo) == key]
+
+    def products(v):
+        for lab, th in F.items():
+            for n in modes:
+                for tm, tc in nth_product(th, v, n).terms.items():
+                    yield (lab, n, tm), tc
+
+    rows = {key: [{}, -c] for key, c in products(target)}
+    for mo in cands:
+        for key, c in products(State(sys_, {mo: QQ(1)})):
+            rows.setdefault(key, [{}, QQ(0)])[0][mo] = c
+    sol, rank = solve_affine([eq for eq, _ in rows.values()],
+                             [b for _, b in rows.values()], cands)
+    report = {"feasible": sol is not None, "rank": rank,
+              "unknowns": len(cands), "equations": len(rows)}
+    if sol is not None:
+        report["correction"] = state_to_text(
+            State(sys_, {mo: c for mo, c in sol.items() if c}))
+    return report
+
+
+def _halved(F):
+    return CurrentFamily(F.algebra, F.sys, [th.scale(QQ(1, 2))
+                                            for th in F.states],
+                         F.side, F.name)
+
+
+def _lift_cases():
+    """(family, target, maxdeg) with den > 1 in every current and in some
+    targets: a feasible sl2 lift and the infeasible so4 counterexample."""
+    sys_ = build_system(bosonic=(2, 2))
+    F = _halved(theta(make_algebra("sl", 2), sys_, side="left"))
+    det = det_family(sys_, (1, 2), side="beta")
+    extra = wick([generator_state(sys_, "beta", 1, 1),
+                  generator_state(sys_, "beta", 2, 1)])
+    so4 = build_system(bosonic=(4, 2))
+    return [(F, det.add(extra), 2), (F, det.scale(QQ(2, 3)).add(extra, QQ(1, 3)), 2),
+            (_halved(theta(make_algebra("so", 4), so4, side="left")),
+             mixed_det(so4), 3)]
+
+
+def test_invariant_lift_search_integer_rows_match_qq_rows():
+    # each row is scaled by its current's den and the right-hand side is
+    # read over the target's den; the report is that of the QQ rows
+    for F, target, maxdeg in _lift_cases():
+        assert all(th.integral()[1] > 1 for th in F.states)
+        want = _qq_lift_search(F, target, maxdeg, (0, 1, 2))
+        assert invariant_lift_search(F, target, maxdeg, (0, 1, 2)) == want
+    feasible = [invariant_lift_search(F, t, d, (0, 1, 2))
+                for F, t, d in _lift_cases()]
+    assert [r["feasible"] for r in feasible] == [True, True, False]
+    assert feasible[1]["correction"] == (
+        "-1/3 * g[b1,beta,1](-1) g[b2,beta,1](-1)")
+
+
+def test_state_side_solvers_read_no_state_terms(monkeypatch):
+    # state_invariant_basis and invariant_lift_search run on integer
+    # forms; only the text of a found correction reads rationals
+    cases = _lift_cases()
+    F = cases[0][0]
+    dims = [state_invariant_basis(F, w, 3) for w in (0, 1, 2)]
+    reads, in_text = [], [False]
+    real_terms, real_text = State.terms, constructions.state_to_text
+
+    def terms(self):
+        if not in_text[0]:
+            reads.append(self)
+        return real_terms.fget(self)
+
+    def text(a):
+        in_text[0] = True
+        try:
+            return real_text(a)
+        finally:
+            in_text[0] = False
+
+    monkeypatch.setattr(State, "terms", property(terms))
+    monkeypatch.setattr(constructions, "state_to_text", text)
+    F = _lift_cases()[0][0]  # a fresh system, its product cache empty
+    assert [state_invariant_basis(F, w, 3) for w in (0, 1, 2)] == dims
+    assert dims[0] > 1
+    reports = [invariant_lift_search(F, t, d, (0, 1, 2)) for F, t, d in cases]
+    assert "correction" in reports[0] and not reports[2]["feasible"]
+    assert reads == []
 
 
 def _unfiltered_state_blocks(F, weight, maxdeg):

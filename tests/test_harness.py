@@ -283,7 +283,7 @@ def test_so_dims_cap_counts_the_full_component(cap, size):
         "error": f"component size {size} exceeds the configured cap {cap}"}
 
 
-def test_bad_cap_env_var_stops_before_any_task(monkeypatch):
+def test_bad_cap_env_var_stops_before_any_task(tmp_path, capsys, monkeypatch):
     # the override is checked once, before the first task; a task that
     # does not use a cap must not run ahead of the configuration error
     calls = []
@@ -291,7 +291,6 @@ def test_bad_cap_env_var_stops_before_any_task(monkeypatch):
         monkeypatch.setitem(TASK_FUNCTIONS, name,
                             lambda *args, _name=name, _fn=fn:
                             calls.append(_name) or _fn(*args))
-    monkeypatch.setenv("FREEFIELD_CAP", "x")
     raw = {
         "system": {"bosonic": [2, 1]},
         "group": {"kind": "gl", "rank": 2, "side": "left"},
@@ -299,9 +298,19 @@ def test_bad_cap_env_var_stops_before_any_task(monkeypatch):
                   {"task": "jet_compare", "mode": "state_dims",
                    "max_weight": 1}],
     }
-    with pytest.raises(ScenarioError, match="FREEFIELD_CAP must be an integer"):
-        run_scenario(raw)
-    assert calls == []
+    spath = write_scenario(tmp_path, raw)
+    # only ASCII decimal digits are read: no sign, space, underscore or
+    # other script's digit, though int() takes them
+    for value in ("x", " 7", "+7", "1_000", "\u0663"):
+        monkeypatch.setenv("FREEFIELD_CAP", value)
+        with pytest.raises(ScenarioError,
+                           match="FREEFIELD_CAP must be an integer"):
+            run_scenario(raw)
+        assert cli.main(["verify", str(spath)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: FREEFIELD_CAP must be an integer, "
+            f"got {value!r}"]
+        assert calls == []
 
 
 def test_scenario_bounds_do_not_leak_between_runs():
@@ -366,8 +375,14 @@ def test_cli_exit_two_on_config_error(tmp_path, capsys, monkeypatch):
     assert cli.main(["verify", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]", encoding="utf-8")
-    assert cli.main(["verify", str(bad)]) == 2
     capsys.readouterr()
+    # a scenario that is no object reaches resolve_scenario, with or
+    # without the overrides
+    for extra in ([], ["--max-weight", "2", "--seed", "1"]):
+        assert cli.main(["verify", str(bad), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.splitlines() == [
+            "configuration error: scenario must be a JSON object"]
     # bounds that are no object reach resolve_scenario unchanged, with or
     # without the overrides, and so do the other malformed fields: one
     # stderr line, no report, no file written
@@ -412,7 +427,8 @@ def test_seed_bound_is_any_integer(tmp_path, capsys):
         "configuration error: bound 'seed' must be an integer"]
 
 
-@pytest.mark.parametrize("value", ["x", "-5", "1.5", "", " 7"])
+@pytest.mark.parametrize("value", ["x", "-5", "1.5", "", " 7", "+7", "1_000",
+                                   "\u0663"])
 def test_bad_cache_cap_env_var_is_a_config_error(tmp_path, capsys,
                                                  monkeypatch, value):
     monkeypatch.setenv("FREEFIELD_CACHE_CAP", value)
