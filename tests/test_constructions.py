@@ -8,10 +8,10 @@ from conftest import generator_state
 from reference_elimination import GaussJordan, reference_nullspace
 
 from freefield.constructions import (
-    CurrentFamily, bc_family, build_system, commutant_check, component_monomials,
-    conformal_and_charge, det_family, invariant_lift_search, mixed_det,
-    mixed_psi_family, quad_family, sec4_identity, state_invariant_basis,
-    sugawara, theta, verify_affine,
+    CurrentFamily, bc_family, build_system, commutant_check,
+    component_monomials, conformal_and_charge, det_family,
+    invariant_lift_search, mixed_det, mixed_psi_family, quad_family,
+    sec4_identity, state_invariant_basis, sugawara, theta, verify_affine,
 )
 from freefield import constructions
 from freefield.diffalg import ResourceCapError
@@ -293,7 +293,8 @@ def _lift_cases():
     extra = wick([generator_state(sys_, "beta", 1, 1),
                   generator_state(sys_, "beta", 2, 1)])
     so4 = build_system(bosonic=(4, 2))
-    return [(F, det.add(extra), 2), (F, det.scale(QQ(2, 3)).add(extra, QQ(1, 3)), 2),
+    return [(F, det.add(extra), 2),
+            (F, det.scale(QQ(2, 3)).add(extra, QQ(1, 3)), 2),
             (_halved(theta(make_algebra("so", 4), so4, side="left")),
              mixed_det(so4), 3)]
 
