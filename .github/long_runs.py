@@ -11,8 +11,8 @@ Each case of the group runs one bundled scenario in-process, keeping the
 tasks of the group's mode (every task when the group has none), each
 with the case's options.  Every task must pass, and the group's check
 must hold on each: equal dimensions on both sides for `dims`, the
-dimensions [1, 0, 0, 0, 0, 0] for `state_dims`, no failed sample for
-`equivariance`.  The `engine` and `equivariance` groups first check that
+dimensions [1] + [0] * W over weights 0..W for `state_dims`, no failed
+sample for `equivariance`.  The `engine` and `equivariance` groups first check that
 asserts are off, so that their runs show the checks that still hold
 under `python -O`.  Prints one line per case with its time, and exits
 with a message at the first case that fails.
@@ -39,7 +39,7 @@ def _dims(detail):
 
 def _state_dims(detail):
     dims = detail["invariant_dims"]
-    return dims == [1, 0, 0, 0, 0, 0], f"dims {dims}"
+    return dims == [1] + [0] * detail["weights"][-1], f"dims {dims}"
 
 
 def _no_failures(detail):
@@ -63,9 +63,12 @@ GROUPS = {
         ("thm_3_3_so3", dict(RAISED, max_weight=4, max_degree=8)),
         ("thm_4_1_n3_m2", dict(RAISED, max_weight=5, max_degree=6)),
         ("thm_7_3_m2", dict(RAISED, max_weight=6, max_degree=6))]),
-    # state-side rows handed to nullspace as int dicts
+    # state-side rows handed to nullspace as int dicts, written for the
+    # generating set of g[t] cut to simple root vectors
     "state_dims": ("state_dims", _state_dims, False, [
-        ("thm_4_3_n3_m1", dict(RAISED, max_weight=5, max_degree=6))]),
+        ("thm_4_3_n3_m1", dict(RAISED, max_weight=5, max_degree=6)),
+        ("thm_4_3_n3_m1", dict(RAISED, max_weight=7, max_degree=8)),
+        ("thm_4_3_n2_m1", dict(RAISED, max_weight=8, max_degree=8))]),
     # State arithmetic on integer forms, one-mode products in closed form
     "engine": (None, _passes, True, [
         ("engine_properties", {"samples": 2000}),

@@ -13,14 +13,15 @@ from itertools import permutations
 
 from .rationals import QQ, ZERO, ONE, qstr
 from .linalg import axpy, perm_sign, solve_affine
-from .liealg import (LieAlgebraSpec, make_algebra, sp_any, gram_inverse,
-                     normalized_gram, trace_gram, dual_coxeter, split_label)
+from .liealg import (LieAlgebraSpec, current_generators, diagonal_basis,
+                     dual_coxeter, gram_inverse, make_algebra, normalized_gram,
+                     sp_any, split_label, trace_gram)
 from .fock import (SystemSpec, State, vacuum, zero, generator_polynomial,
                    nth_product, derivative, gradings, state_weight,
                    state_to_text)
 from .diffalg import (ResourceCapError, abstract_var, graded_multisets,
                       invariant_orbits, monomial_counts, monomial_from_factors,
-                      quantum_correct, symbol, wick_expand)
+                      quantum_correct, root_cut, symbol, wick_expand)
 
 
 def build_system(bosonic=None, fermionic=None) -> SystemSpec:
@@ -517,7 +518,7 @@ def _products(F: CurrentFamily, v: State, modes):
 
 
 def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
-                          cap: int = 20000) -> int:
+                          cap: int = 20000, pairs=None) -> int:
     """Dimension of the joint kernel of all nonnegative products with the
     family currents on the span of monomials of the given exact weight and
     degree <= maxdeg: the sum over blocks of the dimensions
@@ -527,24 +528,31 @@ def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
     torus-weight-0 ones that are solved; they are counted, not built.
 
     The atoms are the creation modes.  Products vanish beyond
-    wt(th) + weight - 1.  The torus is read off the th o_0, each a
-    derivation of every product and one of the operators, so the kernel
-    lies in the span of the torus-weight-0 monomials, and its dimension
-    depends on neither the row order nor the column order.  Left families
-    preserve the per-copy charge, so the solve splits into blocks by it.
-    The images are the int forms of the products (`State.integral`),
-    each operator's scaled by its current's den alone: that keeps its
-    kernel and the zero sums of its torus eigenvalues, while a scale per
-    monomial would change the eigenvalue ratios the torus is read off."""
+    wt(th) + weight - 1, and the equations are written for every such
+    (current, mode) unless pairs is given: the (i, n) that stand for
+    th_i o_n, or a function that returns them given the torus operators
+    `invariant_orbits` finds diagonal, which the caller vouches have the
+    same kernel (`state_dims`).  The torus is read off the th o_0, each
+    a derivation of every product, so the kernel lies in the span of the
+    torus-weight-0 monomials, and its dimension depends on neither the
+    row order nor the column order.  Left families preserve the per-copy
+    charge, so the solve splits into blocks by it.  The images are the
+    int forms of the products (`State.integral`), each operator's scaled
+    by its current's den alone: that keeps its kernel and the zero sums
+    of its torus eigenvalues, while a scale per monomial would change the
+    eigenvalue ratios the torus is read off."""
     sys = F.sys
     modes = _modes(sys, weight)
     size = sum(monomial_counts([(w, odd) for _, w, odd, _ in modes],
                                weight, maxdeg))
     if size > cap:
         raise ResourceCapError(cap, size)
+    if pairs is None:
+        pairs = [(i, n) for i, th in enumerate(F.states)
+                 for n in range(state_weight(th) + weight)]
 
     def image(mono, ops):
-        v = State(sys, {mono: 1})
+        v = State(sys, integral=({mono: 1}, 1))
         return [nth_product(F.states[i], v, n).integral()[0] for i, n in ops]
 
     block = ((lambda mo: _copy_charge_key(sys, mo)) if F.side == "left"
@@ -552,10 +560,62 @@ def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
     return sum(dim for _, dim in invariant_orbits(
         [mode for mode, *_ in modes],
         lambda torus: component_monomials(sys, weight, maxdeg, torus=torus),
-        [(i, 0) for i in range(len(F.states))],
-        [(i, n) for i, th in enumerate(F.states)
-         for n in range(state_weight(th) + weight)],
-        image, block))
+        [(i, 0) for i in range(len(F.states))], pairs, image, block))
+
+
+def _realizes_current_algebra(F: CurrentFamily) -> bool:
+    """The closure check of `state_dims`, on the integer forms of the
+    products (`State.sub` combines them by `linalg.common_denominator`)."""
+    A, states = F.algebra, F.states
+    return all(th.is_zero() or gradings(th)[0] == 1 for th in states) and all(
+        nth_product(a, b, 0).sub(F.current(A.structure(i, j))).is_zero()
+        and nth_product(a, b, 1).integral()[0].keys() <= {()}
+        for i, a in enumerate(states) for j, b in enumerate(states))
+
+
+def state_dims(F: CurrentFamily, max_weight: int, maxdeg: int,
+               cap: int = 20000) -> list:
+    """`state_invariant_basis` at each weight 0..max_weight, on a
+    generating set of g[t] where the family's modes are shown to realize
+    it, and on every mode otherwise.
+
+    Closure check, run once: every nonzero current has weight 1, and for
+    every basis pair (a, b), th^a o_0 th^b = th^[a,b] and th^a o_1 th^b =
+    k(a,b)|0>.  Then th^a o_j th^b has weight 1 - j < 0 for j >= 2, so it
+    is 0, and the commutator formula gives [th^a_(m), th^b_(n)] =
+    th^[a,b]_(m+n) + m k(a,b) |0>_(m+n-1).  The central term vanishes for
+    m, n >= 0: |0>_(k) is 0 unless k = -1, that is m = n = 0, where the
+    factor m is 0.  So x t^n -> th^x_(n), n >= 0, is a Lie map from g[t],
+    and th_(n) for n > w maps weight w below 0, so on weight w the modes
+    realize g[t]/t^(w+1).  If X and Y kill v then so does [X, Y], so the
+    pairs of `current_generators(A, max_weight)` with r <= w, which
+    generate it, have the kernel of every mode there.  They are computed
+    once.  (For a superalgebra they are every pair, so every mode.)
+
+    Torus guard: `diffalg.root_cut` cuts the pairs with r = 0 to simple
+    root vectors.  Its proof needs each basis element h of its torus
+    (`liealg.diagonal_basis`) to act diagonally on the component.  So at
+    weight w the cut pairs are used only when `invariant_orbits` finds
+    every th^h o_0 diagonal on the creation modes of weight <= w: a
+    derivation, it is then diagonal on every monomial, it is read as part
+    of the torus, and every column solved has torus weight 0 under it.
+    The component is a g-module on which the torus, which holds the
+    centre, acts diagonally, and root_cut's argument gives the same
+    kernel.  Otherwise the pairs are used uncut."""
+    if not _realizes_current_algebra(F):
+        return [state_invariant_basis(F, w, maxdeg, cap)
+                for w in range(max_weight + 1)]
+    A = F.algebra
+    pairs = current_generators(A, max_weight)
+    cut = root_cut(A, pairs)
+    torus = [(i, 0) for i in diagonal_basis(A)]
+
+    def ops(w):
+        return lambda diag: [p for p in (
+            cut if all(h in diag for h in torus) else pairs) if p[1] <= w]
+
+    return [state_invariant_basis(F, w, maxdeg, cap, ops(w))
+            for w in range(max_weight + 1)]
 
 
 def invariant_lift_search(F: CurrentFamily, target: State, maxdeg: int,
@@ -588,7 +648,8 @@ def invariant_lift_search(F: CurrentFamily, target: State, maxdeg: int,
     den = target.integral()[1]
     rows = {key: [{}, QQ(-c, den)] for key, c in _products(F, target, modes)}
     for mo in cands:
-        for key, c in _products(F, State(sys, {mo: 1}), modes):
+        for key, c in _products(F, State(sys, integral=({mo: 1}, 1)),
+                                modes):
             rows.setdefault(key, [{}, 0])[0][mo] = c  # [equation, rhs]
     sol, rank = solve_affine([eq for eq, _ in rows.values()],
                              [b for _, b in rows.values()], cands)

@@ -492,13 +492,15 @@ def invariant_orbits(atoms, monomials, torus_ops, ops, image,
     columns: (block key, kernel dimension) per block, in key order, each
     columns minus the rank of the block's rows under `pivot_columns`.
 
-    image(mono, ops) lists the images {monomial: coefficient} of the
-    monomial mono, with coefficient 1, under each operator of ops in
-    turn.  monomials(torus) lists the columns in column order: the
-    monomials of torus weight 0 under torus, a map from each atom to its
-    torus weight vector, of one block per orbit.  The caller vouches that
-    every operator of torus_ops is a derivation of the product of atoms
-    that kills the joint kernel of ops.
+    ops is the list of operators, or a function that returns it given
+    the operators of torus_ops found diagonal, in order (the state side's
+    torus guard, `constructions.state_dims`).  image(mono, ops) lists the
+    images {monomial: coefficient} of the monomial mono, with coefficient
+    1, under each operator of ops in turn.  monomials(torus) lists the
+    columns in column order: the monomials of torus weight 0 under torus,
+    a map from each atom to its torus weight vector, of one block per
+    orbit.  The caller vouches that every operator of torus_ops is a
+    derivation of the product of atoms that kills the joint kernel of ops.
 
     Torus grading: an operator h of torus_ops that maps every atom to a
     multiple of itself (`torus_weights` on the one-atom monomials) maps
@@ -528,7 +530,8 @@ def invariant_orbits(atoms, monomials, torus_ops, ops, image,
         for ev in eigen:
             if sum(map(ev.__getitem__, mono)):
                 raise RuntimeError(f"torus weight of {mono} is not 0")
-    ops = [op for op in ops if op not in diag]
+    ops = [op for op in (ops(diag) if callable(ops) else ops)
+           if op not in diag]
 
     def equations(cols):
         key = block_key(cols[0])
@@ -879,14 +882,8 @@ def bidegree_dims(space: VarSpace, A, gens, max_weight: int, maxdeg: int,
     `root_cut(A, current_generators(A, w))`.  The cut puts the same simple
     root vectors first and keeps the pairs with r >= 1 in order, so it
     commutes with taking r <= w; and the uncut pairs with r <= w are
-    `current_generators(A, w)`: that greedy walks the pairs in (r, index)
-    order, so both runs see the same pairs before any r <= w, and keeps a
-    pair when x t^r lies outside the subalgebra generated by the pairs
-    kept so far.  A subalgebra generated by t-homogeneous elements is
-    graded by t-degree, and its part of degree r <= w is spanned by
-    brackets of kept elements whose degrees sum to r, which truncation at
-    t^(w+1) or t^(max_weight+1) leaves alone; so both runs keep the same
-    pairs with r <= w.
+    `current_generators(A, w)`, which builds the generated subalgebra
+    degree by degree, each degree r from the degrees below it alone.
 
     so(N) on a split torus: the antisymmetric basis of a `kind == "so"`
     algebra has no rational torus, so its invariants are solved for

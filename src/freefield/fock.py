@@ -299,15 +299,20 @@ def mono_parity(sys: SystemSpec, mono) -> int:
     return _grade(sys, mono)[2]
 
 
-def monomial_state(sys: SystemSpec, modes, coeff=1) -> State:
-    """Build a state from modes given in operator order (leftmost first),
-    canonicalizing with Koszul signs."""
+def monomial_state(sys: SystemSpec, modes, coeff=1, den=1) -> State:
+    """coeff/den times the state of modes given in operator order
+    (leftmost first), canonicalized with its Koszul sign.  An int coeff
+    over a positive int den is taken as the integer form ({mono: sign *
+    coeff}, den) and forms no QQ; a rational coeff needs den 1."""
     modes = list(modes)
     if any(m > -1 for _, m in modes):
         raise ValueError("creation modes require m <= -1")
     mono, sign = koszul_sort(modes, sys.mode_parity)
-    c = QQ(coeff) * sign
-    return State(sys, {mono: c} if c else {})
+    if not (sign and coeff):
+        return State(sys)
+    if type(coeff) is int:
+        return State(sys, integral=({mono: sign * coeff}, den))
+    return State(sys, {mono: QQ(coeff) * sign})
 
 
 def generator_polynomial(sys: SystemSpec, terms) -> State:

@@ -22,7 +22,7 @@ from .constructions import (GENERATOR_SETS, PAIR_FAMILIES, bc_family,
                             build_system, commutant_check, conformal_and_charge,
                             correct_det_relation, det_family,
                             invariant_lift_search, mixed_det, mixed_psi_family,
-                            quad_family, sec4_identity, state_invariant_basis,
+                            quad_family, sec4_identity, state_dims,
                             sugawara_checks, symbol_generators, theta,
                             verify_affine)
 from .diffalg import (FamilyDecl, ResourceCapError, VarSpace, bidegree_dims,
@@ -376,8 +376,7 @@ def task_jet_compare(sys, group, opts, bounds):
         return ("pass" if failures == 0 else "fail"), detail
     if mode == "state_dims":
         fam = build_family(sys, opts.get("family") or group)
-        dims = [state_invariant_basis(fam, w, D, cap=cap)
-                for w in range(0, W + 1)]
+        dims = state_dims(fam, W, D, cap)
         expected = [1] + [0] * W
         ok = dims == expected
         return ("pass" if ok else "fail"), {

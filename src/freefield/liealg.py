@@ -7,6 +7,8 @@ bracket tables stay consistent with the rep by construction.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .linalg import Echelon, axpy, integral, pivot_columns
 from .rationals import QQ, ONE, ZERO
 
@@ -101,48 +103,74 @@ def current_generators(A: LieAlgebraSpec, weight: int) -> list:
     """(basis index, r) pairs whose elements x_index t^r generate the
     truncated current algebra g[t]/t^(weight+1) as a Lie algebra.
 
-    Pairs are taken greedily in (r, index) order, each one only when it
-    lies outside the subalgebra generated by those kept so far; that
-    subalgebra is spanned exactly over the coordinates (index, r).  A
-    central element that is not a bracket, such as the identity of gl_n,
-    is therefore kept at every r.  With an odd basis element every pair is
-    returned, since callers act by each x t^r as an even operator and the
-    closure under super-brackets would not bound their joint kernel.
+    A pair is kept when x_index t^r lies outside the subalgebra L
+    generated by the pairs kept before it, in (r, index) order.  L is
+    graded by t-degree and is built degree by degree: L_0 is the
+    subalgebra of g generated by the pairs kept at r = 0, and for r >= 1,
+    L_r is the ad(L_0)-closure of the x_i t^r kept at r and the brackets
+    [L_a, L_b] with a + b = r and a, b >= 1.  That is all of L in degree
+    r: a right-normed bracket [y, u] of kept elements lies in ad(L_0) L_r
+    when y or u has degree 0, and in [L_a, L_b] otherwise.  A degree whose
+    brackets already span g keeps no pair.  L_r reads only the degrees
+    below r, so the pairs kept with r <= w are `current_generators(A, w)`.
+    Spans are taken on the structure constants scaled to integers
+    (`integral`), which keeps them.  A central element that is not a
+    bracket, such as the identity of gl_n, is kept at every r.
+    With an odd basis element every pair is returned, since callers act
+    by each x t^r as an even operator and the closure under
+    super-brackets would not bound their joint kernel.
     """
-    pairs = [(i, r) for r in range(weight + 1) for i in range(A.dim)]
     if any(A.parity):
-        return pairs
+        return [(i, r) for r in range(weight + 1) for i in range(A.dim)]
+    ints, _ = integral({(i, j, k): c for i in range(A.dim)
+                        for j in range(A.dim)
+                        for k, c in A.structure(i, j).items()})
+    table: dict = {}  # (i, j) -> den [x_i, x_j]
+    for (i, j, k), c in ints.items():
+        table.setdefault((i, j), {})[k] = c
 
-    def bracket_current(u: dict, v: dict) -> dict:
+    def bracket(u: dict, v: dict) -> dict:
         out: dict = {}
-        for (i, a), cu in u.items():
-            for (j, b), cv in v.items():
-                if a + b <= weight:
-                    br = A.structure(i, j)
-                    axpy(out, {(k, a + b): c for k, c in br.items()}, cu * cv)
+        for (i, cu), (j, cv) in product(u.items(), v.items()):
+            if (i, j) in table:
+                axpy(out, table[i, j], cu * cv)
         return out
 
-    span = Echelon()
-    spanning: list = []
-    kept = []
-    for i, r in pairs:
-        if span.rank == len(pairs):
-            break
-        x = {(i, r): QQ(1)}
-        if not span.add(x):
-            continue
-        kept.append((i, r))
-        # close the span under brackets: every new spanning element is
-        # bracketed with every one already there, itself included
-        pending = [x]
-        while pending:
-            x = pending.pop()
-            spanning.append(x)
-            for y in spanning:
-                z = bracket_current(x, y)
-                if z and span.add(z):
-                    pending.append(z)
+    kept, layers = [], []  # layers[r]: a basis of L_r
+    for r in range(weight + 1):
+        span = Echelon()
+        for a in range(1, r // 2 + 1):
+            for x, y in product(layers[a], layers[r - a]):
+                z = bracket(x, y)
+                if z and span.rank < A.dim:
+                    span.add(z)
+        # close under ad of the x_i kept at r = 0; at r = 0 every element
+        # added is bracketed with all before it, which spans the subalgebra
+        spanning = [{i: 1} for i, s in kept if not s] if r else []
+        for i in range(A.dim):
+            if span.rank == A.dim:
+                break
+            x = {i: 1}
+            if not span.add(x):
+                continue
+            kept.append((i, r))
+            pending = [x]
+            while pending:
+                z = pending.pop()
+                if not r:
+                    spanning.append(z)
+                for y in spanning:
+                    w = bracket(y, z)
+                    if w and span.add(w):
+                        pending.append(w)
+        layers.append(list(span.rows.values()))
     return kept
+
+
+def diagonal_basis(A: LieAlgebraSpec) -> list:
+    """The indices of the basis elements with diagonal matrices, which
+    span the torus of `simple_root_vectors`."""
+    return [i for i, M in enumerate(A.rep) if all(r == c for r, c in M)]
 
 
 def simple_root_vectors(A: LieAlgebraSpec):
@@ -166,7 +194,7 @@ def simple_root_vectors(A: LieAlgebraSpec):
     """
     if any(A.parity):
         return None
-    torus = [i for i, M in enumerate(A.rep) if all(r == c for r, c in M)]
+    torus = diagonal_basis(A)
     roots = {}
     for j in range(A.dim):
         if j not in torus:

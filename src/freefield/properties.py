@@ -12,7 +12,7 @@ of each monomial's factors) and to Zhu's algebra (zhu_star_check).
 """
 
 import random
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 from .rationals import QQ
 from .fock import (State, apply_mode, binom, derivative, gradings,
@@ -45,14 +45,17 @@ def default_systems():
 
 
 def random_monomial(sys, rng, max_len=2, max_depth=1):
-    """Nonzero single-monomial state with a small rational coefficient."""
+    """Nonzero single-monomial state with a small rational coefficient,
+    num/den in lowest terms, built as its integer form."""
     while True:
         modes = []
         for _ in range(rng.randrange(1, max_len + 1)):
             gi = rng.randrange(len(sys.generators))
             modes.append((gi, -1 - rng.randrange(0, max_depth + 1)))
         num = rng.randrange(1, 4) * (1 if rng.random() < 0.5 else -1)
-        a = monomial_state(sys, modes, QQ(num, rng.randrange(1, 3)))
+        den = rng.randrange(1, 3)
+        g = gcd(num, den)
+        a = monomial_state(sys, modes, num // g, den // g)
         if not a.is_zero():
             return a
 

@@ -11,13 +11,15 @@ from freefield.constructions import (
     CurrentFamily, bc_family, build_system, commutant_check,
     component_monomials, conformal_and_charge, det_family,
     invariant_lift_search, mixed_det, mixed_psi_family, quad_family,
-    sec4_identity, state_invariant_basis, sugawara, theta, verify_affine,
+    sec4_identity, state_dims, state_invariant_basis, sugawara, theta,
+    verify_affine,
 )
 from freefield import constructions
-from freefield.diffalg import ResourceCapError
+from freefield.diffalg import ResourceCapError, root_cut
 from freefield.fock import (State, derivative, gradings, nth_product,
                             state_to_text, vacuum, wick, zero)
-from freefield.liealg import make_algebra, split_label, sp_any, torus_weights
+from freefield.liealg import (current_generators, make_algebra, split_label,
+                              sp_any, torus_weights)
 from freefield.linalg import perm_sign, solve_affine
 from freefield.rationals import QQ
 
@@ -481,6 +483,119 @@ def test_state_resource_cap_bounds_the_full_component():
     assert err.value.size == full and err.value.cap == cap
     assert str(err.value) == (
         f"component size {full} exceeds the configured cap {cap}")
+
+
+def _sl2_moved(sys_):
+    """The left sl2 currents of sys_ moved by the automorphism Ad(g),
+    g = [[1, 1], [0, 1]]: x -> x, y -> y + h - x, h -> h - 2x.  The
+    closure check holds, but th^h o_0 is not diagonal on the modes."""
+    F = theta(make_algebra("sl", 2), sys_, "left")
+    moved = ["x", {"y": 1, "h": 1, "x": -1}, {"h": 1, "x": -2}]
+    return CurrentFamily(F.algebra, sys_, [F.current(x) for x in moved],
+                         "left", "theta_moved")
+
+
+def _sl2_one_doubled(sys_):
+    """The left sl2 currents of sys_ with th^x doubled, which keeps every
+    kernel and fails the closure check: 2 th^x o_0 th^y = 2 th^h."""
+    F = theta(make_algebra("sl", 2), sys_, "left")
+    return CurrentFamily(F.algebra, sys_,
+                         [F.states[0].scale(2), *F.states[1:]], "left",
+                         "theta_doubled")
+
+
+def _sl2_left(**system):
+    return theta(make_algebra("sl", 2), build_system(**system), "left")
+
+
+_STATE_DIMS_CASES = [
+    pytest.param(lambda: _sl2_left(bosonic=(2, 2)), "cut", id="sl2-b22"),
+    pytest.param(lambda: _sl2_left(fermionic=(2, 2)), "cut", id="sl2-f22"),
+    pytest.param(lambda: _sl2_left(bosonic=(2, 1), fermionic=(2, 2)), "cut",
+                 id="sl2-b21-f22"),
+    pytest.param(lambda: theta(make_algebra("so", 3),
+                               build_system(bosonic=(3, 2)), "left"),
+                 "cut", id="so3-b32"),
+    pytest.param(lambda: theta(make_algebra("so_split", 3),
+                               build_system(bosonic=(3, 2)), "left"),
+                 "cut", id="so_split3-b32"),
+    pytest.param(lambda: theta(make_algebra("sl", 3),
+                               build_system(bosonic=(3, 2)), "left"),
+                 "cut", id="sl3-b32"),
+    pytest.param(lambda: theta(make_algebra("sp", 4),
+                               build_system(bosonic=(4, 1)), "left"),
+                 "cut", id="sp4-b41"),
+    pytest.param(lambda: theta(make_algebra("gl", 3),
+                               build_system(bosonic=(2, 3)), "right"),
+                 "cut", id="gl3-right-b23"),
+    pytest.param(lambda: theta(make_algebra("gl", 2),
+                               build_system(fermionic=(2, 2)), "right"),
+                 "cut", id="gl2-right-f22"),
+    pytest.param(lambda: bc_family(build_system(fermionic=(2, 2)), "psi"),
+                 "cut", id="bc-psi-f22"),
+    pytest.param(lambda: mixed_psi_family(
+        build_system(bosonic=(2, 1), fermionic=(2, 1))), "cut",
+        id="mixed-psi-b21-f21"),
+    # weights 0, 1 and 2
+    pytest.param(lambda: quad_family(make_algebra("so", 3),
+                                     build_system(bosonic=(3, 1))),
+                 "every", id="quad-so3-b31"),
+    pytest.param(lambda: _sl2_one_doubled(build_system(bosonic=(2, 2))),
+                 "every", id="sl2-doubled-b22"),
+    pytest.param(lambda: _sl2_moved(build_system(bosonic=(2, 2))), "uncut",
+                 id="sl2-moved-b22"),
+]
+
+
+@pytest.mark.parametrize("family, path", _STATE_DIMS_CASES)
+def test_state_dims_match_every_mode(family, path, monkeypatch):
+    # state_dims gives the dimensions of every (current, mode), on the
+    # generating set, cut to simple root vectors ("cut") or not ("uncut"),
+    # or on every mode ("every") where the closure check fails
+    F = family()
+    every = [state_invariant_basis(F, w, 4) for w in range(4)]
+    seen, invariant_orbits = [], constructions.invariant_orbits
+
+    def spy(atoms, monomials, torus_ops, ops, image, block_key):
+        if callable(ops):
+            chosen = ops
+
+            def ops(diag):
+                seen.append(chosen(diag))
+                return seen[-1]
+        else:
+            seen.append(None)
+        return invariant_orbits(atoms, monomials, torus_ops, ops, image,
+                                block_key)
+
+    monkeypatch.setattr(constructions, "invariant_orbits", spy)
+    assert state_dims(F, 3, 4) == every
+    A = F.algebra
+    pairs = {"cut": root_cut(A, current_generators(A, 3)),
+             "uncut": current_generators(A, 3), "every": None}[path]
+    assert seen == [None if pairs is None else
+                    [p for p in pairs if p[1] <= w] for w in range(4)]
+
+
+def test_invariant_lift_search_keeps_every_mode():
+    # its report counts the rows of every listed mode of every current,
+    # more than a generating set of g[t] would write
+    sys_ = build_system(bosonic=(2, 2))
+    F = theta(make_algebra("gl", 2), sys_, "right")
+    target = det_family(sys_, (1, 2), side="beta")
+    w, ch, _ = gradings(target)
+    modes = (0, 1, 2)
+    units = [State(sys_, {mo: QQ(1)})
+             for mo in component_monomials(sys_, w, 2, charge=ch)]
+
+    def rows(pairs):
+        return {(i, n, tm) for v in [target, *units] for i, n in pairs
+                for tm in nth_product(F.states[i], v, n).terms}
+
+    every = rows([(i, n) for i in range(len(F.states)) for n in modes])
+    cut = rows(root_cut(F.algebra, current_generators(F.algebra, 2)))
+    rep = invariant_lift_search(F, target, 2, modes)
+    assert rep["equations"] == len(every) > len(cut)
 
 
 def test_torus_guards_under_optimize():

@@ -1,8 +1,9 @@
 import pytest
+from reference_generators import greedy_current_generators
 
 from freefield.liealg import (
-    dual_coxeter, gram_inverse, killing_gram, make_algebra, normalized_gram,
-    sp_any, torus_weights, trace_gram,
+    current_generators, dual_coxeter, gram_inverse, killing_gram,
+    make_algebra, normalized_gram, sp_any, torus_weights, trace_gram,
 )
 from freefield.rationals import QQ
 
@@ -292,3 +293,16 @@ def test_odd_so_split(N):
 def test_so_split_needs_dimension_two():
     with pytest.raises(ValueError):
         make_algebra("so_split", 1)
+
+
+@pytest.mark.parametrize("kind", [
+    ("sl", 2), ("sl", 3), ("sl", 4), ("so", 3), ("so", 4), ("so", 5),
+    ("so_split", 3), ("so_split", 4), ("so_split", 5), ("sp", 4), ("sp", 6),
+    ("gl", 2), ("gl", 3), ("gl", 4), ("glsuper", 2, 1)],
+    ids=lambda kind: "-".join(map(str, kind)))
+def test_current_generators_match_the_greedy_reference(kind):
+    # degree by degree on integer structure constants, the pairs the
+    # greedy over one span of every coordinate (index, r) keeps
+    for weight in range(7):
+        assert current_generators(make_algebra(*kind), weight) == (
+            greedy_current_generators(make_algebra(*kind), weight)), weight
