@@ -202,19 +202,6 @@ def lie_jet_action(images: JetImages, p: dict, parity=_parity) -> dict:
     return apply_derivation(p, images, parity)
 
 
-def integer_matrices(mats: dict) -> tuple:
-    """(int matrices, scale): mats, from `VarSpace.action_for`, times the
-    one positive integer scale that clears their denominators, so the same
-    kernel, with integer equations.  The families go through one
-    `linalg.integral`, flattened into one dict, so they share that scale."""
-    flat, scale = integral({(fam, col, row): x for fam, M in mats.items()
-                            for col, entries in M.items()
-                            for row, x in entries})
-    return {fam: {col: [(row, flat[fam, col, row]) for row, _ in entries]
-                  for col, entries in M.items()}
-            for fam, M in mats.items()}, scale
-
-
 # -- bidegree components and invariants -------------------------------------
 
 
@@ -254,7 +241,8 @@ class VarSpace:
     def action_for(self, A, xi) -> dict:
         """Family -> matrix of xi for lie_jet_action: rho(xi) on a 'rep'
         family, -rho(xi)^T on a 'dual' one, its nonzero entries indexed by
-        column, {col: [(row, x), ...]} with rows ascending."""
+        column, {col: [(row, x), ...]} with rows ascending; ints for a
+        basis element xi."""
         out: dict = {}
         for f in self.families:
             M = A.matrix_for(xi) if f.role == "rep" else A.dual_matrix(xi)
@@ -594,11 +582,11 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
     generating set pairs of that algebra, `current_generators(A, weight)`
     cut to simple root vectors (`root_cut`) when not given: if X and Y
     kill v then so does [X, Y], so the generators have the same joint
-    kernel as every xi t^r.  Given pairs are used as they are.  Each
-    generator's matrices are scaled to integers, which keeps its kernel,
-    so every equation row is a {column index: int} dict.  The torus is
-    read off the h t^0, which lie in g[t]; only the images the torus
-    search reads are built for the h t^0 that are not generators.
+    kernel as every xi t^r.  Given pairs are used as they are.  The rep
+    matrices are integral (`LieAlgebraSpec`), so every equation row is a
+    {column index: int} dict.  The torus is read off the h t^0, which lie
+    in g[t]; only the images the torus search reads are built for the
+    h t^0 that are not generators.
 
     The solve runs on int codes (`coding` of the variables): the columns,
     which `enumerate_component` gives as codes, the `JetImages` tables
@@ -634,8 +622,7 @@ def invariant_basis(space: VarSpace, A, weight: int, maxdeg: int,
                                 weight, maxdeg):
         if size > cap:
             raise ResourceCapError(cap, size)
-    columns = [integer_matrices(space.action_for(A, i))[0]
-               for i in range(A.dim)]
+    columns = [space.action_for(A, i) for i in range(A.dim)]
     torus_ops = [(i, 0) for i in range(A.dim)]
     code, parity, run = coding(variables)
     tables = {(i, r): JetImages(columns[i], r, code)

@@ -265,15 +265,29 @@ def _env_cap():
 # -- named generator sets for jet comparisons --------------------------------
 
 
-def _space_from_spec(sys, spec):
+def _space_from_spec(sys, spec, rep_dim):
+    """The jet space of a dims spec; every family must have rep_dim
+    coordinates, those the algebra acts on."""
     if spec in (None, "system"):
-        return varspace_for_system(sys)
-    if isinstance(spec, dict) and "plain" in spec:
+        space = varspace_for_system(sys)
+    elif isinstance(spec, dict) and "plain" in spec:
         plain = spec["plain"]
-        return VarSpace([
+        if not isinstance(plain, dict) or any(
+                type(plain.get(k)) is not int or plain[k] < 1
+                for k in ("copies", "coords")):
+            raise ScenarioError(
+                "space.plain copies and coords must be positive integers")
+        space = VarSpace([
             FamilyDecl("x", plain["copies"], plain["coords"], 0, 0, "rep")
         ])
-    raise ScenarioError(f"unknown space spec {spec!r}")
+    else:
+        raise ScenarioError(f"unknown space spec {spec!r}")
+    for f in space.families:
+        if f.coords != rep_dim:
+            raise ScenarioError(
+                f"space family {f.family!r} has {f.coords} coordinates, "
+                f"the algebra acts on {rep_dim}")
+    return space
 
 
 def _generators(sys, space, name):
@@ -387,8 +401,14 @@ def task_jet_compare(sys, group, opts, bounds):
         }
     if mode != "dims":
         raise ScenarioError(f"unknown jet_compare mode {mode!r}")
-    space = _space_from_spec(sys, opts.get("space"))
-    A = _make_algebra(opts.get("family") or group)
+    group = opts.get("family") or group
+    if group is None:
+        raise ScenarioError("this task needs a group")
+    if group["side"] == "right":
+        raise ScenarioError("jet_compare dims acts on coordinates only, "
+                            "not with side 'right'")
+    A = _make_algebra(group)
+    space = _space_from_spec(sys, opts.get("space"), A.rep_dim)
     gens = _generators(sys, space, opts.get("generators"))
     bad = noninvariant_generator(space, A, gens)
     if bad is not None:

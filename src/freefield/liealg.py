@@ -1,8 +1,8 @@
 """Classical (super)Lie algebra data: bases, representations, forms.
 
-Everything is exact.  Structure constants are recovered from matrix
-(super)commutators in the defining representation, never hardcoded, so
-bracket tables stay consistent with the rep by construction.
+Everything is exact and integral.  Structure constants are recovered
+from matrix (super)commutators in the defining representation, never
+hardcoded, so bracket tables stay consistent with the rep by construction.
 """
 
 from __future__ import annotations
@@ -10,26 +10,35 @@ from __future__ import annotations
 from itertools import product
 
 from .linalg import Echelon, axpy, integral, pivot_columns
-from .rationals import QQ, ONE, ZERO
+from .rationals import QQ, ONE
 
 
 def mat_mul(X: dict, Y: dict) -> dict:
-    """XY for sparse matrices {(row, col): QQ}."""
+    """XY for sparse matrices {(row, col): entry}."""
     out: dict = {}
     for (r, t), x in X.items():
         axpy(out, {(r, c): y for (s, c), y in Y.items() if s == t}, x)
     return out
 
 
+def _integral(vec: dict, what: str) -> dict:
+    """vec as an int dict; ValueError naming what when it is not one."""
+    ints, den = integral(vec)
+    if den != 1:
+        raise ValueError(f"{what} has an entry with denominator {den}")
+    return ints
+
+
 class LieAlgebraSpec:
     """Basis-labeled Lie (super)algebra with defining representation.
 
     rep[i] is the matrix of basis element i on the standard module of
-    dimension rep_dim, a sparse {(row, col): QQ} dict of its nonzero
+    dimension rep_dim, a sparse {(row, col): int} dict of its nonzero
     entries (0-indexed), the vector format of linalg; for glsuper the
     module is Z/2-graded with rep_parity marking odd rows.  Immutable
-    after construction; structure constants are derived lazily from rep
-    (super)commutators.
+    after construction.  A rep matrix, or a structure constant in the
+    basis, that is not an integer raises ValueError; the structure
+    constants are derived from rep (super)commutators when first read.
     """
 
     def __init__(self, kind, params, labels, parity, rep, rep_dim,
@@ -38,13 +47,13 @@ class LieAlgebraSpec:
         self.params = tuple(params)
         self.labels = tuple(labels)
         self.parity = tuple(parity)
-        self.rep = tuple(rep)
+        self.rep = tuple(_integral(M, f"rep matrix of {self.labels[i]}")
+                         for i, M in enumerate(rep))
         self.rep_dim = rep_dim
         self.rep_parity = tuple(rep_parity) if rep_parity else (0,) * self.rep_dim
         self.dim = len(self.labels)
         self.label_index = {lab: i for i, lab in enumerate(self.labels)}
-        self._echelon = None
-        self._structure: dict = {}
+        self._structure = None
         self._killing = None
 
     # -- basis bookkeeping -------------------------------------------------
@@ -55,13 +64,13 @@ class LieAlgebraSpec:
         return self.label_index[x]
 
     def coords(self, x) -> dict:
-        """Accept a basis label/index or a {basis: QQ} dict."""
+        """Accept a basis label/index or a {basis: coefficient} dict."""
         if isinstance(x, dict):
-            return {self.index(k): QQ(c) for k, c in x.items() if c}
-        return {self.index(x): QQ(1)}
+            return {self.index(k): c for k, c in x.items() if c}
+        return {self.index(x): 1}
 
     def matrix_for(self, x) -> dict:
-        """rho(x), a sparse {(row, col): QQ} dict, for x as in coords."""
+        """rho(x), a sparse {(row, col): entry} dict, for x as in coords."""
         out: dict = {}
         for i, c in self.coords(x).items():
             axpy(out, self.rep[i], c)
@@ -73,30 +82,32 @@ class LieAlgebraSpec:
 
     # -- structure constants ----------------------------------------------
 
-    def _basis_echelon(self) -> Echelon:
-        if self._echelon is None:
-            ech = Echelon(track=True)
-            for i, M in enumerate(self.rep):
-                if not ech.add(M, tag=i):
-                    raise ValueError(f"dependent basis matrix {self.labels[i]}")
-            self._echelon = ech
-        return self._echelon
-
-    def _express_matrix(self, M: dict) -> dict:
-        combo = self._basis_echelon().express(M)
-        if combo is None:
-            raise ValueError("matrix outside the algebra span")
-        return combo
-
     def structure(self, i: int, j: int) -> dict:
-        """[x_i, x_j] in basis coordinates."""
-        key = (i, j)
-        if key not in self._structure:
-            sign = (-1) ** (self.parity[i] * self.parity[j])
-            M = mat_mul(self.rep[i], self.rep[j])
-            axpy(M, mat_mul(self.rep[j], self.rep[i]), -sign)
-            self._structure[key] = self._express_matrix(M)
-        return self._structure[key]
+        """[x_i, x_j] in basis coordinates, {k: int}.
+
+        The table is built on first read: each (super)commutator of rep
+        matrices is expressed in the basis by one tracked `Echelon` of the
+        rep, and [x_j, x_i] = -(-1)^(|i||j|) [x_i, x_j].
+        """
+        if self._structure is None:
+            ech = Echelon(track=True)
+            for k, M in enumerate(self.rep):
+                if not ech.add(M, tag=k):
+                    raise ValueError(f"dependent basis matrix {self.labels[k]}")
+            table: dict = {}
+            for a in range(self.dim):
+                for b in range(a, self.dim):
+                    sign = (-1) ** (self.parity[a] * self.parity[b])
+                    M = mat_mul(self.rep[a], self.rep[b])
+                    axpy(M, mat_mul(self.rep[b], self.rep[a]), -sign)
+                    combo = ech.express(M)
+                    if combo is None:
+                        raise ValueError("matrix outside the algebra span")
+                    table[a, b] = _integral(
+                        combo, f"[{self.labels[a]}, {self.labels[b]}]")
+                    table[b, a] = {k: -sign * c for k, c in table[a, b].items()}
+            self._structure = table
+        return self._structure[i, j]
 
 
 def current_generators(A: LieAlgebraSpec, weight: int) -> list:
@@ -113,27 +124,20 @@ def current_generators(A: LieAlgebraSpec, weight: int) -> list:
     when y or u has degree 0, and in [L_a, L_b] otherwise.  A degree whose
     brackets already span g keeps no pair.  L_r reads only the degrees
     below r, so the pairs kept with r <= w are `current_generators(A, w)`.
-    Spans are taken on the structure constants scaled to integers
-    (`integral`), which keeps them.  A central element that is not a
-    bracket, such as the identity of gl_n, is kept at every r.
+    Spans are taken on the integer structure constants.  A central
+    element that is not a bracket, such as the identity of gl_n, is kept
+    at every r.
     With an odd basis element every pair is returned, since callers act
     by each x t^r as an even operator and the closure under
     super-brackets would not bound their joint kernel.
     """
     if any(A.parity):
         return [(i, r) for r in range(weight + 1) for i in range(A.dim)]
-    ints, _ = integral({(i, j, k): c for i in range(A.dim)
-                        for j in range(A.dim)
-                        for k, c in A.structure(i, j).items()})
-    table: dict = {}  # (i, j) -> den [x_i, x_j]
-    for (i, j, k), c in ints.items():
-        table.setdefault((i, j), {})[k] = c
 
     def bracket(u: dict, v: dict) -> dict:
         out: dict = {}
         for (i, cu), (j, cv) in product(u.items(), v.items()):
-            if (i, j) in table:
-                axpy(out, table[i, j], cu * cv)
+            axpy(out, A.structure(i, j), cu * cv)
         return out
 
     kept, layers = [], []  # layers[r]: a basis of L_r
@@ -202,10 +206,7 @@ def simple_root_vectors(A: LieAlgebraSpec):
             roots[j] = tuple(br.get(j, 0) for br in brackets)
             if not any(roots[j]) or any(br.keys() - {j} for br in brackets):
                 return None
-    gram = [{j: t for j, Y in enumerate(A.rep)
-             if (t := sum(x * Y[c, r] for (r, c), x in X.items()
-                          if (c, r) in Y))}
-            for X in A.rep]
+    gram = [{j: t for j, t in enumerate(row) if t} for row in trace_gram(A)]
     if len(pivot_columns(gram)) < A.dim:
         return None
     positive = {a for a in roots.values() if a > (0,) * len(a)}
@@ -242,8 +243,8 @@ def trace_gram(A: LieAlgebraSpec) -> tuple:
     module: the diagonal of the sparse product, odd rows negated."""
     def form(i, j):
         M = mat_mul(A.rep[i], A.rep[j])
-        return sum(((-1) ** A.rep_parity[r] * v
-                    for (r, c), v in M.items() if r == c), ZERO)
+        return QQ(sum((-1) ** A.rep_parity[r] * v
+                      for (r, c), v in M.items() if r == c))
     return tuple(tuple(form(i, j) for j in range(A.dim)) for i in range(A.dim))
 
 
@@ -254,8 +255,8 @@ def killing_gram(A: LieAlgebraSpec) -> tuple:
     if A._killing is None:
         r = range(A.dim)
         A._killing = tuple(
-            tuple(sum((c * A.structure(j, a).get(b, 0)
-                       for b in r for a, c in A.structure(i, b).items()), ZERO)
+            tuple(QQ(sum(c * A.structure(j, a).get(b, 0)
+                         for b in r for a, c in A.structure(i, b).items()))
                   for j in r)
             for i in r
         )
@@ -306,7 +307,7 @@ def _matrix(*entries) -> dict:
     entries, 0-indexed; entries on one cell add up."""
     out: dict = {}
     for r, c, v in entries:
-        axpy(out, {(r, c): QQ(v)})
+        axpy(out, {(r, c): v})
     return out
 
 

@@ -160,8 +160,8 @@ def integral(vec: dict):
         return dict(vec), 1
     den = lcm(*[c.denominator for c in vec.values()])
     if den == 1:
-        return {k: int(c) for k, c in vec.items()}, 1
-    return {k: int(c.numerator) * (den // int(c.denominator))
+        return {k: c.numerator for k, c in vec.items()}, 1
+    return {k: c.numerator * (den // c.denominator)
             for k, c in vec.items()}, den
 
 
@@ -171,8 +171,7 @@ def common_denominator(da: int, db: int, scale=1) -> tuple:
     p/q in lowest terms: den = lcm(da, q*db), ka = den/da and kb =
     p*den/(q*db), all ints.  This is `integral`'s rule for the sum of two
     integer forms."""
-    p, q = ((scale, 1) if type(scale) is int
-            else (int(scale.numerator), int(scale.denominator)))
+    p, q = scale.numerator, scale.denominator
     qdb = q * db
     den = lcm(da, qdb)
     return den // da, p * (den // qdb), den

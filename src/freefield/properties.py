@@ -19,8 +19,8 @@ from .fock import (State, apply_mode, binom, derivative, gradings,
                    monomial_state, nth_product, parity_of, state_to_text,
                    state_weight, vacuum)
 from .constructions import build_system
-from .diffalg import (JetImages, coding, integer_matrices, lie_jet_action,
-                      symbol, symbol_var, varspace_for_system)
+from .diffalg import (JetImages, coding, lie_jet_action, symbol, symbol_var,
+                      varspace_for_system)
 from .linalg import koszul_sort
 from .weyl import zhu_star, zhu_zero_mode
 
@@ -237,25 +237,24 @@ def jet_equivariance(F, seed: int, samples: int) -> tuple:
     k.  Scaling each monomial K by P(K), a bijection on polynomials, takes
     the engine side, ints/den = theta o_r m, to lhs[K]/den at the K of
     each top-degree m', lhs[K] = sign*ints[m'], and the jet side to
-    rhs[K]*P(K)/(s*P(m)), rhs the tables of s times xi t^r
-    (`integer_matrices`) applied to sign times m's sorted variables.  So
-    the sides agree when they have the same monomials and
-    lhs*P(m)*s == rhs*den*P(K) on each.  The variables are int codes
-    (`coding`) of the symbol variables of orders 0..2, the sampler's, and
-    of their images under each xi t^r, which for a left family are among
-    them."""
+    rhs[K]*P(K)/P(m), rhs the integer tables of xi t^r applied to sign
+    times m's sorted variables.  So the sides agree when they have the
+    same monomials and lhs*P(m) == rhs*den*P(K) on each.  The variables
+    are int codes (`coding`) of the symbol variables of orders 0..2, the
+    sampler's, and of their images under each xi t^r, which for a left
+    family are among them."""
     sys, A = F.sys, F.algebra
     space = varspace_for_system(sys)
-    mats = [integer_matrices(space.action_for(A, i)) for i in range(A.dim)]
+    mats = [space.action_for(A, i) for i in range(A.dim)]
     base = {(g.index, -k - 1): symbol_var(g.family, g.copy, g.coord, k)
             for g in sys.generators for k in range(3)}
     code, parity, _ = coding(sorted(set(base.values()).union(
-        w for cols, _ in mats for r in range(3) for v in base.values()
+        w for cols in mats for r in range(3) for v in base.values()
         for w, _ in JetImages(cols, r)[v])))
     mode_code = {md: code[v] for md, v in base.items()}.__getitem__
     fact = [factorial(v.order) for v in code].__getitem__
-    checks = [(i, th, s, r, JetImages(cols, r, code))
-              for i, (th, (cols, s)) in enumerate(zip(F.states, mats))
+    checks = [(i, th, r, JetImages(cols, r, code))
+              for i, (th, cols) in enumerate(zip(F.states, mats))
               for r in range(3)]
     rng = random.Random(seed)
     memo: dict = {}  # monomial -> its failing (current index, r)
@@ -268,7 +267,7 @@ def jet_equivariance(F, seed: int, samples: int) -> tuple:
             bad = memo[mono] = []
             km, sign = koszul_sort(list(map(mode_code, mono)), parity)
             pm, unit = prod(map(fact, km)), State(sys, integral=({mono: 1}, 1))
-            for i, th, s, r, images in checks:
+            for i, th, r, images in checks:
                 ints, den = nth_product(th, unit, r).integral()
                 lhs = {}
                 for m, c in ints.items():
@@ -277,7 +276,7 @@ def jet_equivariance(F, seed: int, samples: int) -> tuple:
                             f"degree {len(m)} exceeds symbol degree {dv}")
                     if len(m) == dv:
                         k, sk = koszul_sort(list(map(mode_code, m)), parity)
-                        lhs[k] = sk * c * pm * s
+                        lhs[k] = sk * c * pm
                 rhs = lie_jet_action(images, {km: sign}, parity)
                 if lhs.keys() != rhs.keys() or any(
                         c != rhs[k] * den * prod(map(fact, k))
@@ -288,8 +287,7 @@ def jet_equivariance(F, seed: int, samples: int) -> tuple:
             i, r = bad[0]
             witness = (A.labels[i], r, v,
                        symbol(nth_product(F.states[i], v, r), dv),
-                       lie_jet_action(JetImages(space.action_for(A, i), r),
-                                      symbol(v, dv)))
+                       lie_jet_action(JetImages(mats[i], r), symbol(v, dv)))
     return failures, witness
 
 

@@ -1,39 +1,26 @@
-"""Exact rational arithmetic shim.
+"""Exact rational arithmetic: QQ is `fractions.Fraction`.
 
-Everything downstream works with QQ values.  gmpy2.mpq is much faster than
-fractions.Fraction for the elimination-heavy computations, but the package
-must run without it, so we fall back transparently.
+Rationals appear where the results are rational: levels, forms, Sugawara
+coefficients and the terms of a state as read.  Elimination, the Fock
+kernel and the Lie algebra data run on ints.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as QQ  # type: ignore
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as QQ  # type: ignore
+from fractions import Fraction as QQ
 
 ZERO = QQ(0)
 ONE = QQ(1)
 
 
-def qq(value) -> "QQ":
-    """Coerce ints, 'p/q' strings, or QQ values to QQ."""
-    if isinstance(value, str):
-        if "/" in value:
-            p, q = value.split("/")
-            return QQ(int(p), int(q))
-        return QQ(int(value))
-    return QQ(value)
-
-
 def qstr(value) -> str:
-    """Canonical 'p/q' text, 'p' when the denominator is 1."""
-    v = QQ(value)
-    num, den = v.numerator, v.denominator
-    if den == 1:
-        return str(num)
-    return f"{num}/{den}"
+    """Canonical 'p/q' text of an int or QQ, 'p' when the denominator is 1."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
 
 
 def parse_qstr(text: str) -> "QQ":
-    return qq(text.strip())
+    """The QQ of 'p/q' or 'p' text, surrounding whitespace ignored."""
+    p, sep, q = text.strip().partition("/")
+    return QQ(int(p), int(q)) if sep else QQ(int(p))

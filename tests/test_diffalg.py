@@ -15,7 +15,7 @@ from freefield.constructions import (build_system, det_family, symbol_generators
                                      theta)
 from freefield.diffalg import (
     FamilyDecl, JetImages, ResourceCapError, VarSpace, _block_key, _parity,
-    coding, _copy_orbits, integer_matrices, _orbit_size, _products,
+    coding, _copy_orbits, _orbit_size, _products,
     abstract_var, apply_D, bidegree_dims, diff_add,
     diff_bidegree, diff_mul, diff_sub, diff_to_text, enumerate_component,
     _var_images, generated_span, graded_multisets, invariant_basis,
@@ -111,8 +111,8 @@ def test_lie_jet_action_matches_engine_symbol():
     {"bosonic": (2, 1), "fermionic": (2, 1)}],
     ids=["bosonic", "fermionic", "mixed"])
 def test_lie_jet_action_on_int_codes_matches_variables(shape):
-    # coded tables with a parity list, decoded, give the DV result; on the
-    # integer matrices they give it times their scale
+    # the matrices are ints; coded tables with a parity list, decoded, give
+    # the DV result
     space = varspace_for_system(build_system(**shape))
     A = make_algebra("sl", 2)
     variables = space.variables(3)
@@ -127,21 +127,15 @@ def test_lie_jet_action_on_int_codes_matches_variables(shape):
         polys.append(p)
     for idx in range(A.dim):
         mats = space.action_for(A, idx)
-        ints, scale = integer_matrices(mats)
-        assert scale >= 1 and all(
-            type(x) is int for M in ints.values()
-            for entries in M.values() for _, x in entries)
+        assert all(type(x) is int for M in mats.values()
+                   for entries in M.values() for _, x in entries)
         for r in (0, 1, 2):
             coded = JetImages(mats, r, code)
-            coded_int = JetImages(ints, r, code)
             for p in polys:
                 want = lie_jet_action(JetImages(mats, r), p)
                 cp = {tuple(map(code.__getitem__, m)): c for m, c in p.items()}
                 got = lie_jet_action(coded, cp, parity)
                 assert {tuple(variables[i] for i in m): c
-                        for m, c in got.items()} == want, (idx, r)
-                got = lie_jet_action(coded_int, cp, parity)
-                assert {tuple(variables[i] for i in m): QQ(c, scale)
                         for m, c in got.items()} == want, (idx, r)
 
 
@@ -586,8 +580,7 @@ def _dv_invariant_basis(space, A, weight, maxdeg):
     """invariant_basis on the variables themselves, uncoded: the same
     driver fed DV columns, DV image tables and DV block keys."""
     gens = current_generators(A, weight)
-    columns = [integer_matrices(space.action_for(A, i))[0]
-               for i in range(A.dim)]
+    columns = [space.action_for(A, i) for i in range(A.dim)]
     torus_ops = [(i, 0) for i in range(A.dim)]
     tables = {op: JetImages(columns[op[0]], op[1]) for op in torus_ops + gens}
     copies = {f.family: f.copies for f in space.families}
@@ -656,7 +649,7 @@ def _affine_sl2():
     of root 2, -2, 1 and -1 under h, but the algebra is not reductive:
     the v's are an abelian ideal, and the trace form vanishes on them."""
     def unit(*cells):
-        return {(r, c): QQ(x) for r, c, x in cells}
+        return {(r, c): x for r, c, x in cells}
     rep = [unit((0, 1, 1)), unit((1, 0, 1)), unit((0, 0, 1), (1, 1, -1)),
            unit((0, 2, 1)), unit((1, 2, 1))]
     return LieAlgebraSpec("aff", (2,), ["x", "y", "h", "v1", "v2"],

@@ -549,6 +549,70 @@ def test_count_task_options_are_config_errors(system, group, task, tmp_path,
         f"configuration error: {message}"]
 
 
+# jet_compare dims spaces that do not fit the group: each passed
+# vacuously, read true as one copy, solved a space that is not the
+# group's module, ended as a KeyError task error, or ignored side
+# "right"; without a group the task ended as a TypeError task error
+PLAIN_MESSAGE = "space.plain copies and coords must be positive integers"
+BAD_DIMS_SPACES = {
+    "plain-copies-0": ({"bosonic": [2, 1]}, SL2,
+                       {"plain": {"copies": 0, "coords": 2}}, PLAIN_MESSAGE),
+    "plain-copies--1": ({"bosonic": [2, 1]}, SL2,
+                        {"plain": {"copies": -1, "coords": 2}}, PLAIN_MESSAGE),
+    "plain-copies-true": ({"bosonic": [2, 1]}, SL2,
+                          {"plain": {"copies": True, "coords": 2}},
+                          PLAIN_MESSAGE),
+    "plain-coords-missing": ({"bosonic": [2, 1]}, SL2,
+                             {"plain": {"copies": 1}}, PLAIN_MESSAGE),
+    "plain-not-object": ({"bosonic": [2, 1]}, SL2, {"plain": 2},
+                         PLAIN_MESSAGE),
+    "plain-coords-3-sl2": (
+        {"bosonic": [2, 1]}, SL2, {"plain": {"copies": 1, "coords": 3}},
+        "space family 'x' has 3 coordinates, the algebra acts on 2"),
+    "system-3-2-sl2": (
+        {"bosonic": [3, 2]}, SL2, "system",
+        "space family 'beta' has 3 coordinates, the algebra acts on 2"),
+    "system-2-2-sl3": (
+        {"bosonic": [2, 2]}, {"kind": "sl", "rank": 3}, "system",
+        "space family 'beta' has 2 coordinates, the algebra acts on 3"),
+    "fermionic-3-1-sl2": (
+        {"bosonic": [2, 1], "fermionic": [3, 1]}, SL2, "system",
+        "space family 'b' has 3 coordinates, the algebra acts on 2"),
+    "no-group": ({"bosonic": [2, 1]}, None, "system",
+                 "this task needs a group"),
+    "side-right": (
+        {"bosonic": [2, 2]}, {"kind": "gl", "rank": 2, "side": "right"},
+        "system", "jet_compare dims acts on coordinates only, "
+        "not with side 'right'"),
+}
+
+
+@pytest.mark.parametrize("system,group,space,message",
+                         BAD_DIMS_SPACES.values(), ids=BAD_DIMS_SPACES)
+def test_dims_space_not_fitting_the_group_is_a_config_error(
+        system, group, space, message, tmp_path, capsys):
+    raw = {"system": system, "group": group,
+           "tasks": [{"task": "jet_compare", "space": space,
+                      "generators": "none", "max_weight": 1,
+                      "max_degree": 2}]}
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        run_scenario(raw)
+    spath = write_scenario(tmp_path, raw)
+    assert cli.main(["verify", str(spath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.splitlines() == [
+        f"configuration error: {message}"]
+
+
+def test_dims_side_right_in_the_task_family_is_a_config_error():
+    # the task's own family is the one the dims solve would act by
+    raw = {"system": {"bosonic": [2, 2]}, "group": {"kind": "sl", "rank": 2},
+           "tasks": [{"task": "jet_compare", "max_weight": 1,
+                      "family": {"kind": "gl", "rank": 2, "side": "right"}}]}
+    with pytest.raises(ScenarioError, match="not with side 'right'"):
+        run_scenario(raw)
+
+
 @pytest.mark.parametrize("system,group,task,exc_name", MALFORMED_TASKS)
 def test_malformed_task_options_give_task_error(system, group, task, exc_name):
     raw = {"system": system, "group": group,

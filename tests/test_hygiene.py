@@ -3,10 +3,14 @@ module-level assignments or methods in the package, no unused imports in
 the package or the tests, imports only at module level, no reads of
 another module's private names, denominators cleared only in `linalg`,
 `koszul_insert` called only by `linalg` and `fock`, `nullspace` called
-only by `linalg`'s block solver, and a harness that imports no maths."""
+only by `linalg`'s block solver, a harness that imports no maths, and
+`fractions.Fraction` the one rational type."""
 
 import ast
+import fractions
 import pathlib
+
+from freefield.rationals import QQ
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "freefield"
@@ -220,3 +224,16 @@ def test_harness_imports_no_maths():
                     if a.name in HARNESS_FORBIDDEN_MODULES
                     | HARNESS_FORBIDDEN_NAMES]
     assert not bad, bad
+
+
+def test_fraction_is_the_one_rational_type():
+    # no second backend: QQ is Fraction, and neither a file under src/
+    # nor the project metadata names gmpy2
+    assert QQ is fractions.Fraction
+    files = [p for p in sorted((ROOT / "src").rglob("*")) if p.is_file()
+             and not any(part == "__pycache__" or part.endswith(".egg-info")
+                         for part in p.parts)]
+    named = [str(p.relative_to(ROOT))
+             for p in [*files, ROOT / "pyproject.toml"]
+             if b"gmpy2" in p.read_bytes()]
+    assert not named, named

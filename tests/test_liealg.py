@@ -2,8 +2,9 @@ import pytest
 from reference_generators import greedy_current_generators
 
 from freefield.liealg import (
-    current_generators, dual_coxeter, gram_inverse, killing_gram,
-    make_algebra, normalized_gram, sp_any, torus_weights, trace_gram,
+    LieAlgebraSpec, current_generators, dual_coxeter, gram_inverse,
+    killing_gram, make_algebra, normalized_gram, sp_any, torus_weights,
+    trace_gram,
 )
 from freefield.rationals import QQ
 
@@ -58,6 +59,40 @@ def test_dimensions():
     assert make_algebra("sp", 4).dim == 10
     assert make_algebra("so_split", 4).dim == 6
     assert make_algebra("glsuper", 1, 1).dim == 4
+
+
+EVERY_KIND = [
+    *[("gl", (n,)) for n in range(1, 6)], *[("sl", (n,)) for n in range(2, 8)],
+    *[("so", (n,)) for n in range(3, 11)],
+    *[("sp", (n,)) for n in range(4, 13, 2)],
+    *[("so_split", (n,)) for n in range(2, 13)],
+    *[("glsuper", (r, s)) for r in range(4) for s in range(3) if r + s],
+    *[("sp_any", (m,)) for m in (1, 2, 3)]]
+
+
+@pytest.mark.parametrize("kind, params", EVERY_KIND, ids=[
+    "-".join(map(str, (kind, *params))) for kind, params in EVERY_KIND])
+def test_rep_and_structure_constants_are_ints(kind, params):
+    A = sp_any(*params) if kind == "sp_any" else make_algebra(kind, *params)
+    assert all(type(x) is int for M in A.rep for x in M.values())
+    assert all(type(c) is int for i in range(A.dim) for j in range(A.dim)
+               for c in A.structure(i, j).values())
+
+
+def test_spec_rejects_a_rational_rep_entry():
+    rep = [{(0, 1): 1}, {(1, 0): 1}, {(0, 0): QQ(1, 2), (1, 1): QQ(-1, 2)}]
+    with pytest.raises(ValueError, match="rep matrix of h has an entry with "
+                       "denominator 2"):
+        LieAlgebraSpec("sl", (2,), ["x", "y", "h"], [0] * 3, rep, 2)
+
+
+def test_spec_rejects_rational_structure_constants():
+    # in the basis x, y, 2h of sl2, [x, y] = h is 1/2 times 2h
+    rep = [{(0, 1): 1}, {(1, 0): 1}, {(0, 0): 2, (1, 1): -2}]
+    A = LieAlgebraSpec("sl", (2,), ["x", "y", "2h"], [0] * 3, rep, 2)
+    with pytest.raises(ValueError, match=r"\[x, y\] has an entry with "
+                       "denominator 2"):
+        A.structure(0, 1)
 
 
 def test_bracket_antisymmetry_and_jacobi():
