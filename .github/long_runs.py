@@ -4,6 +4,7 @@ From the repo root:
 
     PYTHONPATH=src python .github/long_runs.py dims
     PYTHONPATH=src python .github/long_runs.py state_dims
+    FREEFIELD_CACHE_CAP=0 PYTHONPATH=src python -O .github/long_runs.py state_dims
     FREEFIELD_CACHE_CAP=0 PYTHONPATH=src python -O .github/long_runs.py engine
     FREEFIELD_CACHE_CAP=0 PYTHONPATH=src python -O .github/long_runs.py equivariance
 
@@ -64,10 +65,12 @@ GROUPS = {
         ("thm_4_1_n3_m2", dict(RAISED, max_weight=5, max_degree=6)),
         ("thm_7_3_m2", dict(RAISED, max_weight=6, max_degree=6))]),
     # state-side rows handed to nullspace as int dicts, written for the
-    # generating set of g[t] cut to simple root vectors
+    # generating set of g[t] cut to simple root vectors, each image read
+    # off the derivation and pair-contraction tables of fock.current_mode
     "state_dims": ("state_dims", _state_dims, False, [
         ("thm_4_3_n3_m1", dict(RAISED, max_weight=5, max_degree=6)),
         ("thm_4_3_n3_m1", dict(RAISED, max_weight=7, max_degree=8)),
+        ("thm_4_3_n3_m1", dict(RAISED, max_weight=8, max_degree=10)),
         ("thm_4_3_n2_m1", dict(RAISED, max_weight=8, max_degree=8))]),
     # State arithmetic on integer forms, one-mode products in closed form
     "engine": (None, _passes, True, [

@@ -12,13 +12,13 @@ singular vectors.
 from itertools import permutations
 
 from .rationals import QQ, ZERO, ONE, qstr
-from .linalg import axpy, perm_sign, solve_affine
+from .linalg import Images, axpy, perm_sign, solve_affine
 from .liealg import (LieAlgebraSpec, current_generators, diagonal_basis,
                      dual_coxeter, gram_inverse, make_algebra, normalized_gram,
                      sp_any, split_label, trace_gram)
 from .fock import (SystemSpec, State, vacuum, zero, generator_polynomial,
-                   nth_product, derivative, gradings, state_weight,
-                   state_to_text)
+                   nth_product, current_mode, derivative, gradings,
+                   state_weight, state_to_text)
 from .diffalg import (ResourceCapError, abstract_var, graded_multisets,
                       invariant_orbits, monomial_counts, monomial_from_factors,
                       quantum_correct, root_cut, symbol, wick_expand)
@@ -483,18 +483,31 @@ def _modes(sys: SystemSpec, weight: int) -> list:
 def component_monomials(sys: SystemSpec, weight: int, maxdeg: int, charge=None,
                         torus=None):
     """Canonical monomials of exact weight, degree <= maxdeg, optionally
-    fixed total charge, in canonical sort order: the
-    `diffalg.graded_multisets` of the creation modes, each of degree 1.
+    fixed charge, in canonical sort order: the `diffalg.graded_multisets`
+    of the creation modes, each of degree 1.
 
     torus, when given, maps each creation mode to its integer torus
-    weight vector, and only the monomials of torus weight 0 are produced,
-    cut inside the enumeration."""
+    weight vector, and only the monomials of torus weight 0 are produced;
+    charge, when given, is the total charge (an int) or the charge per
+    copy (a `_copy_charge_key`) the monomials must have.  Both are cut
+    inside the enumeration, as coordinates of the torus weight the walk
+    must reach."""
     modes = _modes(sys, weight)
-    tws = [torus[mode] for mode, *_ in modes] if torus else None
+    tws = [tuple(torus[mode]) if torus else () for mode, *_ in modes]
+    target = [0] * len(tws[0]) if tws else []
+    if isinstance(charge, int):
+        tws = [tw + (ch,) for tw, (*_, ch) in zip(tws, modes)]
+        target.append(charge)
+    elif charge is not None:
+        slots = sorted(set(sys.slots))
+        tws = [tw + tuple(sys.charge[gi] if sys.slots[gi] == s else 0
+                          for s in slots)
+               for tw, ((gi, _), *_) in zip(tws, modes)]
+        target += [dict(charge).get(s, 0) for s in slots]
     atoms = [(w, 1, odd) for _, w, odd, _ in modes]
     return [tuple(modes[i][0] for i in tup)
-            for tup in graded_multisets(atoms, weight, 0, maxdeg, tws)
-            if charge is None or sum(modes[i][3] for i in tup) == charge]
+            for tup in graded_multisets(atoms, weight, 0, maxdeg, tws,
+                                        target=target)]
 
 
 def _copy_charge_key(sys, mono):
@@ -506,19 +519,28 @@ def _copy_charge_key(sys, mono):
     return tuple(sorted((s, ch) for s, ch in counts.items() if ch))
 
 
-def _products(F: CurrentFamily, v: State, modes):
+def _products(F: CurrentFamily, table, ints: dict, modes):
     """Every term of th o_n v as ((label, n, monomial), c), for each
-    current th of F and each n in modes: c is an int of the product's
-    integer form (`State.integral`), whose den is th's den times v's, so
-    c is den(th) den(v) times the coefficient."""
-    for lab, th in F.items():
+    current th of F and each n in modes, v the state of the int dict ints:
+    c is the sum of the ints times the images of their monomials under
+    table[i, n], the `fock.current_mode` of th = F.states[i], so it is
+    den(th) times the coefficient of th o_n v with that state's den 1."""
+    for i, lab in enumerate(F.algebra.labels):
         for n in modes:
-            for tm, c in nth_product(th, v, n).integral()[0].items():
+            out: dict = {}
+            for mono, c in ints.items():
+                axpy(out, table[i, n](mono), c)
+            for tm, c in out.items():
                 yield (lab, n, tm), c
 
 
+def _mode_table(F: CurrentFamily) -> Images:
+    """(i, n) -> `fock.current_mode(F.states[i], n)`, built on first read."""
+    return Images(lambda op: current_mode(F.states[op[0]], op[1]))
+
+
 def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
-                          cap: int = 20000, pairs=None) -> int:
+                          cap: int = 20000, pairs=None, table=None) -> int:
     """Dimension of the joint kernel of all nonnegative products with the
     family currents on the span of monomials of the given exact weight and
     degree <= maxdeg: the sum over blocks of the dimensions
@@ -540,10 +562,12 @@ def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
     int forms of the products (`State.integral`), each operator's scaled
     by its current's den alone: that keeps its kernel and the zero sums
     of its torus eigenvalues, while a scale per monomial would change the
-    eigenvalue ratios the torus is read off."""
+    eigenvalue ratios the torus is read off.  They are read off table, a
+    `_mode_table` of F (a new one when None), so off the tables of
+    `fock.current_mode`."""
     sys = F.sys
-    modes = _modes(sys, weight)
-    size = sum(monomial_counts([(w, odd) for _, w, odd, _ in modes],
+    atoms = _modes(sys, weight)
+    size = sum(monomial_counts([(w, odd) for _, w, odd, _ in atoms],
                                weight, maxdeg))
     if size > cap:
         raise ResourceCapError(cap, size)
@@ -551,14 +575,16 @@ def state_invariant_basis(F: CurrentFamily, weight: int, maxdeg: int,
         pairs = [(i, n) for i, th in enumerate(F.states)
                  for n in range(state_weight(th) + weight)]
 
+    if table is None:
+        table = _mode_table(F)
+
     def image(mono, ops):
-        v = State(sys, integral=({mono: 1}, 1))
-        return [nth_product(F.states[i], v, n).integral()[0] for i, n in ops]
+        return [table[op](mono) for op in ops]
 
     block = ((lambda mo: _copy_charge_key(sys, mo)) if F.side == "left"
              else (lambda mo: ()))
     return sum(dim for _, dim in invariant_orbits(
-        [mode for mode, *_ in modes],
+        [mode for mode, *_ in atoms],
         lambda torus: component_monomials(sys, weight, maxdeg, torus=torus),
         [(i, 0) for i in range(len(F.states))], pairs, image, block))
 
@@ -591,6 +617,8 @@ def state_dims(F: CurrentFamily, max_weight: int, maxdeg: int,
     pairs of `current_generators(A, max_weight)` with r <= w, which
     generate it, have the kernel of every mode there.  They are computed
     once.  (For a superalgebra they are every pair, so every mode.)
+    The weights share one `_mode_table`, so each mode's tables are built
+    once per call.
 
     Torus guard: `diffalg.root_cut` cuts the pairs with r = 0 to simple
     root vectors.  Its proof needs each basis element h of its torus
@@ -602,8 +630,9 @@ def state_dims(F: CurrentFamily, max_weight: int, maxdeg: int,
     The component is a g-module on which the torus, which holds the
     centre, acts diagonally, and root_cut's argument gives the same
     kernel.  Otherwise the pairs are used uncut."""
+    table = _mode_table(F)
     if not _realizes_current_algebra(F):
-        return [state_invariant_basis(F, w, maxdeg, cap)
+        return [state_invariant_basis(F, w, maxdeg, cap, table=table)
                 for w in range(max_weight + 1)]
     A = F.algebra
     pairs = current_generators(A, max_weight)
@@ -614,7 +643,7 @@ def state_dims(F: CurrentFamily, max_weight: int, maxdeg: int,
         return lambda diag: [p for p in (
             cut if all(h in diag for h in torus) else pairs) if p[1] <= w]
 
-    return [state_invariant_basis(F, w, maxdeg, cap, ops(w))
+    return [state_invariant_basis(F, w, maxdeg, cap, ops(w), table)
             for w in range(max_weight + 1)]
 
 
@@ -625,31 +654,31 @@ def invariant_lift_search(F: CurrentFamily, target: State, maxdeg: int,
 
     Left families preserve per-copy charges, so candidates can be cut to
     the target's charge block without losing solutions; corrections outside
-    the block satisfy a homogeneous system on their own.  Returns a report
-    with feasibility, the coefficient rank and the system size.
+    the block satisfy a homogeneous system on their own.  The cut is made
+    inside the walk (`component_monomials`).  Returns a report with
+    feasibility, the coefficient rank and the system size.
 
-    The rows are those of `_products`: each belongs to one current th and
-    is scaled by den(th), so a unit monomial's entry is an int and the
-    right-hand side is -c/den(target).  Scaling rows keeps the reduced
-    echelon rows, and so the solution and the rank.
+    The rows are those of `_products` on one `_mode_table`: each belongs
+    to one current th and is scaled by den(th), so a unit monomial's
+    entry is an int and the right-hand side is -c/den(target).  Scaling
+    rows keeps the reduced echelon rows, and so the solution and the rank.
     """
     sys = F.sys
     w, ch, _ = gradings(target)
     if w is None or ch is None:
         raise ValueError("target must be weight and charge homogeneous")
-    cands = component_monomials(sys, w, maxdeg, charge=ch)
-    if F.side == "left":
-        keys = {_copy_charge_key(sys, mo) for mo in target.integral()[0]}
-        if len(keys) == 1:
-            key = keys.pop()
-            cands = [mo for mo in cands if _copy_charge_key(sys, mo) == key]
+    ints, den = target.integral()
+    keys = {_copy_charge_key(sys, mo) for mo in ints}
+    if F.side == "left" and len(keys) == 1:
+        ch = keys.pop()
+    cands = component_monomials(sys, w, maxdeg, ch)
     if len(cands) > cap:
         raise ResourceCapError(cap, len(cands))
-    den = target.integral()[1]
-    rows = {key: [{}, QQ(-c, den)] for key, c in _products(F, target, modes)}
+    table = _mode_table(F)
+    rows = {key: [{}, QQ(-c, den)]
+            for key, c in _products(F, table, ints, modes)}
     for mo in cands:
-        for key, c in _products(F, State(sys, integral=({mo: 1}, 1)),
-                                modes):
+        for key, c in _products(F, table, {mo: 1}, modes):
             rows.setdefault(key, [{}, 0])[0][mo] = c  # [equation, rhs]
     sol, rank = solve_affine([eq for eq, _ in rows.values()],
                              [b for _, b in rows.values()], cands)

@@ -18,7 +18,7 @@ from .liealg import (current_generators, make_algebra, simple_root_vectors,
                      torus_weights)
 from .linalg import (Echelon, Images, apply_derivation, axpy,
                      block_nullspaces, derive, integral, koszul_sort,
-                     pivot_columns)
+                     pivot_columns, primitive)
 from .rationals import QQ, qstr
 from . import fock
 
@@ -265,7 +265,7 @@ def varspace_for_system(sys: fock.SystemSpec) -> VarSpace:
 
 
 def graded_multisets(atoms, weight: int, mindeg: int, maxdeg: int,
-                     torus=None, copies=None) -> list:
+                     torus=None, copies=None, target=None) -> list:
     """Index tuples i1 <= i2 <= ... into atoms, given as (weight, degree,
     parity) with degree >= 1, that take an odd atom at most once, whose
     weights sum to `weight` and whose degrees sum to a value in
@@ -274,10 +274,11 @@ def graded_multisets(atoms, weight: int, mindeg: int, maxdeg: int,
     for, the sorted order of the multisets.
 
     torus, when given, lists an integer torus weight vector per atom, and
-    only the tuples of torus weight 0 are produced.  A branch of weight t
-    that may add at most r more atoms, all from atoms[s:], is cut unless
-    lo*r <= -t <= hi*r in every coordinate, with (lo, hi) the coordinatewise
-    bounds over atoms[s:] and the zero vector.  Where at most one more atom
+    only the tuples of torus weight target (the zero vector when None) are
+    produced.  A branch t short of target, that may add at most r more
+    atoms, all from atoms[s:], is cut unless lo*r <= -t <= hi*r in every
+    coordinate, with (lo, hi) the coordinatewise bounds over atoms[s:]
+    and the zero vector.  Where at most one more atom
     fits, it is looked up by the weight and torus weight it must have.
 
     copies, when given, lists per atom its (family, copy), ascending along
@@ -293,9 +294,11 @@ def graded_multisets(atoms, weight: int, mindeg: int, maxdeg: int,
     ws, ds, odd = zip(*atoms) if atoms else ((), (), ())
     dmin = min(ds, default=1)
     cut = bool(torus) and bool(torus[0])
-    t = [0] * len(torus[0]) if cut else []
+    # the torus weight taken so far, minus target
+    t = ([-x for x in target] if target
+         else [0] * len(torus[0]) if cut else [])
     if cut:
-        lo = hi = tuple(t)
+        lo = hi = (0,) * len(t)
         bounds = [(lo, hi)]
         for v in reversed(torus):
             lo, hi = tuple(map(min, lo, v)), tuple(map(max, hi, v))
@@ -673,9 +676,11 @@ def _products(polys, tuples, parity=_parity):
 
 
 def _ray(p: dict) -> frozenset:
-    """p up to a nonzero scalar: p over its entry at its least monomial."""
-    c = p[min(p)]
-    return frozenset((m, QQ(x) / c) for m, x in p.items())
+    """p up to a nonzero scalar: its primitive integer vector, positive
+    at its least monomial (`linalg.integral`, then `linalg.primitive`)."""
+    ints = integral(p)[0]
+    primitive(ints, min(ints))
+    return frozenset(ints.items())
 
 
 def _swap_copies(p: dict, family: str, c: int) -> dict:

@@ -43,7 +43,7 @@ from math import comb, factorial
 
 from . import linalg
 from .linalg import (Images, apply_derivation, axpy, common_denominator,
-                     koszul_insert, koszul_sort)
+                     derive, koszul_insert, koszul_sort)
 from .rationals import QQ, qstr, parse_qstr
 
 # family -> (parity, conformal weight, charge) of its generator fields
@@ -521,6 +521,79 @@ def _product(a: State, b: State, n) -> State:
 def nth_product(a: State, b: State, n: int) -> State:
     """a o_n b."""
     return _product(a, b, n)
+
+
+def current_mode(th: State, n: int):
+    """The mode th(n) on canonical monomials: a function mono -> {mono:
+    int} equal to nth_product(th, unit(mono), n).integral()[0], with
+    unit(mono) the state of mono with coefficient 1.  For n < 0, or a th
+    that is odd, weight-inhomogeneous or has a monomial whose length is
+    not 2, it is that call; otherwise it reads two tables.
+
+    Proof.  Take a term :d^p a d^q b: of th and n >= 0.  Its mode (n) is
+    a sum of a-modes a(j) times b-modes b(n-1-j), and both are creation
+    modes only when j <= -1 and j >= n, which is impossible.  So on Fock
+    monomials th(n) = D_n + Delta_n:
+    - D_n, the terms of one creation and one annihilation mode, replaces
+      one factor by a creation mode: th is even, so it is an even
+      derivation, fixed by the one-mode states th(n)|v>, each one mode.
+    - Delta_n, the terms of two annihilation modes, contracts a pair of
+      factors x <= y to a scalar, the one it gives on x y |0>: the vacuum
+      coefficient of th(n)|x y>, as D_n keeps the number of modes.
+      Moving x y to the front costs the Koszul sign of `koszul_sort`.
+    D_n is an `Images` table keyed by mode, applied by `linalg.derive`.
+    Delta_n is read for the pairs whose generators both lie in th's
+    partner mask (`_grade`), the only ones a term contracts, and whose
+    weights sum to n + 1 - wt(th), the only ones with a vacuum term;
+    each pair's scalar is computed on first use.  Every entry is an
+    `nth_product` on a one- or two-mode unit state, so `_nth_mono` checks
+    its weight and charge, also under python -O; a D_n entry that is not
+    one mode raises RuntimeError.  A monomial of weight w reads no table
+    when n >= wt(th) + w: its image is 0."""
+    sys = th.sys
+
+    def product(mono):
+        v = State(sys, integral=({mono: 1}, 1))
+        return nth_product(th, v, n).integral()[0]
+
+    ints = th.integral()[0]
+    wt = gradings(th)[0]
+    if n < 0 or wt is None or parity_of(th) or any(len(m) != 2 for m in ints):
+        return product
+    mask = 0
+    for m in ints:
+        mask |= _grade(sys, m)[4]
+
+    def one(mode):
+        out = product((mode,)).items() if mask >> mode[0] & 1 else ()
+        if any(len(mono) != 1 for mono, _ in out):
+            raise RuntimeError(f"th o_{n} of {mode} is not one mode: {out}")
+        return [(mono[0], c) for mono, c in out]
+
+    images = Images(one)
+    pairs = Images(lambda xy: product(xy).get((), 0))
+    parity, weight = sys.mode_parity, sys.weight
+    total = n + 1 - wt  # the weight of a pair with a vacuum term
+
+    def apply(mono):
+        if n >= wt + _grade(sys, mono)[0]:
+            return {}
+        out = derive(mono, images, parity)
+        mine = [(v, weight[v[0]] - 1 - v[1]) for v in mono
+                if mask >> v[0] & 1]
+        for k, (x, wx) in enumerate(mine):
+            for y, wy in mine[k + 1:]:
+                c = pairs[x, y] if wx + wy == total else 0
+                if c:
+                    rest = list(mono)
+                    rest.remove(x)
+                    rest.remove(y)
+                    rest = tuple(rest)
+                    c *= koszul_sort([x, y], parity, rest)[1]
+                    out[rest] = out.get(rest, 0) + c
+        return out
+
+    return apply
 
 
 def zhu_zero_mode(a: State, q: State) -> State:

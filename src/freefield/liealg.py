@@ -206,7 +206,7 @@ def simple_root_vectors(A: LieAlgebraSpec):
             roots[j] = tuple(br.get(j, 0) for br in brackets)
             if not any(roots[j]) or any(br.keys() - {j} for br in brackets):
                 return None
-    gram = [{j: t for j, t in enumerate(row) if t} for row in trace_gram(A)]
+    gram = [{j: t for j, t in enumerate(row) if t} for row in trace_form(A)]
     if len(pivot_columns(gram)) < A.dim:
         return None
     positive = {a for a in roots.values() if a > (0,) * len(a)}
@@ -238,14 +238,20 @@ def torus_weights(indices, atoms, image) -> tuple:
     return diag, {a: tuple(col[a] for col in columns) for a in atoms}
 
 
-def trace_gram(A: LieAlgebraSpec) -> tuple:
+def trace_form(A: LieAlgebraSpec) -> tuple:
     """T[i][j] = str(rho(x_i) rho(x_j)), the (super)trace on the defining
-    module: the diagonal of the sparse product, odd rows negated."""
+    module, as ints (the rep is integral): the diagonal of the sparse
+    product, odd rows negated."""
     def form(i, j):
         M = mat_mul(A.rep[i], A.rep[j])
-        return QQ(sum((-1) ** A.rep_parity[r] * v
-                      for (r, c), v in M.items() if r == c))
+        return sum((-1) ** A.rep_parity[r] * v for (r, c), v in M.items()
+                   if r == c)
     return tuple(tuple(form(i, j) for j in range(A.dim)) for i in range(A.dim))
+
+
+def trace_gram(A: LieAlgebraSpec) -> tuple:
+    """`trace_form` over QQ."""
+    return tuple(tuple(map(QQ, row)) for row in trace_form(A))
 
 
 def killing_gram(A: LieAlgebraSpec) -> tuple:

@@ -193,7 +193,7 @@ def _eliminate(vec: dict, row: dict, p) -> tuple:
     return a, b
 
 
-def _primitive(row: dict, p=None) -> int:
+def primitive(row: dict, p=None) -> int:
     """Divide the int row in place by its content, signed so that its
     entry at p, if given, is positive; returns that signed content."""
     g = gcd(*row.values())
@@ -248,7 +248,7 @@ def pivot_columns(vectors) -> set:
                 else:
                     holders[k].discard(j)  # p too: no live row holds it now
             if other:
-                _primitive(other)
+                primitive(other)
                 heappush(heap, (len(other), j))
             else:
                 rows[j] = None
@@ -287,7 +287,7 @@ class Echelon:
     def _make_primitive(self, p) -> None:
         """Divide the row of pivot p and its combo by the row's content,
         signed so that the pivot entry is positive."""
-        g = _primitive(self.rows[p], p)
+        g = primitive(self.rows[p], p)
         if g != 1:
             combo = self.combos[p]
             for t in combo:

@@ -14,10 +14,11 @@ from freefield.constructions import (
     sec4_identity, state_dims, state_invariant_basis, sugawara, theta,
     verify_affine,
 )
-from freefield import constructions
+from freefield import constructions, fock
 from freefield.diffalg import ResourceCapError, root_cut
-from freefield.fock import (State, derivative, gradings, nth_product,
-                            state_to_text, vacuum, wick, zero)
+from freefield.fock import (State, current_mode, derivative, gradings,
+                            nth_product, parity_of, state_to_text, vacuum,
+                            wick, zero)
 from freefield.liealg import (current_generators, make_algebra, split_label,
                               sp_any, torus_weights)
 from freefield.linalg import perm_sign, solve_affine
@@ -189,6 +190,18 @@ def test_component_monomials_counts():
     assert all(not m or len(m) <= 2 for m in monos)
     from freefield.fock import mono_weight
     assert all(mono_weight(sys, m) == 1 for m in monos)
+    # a total charge, or a charge per copy, cut inside the walk keeps the
+    # monomials that filtering the uncut output by it keeps, in order
+    sys = build_system(bosonic=(2, 2), fermionic=(1, 2))
+    for w in range(4):
+        full = component_monomials(sys, w, 3)
+        for ch in range(-3, 4):
+            assert component_monomials(sys, w, 3, ch) == [
+                mo for mo in full if fock.mono_charge(sys, mo) == ch]
+        for key in {constructions._copy_charge_key(sys, mo) for mo in full}:
+            assert component_monomials(sys, w, 3, key) == [
+                mo for mo in full
+                if constructions._copy_charge_key(sys, mo) == key]
 
 
 def test_state_invariant_basis_heisenberg_coset():
@@ -575,6 +588,82 @@ def test_state_dims_match_every_mode(family, path, monkeypatch):
              "uncut": current_generators(A, 3), "every": None}[path]
     assert seen == [None if pairs is None else
                     [p for p in pairs if p[1] <= w] for w in range(4)]
+
+
+# currents of every kind the state side solves: theta left on bosonic,
+# fermionic and mixed systems, theta right on bosonic and fermionic ones,
+# and the quadratic pairing families of so and sp, whose currents have
+# weights 0, 1 and 2 (for sp its s, d and one off-diagonal h current)
+_MODE_FAMILIES = {
+    "left_bosonic": lambda: theta(
+        make_algebra("gl", 2), build_system(bosonic=(2, 1)), "left").states,
+    "left_fermionic": lambda: theta(
+        make_algebra("gl", 2), build_system(fermionic=(2, 1)), "left").states,
+    "left_mixed": lambda: theta(make_algebra("sl", 2), build_system(
+        bosonic=(2, 1), fermionic=(2, 1)), "left").states,
+    "right_bosonic": lambda: theta(
+        make_algebra("gl", 2), build_system(bosonic=(1, 2)), "right").states,
+    "right_fermionic": lambda: theta(
+        make_algebra("gl", 2), build_system(fermionic=(1, 2)), "right").states,
+    "quad_so": lambda: quad_family(
+        make_algebra("so", 3), build_system(bosonic=(3, 1))).states,
+    "quad_sp": lambda: [quad_family(
+        make_algebra("sp", 4), build_system(bosonic=(4, 2))).states[i]
+        for i in (0, 1, 3)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(_MODE_FAMILIES))
+def test_current_mode_matches_nth_product(family):
+    # the derivation and pair-contraction tables give th o_n of the unit
+    # state of every monomial of every component up to W3 D3, for n =
+    # 0..w+1, as the Wick recursion does
+    states = _MODE_FAMILIES[family]()
+    if family.startswith("quad"):
+        assert {gradings(th)[0] for th in states} == {0, 1, 2}
+    for th in states:
+        for w in range(4):
+            monos = component_monomials(th.sys, w, 3)
+            for n in range(w + 2):
+                mode = current_mode(th, n)
+                for mo in monos:
+                    unit = State(th.sys, integral=({mo: 1}, 1))
+                    assert mode(mo) == nth_product(
+                        th, unit, n).integral()[0], (family, n, mo)
+
+
+def test_current_mode_takes_nth_product_off_even_quadratic_currents(
+        monkeypatch):
+    # a cubic state, an odd current or a mode n < 0 reads no table: each
+    # image is nth_product on the unit state of the whole monomial.  An
+    # even quadratic current at n >= 0 calls it on one- and two-mode
+    # states only
+    sys_ = build_system(bosonic=(2, 1), fermionic=(2, 1))
+    quadratic = theta(make_algebra("gl", 2), sys_, "left").states[0]
+    cubic = wick([generator_state(sys_, "beta", 1, 1),
+                  generator_state(sys_, "gamma", 1, 1),
+                  generator_state(sys_, "gamma", 1, 2)])
+    odd = next(th for th in mixed_psi_family(sys_).states if parity_of(th))
+    monos = [mo for mo in component_monomials(sys_, 2, 3) if len(mo) == 3]
+    real = fock.nth_product
+    seen = []
+
+    def spy(a, b, n):
+        seen.extend(b.integral()[0])
+        return real(a, b, n)
+
+    monkeypatch.setattr(fock, "nth_product", spy)
+    for th, n, whole in [(cubic, 1, True), (odd, 0, True),
+                         (quadratic, -1, True), (quadratic, 1, False)]:
+        seen.clear()
+        mode = current_mode(th, n)
+        for mo in monos:
+            unit = State(sys_, integral=({mo: 1}, 1))
+            assert mode(mo) == real(th, unit, n).integral()[0]
+        if whole:
+            assert seen == monos
+        else:
+            assert seen and all(len(mo) <= 2 for mo in seen)
 
 
 def test_invariant_lift_search_keeps_every_mode():

@@ -868,8 +868,8 @@ def test_so_dims_on_the_split_torus_match_the_antisymmetric_basis(
 def test_graded_multisets_matches_brute_force():
     # seeded random atoms against a filter over every multiset: the same
     # tuples in the same (sorted) order, odd atoms at most once, degrees
-    # in the window, and the torus and copy cuts equal to filtering the
-    # uncut output
+    # in the window, and the torus, target and copy cuts equal to
+    # filtering the uncut output
     rng = random.Random(7)
     for trial in range(300):
         n = rng.randint(0, 6)
@@ -893,6 +893,14 @@ def test_graded_multisets_matches_brute_force():
                     if not any(map(sum, zip(*(torus[i] for i in tup))))]
         got = graded_multisets(atoms, weight, mindeg, maxdeg, torus)
         assert got == balanced, (trial, atoms, torus, weight, mindeg, maxdeg)
+        # a random torus weight to reach, nonzero when k > 0, cuts as the
+        # filter of the uncut output by it does
+        target = [rng.choice([-2, -1, 1, 2]) for _ in range(k)]
+        reached = [tup for tup in full if [
+            sum(torus[i][c] for i in tup) for c in range(k)] == target]
+        got = graded_multisets(atoms, weight, mindeg, maxdeg, torus,
+                               target=target)
+        assert got == reached, (trial, atoms, torus, target, weight)
         # the copy cut keeps the tuples of representative blocks, by the
         # rule of _orbit_size on their counts per (family, copy)
         copies = sorted(rng.choice([("a", 1), ("a", 2), ("a", 3), ("b", 1),
